@@ -14,10 +14,6 @@ from .diagram import (
     DiagramError,
     MoveError,
     ValidationReport,
-    arcs,
-    checkerboard,
-    regions,
-    region_index,
     reidemeister_r1,
     reidemeister_r1_remove,
     reidemeister_r2,
@@ -33,8 +29,7 @@ from .generators import (
     torus_diagram,
 )
 from .coloring import (
-    DehnMatrix,
-    FoxMatrix,
+    ColoringMatrix,
     IntMod,
     PolyMod,
     alexander_polynomial,
@@ -53,7 +48,6 @@ from .codes import (
     LinearCode,
     WeightEnumerator,
     code_from_diagram,
-    dimension_via_ideals,
     dual,
     dual_knot_feasibility,
     ldpc_profile,

@@ -16,7 +16,7 @@ from .laurent import ONE, LaurentPoly, T
 from .fields import FqElem, FqField
 from .diagram import Diagram
 from .exactlin import rank
-from .coloring import fox_rows_at
+from .coloring import fox_matrix
 
 
 def torus_alexander(a: int, b: int) -> LaurentPoly:
@@ -42,32 +42,26 @@ def cable_alexander(base: LaurentPoly, a: int, b: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class EvaluatedIdealSeq:
-    """Evaluated elementary ideals of a coloring matrix over a field:
-    flag k is True when the k-th ideal is the whole field.  Flags are
-    monotone, so the sequence is just its threshold, which equals the
-    code dimension."""
+    """Evaluated elementary ideals of a coloring matrix over a field: the
+    k-th ideal is the whole field exactly when k >= dimension (the code
+    dimension), so the sequence is held as that threshold."""
 
     field: FqField
     t: FqElem
     dimension: int
     length: int | None = None  # columns of the matrix, when it came from one
 
-    def flag(self, k: int) -> bool:
-        return k >= self.dimension
-
-    def flags_prefix(self, upto: int | None = None) -> tuple[bool, ...]:
-        stop = self.dimension + 2 if upto is None else upto
-        return tuple(self.flag(k) for k in range(stop + 1))
-
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     te = field.element(t)
-    rows = fox_rows_at(d, field, te.val)
-    n = max(d.arc_count, 1)
-    dim = n - rank(field, rows)
-    if d.n >= 1 and dim < 1:
+    if d.n == 0:
+        d._require_valid()
+        return unknot_ideal_seq(field, te)
+    mat = fox_matrix(d)
+    dim = mat.ncols - rank(field, mat.evaluate(lambda e: field.eval_laurent(e, te.val), 0))
+    if dim < 1:
         raise AssertionError("coloring matrix of a knot diagram must be singular")
-    return EvaluatedIdealSeq(field, te, dim, n)
+    return EvaluatedIdealSeq(field, te, dim, mat.ncols)
 
 
 def torus_delta(field: FqField, a: int, b: int, t) -> FqElem:

@@ -143,7 +143,13 @@ def parse_t(field: FqField, text: str):
         return field.element([0, 1])
     if "," in text:
         return field.element([int(c) for c in text.split(",")])
-    return field.element(int(text))
+    value = int(text)
+    if field.a > 1 and not -1 <= value < field.p:
+        raise UsageError(
+            f"--t {text} is not in the prime field F_{field.p}; "
+            f"give other elements of F_{field.q} as coefficients c0,c1,..."
+        )
+    return field.element(value)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -255,19 +261,14 @@ def cmd_code(args) -> int:
 
 
 def cmd_snf(args) -> int:
-    with open(args.matrix) as fh:
-        obj = json.load(fh)
-    entries = obj["entries"] if isinstance(obj, dict) else obj
     if args.ring == "Z":
-        rows = [[int(x) for x in row] for row in entries]
-        res = snf(rows, RingZ())
+        res = snf(_read_matrix(args.matrix, int), RingZ())
         factors = [str(dd) for dd in res.invariant_factors]
     else:
         if args.p is None:
             raise UsageError("--ring FpT needs --p")
         ring = RingFpT(args.p)
-        rows = [[_parse_fp_entry(x, args.p) for x in row] for row in entries]
-        res = snf(rows, ring)
+        res = snf(_read_matrix(args.matrix, lambda x: _parse_fp_entry(x, args.p)), ring)
         factors = [[str(c) for c in dd] for dd in res.invariant_factors]
     emit(
         report_for(
@@ -277,6 +278,25 @@ def cmd_snf(args) -> int:
         )
     )
     return 0
+
+
+def _read_matrix(path: str, parse) -> list[list]:
+    """Rows of a matrix file (a list of equal-length rows, bare or under
+    "entries"), each entry mapped through parse."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read matrix: {exc.strerror}") from exc
+    entries = obj["entries"] if isinstance(obj, dict) else obj
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise UsageError(f"{path}: matrix must be a list of rows")
+    if len({len(row) for row in entries}) > 1:
+        raise UsageError(f"{path}: matrix rows have different lengths")
+    try:
+        return [[parse(x) for x in row] for row in entries]
+    except (TypeError, KeyError) as exc:
+        raise UsageError(f"{path}: unparseable matrix entry: {exc}") from exc
 
 
 def _parse_fp_entry(x, p):

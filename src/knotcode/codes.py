@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .fields import FqField
 from .diagram import Diagram
-from .coloring import dehn_rows_at, fox_rows_at
-from .exactlin import kernel_basis, rank
+from .coloring import dehn_matrix, fox_matrix
+from .exactlin import dot, kernel_basis
 
 INF = math.inf
 
@@ -62,7 +62,7 @@ class LinearCode:
 
     def contains(self, vec) -> bool:
         vec = [self.field.element(x).val for x in vec]
-        return not any(_dot(self.field, row, vec) for row in self.parity)
+        return not any(dot(self.field, row, vec) for row in self.parity)
 
     def __str__(self):
         return f"[{self.n},{self.k}]_{self.q} code"
@@ -86,14 +86,6 @@ def _span(field: FqField, basis, n: int):
     yield from rec(0, [0] * n)
 
 
-def _dot(field, row, vec):
-    acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 def code_from_diagram(
     d: Diagram, field: FqField, t, kind: str = "fox", restrict_outer_zero: bool = False
 ) -> LinearCode:
@@ -115,18 +107,20 @@ def code_from_diagram(
     if kind == "fox":
         if restrict_outer_zero:
             raise ValueError("restrict_outer_zero only applies to Dehn codes")
-        rows = fox_rows_at(d, field, tv)
-        n = max(d.arc_count, 1)
+        if d.n == 0:  # the bare loop: one arc, no relations
+            d._require_valid()
+            return LinearCode(field, 1, ())
+        mat = fox_matrix(d)
     elif kind == "dehn":
-        rows = dehn_rows_at(d, field, tv)
-        n = d.region_count
-        if restrict_outer_zero:
-            pin = [0] * n
-            pin[d.outer_region] = field.from_int(1)
-            rows = rows + [pin]
+        mat = dehn_matrix(d)
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    return LinearCode(field, n, tuple(tuple(r) for r in rows))
+    rows = mat.evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    if restrict_outer_zero:
+        pin = [0] * mat.ncols
+        pin[d.outer_region] = field.from_int(1)
+        rows.append(pin)
+    return LinearCode(field, mat.ncols, tuple(tuple(r) for r in rows))
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -338,17 +332,3 @@ def dual_knot_feasibility(c: LinearCode, component_count: int = 1) -> DualFeasib
         ),
     )
     return DualFeasibility(checks)
-
-
-def dimension_via_ideals(d: Diagram, field: FqField, t) -> int:
-    """Code dimension as the first index where the evaluated elementary
-    ideals jump to the whole field; cross-checked against the kernel."""
-    tv = field.element(t).val
-    rows = fox_rows_at(d, field, tv)
-    n = max(d.arc_count, 1)
-    r = rank(field, rows)
-    k_rank = n - r
-    k_kernel = len(kernel_basis(field, rows, ncols=n))
-    if k_rank != k_kernel:
-        raise AssertionError("rank and kernel routes disagree")
-    return k_rank

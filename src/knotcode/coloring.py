@@ -9,6 +9,11 @@ so a twisted crossing can have a lighter row).  The Dehn matrix has a
 column per region with coefficients 1, -T, -1, T on the four quadrants.
 Strand colorings are kernel vectors of the Fox matrix; region colorings
 are kernel vectors of the Dehn matrix.
+
+Both are one type, ColoringMatrix, over Z[T, T^-1].  Everything else is
+that matrix pushed through a ring map by ColoringMatrix.evaluate: into
+F_q for codes and the Fox/Dehn conversions, into Z for coloring counts
+mod m, and into F_p[T] for counts over F_p[T]/(f).
 """
 
 from __future__ import annotations
@@ -20,139 +25,84 @@ from .laurent import ONE, ZERO, LaurentPoly, T
 from . import fields as ff
 from .fields import FqField
 from .diagram import Diagram, DiagramError, dehn_role_tokens
-from .exactlin import RingFpT, RingZ, laurent_det, minor_dets, snf
+from .exactlin import RingFpT, RingZ, dot, laurent_det, minor_dets, snf
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
+_DEHN_COEFFS = (ONE, -T, _MINUS_ONE, T)
 
 
 @dataclass(frozen=True)
-class FoxMatrix:
-    entries: tuple  # n x n LaurentPoly, rows by crossing, columns by arc
-    arc_order: tuple[int, ...]
-    crossing_order: tuple[int, ...]
+class ColoringMatrix:
+    """A Fox or Dehn coloring matrix over Z[T, T^-1].
+
+    Each row is one crossing's (column, coefficient) pairs with coincident
+    roles summed and zero sums dropped; columns are arcs (Fox) or regions
+    (Dehn, unbounded region last).
+    """
+
+    kind: str  # "fox" or "dehn"
+    rows: tuple  # per crossing: ((column, LaurentPoly), ...)
+    ncols: int
+
+    @property
+    def entries(self) -> tuple:
+        """The dense matrix over Z[T, T^-1]."""
+        return tuple(tuple(row) for row in self.evaluate(lambda e: e, ZERO))
+
+    def evaluate(self, value, zero) -> list[list]:
+        """Dense rows with every stored coefficient mapped through the ring
+        map value (for example e -> e.eval_int(t)); other cells are zero."""
+        out = []
+        for row in self.rows:
+            dense = [zero] * self.ncols
+            for col, e in row:
+                dense[col] = value(e)
+            out.append(dense)
+        return out
 
     def to_json(self) -> dict:
+        order = "arc_order" if self.kind == "fox" else "region_order"
         return {
             "entries": [[e.to_json() for e in row] for row in self.entries],
-            "arc_order": list(self.arc_order),
-            "crossing_order": list(self.crossing_order),
+            order: list(range(self.ncols)),
+            "crossing_order": list(range(len(self.rows))),
         }
 
 
-@dataclass(frozen=True)
-class DehnMatrix:
-    entries: tuple  # n x (n+2) LaurentPoly, columns by region, unbounded last
-    region_order: tuple[int, ...]
-    crossing_order: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-            "region_order": list(self.region_order),
-            "crossing_order": list(self.crossing_order),
-        }
+def _summed(roles) -> tuple:
+    acc = {}
+    for col, coeff in roles:
+        acc[col] = acc.get(col, ZERO) + coeff
+    return tuple((col, e) for col, e in sorted(acc.items()) if not e.is_zero)
 
 
-def fox_matrix(d: Diagram) -> FoxMatrix:
+def fox_matrix(d: Diagram) -> ColoringMatrix:
     """Alexander / Fox coloring matrix over Z[T, T^-1]."""
     d._require_valid()
     if d.n == 0:
         raise DiagramError("the 0-crossing unknot has no coloring relations")
-    n = d.n
     arcs = d.arcs
     rows = []
     for c in d.crossings:
-        row = [ZERO] * n
-        for arc, coeff in _fox_row_roles(c, arcs):
-            row[arc] = row[arc] + coeff
-        rows.append(tuple(row))
-    return FoxMatrix(tuple(rows), tuple(range(n)), tuple(range(n)))
+        if c.sign == 1:
+            left, right = c.under_out, c.under_in
+        else:
+            left, right = c.under_in, c.under_out
+        roles = ((arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T))
+        rows.append(_summed(roles))
+    return ColoringMatrix("fox", tuple(rows), d.n)
 
 
-def _fox_row_roles(c, arcs):
-    over = arcs[c.over_in]
-    if c.sign == 1:
-        left_arc, right_arc = arcs[c.under_out], arcs[c.under_in]
-    else:
-        left_arc, right_arc = arcs[c.under_in], arcs[c.under_out]
-    return ((over, _ONE_MINUS_T), (left_arc, _MINUS_ONE), (right_arc, T))
-
-
-def dehn_matrix(d: Diagram) -> DehnMatrix:
+def dehn_matrix(d: Diagram) -> ColoringMatrix:
     """Dehn coloring matrix over Z[T, T^-1], one column per region."""
     d._require_valid()
-    if d.n == 0:
-        return DehnMatrix((), (0, 1), ())
-    n = d.n
     regions = d.regions
-    coeffs = (ONE, -T, _MINUS_ONE, T)
-    rows = []
-    for c in d.crossings:
-        row = [ZERO] * (n + 2)
-        for tok, coeff in zip(dehn_role_tokens(c), coeffs):
-            r = regions[tok]
-            row[r] = row[r] + coeff
-        rows.append(tuple(row))
-    return DehnMatrix(tuple(rows), tuple(range(n + 2)), tuple(range(n)))
-
-
-# -- evaluated matrices over F_q -----------------------------------------------
-
-
-def fox_rows_at(d: Diagram, field: FqField, t: int) -> list[list[int]]:
-    """Fox matrix evaluated at the field element t (encoded ints)."""
-    d._require_valid()
-    arcs = d.arcs
-    one = field.from_int(1)
-    one_minus_t = field.sub(one, t)
-    minus_one = field.neg(one)
-    rows = []
-    for c in d.crossings:
-        row = [0] * d.n
-        over = arcs[c.over_in]
-        if c.sign == 1:
-            left_arc, right_arc = arcs[c.under_out], arcs[c.under_in]
-        else:
-            left_arc, right_arc = arcs[c.under_in], arcs[c.under_out]
-        row[over] = field.add(row[over], one_minus_t)
-        row[left_arc] = field.add(row[left_arc], minus_one)
-        row[right_arc] = field.add(row[right_arc], t)
-        rows.append(row)
-    return rows
-
-
-def dehn_rows_at(d: Diagram, field: FqField, t: int) -> list[list[int]]:
-    d._require_valid()
-    regions = d.regions
-    one = field.from_int(1)
-    coeffs = (one, field.neg(t), field.neg(one), t)
-    rows = []
-    for c in d.crossings:
-        row = [0] * (d.n + 2)
-        for tok, coeff in zip(dehn_role_tokens(c), coeffs):
-            r = regions[tok]
-            row[r] = field.add(row[r], coeff)
-        rows.append(row)
-    return rows
-
-
-def fox_rows_mod(d: Diagram, m: int, t: int) -> list[list[int]]:
-    """Fox matrix evaluated at an integer t, entries reduced mod m."""
-    rows = fox_rows_int(d, t)
-    return [[x % m for x in row] for row in rows]
-
-
-def fox_rows_int(d: Diagram, t: int) -> list[list[int]]:
-    d._require_valid()
-    arcs = d.arcs
-    rows = []
-    for c in d.crossings:
-        row = [0] * d.n
-        for arc, coeff in _fox_row_roles(c, arcs):
-            row[arc] += coeff.eval_int(t)
-        rows.append(row)
-    return rows
+    rows = tuple(
+        _summed((regions[tok], coeff) for tok, coeff in zip(dehn_role_tokens(c), _DEHN_COEFFS))
+        for c in d.crossings
+    )
+    return ColoringMatrix("dehn", rows, d.n + 2)
 
 
 # -- Alexander polynomial ---------------------------------------------------------
@@ -179,16 +129,14 @@ def knot_determinant(d: Diagram) -> int:
 def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
     """All minors of the coloring matrix of order (columns - k), unnormalized."""
     if kind == "fox":
-        rows = [list(r) for r in fox_matrix(d).entries]
-        size = d.n
+        mat = fox_matrix(d)
     elif kind == "dehn":
-        rows = [list(r) for r in dehn_matrix(d).entries]
-        size = d.n + 2
+        mat = dehn_matrix(d)
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    if k < 0 or k > size:
+    if k < 0 or k > mat.ncols:
         raise ValueError(f"minor order {k} outside matrix bounds")
-    return minor_dets(rows, size - k)
+    return minor_dets([list(r) for r in mat.entries], mat.ncols - k)
 
 
 # -- colorability and counting ------------------------------------------------------
@@ -254,7 +202,7 @@ def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
         raise ValueError(f"t = {t} is not invertible mod {m}")
     if d.n == 0:
         return m
-    res = snf(fox_rows_int(d, t), RingZ())
+    res = snf(fox_matrix(d).evaluate(lambda e: e.eval_int(t), 0), RingZ())
     factors = res.invariant_factors
     if factors[0] != 0:
         raise AssertionError("Fox matrix should be singular over Z")
@@ -275,11 +223,8 @@ def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
         raise ValueError("t is not invertible in the quotient")
     if d.n == 0:
         return p ** (len(fpoly) - 1)
-    ring = RingFpT(p)
-    rows = []
-    for frow in fox_matrix(d).entries:
-        rows.append([ff.fp_compose(e, tp, p) if not e.is_zero else () for e in frow])
-    res = snf(rows, ring)
+    rows = fox_matrix(d).evaluate(lambda e: ff.fp_compose(e, tp, p), ())
+    res = snf(rows, RingFpT(p))
     factors = res.invariant_factors
     if factors[0] != ():
         raise AssertionError("Fox matrix should be singular over F_p[T]")
@@ -307,7 +252,8 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
         # bare loop: outer on the strand's left; x = U_outer - t U_inner
         inner = field.mul(field.inv(tv), field.sub(av, vec[0]))
         return [inner, av]
-    if any(_dot(field, row, vec) for row in fox_rows_at(d, field, tv)):
+    rows = fox_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Fox coloring: vector is not in the kernel")
     tinv = field.inv(tv)
     regions = d.regions
@@ -331,7 +277,8 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
                 colors[lr] = field.add(x, field.mul(tv, colors[rr]))
                 queue.append(lr)
     out = [colors[r] for r in range(d.region_count)]
-    if any(_dot(field, row, out) for row in dehn_rows_at(d, field, tv)):
+    rows = dehn_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    if any(dot(field, row, out) for row in rows):
         raise AssertionError("lifted vector is not a Dehn coloring")
     return out
 
@@ -345,7 +292,8 @@ def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
         raise ValueError("expected one color per region")
     if d.n == 0:
         return [field.sub(vec[1], field.mul(tv, vec[0]))]
-    if any(_dot(field, row, vec) for row in dehn_rows_at(d, field, tv)):
+    rows = dehn_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Dehn coloring: vector is not in the kernel")
     out = []
     for arc in range(d.arc_count):
@@ -357,11 +305,3 @@ def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
 
 def _field_val(field: FqField, x) -> int:
     return field.element(x).val
-
-
-def _dot(field: FqField, row, vec) -> int:
-    acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc

@@ -445,22 +445,6 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     return d.validate()
 
 
-def arcs(d: Diagram) -> dict:
-    return dict(d.arcs)
-
-
-def regions(d: Diagram) -> dict:
-    return dict(d.regions)
-
-
-def checkerboard(d: Diagram) -> dict:
-    return dict(d.checkerboard)
-
-
-def region_index(d: Diagram) -> dict:
-    return dict(d.region_index)
-
-
 # -- Reidemeister moves ------------------------------------------------------------
 
 

@@ -353,6 +353,15 @@ def kernel_basis(field: FqField, rows: list[list[int]], ncols: int | None = None
     return basis
 
 
+def dot(field: FqField, row, vec) -> int:
+    """Inner product over F_q of encoded field ints."""
+    acc = 0
+    for a, b in zip(row, vec):
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
 def mat_mul(ring, A, B):
     """Ring matrix product (used to certify U*A*V against the SNF diagonal)."""
     if not A or not B:

@@ -74,7 +74,6 @@ def test_cable_alexander_trefoil():
 def test_ideal_seq_examples(F3, F5, trefoil):
     seq = ideal_seq_from_diagram(trefoil, F3, -1)
     assert seq.dimension == 2
-    assert seq.flags_prefix(4) == (False, False, True, True, True)
     assert ideal_seq_from_diagram(trefoil, F5, -1).dimension == 1
     assert ideal_seq_from_diagram(torus_diagram(2, 9), F3, -1).dimension == 2
 
@@ -86,8 +85,7 @@ def test_torus_ideals_whole_ring_from_k2(F3, F5, F7):
         for field in (F3, F5, F7):
             for tval in range(1, field.q):
                 seq = ideal_seq_from_diagram(d, field, tval)
-                assert seq.flag(2)
-                assert not seq.flag(0)
+                assert 1 <= seq.dimension <= 2
 
 
 def test_cable_shift_rule(F3, trefoil):
@@ -148,6 +146,6 @@ def test_cable_dimension_respects_valuation_bound(F3, F5):
 
 
 def test_monotone_flags(F3, trefoil):
+    # the ideal chain is held as its threshold, which lies inside the matrix
     seq = ideal_seq_from_diagram(trefoil, F3, -1)
-    flags = seq.flags_prefix(6)
-    assert all(b or not a for a, b in zip(flags, flags[1:]))
+    assert 1 <= seq.dimension <= seq.length == 3

@@ -129,6 +129,9 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     assert code == 2
     code, out, err = run_cli(["code", path, "--q", "4", "--t", "-1"], capsys)
     assert code == 2  # missing modulus
+    # an integer t outside F_2 is not reduced mod 2 in F_4
+    code, out, err = run_cli(["code", path, "--q", "4", "--modulus", "1,1,1", "--t", "5"], capsys)
+    assert (code, out) == (2, "") and "c0,c1" in err
 
 
 def test_matrix_command(tmp_path, capsys):
@@ -158,6 +161,19 @@ def test_snf_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["outputs"]["rank"] == "2"
+
+    # malformed matrices are usage errors with a one-line message
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"entries": [[1, 2], [3]]}))
+    dict_entry = tmp_path / "dict.json"
+    dict_entry.write_text(json.dumps({"entries": [[{"min_deg": "0", "coeffs": ["1"]}]]}))
+    for argv in (
+        ["snf", str(ragged)],
+        ["snf", str(ragged), "--ring", "FpT", "--p", "3"],
+        ["snf", str(dict_entry)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and err.count("\n") == 1, argv
 
 
 def test_colorings_command(tmp_path, capsys):

@@ -10,7 +10,6 @@ from knotcode.codes import (
     INF,
     BudgetExceeded,
     code_from_diagram,
-    dimension_via_ideals,
     dual,
     dual_knot_feasibility,
     ldpc_profile,
@@ -23,6 +22,7 @@ from knotcode.codes import (
     LinearCode,
 )
 from knotcode.diagram import reidemeister_r1
+from knotcode.exactlin import rank
 
 from conftest import small_diagrams
 from oracles import min_distance_brute, weight_counts_brute
@@ -165,11 +165,13 @@ def test_dual_feasibility(F3, F5, trefoil, figure_eight):
 
 
 def test_dimension_via_ideals(F3, F5, trefoil):
-    assert dimension_via_ideals(trefoil, F3, -1) == 2
-    assert dimension_via_ideals(trefoil, F5, -1) == 1
+    assert code_from_diagram(trefoil, F3, -1).k == 2
+    assert code_from_diagram(trefoil, F5, -1).k == 1
     for d in small_diagrams():
-        assert dimension_via_ideals(d, F3, 1) == 1
-        assert dimension_via_ideals(d, F3, -1) == code_from_diagram(d, F3, -1).k
+        with pytest.warns(UserWarning):
+            assert code_from_diagram(d, F3, 1).k == 1
+        c = code_from_diagram(d, F3, -1)
+        assert c.k == c.n - rank(F3, [list(r) for r in c.parity])
 
 
 def test_torus_order_ab_element_gives_dimension_two():
@@ -179,13 +181,13 @@ def test_torus_order_ab_element_gives_dimension_two():
     for a, b, q, t in cases:
         field = FqField(q)
         assert field.element(t).order() == a * b
-        assert dimension_via_ideals(torus_diagram(a, b), field, t) == 2
+        assert code_from_diagram(torus_diagram(a, b), field, t).k == 2
 
 
 def test_torus_even_a_dimension(F3, F5):
     # even meridian count, p dividing the longitude count: dimension 2
     for (a, b, field) in ((2, 3, FqField(3)), (2, 5, FqField(5)), (4, 3, FqField(3)), (2, 9, FqField(3))):
-        assert dimension_via_ideals(torus_diagram(a, b), field, -1) == 2
+        assert code_from_diagram(torus_diagram(a, b), field, -1).k == 2
 
 
 @pytest.mark.filterwarnings("ignore:t = 1")
@@ -294,7 +296,7 @@ def test_pretzel_dimension_dichotomy():
         else:
             det = abs(alexander_polynomial(d).eval_int(-1))
             expected = 2 if det % field.p == 0 else 1
-        assert dimension_via_ideals(d, field, -1) == expected, (twists, field.q)
+        assert code_from_diagram(d, field, -1).k == expected, (twists, field.q)
 
 
 def test_sum_dimension_identity_random_pairs(F3, F5):

@@ -1,7 +1,9 @@
+from functools import partial
+
 import pytest
 
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly, int_poly_content_gcd
-from knotcode.fields import FqField
+from knotcode.fields import FqField, fp_compose
 from knotcode.diagram import reidemeister_r1
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
@@ -11,10 +13,8 @@ from knotcode.coloring import (
     count_colorings_mod,
     count_colorings_poly_mod,
     dehn_matrix,
-    dehn_rows_at,
     dehn_to_fox,
     fox_matrix,
-    fox_rows_at,
     fox_to_dehn,
     is_colorable,
     knot_determinant,
@@ -195,26 +195,29 @@ def test_poly_count_matches_field_kernel(trefoil, figure_eight, F4):
 def test_colorings_at_t_one_are_trivial():
     for d in small_diagrams():
         for field in (FqField(2), FqField(3), FqField(5)):
-            rows = fox_rows_at(d, field, field.from_int(1))
+            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.from_int(1)), 0)
             assert len(kernel_basis(field, rows, ncols=d.arc_count)) == 1
 
 
-def test_evaluated_rows_match_symbolic_matrix(F3, F5, F7):
+def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
+    # over Z, F_q and F_p[T]: (ring map, ring zero)
+    maps = [(partial(LaurentPoly.eval_int, t=t), 0) for t in (-1, 2, 3)]
+    maps += [(partial(f.eval_laurent, t=tv), 0) for f in (F3, F4, F5, F7) for tv in range(1, f.q)]
+    maps += [(partial(fp_compose, t=tp, p=p), ()) for p, tp in ((3, (0, 1)), (5, (2, 1)), (2, (1, 1, 1)))]
     for d in small_diagrams():
-        sym = fox_matrix(d).entries
-        for field in (F3, F5, F7):
-            for tval in range(1, field.q):
-                rows = fox_rows_at(d, field, tval)
-                for srow, row in zip(sym, rows):
-                    assert [field.eval_laurent(e, tval) for e in srow] == row
+        for mat in (fox_matrix(d), dehn_matrix(d)):
+            sym = mat.entries
+            assert len(sym) == d.n and all(len(row) == mat.ncols for row in sym)
+            for value, zero in maps:
+                expect = [[value(e) if e else zero for e in row] for row in sym]
+                assert mat.evaluate(value, zero) == expect
 
 
 def test_determinants_match_modular_oracle():
-    from knotcode.coloring import fox_rows_int
     from oracles import int_det_crt
 
     for d in small_diagrams():
-        minor = [row[1:] for row in fox_rows_int(d, -1)[1:]]
+        minor = [row[1:] for row in fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0)[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
 
 
@@ -257,7 +260,8 @@ def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     colors = d.checkerboard
     dehn = [0 if colors[r] == "white" else 3 for r in range(d.region_count)]
     assert sum(1 for u in dehn if u) == 2
-    assert not any(_dot_mod(row, dehn, F5) for row in dehn_rows_at(d, F5, F5.from_int(-1)))
+    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.from_int(-1)), 0)
+    assert not any(_dot_mod(row, dehn, F5) for row in rows)
     fox = dehn_to_fox(d, F5, -1, dehn)
     assert sum(1 for x in fox if x) == 5
 

@@ -124,7 +124,6 @@ def test_pretzel_mirror_trefoil(trefoil):
 
 
 def test_pretzel_determinant_matches_brute_force():
-    from knotcode.coloring import fox_rows_int
     from oracles import int_det_crt
 
     rng = random.Random(11)
@@ -140,7 +139,7 @@ def test_pretzel_determinant_matches_brute_force():
         d = pretzel_diagram(spec)
         assert d.validate().ok
         assert d.n == sum(abs(p) for p in spec)
-        minor = [row[1:] for row in fox_rows_int(d, -1)[1:]]
+        minor = [row[1:] for row in fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0)[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
         if all(p % 2 for p in spec):  # all-odd pretzels have a closed form
             total = sum(_product_skipping(spec, i) for i in range(len(spec)))
