@@ -57,6 +57,8 @@ def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     if d.n == 0:
         d._require_valid()
         return unknot_ideal_seq(field, te)
+    if te.is_zero:
+        raise ValueError("t must be invertible (nonzero)")
     mat = fox_matrix(d)
     dim = mat.ncols - rank(field, mat.evaluate(lambda e: field.eval_laurent(e, te.val), 0))
     if dim < 1:
@@ -90,7 +92,10 @@ def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdea
 
 def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:
     """Companion seed: the unknot has only the trivial colorings."""
-    return EvaluatedIdealSeq(field, field.element(t), 1, 1)
+    te = field.element(t)
+    if te.is_zero:
+        raise ValueError("t must be invertible (nonzero)")
+    return EvaluatedIdealSeq(field, te, 1, 1)
 
 
 def iterated_cable_length(p: int, m: int) -> int:

@@ -243,18 +243,20 @@ def cmd_code(args) -> int:
             "dual_feasible": cd.dual_knot_feasibility(code).to_json(),
         }
         status = 0
-        if args.min_dist:
-            dist = cd.min_distance(code, budget)
-            if dist is None:
-                warn.append(f"minimum distance needs {field.q}^{code.k} codewords > budget {budget}")
-                status = EXIT_BUDGET
-            outputs["d"] = dist
-        if args.weights:
+        if args.min_dist or args.weights:
             try:
-                outputs["weights"] = cd.weight_enumerator(code, budget).to_json()
+                we = cd.weight_enumerator(code, budget)
             except cd.BudgetExceeded as exc:
-                warn.append(str(exc))
+                we = None
                 status = EXIT_BUDGET
+                if args.min_dist:
+                    warn.append(f"minimum distance needs {field.q}^{code.k} codewords > budget {budget}")
+                if args.weights:
+                    warn.append(str(exc))
+            if args.min_dist:
+                outputs["d"] = None if we is None else we.min_weight()
+            if args.weights and we is not None:
+                outputs["weights"] = we.to_json()
         emit(report_for("code", {"file": path, "sha256": _digest(path), "q": field.q, "t": list(t.coeffs), "kind": args.kind}, outputs, warn))
         worst = max(worst, status)
     return worst
@@ -333,6 +335,8 @@ def cmd_colorings(args) -> int:
 
 
 def _parse_poly_t(text: str, p: int):
+    if not is_prime(p):
+        raise UsageError(f"p = {p} is not a prime")
     if "," in text:
         return tuple(int(c) for c in text.split(","))
     return (int(text) % p,)
@@ -398,9 +402,10 @@ def cmd_sum(args) -> int:
     try:
         c1p = cd.subcode_last_zero(c1, pos1)
         c2p = cd.subcode_last_zero(c2, pos2)
-        outputs["d"] = cd.sum_min_distance(c1, c1p, c2, c2p, budget)
+        we = cd.sum_weight_enumerator(c1, c1p, c2, c2p, budget)
+        outputs["d"] = we.min_weight()
         if args.weights:
-            outputs["weights"] = cd.sum_weight_enumerator(c1, c1p, c2, c2p, budget).to_json()
+            outputs["weights"] = we.to_json()
     except cd.BudgetExceeded as exc:
         warn.append(str(exc))
         status = EXIT_BUDGET

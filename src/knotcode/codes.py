@@ -2,8 +2,8 @@
 
 A code is held as its parity-check matrix exactly as evaluated from the
 diagram (no rank reduction); the generator is a cached kernel basis.
-Minimum distances and weight enumerators come from exhaustive message
-enumeration under an explicit budget: exact below it, unknown above.
+Weight enumerators come from exhaustive message enumeration under a
+budget (exact below it, unknown above); minimum distances are read off them.
 """
 
 from __future__ import annotations
@@ -124,23 +124,12 @@ def code_from_diagram(
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
-    """Exact minimum distance by enumerating all q^k messages; math.inf
+    """Exact minimum distance, read off the weight enumerator; math.inf
     for the zero code, None when the budget is exceeded (unknown)."""
-    if c.k == 0:
-        return INF
-    limit = default_budget() if budget is None else budget
-    if c.codeword_count() > limit:
+    try:
+        return weight_enumerator(c, budget).min_weight()
+    except BudgetExceeded:
         return None
-    best = None
-    words = _span(c.field, c.generator, c.n)
-    next(words)  # the zero codeword
-    for w in words:
-        wt = sum(1 for x in w if x)
-        if best is None or wt < best:
-            best = wt
-            if best == 1:
-                break
-    return best
 
 
 @dataclass(frozen=True)
@@ -160,20 +149,15 @@ class WeightEnumerator:
                 return w
         return INF
 
-    def weight_set(self) -> set[int]:
-        return {w for w, a in enumerate(self.counts) if w and a}
-
-    def __sub__(self, other: "WeightEnumerator") -> "WeightEnumerator":
-        return WeightEnumerator(tuple(a - b for a, b in zip(self.counts, other.counts)))
-
     def to_json(self) -> list[int]:
         return list(self.counts)
 
 
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
-    limit = default_budget() if budget is None else budget
+    """Weight distribution a_0..a_n from one pass over all q^k codewords;
+    raises BudgetExceeded above the budget."""
     counts = [0] * (c.n + 1)
-    for w in c.codewords(budget=limit):
+    for w in c.codewords(budget):
         counts[sum(1 for x in w if x)] += 1
     return WeightEnumerator(tuple(counts))
 
@@ -212,16 +196,9 @@ def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode
 
 
 def sum_min_distance(c1, c1_sub, c2, c2_sub, budget: int | None = None):
-    """Minimum distance of the connected-sum code from the four weight
-    distributions: min of d(C'), d(D'), and the cheapest crossing pair."""
-    wc = weight_enumerator(c1, budget)
-    wcp = weight_enumerator(c1_sub, budget)
-    wd = weight_enumerator(c2, budget)
-    wdp = weight_enumerator(c2_sub, budget)
-    crossing_c = (wc - wcp).weight_set()
-    crossing_d = (wd - wdp).weight_set()
-    best_cross = (min(crossing_c) + min(crossing_d)) if crossing_c and crossing_d else INF
-    return min(wcp.min_weight(), wdp.min_weight(), best_cross)
+    """Minimum distance of the connected-sum code, read off its weight
+    enumerator: min of d(C'), d(D'), and the cheapest crossing pair."""
+    return sum_weight_enumerator(c1, c1_sub, c2, c2_sub, budget).min_weight()
 
 
 def sum_weight_enumerator(c1, c1_sub, c2, c2_sub, budget: int | None = None) -> WeightEnumerator:
@@ -266,15 +243,6 @@ class LdpcProfile:
         if self.right_regular is not None and self.left_regular is not None:
             return (self.right_regular, self.left_regular)
         return None
-
-    def to_json(self) -> dict:
-        return {
-            "row_weights": list(self.row_weights),
-            "col_weights": list(self.col_weights),
-            "right_regular": self.right_regular,
-            "left_regular": self.left_regular,
-            "doubly_regular": list(self.doubly_regular) if self.doubly_regular else None,
-        }
 
 
 def ldpc_profile(c: LinearCode) -> LdpcProfile:

@@ -169,6 +169,8 @@ def is_colorable(d: Diagram, ring, t) -> bool:
             raise ValueError(f"t = {t} is not invertible mod {m}")
         return math.gcd(m, delta.eval_int(t) % m) != 1
     if isinstance(ring, PolyMod):
+        if not ff.is_prime(ring.p):
+            raise ValueError(f"p = {ring.p} is not a prime")
         p, f = ring.p, ff.fp_trim(ring.f, ring.p)
         if len(f) < 2:
             raise ValueError("modulus must be a non-unit polynomial (degree >= 1)")
@@ -215,6 +217,8 @@ def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
 def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
     """Number of Fox colorings over F_p[T]/(f) at a polynomial t coprime
     to f: p to the power deg f + sum of deg gcd(f, d_i)."""
+    if not ff.is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     fpoly = ff.fp_trim(f, p)
     if len(fpoly) < 2:
         raise ValueError("modulus must have degree >= 1")

@@ -92,10 +92,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    @property
-    def edge_count(self) -> int:
-        return 2 * self.n
-
     @cached_property
     def in_slots(self) -> dict:
         """edge -> (crossing index, 'under'|'over') where the edge arrives."""
@@ -103,14 +99,6 @@ class Diagram:
         for ci, c in enumerate(self.crossings):
             out[c.under_in] = (ci, "under")
             out[c.over_in] = (ci, "over")
-        return out
-
-    @cached_property
-    def out_slots(self) -> dict:
-        out = {}
-        for ci, c in enumerate(self.crossings):
-            out[c.under_out] = (ci, "under")
-            out[c.over_out] = (ci, "over")
         return out
 
     def next_edge(self, edge: int) -> int:
@@ -365,6 +353,8 @@ class Diagram:
 
     @staticmethod
     def from_json(obj) -> "Diagram":
+        if not isinstance(obj, dict):
+            raise TypeError(f"top level must be an object, not {type(obj).__name__}")
         crossings = tuple(
             Crossing(
                 int(c["under_in"]),
@@ -449,21 +439,27 @@ def validate_diagram(d: Diagram) -> ValidationReport:
 
 
 class _Surgery:
-    """Mutable slot/edge picture of a diagram while a move is applied."""
+    """Mutable slot/edge picture of one or more diagrams while a move or a
+    splice is applied; each diagram's edges are numbered after those of
+    the diagrams before it, and the first diagram's outer marker is kept."""
 
-    def __init__(self, d: Diagram):
-        self.crossings = [
-            {
-                "under_in": c.under_in,
-                "under_out": c.under_out,
-                "over_in": c.over_in,
-                "over_out": c.over_out,
-                "sign": c.sign,
-            }
-            for c in d.crossings
-        ]
-        self.next_id = 2 * d.n
-        self.outer = d.outer
+    def __init__(self, *diagrams: Diagram):
+        self.crossings = []
+        off = 0
+        for d in diagrams:
+            self.crossings += [
+                {
+                    "under_in": c.under_in + off,
+                    "under_out": c.under_out + off,
+                    "over_in": c.over_in + off,
+                    "over_out": c.over_out + off,
+                    "sign": c.sign,
+                }
+                for c in d.crossings
+            ]
+            off += 2 * d.n
+        self.next_id = off
+        self.outer = diagrams[0].outer
 
     def fresh(self) -> int:
         e = self.next_id

@@ -163,10 +163,6 @@ class SnfResult:
     V: tuple
     ring_name: str
 
-    @property
-    def nonzero_factors(self) -> tuple:
-        return tuple(d for d in self.invariant_factors if not _is_zero_factor(d))
-
 
 def snf(rows: list[list], ring) -> SnfResult:
     """Smith normal form by elementary operations over Z or F_p[T].

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import Crossing, Diagram, DiagramError, RIGHT
+from .diagram import Crossing, Diagram, DiagramError, RIGHT, _Surgery
 
 _ROT_CCW = {"NE": "NW", "NW": "SW", "SW": "SE", "SE": "NE"}
 _ROT_CW = {v: k for k, v in _ROT_CCW.items()}
@@ -258,32 +258,9 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     if not edges1 or not edges2:
         raise DiagramError("no such arc")
     e1, e2 = edges1[0], edges2[0]
-    off = 2 * d1.n
-    slots = [
-        {
-            "under_in": c.under_in,
-            "under_out": c.under_out,
-            "over_in": c.over_in,
-            "over_out": c.over_out,
-            "sign": c.sign,
-        }
-        for c in d1.crossings
-    ] + [
-        {
-            "under_in": c.under_in + off,
-            "under_out": c.under_out + off,
-            "over_in": c.over_in + off,
-            "over_out": c.over_out + off,
-            "sign": c.sign,
-        }
-        for c in d2.crossings
-    ]
+    s = _Surgery(d1, d2)
     h1_ci, h1_role = d1.in_slots[e1]
     h2_ci, h2_role = d2.in_slots[e2]
-    slots[h2_ci + d1.n][h2_role + "_in"] = e1
-    slots[h1_ci][h1_role + "_in"] = e2 + off
-    crossings = tuple(
-        Crossing(s["under_in"], s["under_out"], s["over_in"], s["over_out"], s["sign"])
-        for s in slots
-    )
-    return Diagram(crossings, d1.outer)
+    s.crossings[h2_ci + d1.n][h2_role + "_in"] = e1
+    s.crossings[h1_ci][h1_role + "_in"] = e2 + 2 * d1.n
+    return s.emit()

@@ -39,10 +39,6 @@ class LaurentPoly:
     def const(n: int) -> "LaurentPoly":
         return LaurentPoly.make((n,))
 
-    @staticmethod
-    def t_power(s: int) -> "LaurentPoly":
-        return LaurentPoly((1,), s)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -74,6 +74,12 @@ def test_invalid_diagram_exits_3(tmp_path, capsys):
     bad.write_text('{"crossings":[{"under_in":0,"under_out":1,"over_in":0,"over_out":1,"sign":1}],"outer":{"edge":0,"side":"left"}}')
     code, out, err = run_cli(["invariants", str(bad)], capsys)
     assert code == 3
+    # a JSON top level that is not an object is a parse error, not a traceback
+    for text in ("[1,2]", '"x"', "3", "null"):
+        bad.write_text(text)
+        code, out, err = run_cli(["invariants", str(bad)], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot parse diagram" in err and err.count("\n") == 1
 
 
 def test_code_report_and_extension_field(tmp_path, capsys):
@@ -114,6 +120,47 @@ def test_code_budget_exit(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["outputs"]["d"] is None
     assert rep["warnings"]
+
+    code, out, err = run_cli(
+        ["code", path, "--q", "3", "--t", "-1", "--min-dist", "--weights", "--budget", "4"], capsys
+    )
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["outputs"]["d"] is None and "weights" not in rep["outputs"]
+    assert rep["warnings"] == [
+        "minimum distance needs 3^2 codewords > budget 4",
+        "3^2 codewords exceed budget 4",
+    ]
+
+
+def _count_spans(monkeypatch):
+    import knotcode.codes as cd
+
+    calls = []
+    span = cd._span
+
+    def counted(*args):
+        calls.append(args)
+        return span(*args)
+
+    monkeypatch.setattr(cd, "_span", counted)
+    return calls
+
+
+def test_code_enumerates_once(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    calls = _count_spans(monkeypatch)
+    code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--min-dist", "--weights"], capsys)
+    assert code == 0 and len(calls) == 1
+    rep = json.loads(out)
+    assert rep["outputs"]["d"] == "2" and rep["outputs"]["weights"] == ["1", "0", "6", "2"]
+
+
+def test_sum_enumerates_each_summand_code_once(tmp_path, capsys, monkeypatch):
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    calls = _count_spans(monkeypatch)
+    code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "-1", "--weights"], capsys)
+    assert code == 0 and len(calls) == 4  # C, C', D, D'
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
@@ -182,6 +229,16 @@ def test_colorings_command(tmp_path, capsys):
     assert json.loads(out)["outputs"]["count"] == "27"
     code, out, err = run_cli(["colorings", path, "--poly-mod", "2:1,1,1", "--t", "0,1"], capsys)
     assert json.loads(out)["outputs"]["count"] == "16"
+    # F_p[T] needs a prime p
+    unknot = gen_file(tmp_path, capsys, "builtin", "unknot", name="u.json")
+    for args in (
+        [path, "--poly-mod", "0:1,1", "--t", "1"],
+        [path, "--poly-mod", "0:1,1", "--t", "0,1"],
+        [unknot, "--poly-mod", "4:1,1", "--t", "1"],
+        [path, "--poly-mod", "4:1,1,1", "--t", "0,1"],
+    ):
+        code, out, err = run_cli(["colorings", *args], capsys)
+        assert (code, out) == (2, "") and "not a prime" in err
 
 
 def test_cable_command(capsys):
@@ -193,6 +250,11 @@ def test_cable_command(capsys):
     assert rep["outputs"]["dim"] == "2"
     assert rep["outputs"]["lengths"] == ["3"]
 
+    code, out, err = run_cli(
+        ["cable", "--base-unknot", "--pairs", "2,3", "--q", "3", "--t", "0"], capsys
+    )
+    assert (code, out) == (2, "") and "invertible" in err
+
 
 def test_cable_with_base_diagram(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
@@ -201,6 +263,11 @@ def test_cable_with_base_diagram(tmp_path, capsys):
     )
     rep = json.loads(out)
     assert rep["outputs"]["dim"] == "3"
+
+    code, out, err = run_cli(
+        ["cable", "--base", path, "--pairs", "2,3", "--q", "3", "--t", "0"], capsys
+    )
+    assert (code, out) == (2, "") and "invertible" in err
 
 
 def test_sum_command(tmp_path, capsys):

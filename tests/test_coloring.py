@@ -21,6 +21,7 @@ from knotcode.coloring import (
     minor_family,
 )
 from knotcode.codes import code_from_diagram
+from knotcode.cable import ideal_seq_from_diagram, unknot_ideal_seq
 from knotcode.exactlin import kernel_basis
 
 from conftest import small_diagrams
@@ -136,6 +137,17 @@ def test_colorability_requires_invertible_t(trefoil):
         is_colorable(trefoil, PolyMod(2, (1, 1, 1)), (0, 1, 1, 1))
     with pytest.raises(ValueError):
         is_colorable(trefoil, IntMod(1), -1)
+    # F_p[T] needs a prime p: Z/4[T] is not a polynomial ring over a field
+    for p in (0, 4, -3):
+        with pytest.raises(ValueError, match="not a prime"):
+            is_colorable(trefoil, PolyMod(p, (1, 1)), (0, 1))
+        with pytest.raises(ValueError, match="not a prime"):
+            count_colorings_poly_mod(trefoil, p, (1, 1), (0, 1))
+    # the cable ideal sequences need an invertible t too
+    with pytest.raises(ValueError, match="invertible"):
+        unknot_ideal_seq(FqField(3), 0)
+    with pytest.raises(ValueError, match="invertible"):
+        ideal_seq_from_diagram(trefoil, FqField(3), 0)
 
 
 def test_poly_colorability(trefoil):
