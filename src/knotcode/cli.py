@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every command prints one JSON report per input (one line each, keys
-sorted, numbers as decimal strings) so runs are byte-reproducible.
+sorted, numbers as decimal strings) so runs are byte-reproducible; a
+directory argument to a diagram command means every .json file in it.
 Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
-exceeded.  KNOTCODE_BUDGET overrides the default enumeration budget.
+exceeded.  Each input has one parser: _ints (integers in option and file
+text), _fp_poly (F_p[T] elements), field_and_t (--q/--modulus/--t) and
+resolve_budget (--budget, else KNOTCODE_BUDGET, else 10^7; never negative).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 import warnings
 
 from .laurent import LaurentPoly
-from .fields import FqField, is_prime
+from .fields import FqField, fp_from_laurent, fp_trim, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
 from . import coloring as col
@@ -83,25 +86,52 @@ def load_diagram(path: str) -> Diagram:
     return d
 
 
-def diagram_paths(path: str) -> list[str]:
+def diagram_inputs(path: str):
+    """(report inputs, diagram) of a diagram file, or of each .json file of a
+    directory in name order, each loaded as it is reached."""
+    paths = [path]
     if os.path.isdir(path):
-        names = sorted(f for f in os.listdir(path) if f.endswith(".json"))
-        if not names:
+        paths = [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".json")]
+        if not paths:
             raise UsageError(f"{path}: no .json diagram files")
-        return [os.path.join(path, f) for f in names]
-    return [path]
+    for p in paths:
+        d = load_diagram(p)  # first: a missing file is a bad diagram (exit 3)
+        yield {"file": p, "sha256": _digest(p)}, d
 
 
-# -- field / t parsing -----------------------------------------------------------
+# -- option and file text, shared flags -----------------------------------------
+
+
+def _ints(text, where: str, sep: str = ",") -> list[int]:
+    """The integers of sep-separated option text, or of a list of values read
+    from a file; a UsageError naming the flag or file (where) otherwise."""
+    out = []
+    for c in text.split(sep) if isinstance(text, str) else text:
+        try:
+            if isinstance(c, bool) or isinstance(c, float) and not c.is_integer():
+                raise TypeError  # int() would coerce or truncate it
+            out.append(int(c))
+        except (TypeError, ValueError):
+            raise UsageError(f"{where}: {c!r} is not an integer") from None
+    return out
+
+
+def _fp_poly(x, p: int, where: str) -> tuple[int, ...]:
+    """An element of F_p[T] (p prime) as a reduced ascending tuple, from text
+    c0,c1,..., a coefficient list, or a {"min_deg": k >= 0, "coeffs"} object."""
+    if isinstance(x, dict):
+        try:
+            return fp_from_laurent(LaurentPoly.from_json(x), p)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{where}: bad polynomial {x!r}: {exc}") from None
+    return fp_trim(_ints(x, where), p)
 
 
 def parse_field(qtext: str, modulus: str | None) -> FqField:
-    if "^" in qtext:
-        p_s, a_s = qtext.split("^", 1)
-        p, a = int(p_s), int(a_s)
-    else:
-        q = int(qtext)
-        p, a = _factor_prime_power(q)
+    nums = _ints(qtext, "--q", sep="^")
+    if len(nums) > 2:
+        raise UsageError(f"--q: expected p or p^a, got {qtext!r}")
+    p, a = nums if len(nums) == 2 else _factor_prime_power(nums[0])
     if not is_prime(p):
         raise UsageError(f"field size {qtext} is not a prime power")
     if a == 1:
@@ -110,7 +140,7 @@ def parse_field(qtext: str, modulus: str | None) -> FqField:
         return FqField(p)
     if modulus is None:
         raise UsageError(f"extension field of degree {a} needs --modulus c0,c1,...,1")
-    coeffs = [int(c) for c in modulus.split(",")]
+    coeffs = _ints(modulus, "--modulus")
     if len(coeffs) != a + 1:
         raise UsageError(f"--modulus must have degree {a}")
     try:
@@ -122,34 +152,66 @@ def parse_field(qtext: str, modulus: str | None) -> FqField:
 def _factor_prime_power(q: int):
     if q < 2:
         raise UsageError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            if q != 1:
-                raise UsageError("field size is not a prime power")
-            return p, a
-    raise UsageError("field size is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    a = 1
+    while p**a < q:
+        a += 1
+    if p**a != q:
+        raise UsageError("field size is not a prime power")
+    return p, a
 
 
-def parse_t(field: FqField, text: str):
-    """-1 is sugar for p-1; 'alpha' for the residue of x; comma lists are
-    ascending coefficient vectors."""
+def field_and_t(args):
+    """The field of --q/--modulus and its element --t: -1 is sugar for p-1,
+    'alpha' for the residue of x, comma lists ascending coefficient vectors."""
+    field = parse_field(args.q, args.modulus)
+    text = args.t
     if text == "alpha":
         if field.a == 1:
             raise UsageError("'alpha' needs an extension field")
-        return field.element([0, 1])
-    if "," in text:
-        return field.element([int(c) for c in text.split(",")])
-    value = int(text)
+        return field, field.element([0, 1])
+    coeffs = _ints(text, "--t")
+    if len(coeffs) > 1:
+        return field, field.element(coeffs)
+    value = coeffs[0]
     if field.a > 1 and not -1 <= value < field.p:
         raise UsageError(
             f"--t {text} is not in the prime field F_{field.p}; "
             f"give other elements of F_{field.q} as coefficients c0,c1,..."
         )
-    return field.element(value)
+    return field, field.element(value)
+
+
+def resolve_budget(args) -> int:
+    """The enumeration budget, the only reader of --budget and KNOTCODE_BUDGET:
+    the flag, else the variable, else the library default; never negative."""
+    for source, text in (("--budget", args.budget), ("KNOTCODE_BUDGET", os.environ.get("KNOTCODE_BUDGET"))):
+        if text is not None:
+            value = _ints([text], source)[0]
+            if value < 0:
+                raise UsageError(f"{source} must be >= 0, got {value}")
+            return value
+    return cd.DEFAULT_BUDGET
+
+
+def build_codes(diagrams, field, t, kind="fox"):
+    """The knot codes of the diagrams over field at t, and the distinct
+    warnings raised while building them (for the report, not stderr)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [cd.code_from_diagram(d, field, t, kind=kind) for d in diagrams]
+    return codes, list(dict.fromkeys(str(w.message) for w in caught))
+
+
+MINOR_LIMIT = 7  # the first-minor check runs up to this many crossings
+
+
+def first_minors_agree(d: Diagram, delta: LaurentPoly):
+    """Whether every first minor of the Fox matrix is zero or delta up to a
+    unit; None when the diagram has no crossings or more than MINOR_LIMIT."""
+    if not 1 <= d.n <= MINOR_LIMIT:
+        return None
+    return all(m.is_zero or m.unit_ratio(delta) is not None for m in col.minor_family(d, "fox", 1))
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -184,8 +246,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_invariants(args, command="invariants") -> int:
-    for path in diagram_paths(args.diagram):
-        d = load_diagram(path)
+    for src, d in diagram_inputs(args.diagram):
         delta = col.alexander_polynomial(d)
         outputs = {
             "alexander": delta,
@@ -200,35 +261,26 @@ def cmd_invariants(args, command="invariants") -> int:
                     "regions": d.region_count,
                 }
             )
-            if 1 <= d.n <= args.minor_limit:
-                fam = col.minor_family(d, "fox", 1)
-                outputs["minors_agree_up_to_units"] = all(
-                    m.is_zero or m.unit_ratio(delta) is not None for m in fam
-                )
-        emit(report_for(command, {"file": path, "sha256": _digest(path)}, outputs))
+            agree = first_minors_agree(d, delta)
+            if agree is not None:
+                outputs["minors_agree_up_to_units"] = agree
+        emit(report_for(command, src, outputs))
     return 0
 
 
 def cmd_matrix(args) -> int:
-    for path in diagram_paths(args.diagram):
-        d = load_diagram(path)
+    for src, d in diagram_inputs(args.diagram):
         mat = col.fox_matrix(d) if args.kind == "fox" else col.dehn_matrix(d)
-        emit(report_for("matrix", {"file": path, "sha256": _digest(path), "kind": args.kind}, mat.to_json()))
+        emit(report_for("matrix", {**src, "kind": args.kind}, mat.to_json()))
     return 0
 
 
 def cmd_code(args) -> int:
-    field = parse_field(args.q, args.modulus)
-    t = parse_t(field, args.t)
+    field, t = field_and_t(args)
+    budget = resolve_budget(args)
     worst = 0
-    budget = args.budget if args.budget is not None else cd.default_budget()
-    for path in diagram_paths(args.diagram):
-        d = load_diagram(path)
-        warn = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cd.code_from_diagram(d, field, t, kind=args.kind)
-            warn += [str(w.message) for w in caught]
+    for src, d in diagram_inputs(args.diagram):
+        (code,), warn = build_codes([d], field, t, args.kind)
         profile = cd.ldpc_profile(code)
         outputs = {
             "n": code.n,
@@ -257,34 +309,31 @@ def cmd_code(args) -> int:
                 outputs["d"] = None if we is None else we.min_weight()
             if args.weights and we is not None:
                 outputs["weights"] = we.to_json()
-        emit(report_for("code", {"file": path, "sha256": _digest(path), "q": field.q, "t": list(t.coeffs), "kind": args.kind}, outputs, warn))
+        emit(report_for("code", {**src, "q": field.q, "t": list(t.coeffs), "kind": args.kind}, outputs, warn))
         worst = max(worst, status)
     return worst
 
 
 def cmd_snf(args) -> int:
+    path = args.matrix
     if args.ring == "Z":
-        res = snf(_read_matrix(args.matrix, int), RingZ())
+        res = snf([_ints(row, path) for row in _read_matrix(path)], RingZ())
         factors = [str(dd) for dd in res.invariant_factors]
     else:
         if args.p is None:
             raise UsageError("--ring FpT needs --p")
         ring = RingFpT(args.p)
-        res = snf(_read_matrix(args.matrix, lambda x: _parse_fp_entry(x, args.p)), ring)
+        rows = [[x if isinstance(x, (list, dict)) else [x] for x in row] for row in _read_matrix(path)]
+        res = snf([[_fp_poly(x, args.p, path) for x in row] for row in rows], ring)
         factors = [[str(c) for c in dd] for dd in res.invariant_factors]
-    emit(
-        report_for(
-            "snf",
-            {"file": args.matrix, "sha256": _digest(args.matrix), "ring": args.ring},
-            {"invariant_factors": factors, "rank": res.rank},
-        )
-    )
+    inputs = {"file": path, "sha256": _digest(path), "ring": args.ring}
+    emit(report_for("snf", inputs, {"invariant_factors": factors, "rank": res.rank}))
     return 0
 
 
-def _read_matrix(path: str, parse) -> list[list]:
-    """Rows of a matrix file (a list of equal-length rows, bare or under
-    "entries"), each entry mapped through parse."""
+def _read_matrix(path: str) -> list[list]:
+    """Rows of a matrix file: a list of equal-length rows, bare or under
+    "entries"."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -295,57 +344,36 @@ def _read_matrix(path: str, parse) -> list[list]:
         raise UsageError(f"{path}: matrix must be a list of rows")
     if len({len(row) for row in entries}) > 1:
         raise UsageError(f"{path}: matrix rows have different lengths")
-    try:
-        return [[parse(x) for x in row] for row in entries]
-    except (TypeError, KeyError) as exc:
-        raise UsageError(f"{path}: unparseable matrix entry: {exc}") from exc
-
-
-def _parse_fp_entry(x, p):
-    from .fields import fp_trim
-
-    if isinstance(x, dict):
-        poly = LaurentPoly.make([int(c) for c in x["coeffs"]], int(x["min_deg"]))
-        if poly.min_deg < 0:
-            raise UsageError("matrix entries over F_p[T] cannot have negative exponents")
-        return fp_trim([0] * poly.min_deg + list(poly.coeffs), p)
-    if isinstance(x, list):
-        return fp_trim([int(c) for c in x], p)
-    return fp_trim([int(x)], p)
+    return entries
 
 
 def cmd_colorings(args) -> int:
-    for path in diagram_paths(args.diagram):
-        d = load_diagram(path)
+    if args.mod is not None:
+        t = _ints([args.t], "--t")[0]
+    else:
+        p_text, colon, f_text = args.poly_mod.partition(":")
+        if not colon:
+            raise UsageError(f"--poly-mod: expected p:c0,c1,..., got {args.poly_mod!r}")
+        p = _ints([p_text], "--poly-mod")[0]
+        if not is_prime(p):
+            raise UsageError(f"p = {p} is not a prime")
+        f, t = _fp_poly(f_text, p, "--poly-mod"), _fp_poly(args.t, p, "--t")
+    for src, d in diagram_inputs(args.diagram):
         if args.mod is not None:
-            t = int(args.t)
             count = col.count_colorings_mod(d, args.mod, t)
-            inputs = {"file": path, "sha256": _digest(path), "modulus": args.mod, "t": t}
+            inputs = {**src, "modulus": args.mod, "t": t}
             colorable = count > args.mod
         else:
-            p_s, coeffs_s = args.poly_mod.split(":", 1)
-            p = int(p_s)
-            f = tuple(int(c) for c in coeffs_s.split(","))
-            t = _parse_poly_t(args.t, p)
             count = col.count_colorings_poly_mod(d, p, f, t)
-            inputs = {"file": path, "sha256": _digest(path), "p": p, "modulus_poly": list(f), "t": list(t)}
-            colorable = count > p ** (len(col._as_fp_poly(f, p)) - 1)
+            inputs = {**src, "p": p, "modulus_poly": list(f), "t": list(t)}
+            colorable = count > p ** (len(f) - 1)
         emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": colorable}))
     return 0
 
 
-def _parse_poly_t(text: str, p: int):
-    if not is_prime(p):
-        raise UsageError(f"p = {p} is not a prime")
-    if "," in text:
-        return tuple(int(c) for c in text.split(","))
-    return (int(text) % p,)
-
-
 def cmd_cable(args) -> int:
-    field = parse_field(args.q, args.modulus)
-    t = parse_t(field, args.t)
-    nums = [int(x) for x in args.pairs.split(",")]
+    field, t = field_and_t(args)
+    nums = _ints(args.pairs, "--pairs")
     if len(nums) % 2 or not nums:
         raise UsageError("--pairs needs a1,b1[,a2,b2,...]")
     pairs = [(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
@@ -386,18 +414,13 @@ def cmd_cable(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    field = parse_field(args.q, args.modulus)
-    t = parse_t(field, args.t)
-    d1 = load_diagram(args.files[0])
-    d2 = load_diagram(args.files[1])
-    c1 = cd.code_from_diagram(d1, field, t)
-    c2 = cd.code_from_diagram(d2, field, t)
+    field, t = field_and_t(args)
+    budget = resolve_budget(args)
+    (c1, c2), warn = build_codes([load_diagram(f) for f in args.files], field, t)
     pos1 = args.pos1 if args.pos1 is not None else c1.n - 1
     pos2 = args.pos2 if args.pos2 is not None else c2.n - 1
     total = cd.sum_code(c1, pos1, c2, pos2)
-    budget = args.budget if args.budget is not None else cd.default_budget()
     outputs = {"n": total.n, "k": total.k, "q": field.q}
-    warn = []
     status = 0
     try:
         c1p = cd.subcode_last_zero(c1, pos1)
@@ -409,27 +432,20 @@ def cmd_sum(args) -> int:
     except cd.BudgetExceeded as exc:
         warn.append(str(exc))
         status = EXIT_BUDGET
-    emit(
-        report_for(
-            "sum",
-            {
-                "files": list(args.files),
-                "sha256": [_digest(f) for f in args.files],
-                "q": field.q,
-                "t": list(t.coeffs),
-                "positions": [pos1, pos2],
-            },
-            outputs,
-            warn,
-        )
-    )
+    inputs = {
+        "files": list(args.files),
+        "sha256": [_digest(f) for f in args.files],
+        "q": field.q,
+        "t": list(t.coeffs),
+        "positions": [pos1, pos2],
+    }
+    emit(report_for("sum", inputs, outputs, warn))
     return status
 
 
 def cmd_check(args) -> int:
     worst = 0
-    for path in diagram_paths(args.diagram):
-        d = load_diagram(path)
+    for src, d in diagram_inputs(args.diagram):
         failures = []
         checks = []
 
@@ -454,12 +470,9 @@ def cmd_check(args) -> int:
             run("region_count", lambda: d.region_count == d.n + 2)
             run("checkerboard_exists", lambda: len(set(d.checkerboard.values())) <= 2)
             run("region_index_steps", lambda: _index_steps_ok(d))
-            if d.n <= args.minor_limit:
-                fam = col.minor_family(d, "fox", 1)
-                run(
-                    "fox_minors_agree_up_to_units",
-                    lambda: all(m.is_zero or m.unit_ratio(delta) is not None for m in fam),
-                )
+            agree = first_minors_agree(d, delta)
+            if agree is not None:
+                run("fox_minors_agree_up_to_units", lambda: agree)
             for p in (3, 5):
                 field = FqField(p)
                 run(
@@ -470,7 +483,7 @@ def cmd_check(args) -> int:
         emit(
             report_for(
                 "check",
-                {"file": path, "sha256": _digest(path)},
+                src,
                 {"ok": not failures, "checks": checks, "first_failure": failures[0] if failures else None},
             )
         )
@@ -514,9 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (gb, gt, gp, gs):
         sp.add_argument("-o", "--out")
 
-    inv = sub.add_parser("invariants", help="Alexander polynomial, determinant, counts")
+    inv = sub.add_parser("invariants", help="Alexander polynomial, determinant, crossings, arcs, regions")
     inv.add_argument("diagram")
-    inv.add_argument("--minor-limit", type=int, default=7)
 
     alex = sub.add_parser("alex", help="Alexander polynomial and determinant only")
     alex.add_argument("diagram")
@@ -526,14 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--kind", choices=("fox", "dehn"), default="fox")
 
     code = sub.add_parser("code", help="knot code parameters over F_q")
-    code.add_argument("diagram")
-    code.add_argument("--q", required=True)
-    code.add_argument("--modulus")
-    code.add_argument("--t", required=True)
-    code.add_argument("--kind", choices=("fox", "dehn"), default="fox")
-    code.add_argument("--min-dist", action="store_true")
-    code.add_argument("--weights", action="store_true")
-    code.add_argument("--budget", type=int)
+    code.add_argument("diagram")  # its other flags are added after "sum"
 
     sn = sub.add_parser("snf", help="Smith normal form of a matrix file")
     sn.add_argument("matrix")
@@ -552,23 +557,24 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--base")
     base.add_argument("--base-unknot", action="store_true")
     ca.add_argument("--pairs", required=True)
-    ca.add_argument("--q", required=True)
-    ca.add_argument("--modulus")
-    ca.add_argument("--t", required=True)
 
     sm = sub.add_parser("sum", help="connected-sum code of two diagram files")
     sm.add_argument("files", nargs=2)
-    sm.add_argument("--q", required=True)
-    sm.add_argument("--modulus")
-    sm.add_argument("--t", required=True)
+    for sp in (code, ca, sm):  # read by field_and_t
+        sp.add_argument("--q", required=True)
+        sp.add_argument("--modulus")
+        sp.add_argument("--t", required=True)
+    code.add_argument("--kind", choices=("fox", "dehn"), default="fox")
+    code.add_argument("--min-dist", action="store_true")
+    code.add_argument("--weights", action="store_true")
     sm.add_argument("--pos1", type=int)
     sm.add_argument("--pos2", type=int)
     sm.add_argument("--weights", action="store_true")
-    sm.add_argument("--budget", type=int)
+    for sp in (code, sm):
+        sp.add_argument("--budget")  # read by resolve_budget
 
     ck = sub.add_parser("check", help="run the invariant suite on a diagram")
     ck.add_argument("diagram")
-    ck.add_argument("--minor-limit", type=int, default=7)
 
     return ap
 
@@ -592,16 +598,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _HANDLERS[args.cmd](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM
     except cd.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

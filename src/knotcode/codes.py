@@ -9,7 +9,6 @@ budget (exact below it, unknown above); minimum distances are read off them.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,14 +19,11 @@ from .coloring import dehn_matrix, fox_matrix
 from .exactlin import dot, kernel_basis
 
 INF = math.inf
+DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
 
 
 class BudgetExceeded(RuntimeError):
     """Enumeration would need more codewords than the budget allows."""
-
-
-def default_budget() -> int:
-    return int(os.environ.get("KNOTCODE_BUDGET", 10_000_000))
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class LinearCode:
 
     def codewords(self, budget: int | None = None):
         """All codewords, message coefficients in lexicographic order."""
-        limit = default_budget() if budget is None else budget
+        limit = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > limit:
             raise BudgetExceeded(f"{self.q}^{self.k} codewords exceed budget {limit}")
         return _span(self.field, self.generator, self.n)

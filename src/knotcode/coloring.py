@@ -160,48 +160,47 @@ class PolyMod:
 def is_colorable(d: Diagram, ring, t) -> bool:
     """Nontrivial Fox colorability over the ring: the modulus and the
     Alexander value at t have a common factor."""
-    delta = alexander_polynomial(d)
     if isinstance(ring, IntMod):
-        m = ring.m
-        if m < 2:
-            raise ValueError("modulus must be a non-unit: m >= 2")
-        if math.gcd(m, t % m) != 1:
-            raise ValueError(f"t = {t} is not invertible mod {m}")
-        return math.gcd(m, delta.eval_int(t) % m) != 1
+        _check_int_mod(ring.m, t)
+        return math.gcd(ring.m, alexander_polynomial(d).eval_int(t) % ring.m) != 1
     if isinstance(ring, PolyMod):
-        if not ff.is_prime(ring.p):
-            raise ValueError(f"p = {ring.p} is not a prime")
-        p, f = ring.p, ff.fp_trim(ring.f, ring.p)
-        if len(f) < 2:
-            raise ValueError("modulus must be a non-unit polynomial (degree >= 1)")
-        tp = _as_fp_poly(t, p)
-        if ff.poly_gcd(f, tp, p) != (1,):
-            raise ValueError("t is not invertible in the quotient")
-        value = ff.fp_compose(delta, tp, p)
-        return ff.poly_gcd(f, value, p) != (1,)
+        p = ring.p
+        f, tp = _check_poly_mod(p, ring.f, t)
+        return ff.poly_gcd(f, ff.fp_compose(alexander_polynomial(d), tp, p), p) != (1,)
     if isinstance(ring, FqField):
         tv = ring.element(t).val
         if tv == 0:
             raise ValueError("t must be invertible (nonzero)")
-        return ring.eval_laurent(delta, tv) == 0
+        return ring.eval_laurent(alexander_polynomial(d), tv) == 0
     raise TypeError(f"unsupported ring {ring!r}")
 
 
-def _as_fp_poly(t, p: int) -> tuple[int, ...]:
-    if isinstance(t, LaurentPoly):
-        return ff.fp_from_laurent(t, p)
-    if isinstance(t, int):
-        return ff.fp_trim([t], p)
-    return ff.fp_trim(t, p)
+def _check_int_mod(m: int, t: int) -> None:
+    """Z/(m) is a quotient ring with t a unit in it."""
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    if math.gcd(m, t % m) != 1:
+        raise ValueError(f"t = {t} is not invertible mod {m}")
+
+
+def _check_poly_mod(p: int, f, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """F_p[T]/(f) is a quotient ring with t a unit in it; returns f and t
+    as reduced F_p[T] tuples."""
+    if not ff.is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    fpoly = ff.fp_trim(f, p)
+    if len(fpoly) < 2:
+        raise ValueError("modulus must have degree >= 1")
+    tp = ff.fp_from_laurent(t, p) if isinstance(t, LaurentPoly) else ff.fp_trim([t] if isinstance(t, int) else t, p)
+    if ff.poly_gcd(fpoly, tp, p) != (1,):
+        raise ValueError("t is not invertible in the quotient")
+    return fpoly, tp
 
 
 def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
     """Number of Fox colorings over Z/(m) at an invertible integer t,
     via the invariant factors of the integer matrix (never enumeration)."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if math.gcd(m, t % m) != 1:
-        raise ValueError(f"t = {t} is not invertible mod {m}")
+    _check_int_mod(m, t)
     if d.n == 0:
         return m
     res = snf(fox_matrix(d).evaluate(lambda e: e.eval_int(t), 0), RingZ())
@@ -217,14 +216,7 @@ def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
 def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
     """Number of Fox colorings over F_p[T]/(f) at a polynomial t coprime
     to f: p to the power deg f + sum of deg gcd(f, d_i)."""
-    if not ff.is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
-    fpoly = ff.fp_trim(f, p)
-    if len(fpoly) < 2:
-        raise ValueError("modulus must have degree >= 1")
-    tp = _as_fp_poly(t, p)
-    if ff.poly_gcd(fpoly, tp, p) != (1,):
-        raise ValueError("t is not invertible in the quotient")
+    fpoly, tp = _check_poly_mod(p, f, t)
     if d.n == 0:
         return p ** (len(fpoly) - 1)
     rows = fox_matrix(d).evaluate(lambda e: ff.fp_compose(e, tp, p), ())

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from knotcode.cli import main
 
 RUN = [sys.executable, "-m", "knotcode.cli"]
@@ -170,6 +172,39 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == 4
 
 
+def test_budget_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    argv = ["code", path, "--q", "3", "--t", "-1", "--min-dist"]
+    code, out, err = run_cli(argv + ["--budget", "-5"], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "--budget" in err
+    for value in ("-5", "lots"):
+        monkeypatch.setenv("KNOTCODE_BUDGET", value)
+        for cmd in (argv, ["sum", path, path, "--q", "3", "--t", "-1"]):
+            code, out, err = run_cli(cmd, capsys)
+            assert (code, out) == (2, "") and err.count("\n") == 1 and "KNOTCODE_BUDGET" in err, cmd
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["colorings", "{d}", "--poly-mod", "3", "--t", "1"], "--poly-mod"),
+        (["colorings", "{d}", "--poly-mod", "3:1,x", "--t", "1"], "--poly-mod"),
+        (["colorings", "{d}", "--mod", "9", "--t", "x"], "--t"),
+        (["cable", "--base-unknot", "--pairs", "2,x", "--q", "3", "--t", "-1"], "--pairs"),
+        (["code", "{d}", "--q", "x", "--t", "-1"], "--q"),
+        (["code", "{d}", "--q", "3", "--t", "y"], "--t"),
+        (["code", "{d}", "--q", "4", "--modulus", "1,z,1", "--t", "alpha"], "--modulus"),
+        (["snf", "{m}"], "{m}"),
+    ],
+)
+def test_malformed_option_text_names_its_source(tmp_path, capsys, argv, where):
+    names = {"d": gen_file(tmp_path, capsys, "builtin", "trefoil"), "m": str(tmp_path / "m.json")}
+    (tmp_path / "m.json").write_text(json.dumps({"entries": [[1, "x"], [0, 1]]}))
+    code, out, err = run_cli([a.format(**names) for a in argv], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert where.format(**names) in err
+
+
 def test_usage_error_on_bad_field(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     code, out, err = run_cli(["code", path, "--q", "6", "--t", "-1"], capsys)
@@ -214,10 +249,17 @@ def test_snf_command(tmp_path, capsys):
     ragged.write_text(json.dumps({"entries": [[1, 2], [3]]}))
     dict_entry = tmp_path / "dict.json"
     dict_entry.write_text(json.dumps({"entries": [[{"min_deg": "0", "coeffs": ["1"]}]]}))
+    # int() would read 2.5 as 2 and true as 1
+    fractional = tmp_path / "frac.json"
+    fractional.write_text(json.dumps({"entries": [[2.5, 1], [1, 4]]}))
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"entries": [[True, [0, 1]]]}))
     for argv in (
         ["snf", str(ragged)],
         ["snf", str(ragged), "--ring", "FpT", "--p", "3"],
         ["snf", str(dict_entry)],
+        ["snf", str(fractional)],
+        ["snf", str(boolean), "--ring", "FpT", "--p", "3"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and err.count("\n") == 1, argv
@@ -229,6 +271,10 @@ def test_colorings_command(tmp_path, capsys):
     assert json.loads(out)["outputs"]["count"] == "27"
     code, out, err = run_cli(["colorings", path, "--poly-mod", "2:1,1,1", "--t", "0,1"], capsys)
     assert json.loads(out)["outputs"]["count"] == "16"
+    # the report echoes the F_p[T] elements reduced mod p, as the count uses them
+    code, out, err = run_cli(["colorings", path, "--poly-mod", "3:4,0,1,0", "--t", "0,4,0"], capsys)
+    rep = json.loads(out)
+    assert (rep["inputs"]["modulus_poly"], rep["inputs"]["t"]) == (["1", "0", "1"], ["0", "1"])
     # F_p[T] needs a prime p
     unknot = gen_file(tmp_path, capsys, "builtin", "unknot", name="u.json")
     for args in (
@@ -277,6 +323,15 @@ def test_sum_command(tmp_path, capsys):
     rep = json.loads(out)
     assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == ("6", "3", "2")
     assert rep["outputs"]["weights"] == ["1", "0", "4", "0", "12", "8", "2"]
+
+
+def test_sum_records_the_t_one_warning_in_its_report(tmp_path, capsys):
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "1"], capsys)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["warnings"] == ["t = 1: every coloring is constant, the code is the repetition code"]
+    assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == ("6", "1", "6")
 
 
 def test_batch_mode_streams_reports(tmp_path, capsys):
