@@ -430,6 +430,7 @@ def cmd_sum(args) -> int:
         if args.weights:
             outputs["weights"] = we.to_json()
     except cd.BudgetExceeded as exc:
+        outputs["d"] = None
         warn.append(str(exc))
         status = EXIT_BUDGET
     inputs = {
@@ -507,8 +508,16 @@ def _index_steps_ok(d: Diagram) -> bool:
 # -- parser ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, `error: <message>`, and exit 2; the
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="knotcode", description="codes from knot diagram colorings")
+    ap = _Parser(prog="knotcode", description="codes from knot diagram colorings")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a diagram file")

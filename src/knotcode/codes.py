@@ -35,8 +35,7 @@ class LinearCode:
     @cached_property
     def generator(self) -> tuple:
         """Kernel basis of the parity matrix (rows span the code)."""
-        rows = [list(r) for r in self.parity]
-        return tuple(tuple(r) for r in kernel_basis(self.field, rows, ncols=self.n))
+        return tuple(tuple(r) for r in kernel_basis(self.field, self.parity, ncols=self.n))
 
     @property
     def k(self) -> int:

@@ -1,14 +1,21 @@
 """Exact linear algebra: Bareiss determinants over Z[T], Smith normal
-form over the Euclidean domains Z and F_p[T], and kernels over F_q.
+form over the Euclidean domains Z and F_p[T], and sparse elimination
+over F_q (rref, rank and a canonical kernel basis).
 
 Matrices are plain lists of lists.  Entries are LaurentPoly for the
 determinant routines, ints for Z, ascending coefficient tuples for
-F_p[T], and encoded field ints for F_q.
+F_p[T], and encoded field ints for F_q.  Over F_q the rows are turned
+into {column: value} dicts of their nonzeros before elimination, so
+eliminating a coloring matrix (at most 4 nonzeros per row) costs little
+beyond reading its dense rows, where Gauss-Jordan took cubic time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
 
 from .laurent import ZERO, ONE, LaurentPoly
 from . import fields as ff
@@ -296,38 +303,94 @@ def _is_zero_factor(d):
 
 
 # -- linear algebra over F_q ----------------------------------------------------
+#
+# One sparse elimination serves rref, rank and kernel_basis.  A row is a
+# {column: value} dict of its nonzeros.  Each row is reduced against the
+# pivot rows found so far and, if anything is left, becomes a new pivot row
+# (leading 1 at its first column in the elimination order); back-reduction
+# then clears every other pivot column from each pivot row.
+
+def _sparse(rows) -> list[dict]:
+    return [dict(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
+def _dense(row: dict, n: int) -> list[int]:
+    return [row.get(c, 0) for c in range(n)]
+
+
+def _by_weight(rows) -> list[int]:
+    """Columns occurring in rows, lightest first, ties by index: dense
+    columns are eliminated last, so they do not fill every row."""
+    weight = Counter(c for row in rows for c in row)
+    return sorted(weight, key=lambda c: (weight[c], c))
+
+
+def _axpy(field: FqField, row: dict, f: int, prow: dict) -> None:
+    """row -= f * prow in place, dropping the zeros."""
+    sub, mul = field.sub, field.mul
+    for c, v in prow.items():
+        x = sub(row.get(c, 0), mul(f, v))
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _reduce(field: FqField, rows: list[dict], order, back: bool = True) -> dict:
+    """Eliminate the sparse rows (consumed) in the given column order.
+
+    Returns {pivot column: pivot row}.  Every pivot row is 1 at its pivot
+    and zero at columns earlier in the order; with back=True it is also
+    zero at every other pivot column (reduced echelon form).
+    """
+    pos = {c: i for i, c in enumerate(order)}
+    pivots = {}
+    for row in rows:
+        heap = [pos[c] for c in row if c in pivots]
+        heapify(heap)
+        while heap:  # earliest pivot column first: pivot rows only fill later ones
+            c = order[heappop(heap)]
+            f = row.get(c)
+            if not f:  # already cleared (a column can be pushed twice)
+                continue
+            prow = pivots[c]
+            _axpy(field, row, f, prow)
+            for cc in prow:
+                if cc != c and cc in pivots:
+                    heappush(heap, pos[cc])
+        if row:
+            lead = min(row, key=pos.__getitem__)
+            inv = field.inv(row[lead])
+            pivots[lead] = {c: field.mul(inv, v) for c, v in row.items()}
+    if back:  # later pivot rows are already reduced when an earlier one is
+        for c in sorted(pivots, key=pos.__getitem__, reverse=True):
+            prow = pivots[c]
+            for cc in [cc for cc in prow if cc != c and cc in pivots]:
+                _axpy(field, prow, prow[cc], pivots[cc])
+    return pivots
+
 
 def rref(field: FqField, rows: list[list[int]]):
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return mat[:r], pivots
+    n = len(rows[0]) if rows else 0
+    red = _reduce(field, _sparse(rows), range(n))
+    pivots = sorted(red)
+    return [_dense(red[c], n) for c in pivots], pivots
 
 
 def rank(field: FqField, rows: list[list[int]]) -> int:
-    return len(rref(field, rows)[0])
+    sparse = _sparse(rows)
+    return len(_reduce(field, sparse, _by_weight(sparse), back=False))
 
 
-def kernel_basis(field: FqField, rows: list[list[int]], ncols: int | None = None) -> list[list[int]]:
+def kernel_basis(field: FqField, rows, ncols: int | None = None) -> list[list[int]]:
     """Row basis of {x : rows . x^T = 0} over F_q.
+
+    The basis is canonical: one vector per free column f (a column that
+    depends on the columns before it), 1 at f and 0 at the other free
+    columns, in ascending order of f.  Elimination runs in column-weight
+    order; the canonical basis is then the reduced echelon form of the
+    kernel with its columns reversed.
 
     ncols must be given for a matrix with no rows (the kernel is then the
     whole space).
@@ -336,17 +399,16 @@ def kernel_basis(field: FqField, rows: list[list[int]], ncols: int | None = None
         if not rows:
             raise ValueError("ncols needed for an empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(field, rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = field.from_int(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[i][fc])
-        basis.append(vec)
-    return basis
+    sparse = _sparse(rows)
+    red = _reduce(field, sparse, _by_weight(sparse))
+    one = field.from_int(1)
+    basis = {f: {f: one} for f in range(ncols) if f not in red}
+    for c, prow in red.items():
+        for f, v in prow.items():
+            if f != c:
+                basis[f][c] = field.neg(v)
+    canon = _reduce(field, list(basis.values()), range(ncols - 1, -1, -1))
+    return [_dense(canon[f], ncols) for f in sorted(canon)]
 
 
 def dot(field: FqField, row, vec) -> int:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the fast paths are checked against.
 
 Everything here enumerates or expands definitions directly; none of it
-shares code with the SNF / Bareiss / kernel routes it certifies.
+shares code with the SNF / Bareiss / kernel routes it certifies.  The dense
+Gauss-Jordan elimination over F_q is the reference for the sparse one.
 """
 
 from itertools import product
@@ -91,6 +92,50 @@ def int_det_crt(rows) -> int:
         m = modulus // p
         residue = (residue + r * m * pow(m, -1, p)) % modulus
     return residue if residue <= modulus // 2 else residue - modulus
+
+
+def rref_dense(field, rows):
+    """Dense Gauss-Jordan over F_q: (reduced rows, pivot column list)."""
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return mat[:r], pivots
+
+
+def rank_dense(field, rows) -> int:
+    return len(rref_dense(field, rows)[0])
+
+
+def kernel_basis_dense(field, rows, ncols):
+    """One kernel vector per free column of rref_dense, in column order:
+    1 at its free column, 0 at the others, minus the reduced column at the
+    pivots."""
+    red, pivots = rref_dense(field, rows) if rows else ([], [])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = field.from_int(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(red[i][fc])
+        basis.append(vec)
+    return basis
 
 
 def min_distance_brute(code) -> object:

@@ -63,6 +63,33 @@ def test_invariants_report(tmp_path, capsys):
     assert rep["outputs"]["minors_agree_up_to_units"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["code", "x.json"],
+        ["code", "x.json", "--q", "3", "--t", "-1", "--kind", "braid"],
+        ["gen", "torus", "--a", "two", "--b", "3"],
+        ["invariants", "x.json", "--minor-limit", "3"],
+    ],
+)
+def test_argparse_usage_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: "), out.err
+
+
+def test_help_is_not_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: knotcode code [-h]") and "--min-dist" in out.out
+
+
 def test_alex_alias(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "figure_eight")
     code, out, err = run_cli(["alex", path], capsys)
@@ -323,6 +350,15 @@ def test_sum_command(tmp_path, capsys):
     rep = json.loads(out)
     assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == ("6", "3", "2")
     assert rep["outputs"]["weights"] == ["1", "0", "4", "0", "12", "8", "2"]
+
+
+def test_sum_over_budget_reports_d_null(tmp_path, capsys):
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "-1", "--weights", "--budget", "2"], capsys)
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["outputs"]["d"] is None and "weights" not in rep["outputs"]
+    assert rep["warnings"] == ["3^2 codewords exceed budget 2"]
 
 
 def test_sum_records_the_t_one_warning_in_its_report(tmp_path, capsys):

@@ -25,7 +25,7 @@ from knotcode.diagram import reidemeister_r1
 from knotcode.exactlin import rank
 
 from conftest import small_diagrams
-from oracles import min_distance_brute, weight_counts_brute
+from oracles import kernel_basis_dense, min_distance_brute, weight_counts_brute
 
 
 def test_trefoil_code_lists_the_nine_codewords(F3, trefoil):
@@ -309,3 +309,29 @@ def test_sum_dimension_identity_random_pairs(F3, F5):
         c2 = code_from_diagram(d2, field, -1)
         s = sum_code(c1, rng.randrange(c1.n), c2, rng.randrange(c2.n))
         assert s.k == c1.k + c2.k - 1
+
+
+@pytest.mark.parametrize("b", [63, 125, 153, 401, -63, -125, -153, -401])
+@pytest.mark.parametrize("p", [3, 5])
+def test_two_strand_torus_code_dimensions(b, p):
+    """T(2,b) at t = -1: Fox k is 1 + (p | b) and Dehn k one more."""
+    field = FqField(p)
+    d = torus_diagram(2, b)
+    fox = code_from_diagram(d, field, -1, "fox")
+    dehn = code_from_diagram(d, field, -1, "dehn")
+    assert fox.k == 1 + (b % p == 0)
+    assert dehn.k == fox.k + 1
+
+
+@pytest.mark.parametrize("kind", ["fox", "dehn"])
+@pytest.mark.parametrize(
+    "field, t",
+    [(FqField(3), -1), (FqField(5), 2), (FqField(2, [1, 1, 1]), (0, 1)), (FqField(2, [1, 1, 0, 0, 1]), (1, 0, 1))],
+)
+def test_generator_is_the_dense_oracle_basis(kind, field, t):
+    """The generator rows are the dense Gauss-Jordan kernel basis, in order."""
+    trefoil = builtin("trefoil")
+    for d in (trefoil, connected_sum(trefoil, 0, trefoil, 0), torus_diagram(3, 5), pretzel_diagram([3, 3, 3])):
+        c = code_from_diagram(d, field, t, kind)
+        expected = kernel_basis_dense(field, [list(r) for r in c.parity], c.n)
+        assert [list(r) for r in c.generator] == expected

@@ -9,12 +9,13 @@ from knotcode.exactlin import (
     mat_mul,
     minor_dets,
     rank,
+    rref,
     snf,
     snf_diagonal,
 )
 from knotcode.fields import FqField
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
-from oracles import cofactor_det
+from oracles import cofactor_det, kernel_basis_dense, rank_dense, rref_dense
 
 TREFOIL_M = [
     [ONE - T, T, -ONE],
@@ -198,6 +199,40 @@ def test_kernel_random(data):
             for a, b in zip(row, vec):
                 acc = field.add(acc, field.mul(a, b))
             assert acc == 0
+
+
+ORACLE_FIELDS = [
+    FqField(2),
+    FqField(3),
+    FqField(2, [1, 1, 1]),
+    FqField(5),
+    FqField(2, [1, 1, 0, 0, 1]),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_sparse_elimination_matches_dense_oracle(data):
+    """Kernel (vectors and order), rank and rref equal dense Gauss-Jordan's."""
+    field = data.draw(st.sampled_from(ORACLE_FIELDS), label="field")
+    m = data.draw(st.integers(0, 10), label="rows")
+    n = data.draw(st.integers(1, 12), label="cols")
+    # entries below zero read as zero: sparsity 0 is a uniform fill
+    sparsity = data.draw(st.sampled_from([0, field.q, 4 * field.q]), label="sparsity")
+    cell = st.integers(-sparsity, field.q - 1).map(lambda x: max(x, 0))
+    rows = [[data.draw(cell) for _ in range(n)] for _ in range(m)]
+    for i in data.draw(st.sets(st.integers(0, m - 1)), label="zero rows") if m else ():
+        rows[i] = [0] * n
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2), label="zero cols"):
+        for row in rows:
+            row[j] = 0
+    full = data.draw(st.none() | st.integers(0, n - 1), label="all-nonzero col")
+    if full is not None:
+        for row in rows:
+            row[full] = data.draw(st.integers(1, field.q - 1))
+    assert kernel_basis(field, rows, ncols=n) == kernel_basis_dense(field, rows, n)
+    assert rank(field, rows) == rank_dense(field, rows)
+    assert rref(field, rows) == rref_dense(field, rows)
 
 
 def test_kernel_needs_ncols_for_empty():

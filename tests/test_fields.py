@@ -59,7 +59,7 @@ fields = [FqField(2), FqField(3), FqField(5), FqField(2, [1, 1, 1]), FqField(3, 
 
 
 @pytest.mark.parametrize("field", fields, ids=lambda f: repr(f))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_field_axioms(field, data):
     q = field.q

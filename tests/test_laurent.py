@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly, int_poly_content_gcd, int_poly_divmod
 
@@ -23,21 +23,25 @@ def test_basic_identities():
     assert (T - ONE).eval_int(-1) == -2
 
 
+@settings(deadline=None)
 @given(polys, polys)
 def test_add_commutes(a, b):
     assert a + b == b + a
 
 
+@settings(deadline=None)
 @given(polys, polys)
 def test_mul_commutes(a, b):
     assert a * b == b * a
 
 
+@settings(deadline=None)
 @given(polys, polys, polys)
 def test_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(deadline=None)
 @given(polys, polys)
 def test_exact_division_of_products(a, b):
     if a.is_zero:
@@ -45,6 +49,7 @@ def test_exact_division_of_products(a, b):
     assert (a * b).exact_div(a) == b
 
 
+@settings(deadline=None)
 @given(polys, st.integers(min_value=1, max_value=4))
 def test_subst_power_evaluates_consistently(p, b):
     assert p.subst_power(b).eval_int(1) == p.eval_int(1)
@@ -84,6 +89,7 @@ def test_content_gcd_examples():
     assert int_poly_content_gcd(LaurentPoly.const(9), LaurentPoly.const(3)) == LaurentPoly.const(3)
 
 
+@settings(deadline=None)
 @given(polys, polys)
 def test_content_gcd_divides_both(a, b):
     g = int_poly_content_gcd(a, b)
