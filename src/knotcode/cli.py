@@ -12,6 +12,7 @@ resolve_budget (--budget, else KNOTCODE_BUDGET, else 10^7; never negative).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -516,7 +517,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use and then shared for the process."""
     ap = _Parser(prog="knotcode", description="codes from knot diagram colorings")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

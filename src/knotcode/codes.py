@@ -1,7 +1,8 @@
 """Linear codes over F_q built from coloring matrices.
 
 A code is held as its parity-check matrix exactly as evaluated from the
-diagram (no rank reduction); the generator is a cached kernel basis.
+diagram (no rank reduction), in sparse ((column, value), ...) rows; the
+generator is a cached kernel basis of dense codewords.
 Weight enumerators come from exhaustive message enumeration under a
 budget (exact below it, unknown above); minimum distances are read off them.
 """
@@ -30,12 +31,12 @@ class BudgetExceeded(RuntimeError):
 class LinearCode:
     field: FqField
     n: int
-    parity: tuple  # rows of encoded field ints, kept as constructed
+    parity: tuple  # sparse rows of ((column, encoded field int), ...), kept as constructed
 
     @cached_property
     def generator(self) -> tuple:
-        """Kernel basis of the parity matrix (rows span the code)."""
-        return tuple(tuple(r) for r in kernel_basis(self.field, self.parity, ncols=self.n))
+        """Kernel basis of the parity matrix (dense rows that span the code)."""
+        return tuple(tuple(r) for r in kernel_basis(self.field, self.parity, self.n))
 
     @property
     def k(self) -> int:
@@ -57,6 +58,8 @@ class LinearCode:
 
     def contains(self, vec) -> bool:
         vec = [self.field.element(x).val for x in vec]
+        if len(vec) != self.n:
+            raise ValueError(f"expected a word of length {self.n}, got {len(vec)}")
         return not any(dot(self.field, row, vec) for row in self.parity)
 
     def __str__(self):
@@ -112,10 +115,8 @@ def code_from_diagram(
         raise ValueError("kind must be 'fox' or 'dehn'")
     rows = mat.evaluate(lambda e: field.eval_laurent(e, tv), 0)
     if restrict_outer_zero:
-        pin = [0] * mat.ncols
-        pin[d.outer_region] = field.from_int(1)
-        rows.append(pin)
-    return LinearCode(field, mat.ncols, tuple(tuple(r) for r in rows))
+        rows += (((d.outer_region, field.from_int(1)),),)
+    return LinearCode(field, mat.ncols, rows)
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -159,7 +160,8 @@ def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumera
 
 def dual(c: LinearCode) -> LinearCode:
     """Generator and parity swap roles; dim(dual) = n - k."""
-    return LinearCode(c.field, c.n, c.generator)
+    parity = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in c.generator)
+    return LinearCode(c.field, c.n, parity)
 
 
 def subcode_last_zero(c: LinearCode, position: int | None = None) -> LinearCode:
@@ -167,9 +169,7 @@ def subcode_last_zero(c: LinearCode, position: int | None = None) -> LinearCode:
     pos = c.n - 1 if position is None else position
     if not 0 <= pos < c.n:
         raise ValueError("position outside code length")
-    extra = [0] * c.n
-    extra[pos] = c.field.from_int(1)
-    return LinearCode(c.field, c.n, c.parity + (tuple(extra),))
+    return LinearCode(c.field, c.n, c.parity + (((pos, c.field.from_int(1)),),))
 
 
 def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode:
@@ -179,15 +179,11 @@ def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode
         raise ValueError("sum_code needs codes over the same field")
     if not (0 <= pos1 < c1.n and 0 <= pos2 < c2.n):
         raise ValueError("tie positions outside code lengths")
-    field = c1.field
-    n = c1.n + c2.n
-    rows = [tuple(r) + (0,) * c2.n for r in c1.parity]
-    rows += [(0,) * c1.n + tuple(r) for r in c2.parity]
-    link = [0] * n
-    link[pos1] = field.from_int(1)
-    link[c1.n + pos2] = field.neg(field.from_int(1))
-    rows.append(tuple(link))
-    return LinearCode(field, n, tuple(rows))
+    field, shift = c1.field, c1.n
+    one = field.from_int(1)
+    shifted = tuple(tuple((shift + j, x) for j, x in row) for row in c2.parity)
+    link = ((pos1, one), (shift + pos2, field.neg(one)))
+    return LinearCode(field, shift + c2.n, c1.parity + shifted + (link,))
 
 
 def sum_min_distance(c1, c1_sub, c2, c2_sub, budget: int | None = None):
@@ -243,8 +239,11 @@ class LdpcProfile:
 def ldpc_profile(c: LinearCode) -> LdpcProfile:
     """Row/column weight profile of the stored parity matrix; a code is
     right r-regular when every parity row has weight r."""
-    rows = [sum(1 for x in row if x) for row in c.parity]
-    cols = [sum(1 for row in c.parity if row[j]) for j in range(c.n)]
+    rows = [len(row) for row in c.parity]
+    cols = [0] * c.n
+    for row in c.parity:
+        for j, _ in row:
+            cols[j] += 1
     right = rows[0] if rows and len(set(rows)) == 1 else None
     left = cols[0] if cols and len(set(cols)) == 1 else None
     return LdpcProfile(tuple(rows), tuple(cols), right, left)

@@ -25,7 +25,7 @@ from .laurent import ONE, ZERO, LaurentPoly, T
 from . import fields as ff
 from .fields import FqField
 from .diagram import Diagram, DiagramError, dehn_role_tokens
-from .exactlin import RingFpT, RingZ, dot, laurent_det, minor_dets, snf
+from .exactlin import RingFpT, RingZ, dense, dot, laurent_det, minor_dets, snf
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -46,20 +46,19 @@ class ColoringMatrix:
     ncols: int
 
     @property
-    def entries(self) -> tuple:
+    def entries(self) -> list[list[LaurentPoly]]:
         """The dense matrix over Z[T, T^-1]."""
-        return tuple(tuple(row) for row in self.evaluate(lambda e: e, ZERO))
+        return dense(self.rows, self.ncols, ZERO)
 
-    def evaluate(self, value, zero) -> list[list]:
-        """Dense rows with every stored coefficient mapped through the ring
-        map value (for example e -> e.eval_int(t)); other cells are zero."""
+    def evaluate(self, value, zero) -> tuple:
+        """The rows with every stored coefficient mapped through the ring
+        map value (for example e -> e.eval_int(t)), as ((column, image), ...)
+        pairs; cells whose image is zero are dropped."""
         out = []
         for row in self.rows:
-            dense = [zero] * self.ncols
-            for col, e in row:
-                dense[col] = value(e)
-            out.append(dense)
-        return out
+            images = ((col, value(e)) for col, e in row)
+            out.append(tuple(cell for cell in images if cell[1] != zero))
+        return tuple(out)
 
     def to_json(self) -> dict:
         order = "arc_order" if self.kind == "fox" else "region_order"
@@ -136,7 +135,7 @@ def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
         raise ValueError("kind must be 'fox' or 'dehn'")
     if k < 0 or k > mat.ncols:
         raise ValueError(f"minor order {k} outside matrix bounds")
-    return minor_dets([list(r) for r in mat.entries], mat.ncols - k)
+    return minor_dets(mat.entries, mat.ncols - k)
 
 
 # -- colorability and counting ------------------------------------------------------
@@ -203,7 +202,8 @@ def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
     _check_int_mod(m, t)
     if d.n == 0:
         return m
-    res = snf(fox_matrix(d).evaluate(lambda e: e.eval_int(t), 0), RingZ())
+    mat = fox_matrix(d)
+    res = snf(dense(mat.evaluate(lambda e: e.eval_int(t), 0), mat.ncols, 0), RingZ())
     factors = res.invariant_factors
     if factors[0] != 0:
         raise AssertionError("Fox matrix should be singular over Z")
@@ -219,8 +219,8 @@ def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
     fpoly, tp = _check_poly_mod(p, f, t)
     if d.n == 0:
         return p ** (len(fpoly) - 1)
-    rows = fox_matrix(d).evaluate(lambda e: ff.fp_compose(e, tp, p), ())
-    res = snf(rows, RingFpT(p))
+    mat = fox_matrix(d)
+    res = snf(dense(mat.evaluate(lambda e: ff.fp_compose(e, tp, p), ()), mat.ncols, ()), RingFpT(p))
     factors = res.invariant_factors
     if factors[0] != ():
         raise AssertionError("Fox matrix should be singular over F_p[T]")

@@ -1,13 +1,14 @@
 """Exact linear algebra: Bareiss determinants over Z[T], Smith normal
 form over the Euclidean domains Z and F_p[T], and sparse elimination
-over F_q (rref, rank and a canonical kernel basis).
+over F_q (rank and a canonical kernel basis).
 
-Matrices are plain lists of lists.  Entries are LaurentPoly for the
-determinant routines, ints for Z, ascending coefficient tuples for
-F_p[T], and encoded field ints for F_q.  Over F_q the rows are turned
-into {column: value} dicts of their nonzeros before elimination, so
-eliminating a coloring matrix (at most 4 nonzeros per row) costs little
-beyond reading its dense rows, where Gauss-Jordan took cubic time.
+The determinant and Smith form routines take plain lists of lists, with
+LaurentPoly entries for determinants, ints for Z and ascending
+coefficient tuples for F_p[T].  The F_q routines take sparse rows,
+((column, value), ...) pairs of a row's nonzeros as encoded field ints,
+which is how a coloring matrix is evaluated (at most 4 nonzeros per
+row), so elimination costs little beyond its nonzeros where Gauss-Jordan
+took cubic time.  dense() turns sparse rows into the full grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
 
 from .laurent import ZERO, ONE, LaurentPoly
 from . import fields as ff
@@ -304,24 +304,27 @@ def _is_zero_factor(d):
 
 # -- linear algebra over F_q ----------------------------------------------------
 #
-# One sparse elimination serves rref, rank and kernel_basis.  A row is a
-# {column: value} dict of its nonzeros.  Each row is reduced against the
-# pivot rows found so far and, if anything is left, becomes a new pivot row
+# One sparse elimination serves rank and kernel_basis.  Each row is copied
+# into a {column: value} dict of its nonzeros, reduced against the pivot
+# rows found so far and, if anything is left, becomes a new pivot row
 # (leading 1 at its first column in the elimination order); back-reduction
 # then clears every other pivot column from each pivot row.
 
-def _sparse(rows) -> list[dict]:
-    return [dict(zip(compress(count(), row), filter(None, row))) for row in rows]
-
-
-def _dense(row: dict, n: int) -> list[int]:
-    return [row.get(c, 0) for c in range(n)]
+def dense(rows, ncols: int, zero) -> list[list]:
+    """The full grid of sparse rows: zero at every cell a row leaves out."""
+    out = []
+    for row in rows:
+        full = [zero] * ncols
+        for c, v in row:
+            full[c] = v
+        out.append(full)
+    return out
 
 
 def _by_weight(rows) -> list[int]:
     """Columns occurring in rows, lightest first, ties by index: dense
     columns are eliminated last, so they do not fill every row."""
-    weight = Counter(c for row in rows for c in row)
+    weight = Counter(c for row in rows for c, _ in row)
     return sorted(weight, key=lambda c: (weight[c], c))
 
 
@@ -336,8 +339,8 @@ def _axpy(field: FqField, row: dict, f: int, prow: dict) -> None:
             del row[c]
 
 
-def _reduce(field: FqField, rows: list[dict], order, back: bool = True) -> dict:
-    """Eliminate the sparse rows (consumed) in the given column order.
+def _reduce(field: FqField, rows, order, back: bool = True) -> dict:
+    """Eliminate the sparse rows in the given column order.
 
     Returns {pivot column: pivot row}.  Every pivot row is 1 at its pivot
     and zero at columns earlier in the order; with back=True it is also
@@ -346,6 +349,7 @@ def _reduce(field: FqField, rows: list[dict], order, back: bool = True) -> dict:
     pos = {c: i for i, c in enumerate(order)}
     pivots = {}
     for row in rows:
+        row = {c: v for c, v in row if v}
         heap = [pos[c] for c in row if c in pivots]
         heapify(heap)
         while heap:  # earliest pivot column first: pivot rows only fill later ones
@@ -370,52 +374,37 @@ def _reduce(field: FqField, rows: list[dict], order, back: bool = True) -> dict:
     return pivots
 
 
-def rref(field: FqField, rows: list[list[int]]):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    n = len(rows[0]) if rows else 0
-    red = _reduce(field, _sparse(rows), range(n))
-    pivots = sorted(red)
-    return [_dense(red[c], n) for c in pivots], pivots
+def rank(field: FqField, rows) -> int:
+    return len(_reduce(field, rows, _by_weight(rows), back=False))
 
 
-def rank(field: FqField, rows: list[list[int]]) -> int:
-    sparse = _sparse(rows)
-    return len(_reduce(field, sparse, _by_weight(sparse), back=False))
-
-
-def kernel_basis(field: FqField, rows, ncols: int | None = None) -> list[list[int]]:
-    """Row basis of {x : rows . x^T = 0} over F_q.
+def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
+    """Dense row basis of {x : rows . x^T = 0} over F_q, for sparse rows
+    of width ncols.
 
     The basis is canonical: one vector per free column f (a column that
     depends on the columns before it), 1 at f and 0 at the other free
     columns, in ascending order of f.  Elimination runs in column-weight
     order; the canonical basis is then the reduced echelon form of the
     kernel with its columns reversed.
-
-    ncols must be given for a matrix with no rows (the kernel is then the
-    whole space).
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols needed for an empty matrix")
-        ncols = len(rows[0])
-    sparse = _sparse(rows)
-    red = _reduce(field, sparse, _by_weight(sparse))
+    red = _reduce(field, rows, _by_weight(rows))
     one = field.from_int(1)
     basis = {f: {f: one} for f in range(ncols) if f not in red}
     for c, prow in red.items():
         for f, v in prow.items():
             if f != c:
                 basis[f][c] = field.neg(v)
-    canon = _reduce(field, list(basis.values()), range(ncols - 1, -1, -1))
-    return [_dense(canon[f], ncols) for f in sorted(canon)]
+    canon = _reduce(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))
+    return dense([canon[f].items() for f in sorted(canon)], ncols, 0)
 
 
 def dot(field: FqField, row, vec) -> int:
-    """Inner product over F_q of encoded field ints."""
+    """Inner product over F_q of a sparse row and a dense vector."""
     acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
+    for c, a in row:
+        b = vec[c]
+        if b:
             acc = field.add(acc, field.mul(a, b))
     return acc
 

@@ -138,6 +138,12 @@ def kernel_basis_dense(field, rows, ncols):
     return basis
 
 
+def sparse_rows(rows) -> tuple:
+    """Dense F_q rows as the ((column, value), ...) pairs of their nonzeros,
+    the row format the library's F_q routines take."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
 def min_distance_brute(code) -> object:
     """Scan the whole ambient space F_q^n against the parity matrix."""
     field, n = code.field, code.n

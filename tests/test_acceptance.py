@@ -36,7 +36,7 @@ from knotcode.codes import (
 from knotcode.cable import cable_ideal_seq, iterated_cable_length, unknot_ideal_seq
 
 from conftest import random_move
-from oracles import count_colorings_brute
+from oracles import count_colorings_brute, sparse_rows
 
 F3 = FqField(3)
 F4 = FqField(2, [1, 1, 1])
@@ -166,18 +166,19 @@ def test_criterion_6_connected_sum_calculus():
             c1 = code_from_diagram(trefoil, field, -1)
             c2 = code_from_diagram(fig8, field, -1)
             s = sum_code(c1, 2, c2, 3)
-            # parity is literally the block assembly with the tying row
-            assert s.parity[: len(c1.parity)] == tuple(r + (0,) * 4 for r in c1.parity)
-            assert s.parity[len(c1.parity) : -1] == tuple((0,) * 3 + r for r in c2.parity)
-            link = s.parity[-1]
-            assert link[2] == field.from_int(1) and link[6] == field.neg(field.from_int(1))
+            # parity is literally the block assembly with the tying row:
+            # the second block's columns shift by the first code's length
+            assert s.parity[: len(c1.parity)] == c1.parity
+            assert s.parity[len(c1.parity) : -1] == tuple(tuple((3 + j, x) for j, x in r) for r in c2.parity)
+            link = dict(s.parity[-1])
+            assert link == {2: field.from_int(1), 6: field.neg(field.from_int(1))}
             # same code as the published 7x7 sum matrix
             published = tuple(
                 tuple(field.from_int(x) for x in row) for row in PUBLISHED_SUM_MATRIX
             )
             from knotcode.codes import LinearCode
 
-            pub = LinearCode(field, 7, published)
+            pub = LinearCode(field, 7, sparse_rows(published))
             assert set(pub.codewords()) == set(s.codewords())
             assert s.k == c1.k + c2.k - 1
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,10 +23,10 @@ from knotcode.codes import (
     LinearCode,
 )
 from knotcode.diagram import reidemeister_r1
-from knotcode.exactlin import rank
+from knotcode.exactlin import dense, rank
 
 from conftest import small_diagrams
-from oracles import kernel_basis_dense, min_distance_brute, weight_counts_brute
+from oracles import kernel_basis_dense, min_distance_brute, sparse_rows, weight_counts_brute
 
 
 def test_trefoil_code_lists_the_nine_codewords(F3, trefoil):
@@ -37,6 +38,14 @@ def test_trefoil_code_lists_the_nine_codewords(F3, trefoil):
         (2, 0, 1), (2, 1, 0), (2, 2, 2),
     }
     assert (c.n, c.k, min_distance(c)) == (3, 2, 2)
+
+
+def test_contains_rejects_words_of_the_wrong_length(F3, trefoil):
+    c = code_from_diagram(trefoil, F3, -1)
+    assert c.contains([1, 1, 1])
+    for word in ([], [1, 1, 1, 2]):
+        with pytest.raises(ValueError):
+            c.contains(word)
 
 
 def test_t_zero_rejected_t_one_flagged(F3, trefoil):
@@ -59,7 +68,7 @@ def test_min_distance_budget_unknown(F3, trefoil):
 
 
 def test_zero_code_distance_is_infinite(F3):
-    zero = LinearCode(F3, 2, ((1, 0), (0, 1)))
+    zero = LinearCode(F3, 2, sparse_rows([[1, 0], [0, 1]]))
     assert zero.k == 0
     assert min_distance(zero) == INF
 
@@ -68,7 +77,7 @@ def test_weight_enumerator_trefoil(F3, trefoil):
     we = weight_enumerator(code_from_diagram(trefoil, F3, -1))
     assert we.counts == (1, 0, 6, 2)
     assert we.total() == 9
-    rep = LinearCode(F3, 3, ((1, 2, 0), (0, 1, 2)))
+    rep = LinearCode(F3, 3, sparse_rows([[1, 2, 0], [0, 1, 2]]))
     assert weight_enumerator(rep).counts == (1, 0, 0, 2)
 
 
@@ -171,7 +180,7 @@ def test_dimension_via_ideals(F3, F5, trefoil):
         with pytest.warns(UserWarning):
             assert code_from_diagram(d, F3, 1).k == 1
         c = code_from_diagram(d, F3, -1)
-        assert c.k == c.n - rank(F3, [list(r) for r in c.parity])
+        assert c.k == c.n - rank(F3, c.parity)
 
 
 def test_torus_order_ab_element_gives_dimension_two():
@@ -333,5 +342,22 @@ def test_generator_is_the_dense_oracle_basis(kind, field, t):
     trefoil = builtin("trefoil")
     for d in (trefoil, connected_sum(trefoil, 0, trefoil, 0), torus_diagram(3, 5), pretzel_diagram([3, 3, 3])):
         c = code_from_diagram(d, field, t, kind)
-        expected = kernel_basis_dense(field, [list(r) for r in c.parity], c.n)
+        expected = kernel_basis_dense(field, dense(c.parity, c.n, 0), c.n)
         assert [list(r) for r in c.generator] == expected
+
+
+def test_long_torus_code_stays_sparse(F3):
+    """Building the T(2,1601) code, its dimension and its LDPC profile
+    allocates no n x n grid: the peak stays under 8 MB, where one dense
+    copy of the parity matrix alone takes about 20 MB."""
+    d = torus_diagram(2, 1601)
+    tracemalloc.start()
+    try:
+        c = code_from_diagram(d, F3, -1)
+        k = c.k
+        prof = ldpc_profile(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 1 and prof.doubly_regular == (3, 3)
+    assert peak < 8 * 2**20

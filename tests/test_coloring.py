@@ -22,7 +22,7 @@ from knotcode.coloring import (
 )
 from knotcode.codes import code_from_diagram
 from knotcode.cable import ideal_seq_from_diagram, unknot_ideal_seq
-from knotcode.exactlin import kernel_basis
+from knotcode.exactlin import dense, kernel_basis
 
 from conftest import small_diagrams
 from oracles import count_colorings_brute
@@ -222,14 +222,17 @@ def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
             assert len(sym) == d.n and all(len(row) == mat.ncols for row in sym)
             for value, zero in maps:
                 expect = [[value(e) if e else zero for e in row] for row in sym]
-                assert mat.evaluate(value, zero) == expect
+                rows = mat.evaluate(value, zero)
+                assert dense(rows, mat.ncols, zero) == expect
+                assert all(v != zero for row in rows for _, v in row)
 
 
 def test_determinants_match_modular_oracle():
     from oracles import int_det_crt
 
     for d in small_diagrams():
-        minor = [row[1:] for row in fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0)[1:]]
+        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0), d.n, 0)
+        minor = [row[1:] for row in rows[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
 
 
@@ -273,7 +276,7 @@ def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     dehn = [0 if colors[r] == "white" else 3 for r in range(d.region_count)]
     assert sum(1 for u in dehn if u) == 2
     rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.from_int(-1)), 0)
-    assert not any(_dot_mod(row, dehn, F5) for row in rows)
+    assert not any(_dot_mod(row, dehn, F5) for row in dense(rows, d.region_count, 0))
     fox = dehn_to_fox(d, F5, -1, dehn)
     assert sum(1 for x in fox if x) == 5
 
