@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .fields import FqField
 from .diagram import Diagram
@@ -32,6 +33,18 @@ class LinearCode:
     field: FqField
     n: int
     parity: tuple  # sparse rows of ((column, encoded field int), ...), kept as constructed
+
+    def __post_init__(self):
+        cells = list(chain.from_iterable(self.parity))
+        if not cells:
+            return
+        cols, vals = zip(*cells)
+        if min(cols) < 0 or max(cols) >= self.n:
+            raise ValueError(f"a parity column lies outside range({self.n})")
+        if min(vals) < 1 or max(vals) >= self.field.q:
+            raise ValueError(f"a parity value is not a nonzero element of {self.field}")
+        if len(cells) != sum(map(len, map(dict, self.parity))):
+            raise ValueError("a parity row repeats a column")
 
     @cached_property
     def generator(self) -> tuple:

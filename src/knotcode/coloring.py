@@ -12,8 +12,9 @@ are kernel vectors of the Dehn matrix.
 
 Both are one type, ColoringMatrix, over Z[T, T^-1].  Everything else is
 that matrix pushed through a ring map by ColoringMatrix.evaluate: into
-F_q for codes and the Fox/Dehn conversions, into Z for coloring counts
-mod m, and into F_p[T] for counts over F_p[T]/(f).
+F_q for codes and the Fox/Dehn conversions, and into Z/m or F_p[T]/(f)
+for coloring counts, which eliminate there on unit pivots and take a
+Smith form of the few rows left.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .laurent import ONE, ZERO, LaurentPoly, T
 from . import fields as ff
 from .fields import FqField
 from .diagram import Diagram, DiagramError, dehn_role_tokens
-from .exactlin import RingFpT, RingZ, dense, dot, laurent_det, minor_dets, snf
+from .exactlin import RingFpT, RingFpTmod, RingZ, RingZmod, dense, dot, laurent_det, minor_dets, snf, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -197,38 +198,32 @@ def _check_poly_mod(p: int, f, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
-    """Number of Fox colorings over Z/(m) at an invertible integer t,
-    via the invariant factors of the integer matrix (never enumeration)."""
+    """Number of Fox colorings over Z/(m) at an invertible integer t:
+    m^free * prod gcd(m, d_i)/m over the nonzero invariant factors d_i of
+    what unit-pivot elimination over Z/(m) leaves (never enumeration)."""
     _check_int_mod(m, t)
     if d.n == 0:
         return m
     mat = fox_matrix(d)
-    res = snf(dense(mat.evaluate(lambda e: e.eval_int(t), 0), mat.ncols, 0), RingZ())
-    factors = res.invariant_factors
-    if factors[0] != 0:
-        raise AssertionError("Fox matrix should be singular over Z")
-    count = m
-    for di in factors[1:]:
-        count *= math.gcd(m, di)
-    return count
+    free, rest = unit_residual(RingZmod(m), mat.evaluate(lambda e: e.eval_int(t) % m, 0), mat.ncols)
+    factors = [di for di in snf(rest, RingZ()).invariant_factors if di]
+    return m ** (free - len(factors)) * math.prod(math.gcd(m, di) for di in factors)
 
 
 def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
     """Number of Fox colorings over F_p[T]/(f) at a polynomial t coprime
-    to f: p to the power deg f + sum of deg gcd(f, d_i)."""
+    to f: p to the power deg f * free + sum of (deg gcd(f, d_i) - deg f)
+    over the nonzero invariant factors d_i of what unit-pivot elimination
+    over F_p[T]/(f) leaves."""
     fpoly, tp = _check_poly_mod(p, f, t)
+    deg = len(fpoly) - 1
     if d.n == 0:
-        return p ** (len(fpoly) - 1)
+        return p**deg
     mat = fox_matrix(d)
-    res = snf(dense(mat.evaluate(lambda e: ff.fp_compose(e, tp, p), ()), mat.ncols, ()), RingFpT(p))
-    factors = res.invariant_factors
-    if factors[0] != ():
-        raise AssertionError("Fox matrix should be singular over F_p[T]")
-    exponent = len(fpoly) - 1
-    for di in factors[1:]:
-        g = ff.poly_gcd(fpoly, di, p)
-        exponent += len(g) - 1
-    return p**exponent
+    rows = mat.evaluate(lambda e: ff.fp_mod(ff.fp_compose(e, tp, p), fpoly, p), ())
+    free, rest = unit_residual(RingFpTmod(p, fpoly), rows, mat.ncols)
+    factors = [di for di in snf(rest, RingFpT(p)).invariant_factors if di]
+    return p ** (deg * free + sum(len(ff.poly_gcd(fpoly, di, p)) - 1 - deg for di in factors))
 
 
 # -- Fox <-> Dehn ---------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Exact linear algebra: Bareiss determinants over Z[T], Smith normal
-form over the Euclidean domains Z and F_p[T], and sparse elimination
-over F_q (rank and a canonical kernel basis).
+form over the Euclidean domains Z and F_p[T], and one sparse elimination
+over the quotient rings F_q, Z/m and F_p[T]/(f).
 
 The determinant and Smith form routines take plain lists of lists, with
 LaurentPoly entries for determinants, ints for Z and ascending
-coefficient tuples for F_p[T].  The F_q routines take sparse rows,
-((column, value), ...) pairs of a row's nonzeros as encoded field ints,
-which is how a coloring matrix is evaluated (at most 4 nonzeros per
-row), so elimination costs little beyond its nonzeros where Gauss-Jordan
-took cubic time.  dense() turns sparse rows into the full grid.
+coefficient tuples for F_p[T].  The elimination takes sparse rows,
+((column, value), ...) pairs of a row's nonzeros, which is how a coloring
+matrix is evaluated (at most 4 nonzeros per row), so it costs little
+beyond its nonzeros where Gauss-Jordan took cubic time.  It pivots only
+on units: over F_q that is every nonzero, and it gives rank and a
+canonical kernel basis; over Z/m and F_p[T]/(f) the few rows left without
+a unit are what the coloring counts hand to the Smith form, whose entries
+then stay reduced instead of growing.  dense() turns sparse rows into the
+full grid.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -302,13 +307,59 @@ def _is_zero_factor(d):
     return d == 0 or d == ()
 
 
-# -- linear algebra over F_q ----------------------------------------------------
+# -- sparse elimination over quotient rings ---------------------------------------
 #
-# One sparse elimination serves rank and kernel_basis.  Each row is copied
-# into a {column: value} dict of its nonzeros, reduced against the pivot
-# rows found so far and, if anything is left, becomes a new pivot row
-# (leading 1 at its first column in the elimination order); back-reduction
-# then clears every other pivot column from each pivot row.
+# One sparse elimination serves rank and kernel_basis over F_q and the
+# coloring counts over Z/m and F_p[T]/(f).  Each row is copied into a
+# {column: value} dict of its nonzeros and reduced against the pivot rows
+# found so far.  What is left becomes a new pivot row at its first unit
+# entry in the elimination order, scaled to 1 there; a row with no unit
+# entry is set aside as residual and reduced again once new pivots appear.
+# Over a field every nonzero is a unit, so nothing is ever residual.  With
+# back=True back-reduction then clears every other pivot column from each
+# pivot row.
+#
+# A ring here is an object with zero, sub, mul and inv, where inv returns
+# the inverse of a unit and None otherwise: FqField, RingZmod, RingFpTmod.
+
+
+class RingZmod:
+    """Z/m on ints in range(m); m is never factored."""
+
+    zero = 0
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def sub(self, x, y):
+        return (x - y) % self.m
+
+    def mul(self, x, y):
+        return x * y % self.m
+
+    def inv(self, x):
+        return pow(x, -1, self.m) if math.gcd(x, self.m) == 1 else None
+
+
+class RingFpTmod:
+    """F_p[T]/(f) on coefficient tuples reduced mod f; f is never factored."""
+
+    zero = ()
+
+    def __init__(self, p: int, f):
+        self.p = p
+        self.f = tuple(f)
+
+    def sub(self, x, y):
+        return ff.fp_sub(x, y, self.p)
+
+    def mul(self, x, y):
+        return ff.fp_mod(ff.fp_mul(x, y, self.p), self.f, self.p)
+
+    def inv(self, x):
+        g, s, _ = ff.fp_gcdext(x, self.f, self.p)
+        return ff.fp_mod(s, self.f, self.p) if g == (1,) else None
+
 
 def dense(rows, ncols: int, zero) -> list[list]:
     """The full grid of sparse rows: zero at every cell a row leaves out."""
@@ -328,54 +379,88 @@ def _by_weight(rows) -> list[int]:
     return sorted(weight, key=lambda c: (weight[c], c))
 
 
-def _axpy(field: FqField, row: dict, f: int, prow: dict) -> None:
+def _axpy(ring, row: dict, f, prow: dict) -> None:
     """row -= f * prow in place, dropping the zeros."""
-    sub, mul = field.sub, field.mul
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
     for c, v in prow.items():
-        x = sub(row.get(c, 0), mul(f, v))
+        x = sub(row.get(c, zero), mul(f, v))
         if x:
             row[c] = x
-        else:
+        elif c in row:  # a zero product leaves an absent cell absent
             del row[c]
 
 
-def _reduce(field: FqField, rows, order, back: bool = True) -> dict:
+def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
     """Eliminate the sparse rows in the given column order.
 
-    Returns {pivot column: pivot row}.  Every pivot row is 1 at its pivot
-    and zero at columns earlier in the order; with back=True it is also
-    zero at every other pivot column (reduced echelon form).
+    Returns ({pivot column: pivot row}, residual rows).  Every pivot row is
+    1 at its pivot and zero at the pivot columns found before it; over a
+    field its pivot is its first column in the order, and with back=True
+    (fields only) it is also zero at every other pivot column.  Residual
+    rows have no unit entry and are zero at every pivot column.
     """
     pos = {c: i for i, c in enumerate(order)}
+    inv_of, mul = ring.inv, ring.mul
     pivots = {}
-    for row in rows:
-        row = {c: v for c, v in row if v}
-        heap = [pos[c] for c in row if c in pivots]
-        heapify(heap)
-        while heap:  # earliest pivot column first: pivot rows only fill later ones
-            c = order[heappop(heap)]
-            f = row.get(c)
-            if not f:  # already cleared (a column can be pushed twice)
+    age = {}  # pivot column -> its index in found
+    found = []  # pivot columns, oldest first
+    residual = []
+    pending = ({c: v for c, v in row if v} for row in rows)
+    while True:
+        grown = len(found)
+        for row in pending:
+            heap = [age[c] for c in row if c in age]
+            heapify(heap)
+            while heap:  # oldest pivot first: pivot rows only fill younger ones
+                c = found[heappop(heap)]
+                f = row.get(c)
+                if not f:  # already cleared (a column can be pushed twice)
+                    continue
+                prow = pivots[c]
+                _axpy(ring, row, f, prow)
+                for cc in prow:
+                    if cc != c and cc in age:
+                        heappush(heap, age[cc])
+            if not row:
                 continue
-            prow = pivots[c]
-            _axpy(field, row, f, prow)
-            for cc in prow:
-                if cc != c and cc in pivots:
-                    heappush(heap, pos[cc])
-        if row:
             lead = min(row, key=pos.__getitem__)
-            inv = field.inv(row[lead])
-            pivots[lead] = {c: field.mul(inv, v) for c, v in row.items()}
+            inv = inv_of(row[lead])
+            if inv is None:  # not a field: the first unit, if there is one
+                lead = min((c for c in row if inv_of(row[c]) is not None), key=pos.__getitem__, default=None)
+                if lead is None:
+                    residual.append(row)
+                    continue
+                inv = inv_of(row[lead])
+            pivots[lead] = {c: mul(inv, v) for c, v in row.items()}
+            age[lead] = len(found)
+            found.append(lead)
+        if not residual or len(found) == grown:
+            break
+        pending, residual = residual, []
     if back:  # later pivot rows are already reduced when an earlier one is
         for c in sorted(pivots, key=pos.__getitem__, reverse=True):
             prow = pivots[c]
             for cc in [cc for cc in prow if cc != c and cc in pivots]:
-                _axpy(field, prow, prow[cc], pivots[cc])
-    return pivots
+                _axpy(ring, prow, prow[cc], pivots[cc])
+    return pivots, residual
+
+
+def unit_residual(ring, rows, ncols: int) -> tuple[int, list[list]]:
+    """Eliminate sparse rows over a quotient ring on unit pivots only.
+
+    Returns the number of free (non-pivot) columns and the dense residual
+    rows on those columns, in column order.  Each pivot row has a unit on
+    its own column and zeros on the pivot columns before it, so the pivot
+    unknowns are fixed by the free ones: the solutions of rows . x = 0
+    correspond one to one with those of the residual rows.
+    """
+    pivots, residual = _reduce(ring, rows, _by_weight(rows), back=False)
+    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
+    return len(free), dense([[(free[c], v) for c, v in row.items()] for row in residual], len(free), ring.zero)
 
 
 def rank(field: FqField, rows) -> int:
-    return len(_reduce(field, rows, _by_weight(rows), back=False))
+    return len(_reduce(field, rows, _by_weight(rows), back=False)[0])
 
 
 def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
@@ -388,14 +473,14 @@ def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
     order; the canonical basis is then the reduced echelon form of the
     kernel with its columns reversed.
     """
-    red = _reduce(field, rows, _by_weight(rows))
+    red = _reduce(field, rows, _by_weight(rows))[0]
     one = field.from_int(1)
     basis = {f: {f: one} for f in range(ncols) if f not in red}
     for c, prow in red.items():
         for f, v in prow.items():
             if f != c:
                 basis[f][c] = field.neg(v)
-    canon = _reduce(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))
+    canon = _reduce(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))[0]
     return dense([canon[f].items() for f in sorted(canon)], ncols, 0)
 
 

@@ -206,6 +206,8 @@ def fp_compose(poly: LaurentPoly, t, p):
 class FqField:
     """F_{p^a} = F_p[x]/(modulus); elements are ints in range(p^a)."""
 
+    zero = 0
+
     def __init__(self, p: int, modulus=None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -280,6 +282,8 @@ class FqField:
         return out
 
     def sub(self, x: int, y: int) -> int:
+        if self.a == 1:
+            return (x - y) % self.p
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:

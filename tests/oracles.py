@@ -47,6 +47,46 @@ def count_colorings_brute(d, m: int, t: int) -> int:
     return sum(1 for colors in product(range(m), repeat=k) if fox_relation_holds(d, colors, m, t))
 
 
+def poly_mulmod(a, b, p: int, f) -> tuple:
+    """a * b in F_p[T]/(f), residues as tuples of deg f coefficients."""
+    deg, lead_inv = len(f) - 1, pow(f[-1], p - 2, p)
+    prod = [0] * max(len(a) + len(b), deg)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k] * lead_inv % p
+        for j, fj in enumerate(f):
+            prod[k - deg + j] -= c * fj
+    return tuple(x % p for x in prod[:deg])
+
+
+def count_colorings_poly_brute(d, p: int, f, t) -> int:
+    """Enumerate all (p^deg f)^arcs strand colorings over F_p[T]/(f), f and
+    t given by ascending coefficients, checking c = t*a + (1-t)*b at every
+    crossing by schoolbook arithmetic."""
+    deg = len(f) - 1
+    one = poly_mulmod((1,), (1,), p, f)
+    tt = poly_mulmod(t, (1,), p, f)
+    omt = tuple((x - y) % p for x, y in zip(one, tt))
+    elements = list(product(range(p), repeat=deg))
+    arcs = d.arcs
+    count = 0
+    for colors in product(elements, repeat=max(d.arc_count, 1)):
+        for c in d.crossings:
+            b = colors[arcs[c.over_in]]
+            if c.sign == 1:
+                a, out = colors[arcs[c.under_in]], colors[arcs[c.under_out]]
+            else:
+                a, out = colors[arcs[c.under_out]], colors[arcs[c.under_in]]
+            rhs = zip(poly_mulmod(tt, a, p, f), poly_mulmod(omt, b, p, f))
+            if any((o - x - y) % p for o, (x, y) in zip(out, rhs)):
+                break
+        else:
+            count += 1
+    return count
+
+
 def det_mod_prime(rows, p: int) -> int:
     """Determinant of an integer matrix mod p by plain Gaussian elimination."""
     n = len(rows)

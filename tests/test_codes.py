@@ -73,6 +73,20 @@ def test_zero_code_distance_is_infinite(F3):
     assert min_distance(zero) == INF
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (((0, 0), (1, 1)),),  # a stored zero would count toward ldpc_profile weights
+        (((5, 1),),),  # a column outside range(n) would leave k = n
+        (((1, 1), (1, 2)),),  # a repeated column
+        (((0, 3),),),  # not an encoded element of F_3
+    ],
+)
+def test_linear_code_rejects_bad_parity_rows(F3, rows):
+    with pytest.raises(ValueError):
+        LinearCode(F3, 2, rows)
+
+
 def test_weight_enumerator_trefoil(F3, trefoil):
     we = weight_enumerator(code_from_diagram(trefoil, F3, -1))
     assert we.counts == (1, 0, 6, 2)

@@ -1,9 +1,12 @@
+import math
+import time
 from functools import partial
 
 import pytest
 
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly, int_poly_content_gcd
-from knotcode.fields import FqField, fp_compose
+from knotcode import coloring
+from knotcode.fields import FqField, fp_compose, fp_from_laurent, poly_gcd
 from knotcode.diagram import reidemeister_r1
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
@@ -21,8 +24,8 @@ from knotcode.coloring import (
     minor_family,
 )
 from knotcode.codes import code_from_diagram
-from knotcode.cable import ideal_seq_from_diagram, unknot_ideal_seq
-from knotcode.exactlin import dense, kernel_basis
+from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
+from knotcode.exactlin import dense, kernel_basis, snf
 
 from conftest import small_diagrams
 from oracles import count_colorings_brute
@@ -185,9 +188,50 @@ def test_count_colorings_against_brute_force():
     for d in diagrams:
         for m in range(2, 10):
             for t in range(1, m):
-                if __import__("math").gcd(m, t) != 1:
+                if math.gcd(m, t) != 1:
                     continue
                 assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+
+
+def test_count_colorings_mod_stays_fast_on_a_trefoil_sum(trefoil):
+    # a Smith form of the whole 12 x 12 integer matrix ran past 100 s here
+    d = trefoil
+    for _ in range(3):
+        d = connected_sum(d, 0, trefoil, 0)
+    start = time.perf_counter()
+    count = count_colorings_mod(d, 3, 5)
+    assert time.perf_counter() - start < 1.0
+    assert count == 3 ** code_from_diagram(d, FqField(3), 5).k == 243
+
+
+@pytest.mark.parametrize("a, b", [(4, 11), (7, 5), (5, 12)])
+def test_count_colorings_poly_mod_stays_fast_on_torus_knots(a, b):
+    # a Smith form of the whole matrix over F_3[T] ran past 2 minutes on
+    # T(4,11) and T(7,5)
+    d = torus_diagram(a, b)
+    start = time.perf_counter()
+    count = count_colorings_poly_mod(d, 3, (1, 0, 1), (0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert count == 9 ** code_from_diagram(d, FqField(3, [1, 0, 1]), [0, 1]).k
+
+
+def test_counts_hand_the_smith_form_only_a_residual(monkeypatch):
+    """Unit-pivot elimination over the quotient ring leaves the Smith form
+    a few rows at most, never the full Fox matrix."""
+    seen = []
+
+    def spy(rows, ring):
+        seen.append(len(rows))
+        return snf(rows, ring)
+
+    monkeypatch.setattr(coloring, "snf", spy)
+    b = 401
+    assert count_colorings_mod(torus_diagram(2, b), 27, -1) == 27 * math.gcd(27, b)
+    p, f = 3, (1, 0, 1)
+    delta = fp_from_laurent(torus_alexander(5, 8), p)
+    expect = p ** (len(f) - 1 + len(poly_gcd(f, delta, p)) - 1)
+    assert count_colorings_poly_mod(torus_diagram(5, 8), p, f, (0, 1)) == expect
+    assert len(seen) == 2 and max(seen) <= 2
 
 
 def test_count_colorings_poly_examples(trefoil):

@@ -3,6 +3,7 @@ lemma, coloring-matrix structure, and code bounds on arbitrary valid
 diagrams rather than the curated families."""
 
 import math
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,10 +11,10 @@ from knotcode.diagram import DiagramError
 from knotcode.generators import from_braid
 from knotcode.fields import FqField
 from knotcode.laurent import ZERO
-from knotcode.coloring import alexander_polynomial, count_colorings_mod, fox_matrix
+from knotcode.coloring import alexander_polynomial, count_colorings_mod, count_colorings_poly_mod, fox_matrix
 from knotcode.codes import code_from_diagram, min_distance
 
-from oracles import count_colorings_brute
+from oracles import count_colorings_brute, count_colorings_poly_brute, poly_mulmod
 
 F3 = FqField(3)
 F5 = FqField(5)
@@ -89,3 +90,41 @@ def test_coloring_count_vs_enumeration(d, m):
     t = m - 1
     assume(math.gcd(m, t) == 1)
     assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_diagrams(max_strands=3, max_len=5), st.sampled_from([6, 10, 12]), st.data())
+def test_coloring_count_vs_enumeration_two_prime_moduli(d, m, data):
+    # composite m: unit-pivot elimination over Z/m leaves non-unit rows to
+    # the Smith form
+    assume(m ** d.arc_count <= 12**4)
+    t = data.draw(st.sampled_from([t for t in range(1, m) if math.gcd(m, t) == 1]))
+    assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+
+
+# (p, f) with p^deg f <= 9, ascending coefficients; reducible ones included
+POLY_MODULI = [
+    (2, (1, 1)),
+    (2, (1, 1, 1)),
+    (2, (1, 0, 1)),  # (T+1)^2
+    (2, (0, 1, 1)),  # T(T+1)
+    (2, (1, 0, 0, 1)),  # (T+1)(T^2+T+1)
+    (3, (1, 0, 1)),
+    (3, (1, 2, 1)),  # (T+1)^2
+    (3, (0, 2, 1)),  # T(T+2)
+    (5, (2, 1)),
+    (7, (3, 1)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_diagrams(max_strands=3, max_len=4), st.sampled_from(POLY_MODULI), st.data())
+def test_poly_coloring_count_vs_enumeration(d, ring, data):
+    p, f = ring
+    deg = len(f) - 1
+    t = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=deg + 1)))
+    # t must be a unit of F_p[T]/(f): some residue u has t*u = 1
+    one = poly_mulmod((1,), (1,), p, f)
+    units = product(range(p), repeat=deg)
+    assume(any(poly_mulmod(t, u, p, f) == one for u in units))
+    assert count_colorings_poly_mod(d, p, f, t) == count_colorings_poly_brute(d, p, f, t)
