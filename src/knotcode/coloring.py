@@ -26,7 +26,18 @@ from .laurent import ONE, ZERO, LaurentPoly, T
 from . import fields as ff
 from .fields import FqField
 from .diagram import Diagram, DiagramError, dehn_role_tokens
-from .exactlin import RingFpT, RingFpTmod, RingZ, RingZmod, dense, dot, laurent_det, minor_dets, snf, unit_residual
+from .exactlin import (
+    RingFpT,
+    RingFpTmod,
+    RingZ,
+    RingZmod,
+    dense,
+    dot,
+    minor_dets,
+    snf,
+    sparse_dets,
+    unit_residual,
+)
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -54,11 +65,19 @@ class ColoringMatrix:
     def evaluate(self, value, zero) -> tuple:
         """The rows with every stored coefficient mapped through the ring
         map value (for example e -> e.eval_int(t)), as ((column, image), ...)
-        pairs; cells whose image is zero are dropped."""
+        pairs; cells whose image is zero are dropped.  A matrix has only a
+        handful of distinct coefficients, and each is mapped once per call."""
+        images = {}
         out = []
         for row in self.rows:
-            images = ((col, value(e)) for col, e in row)
-            out.append(tuple(cell for cell in images if cell[1] != zero))
+            cells = []
+            for col, e in row:
+                v = images.get(e)
+                if v is None:
+                    v = images[e] = value(e)
+                if v != zero:
+                    cells.append((col, v))
+            out.append(tuple(cells))
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -114,9 +133,8 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
     d._require_valid()
     if d.n == 0:
         return ONE
-    rows = fox_matrix(d).entries
-    minor = [list(row[1:]) for row in rows[1:]]
-    delta = laurent_det(minor).alexander_normalized()
+    inner = range(1, d.n)
+    delta = sparse_dets(fox_matrix(d).rows, [(inner, inner)])[0].alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta
@@ -136,7 +154,7 @@ def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
         raise ValueError("kind must be 'fox' or 'dehn'")
     if k < 0 or k > mat.ncols:
         raise ValueError(f"minor order {k} outside matrix bounds")
-    return minor_dets(mat.entries, mat.ncols - k)
+    return minor_dets(mat.rows, mat.ncols, mat.ncols - k)
 
 
 # -- colorability and counting ------------------------------------------------------
@@ -158,15 +176,14 @@ class PolyMod:
 
 
 def is_colorable(d: Diagram, ring, t) -> bool:
-    """Nontrivial Fox colorability over the ring: the modulus and the
-    Alexander value at t have a common factor."""
+    """Nontrivial Fox colorability over the ring: more colorings than the
+    constant ones over Z/(m) and F_p[T]/(f), a root of the Alexander
+    polynomial at t over F_q."""
     if isinstance(ring, IntMod):
-        _check_int_mod(ring.m, t)
-        return math.gcd(ring.m, alexander_polynomial(d).eval_int(t) % ring.m) != 1
+        return count_colorings_mod(d, ring.m, t) > ring.m
     if isinstance(ring, PolyMod):
-        p = ring.p
-        f, tp = _check_poly_mod(p, ring.f, t)
-        return ff.poly_gcd(f, ff.fp_compose(alexander_polynomial(d), tp, p), p) != (1,)
+        count = count_colorings_poly_mod(d, ring.p, ring.f, t)
+        return count > ring.p ** (len(ff.fp_trim(ring.f, ring.p)) - 1)
     if isinstance(ring, FqField):
         tv = ring.element(t).val
         if tv == 0:
@@ -202,6 +219,7 @@ def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
     m^free * prod gcd(m, d_i)/m over the nonzero invariant factors d_i of
     what unit-pivot elimination over Z/(m) leaves (never enumeration)."""
     _check_int_mod(m, t)
+    d._require_valid()
     if d.n == 0:
         return m
     mat = fox_matrix(d)
@@ -217,6 +235,7 @@ def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
     over F_p[T]/(f) leaves."""
     fpoly, tp = _check_poly_mod(p, f, t)
     deg = len(fpoly) - 1
+    d._require_valid()
     if d.n == 0:
         return p**deg
     mat = fox_matrix(d)

@@ -1,18 +1,20 @@
-"""Exact linear algebra: Bareiss determinants over Z[T], Smith normal
-form over the Euclidean domains Z and F_p[T], and one sparse elimination
-over the quotient rings F_q, Z/m and F_p[T]/(f).
+"""Exact linear algebra: determinants over Z[T, T^-1] by evaluation,
+interpolation and Chinese remaindering, Smith normal form over the
+Euclidean domains Z and F_p[T], and one sparse elimination over the
+quotient rings F_q, Z/m and F_p[T]/(f).
 
-The determinant and Smith form routines take plain lists of lists, with
-LaurentPoly entries for determinants, ints for Z and ascending
-coefficient tuples for F_p[T].  The elimination takes sparse rows,
-((column, value), ...) pairs of a row's nonzeros, which is how a coloring
-matrix is evaluated (at most 4 nonzeros per row), so it costs little
-beyond its nonzeros where Gauss-Jordan took cubic time.  It pivots only
-on units: over F_q that is every nonzero, and it gives rank and a
-canonical kernel basis; over Z/m and F_p[T]/(f) the few rows left without
-a unit are what the coloring counts hand to the Smith form, whose entries
-then stay reduced instead of growing.  dense() turns sparse rows into the
-full grid.
+The Smith form routines take plain lists of lists, with ints for Z and
+ascending coefficient tuples for F_p[T]; laurent_det takes a square list
+of lists of LaurentPoly, sparse_dets and minor_dets sparse LaurentPoly
+rows.  The elimination takes sparse rows, ((column, value), ...) pairs of
+a row's nonzeros, which is how a coloring matrix is evaluated (at most 4
+nonzeros per row), so it costs little beyond its nonzeros where
+Gauss-Jordan took cubic time.  It pivots only on units: over F_q that is
+every nonzero, and it gives rank, a canonical kernel basis, and over Z/p
+the determinant values the determinants over Z[T, T^-1] are interpolated
+from; over Z/m and F_p[T]/(f) the few rows left without a unit are what
+the coloring counts hand to the Smith form, whose entries then stay
+reduced instead of growing.  dense() turns sparse rows into the full grid.
 """
 
 from __future__ import annotations
@@ -20,70 +22,166 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations, count
 
-from .laurent import ZERO, ONE, LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from . import fields as ff
 from .fields import FqField
 
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
+#
+# Evaluation, interpolation and Chinese remaindering (von zur Gathen &
+# Gerhard, Modern Computer Algebra, ch. 5): a minor's determinant is a
+# polynomial of bounded degree and bounded coefficients once each row is
+# divided by its lowest power of T, so its values mod word-size primes at
+# enough points fix it.  Each value is one sparse elimination over Z/p on
+# word-size residues, so no entry grows during elimination, as polynomial
+# entries do in fraction-free elimination over Z[T].
+
 
 def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square LaurentPoly matrix.
-
-    T-powers are cleared row by row, then fraction-free (Bareiss)
-    elimination runs over Z[T]; every division is exact by the Sylvester
-    identity.
-    """
+    """Exact determinant of a square LaurentPoly matrix, by sparse_dets."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return ONE
-    shift = 0
-    mat = []
-    for row in rows:
-        degs = [e.min_deg for e in row if not e.is_zero]
-        if not degs:
-            return ZERO
-        s = min(degs)
-        shift += s
-        mat.append([e.shift(-s) for e in row])
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not mat[i][k].is_zero), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            mat[pivot_row], mat[k] = mat[k], mat[pivot_row]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.exact_div(prev)
-            mat[i][k] = ZERO
-        prev = pivot
-    det = mat[n - 1][n - 1].shift(shift)
-    return -det if sign < 0 else det
+    whole = range(n)
+    return sparse_dets([tuple((j, e) for j, e in enumerate(row) if e) for row in rows], [(whole, whole)])[0]
 
 
-def minor_dets(rows, order: int) -> list[LaurentPoly]:
-    """Determinants of all order x order submatrices (row-major combination
-    order); empty when the matrix has no submatrix of that size."""
-    from itertools import combinations
-
-    m, n = len(rows), len(rows[0]) if rows else 0
-    if order <= 0 or order > m or order > n:
+def minor_dets(rows, ncols: int, order: int) -> list[LaurentPoly]:
+    """Determinants of all order x order submatrices of sparse LaurentPoly
+    rows of width ncols (row-major combination order); empty when the
+    matrix has no submatrix of that size."""
+    if order <= 0 or order > len(rows) or order > ncols:
         return []
-    out = []
-    for ri in combinations(range(m), order):
-        picked = [rows[i] for i in ri]
-        for ci in combinations(range(n), order):
-            out.append(laurent_det([[row[j] for j in ci] for row in picked]))
+    cols = list(combinations(range(ncols), order))
+    return sparse_dets(rows, [(ri, ci) for ri in combinations(range(len(rows)), order) for ci in cols])
+
+
+def sparse_dets(rows, minors) -> list[LaurentPoly]:
+    """Exact determinants of square submatrices of sparse LaurentPoly rows
+    ((column, entry), ...); each minor is a pair (row indices, column
+    indices) of equal length.
+
+    Every row is divided by its lowest power of T, which leaves polynomial
+    entries a_ij.  A minor's determinant is then a polynomial P(T) of
+    degree at most D, the sum over its rows of their highest entry degree,
+    and every coefficient c_k of P obeys
+
+        |c_k| <= B = prod_i sqrt(sum_j ||a_ij||_1^2),
+
+    ||a||_1 the sum of the absolute coefficients of a: c_k is a Fourier
+    coefficient of P on the unit circle, so |c_k| <= max_{|z|=1} |P(z)|;
+    Hadamard's inequality bounds |P(z)| by the product of the Euclidean
+    norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
+
+    The whole matrix is evaluated once per (point, prime), at T = 0..D
+    modulo word-size primes, and every minor's value is read off that one
+    grid by sparse elimination over Z/p.  Interpolation gives P mod p, and
+    Chinese remaindering over the primes gives P once their product
+    exceeds 2B, lifted to (-M/2, M/2].  The result is exact; no step is
+    probabilistic.
+    """
+    shifts, cells, index = [], [], {}  # index: distinct shifted entry -> position in polys
+    for row in rows:
+        s = min((e.min_deg for _, e in row), default=0)
+        shifts.append(s)
+        cells.append([(c, index.setdefault(e.shift(-s), len(index))) for c, e in row])
+    polys = list(index)
+    degs = [e.max_deg for e in polys]
+    norms = [sum(map(abs, e.coeffs)) ** 2 for e in polys]
+    todo = []  # (minor, its rows as (position, entry) pairs, elimination order, D, B^2)
+    for k, (ri, ci) in enumerate(minors):
+        pos = {c: i for i, c in enumerate(ci)}
+        sub = [[(pos[c], j) for c, j in cells[i] if c in pos] for i in ri]
+        if all(sub):  # an empty row makes the determinant zero
+            degree = sum(max(degs[j] for _, j in row) for row in sub)
+            bound2 = math.prod(sum(norms[j] for _, j in row) for row in sub)
+            todo.append((k, sub, _by_weight(sub), degree, bound2))
+    residues = {job[0]: ([0] * (job[3] + 1), 1) for job in todo}  # coefficients mod M, M
+    for p in map(_word_prime, count()):
+        todo = [job for job in todo if residues[job[0]][1] ** 2 <= 4 * job[4]]  # M <= 2B
+        if not todo:
+            break
+        ring = RingZmod(p)
+        values = {job[0]: [] for job in todo}
+        for x in range(max(job[3] for job in todo) + 1):
+            image = [_eval_mod(e, x, p) for e in polys]
+            for k, sub, order, degree, _ in todo:
+                if x <= degree:
+                    grid = [[(c, image[j]) for c, j in row if image[j]] for row in sub]
+                    values[k].append(_det_mod(ring, grid, order))
+        for k, vals in values.items():
+            coeffs, m = residues[k]
+            inv = pow(m, -1, p)
+            residues[k] = ([r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(vals, p))], m * p)
+    out = [ZERO] * len(minors)
+    for k, (coeffs, m) in residues.items():
+        lifted = [c - m if 2 * c > m else c for c in coeffs]
+        out[k] = LaurentPoly.make(lifted, sum(shifts[i] for i in minors[k][0]))
+    return out
+
+
+@cache
+def _word_prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^62, found by is_prime once."""
+    p = _word_prime(i - 1) if i else 1 << 62
+    p -= 1
+    while not ff.is_prime(p):
+        p -= 1
+    return p
+
+
+def _eval_mod(e: LaurentPoly, x: int, p: int) -> int:
+    """A polynomial's value at x mod p."""
+    acc = 0
+    for c in reversed(e.coeffs):
+        acc = (acc * x + c) % p
+    return acc * pow(x, e.min_deg, p) % p
+
+
+def _det_mod(ring, rows, order) -> int:
+    """Determinant over Z/p of square sparse rows: the product of the
+    unscaled pivots times the sign of the permutation that takes each row
+    to its pivot column; zero when a row reduces to empty."""
+    leads = []
+    cols = list(_reduce(ring, rows, order, back=False, leads=leads)[0])  # in row order
+    if len(cols) < len(rows):
+        return 0
+    det = 1
+    for v in leads:
+        det = det * v % ring.m
+    seen = set()
+    for start in range(len(cols)):  # an even-length cycle flips the sign
+        c, length = start, 0
+        while c not in seen:
+            seen.add(c)
+            c, length = cols[c], length + 1
+        if length and length % 2 == 0:
+            det = -det
+    return det % ring.m
+
+
+def _interpolate(values, p: int) -> list[int]:
+    """Ascending coefficients mod p of the polynomial of degree below
+    len(values) that takes values[x] at x = 0, 1, ...: Newton divided
+    differences (the points are consecutive, so level j divides by j),
+    then Horner's rule back to the monomial basis."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        inv = pow(j, -1, p)
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    out = [0] * n
+    for k in range(n - 1, -1, -1):  # out <- out * (T - k) + c[k]
+        for i in range(n - 1, 0, -1):
+            out[i] = (out[i - 1] - k * out[i]) % p
+        out[0] = (c[k] - k * out[0]) % p
     return out
 
 
@@ -390,14 +488,16 @@ def _axpy(ring, row: dict, f, prow: dict) -> None:
             del row[c]
 
 
-def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
+def _reduce(ring, rows, order, back: bool = True, leads: list | None = None) -> tuple[dict, list[dict]]:
     """Eliminate the sparse rows in the given column order.
 
-    Returns ({pivot column: pivot row}, residual rows).  Every pivot row is
-    1 at its pivot and zero at the pivot columns found before it; over a
-    field its pivot is its first column in the order, and with back=True
-    (fields only) it is also zero at every other pivot column.  Residual
-    rows have no unit entry and are zero at every pivot column.
+    Returns ({pivot column: pivot row}, residual rows), pivots in the order
+    they were found.  Every pivot row is 1 at its pivot and zero at the
+    pivot columns found before it; over a field its pivot is its first
+    column in the order, and with back=True (fields only) it is also zero
+    at every other pivot column.  Residual rows have no unit entry and are
+    zero at every pivot column.  leads, when given, receives each pivot's
+    value before the row is scaled to 1 there.
     """
     pos = {c: i for i, c in enumerate(order)}
     inv_of, mul = ring.inv, ring.mul
@@ -431,6 +531,8 @@ def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
                     residual.append(row)
                     continue
                 inv = inv_of(row[lead])
+            if leads is not None:
+                leads.append(row[lead])
             pivots[lead] = {c: mul(inv, v) for c, v in row.items()}
             age[lead] = len(found)
             found.append(lead)

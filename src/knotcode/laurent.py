@@ -212,8 +212,9 @@ def _divmod_int_poly(a: list[int], b: list[int]):
     """Schoolbook divmod of integer coefficient lists (ascending order).
 
     Returns (quotient, remainder) when every quotient coefficient is an
-    exact integer, else (None, a).  Exactness per step suffices for the
-    Bareiss divisions and for divisibility tests of exact products.
+    exact integer, else (None, a).  Exactness per step suffices for exact
+    quotients such as the torus-knot closed form and for divisibility tests
+    of exact products.
     """
     if len(a) < len(b):
         return ([], a)

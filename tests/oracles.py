@@ -1,13 +1,18 @@
 """Independent brute-force oracles the fast paths are checked against.
 
 Everything here enumerates or expands definitions directly; none of it
-shares code with the SNF / Bareiss / kernel routes it certifies.  The dense
-Gauss-Jordan elimination over F_q is the reference for the sparse one.
+shares code with the SNF / modular determinant / kernel routes it
+certifies.  The dense Gauss-Jordan elimination over F_q is the reference
+for the sparse one, and fraction-free (Bareiss) elimination over Z[T] the
+reference for the determinants by evaluation and Chinese remaindering.
 """
 
-from itertools import product
+import math
+from itertools import combinations, product
 
-from knotcode.laurent import ZERO, LaurentPoly
+from knotcode import fields as ff
+from knotcode.coloring import IntMod, PolyMod, alexander_polynomial
+from knotcode.laurent import ONE, ZERO, LaurentPoly
 
 
 def cofactor_det(rows) -> LaurentPoly:
@@ -25,6 +30,66 @@ def cofactor_det(rows) -> LaurentPoly:
         term = entry * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def bareiss_det(rows) -> LaurentPoly:
+    """Determinant of a square LaurentPoly matrix: T-powers are cleared row
+    by row, then fraction-free (Bareiss) elimination runs over Z[T]; every
+    division is exact by the Sylvester identity."""
+    n = len(rows)
+    if n == 0:
+        return ONE
+    shift = 0
+    mat = []
+    for row in rows:
+        degs = [e.min_deg for e in row if not e.is_zero]
+        if not degs:
+            return ZERO
+        s = min(degs)
+        shift += s
+        mat.append([e.shift(-s) for e in row])
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if not mat[i][k].is_zero), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != k:
+            mat[pivot_row], mat[k] = mat[k], mat[pivot_row]
+            sign = -sign
+        pivot = mat[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
+                mat[i][j] = num.exact_div(prev)
+            mat[i][k] = ZERO
+        prev = pivot
+    det = mat[n - 1][n - 1].shift(shift)
+    return -det if sign < 0 else det
+
+
+def bareiss_minors(rows, order: int) -> list:
+    """All order x order minors of a dense LaurentPoly matrix by bareiss_det,
+    in row-major combination order."""
+    return [
+        bareiss_det([[rows[i][j] for j in ci] for i in ri])
+        for ri in combinations(range(len(rows)), order)
+        for ci in combinations(range(len(rows[0])), order)
+    ]
+
+
+def colorable_by_alexander(d, ring, t) -> bool:
+    """Nontrivial Fox colorability by the Alexander polynomial: over Z/(m)
+    the modulus and Delta(t) share a factor, over F_p[T]/(f) f and Delta(t)
+    have a nonconstant gcd (t an int for Z/(m), a coefficient tuple for
+    F_p[T]/(f))."""
+    delta = alexander_polynomial(d)
+    if isinstance(ring, IntMod):
+        return math.gcd(ring.m, delta.eval_int(t) % ring.m) != 1
+    if isinstance(ring, PolyMod):
+        f = ff.fp_trim(ring.f, ring.p)
+        return ff.poly_gcd(f, ff.fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
+    raise TypeError(f"unsupported ring {ring!r}")
 
 
 def fox_relation_holds(d, colors, m: int, t: int) -> bool:

@@ -28,7 +28,7 @@ from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal
 from knotcode.exactlin import dense, kernel_basis, snf
 
 from conftest import small_diagrams
-from oracles import count_colorings_brute
+from oracles import bareiss_minors, colorable_by_alexander, count_colorings_brute
 
 DELTA_TREFOIL = ONE - T + T * T
 
@@ -94,6 +94,20 @@ def test_minors_agree_up_to_unit():
             assert m.unit_ratio(delta) is not None
 
 
+def test_alexander_ladder():
+    """Long and many-stranded torus knots against their closed forms."""
+    minus_t = [(-1) ** i for i in range(81)]  # sum of (-T)^i, i = 0..80
+    assert alexander_polynomial(torus_diagram(2, 81)) == LaurentPoly.make(minus_t)
+    for a, b in ((4, 13), (5, 9)):
+        assert alexander_polynomial(torus_diagram(a, b)) == torus_alexander(a, b)
+
+
+def test_first_minors_match_bareiss_oracle():
+    d = torus_diagram(3, 5)
+    assert d.n >= 8
+    assert minor_family(d, "fox", 1) == bareiss_minors(fox_matrix(d).entries, d.n - 1)
+
+
 def test_trefoil_minor_families(trefoil):
     fam = minor_family(trefoil, "fox", 1)
     assert all(m.coeffs in ((1, -1, 1), (-1, 1, -1)) for m in fam)
@@ -156,6 +170,27 @@ def test_colorability_requires_invertible_t(trefoil):
 def test_poly_colorability(trefoil):
     assert is_colorable(trefoil, PolyMod(2, (1, 1, 1)), (0, 1))
     assert not is_colorable(trefoil, PolyMod(5, (1, 1)), (0, 1))
+
+
+def test_colorability_matches_alexander_oracle():
+    """The coloring counts decide colorability as the Alexander polynomial
+    does: Z/(m) for m = 2..30, and F_p[T]/(f) for several f, some reducible."""
+    poly_rings = [
+        (PolyMod(2, (1, 1, 1)), (0, 1)),
+        (PolyMod(3, (1, 0, 1)), (0, 1)),
+        (PolyMod(3, (2, 1)), (1, 1)),
+        (PolyMod(5, (1, 1)), (0, 1)),
+        (PolyMod(5, (2, 0, 0, 1)), (0, 1)),
+        (PolyMod(7, (1, 0, 1, 0, 1)), (0, 1)),
+    ]
+    for d in small_diagrams():
+        for m in range(2, 31):
+            for t in (-1, 2, 5):
+                if math.gcd(m, t) == 1:
+                    ring = IntMod(m)
+                    assert is_colorable(d, ring, t) == colorable_by_alexander(d, ring, t)
+        for ring, t in poly_rings:
+            assert is_colorable(d, ring, t) == colorable_by_alexander(d, ring, t)
 
 
 def test_multiple_of_three_admits_the_spread_coloring(trefoil):
@@ -264,11 +299,14 @@ def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
         for mat in (fox_matrix(d), dehn_matrix(d)):
             sym = mat.entries
             assert len(sym) == d.n and all(len(row) == mat.ncols for row in sym)
+            distinct = {e for row in mat.rows for _, e in row}
             for value, zero in maps:
                 expect = [[value(e) if e else zero for e in row] for row in sym]
-                rows = mat.evaluate(value, zero)
+                seen = []
+                rows = mat.evaluate(lambda e: seen.append(e) or value(e), zero)
                 assert dense(rows, mat.ncols, zero) == expect
                 assert all(v != zero for row in rows for _, v in row)
+                assert sorted(map(str, seen)) == sorted(map(str, distinct))  # each once
 
 
 def test_determinants_match_modular_oracle():

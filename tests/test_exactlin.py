@@ -14,7 +14,7 @@ from knotcode.exactlin import (
 )
 from knotcode.fields import FqField
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
-from oracles import cofactor_det, kernel_basis_dense, rank_dense, sparse_rows
+from oracles import bareiss_det, cofactor_det, kernel_basis_dense, rank_dense, sparse_rows
 
 TREFOIL_M = [
     [ONE - T, T, -ONE],
@@ -31,26 +31,55 @@ def test_trefoil_minors_and_det():
     assert laurent_det(TREFOIL_M) == ZERO
 
 
-small_entries = st.builds(
-    LaurentPoly.make,
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=0, max_size=3),
-    st.integers(min_value=-1, max_value=1),
-)
+def _entries(bound):
+    """Laurent entries with up to 3 coefficients in [-bound, bound]."""
+    return st.builds(
+        LaurentPoly.make,
+        st.lists(st.integers(min_value=-bound, max_value=bound), min_size=0, max_size=3),
+        st.integers(min_value=-2, max_value=2),
+    )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_laurent_det_matches_cofactor_oracle(data):
-    n = data.draw(st.integers(min_value=1, max_value=5))
-    rows = [[data.draw(small_entries) for _ in range(n)] for _ in range(n)]
-    assert laurent_det(rows) == cofactor_det(rows)
+    """Evaluation, interpolation and CRT agree with Bareiss and cofactor
+    expansion, with zero rows, singular matrices and negative exponents;
+    at 10^6 the coefficient bound needs two word-size primes or more."""
+    n = data.draw(st.integers(min_value=1, max_value=8), label="order")
+    entry = _entries(data.draw(st.sampled_from([4, 10**6]), label="coefficient bound"))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = data.draw(st.sampled_from(["random", "zero row", "singular"]), label="kind")
+    if kind == "zero row":
+        rows[data.draw(st.integers(0, n - 1))] = [ZERO] * n
+    elif kind == "singular" and n >= 2:  # row i = T^s row j + c row k, with i not in (j, k)
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k, s, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-2, 2)), data.draw(entry)
+        rows[i] = [a.shift(s) + (c * b if k != i else ZERO) for a, b in zip(rows[j], rows[k])]
+    det = laurent_det(rows)
+    assert det == bareiss_det(rows) == cofactor_det(rows)
+    if kind != "random" and n >= 2:
+        assert det == ZERO
+
+
+def test_laurent_det_past_64_bits():
+    two40 = LaurentPoly.const(2**40)
+    assert laurent_det([[two40, ZERO, ZERO], [ZERO, two40, ZERO], [ZERO, ZERO, ONE]]) == LaurentPoly.const(2**80)
+    big = LaurentPoly.make((3**200, -(5**150)), -3)  # a bound of about 2^350: six primes
+    assert laurent_det([[big, ONE], [-ONE, T]]) == big * T + ONE
+    assert laurent_det([]) == ONE
+    # a coefficient at the bound B itself: the first prime lies between B
+    # and 2B, and lifting mod that prime alone would flip its sign
+    at_bound = LaurentPoly.const(-(2**61 + 1))
+    assert laurent_det([[at_bound]]) == at_bound
 
 
 def test_minor_dets_count():
-    fam = minor_dets(TREFOIL_M, 2)
+    fam = minor_dets(sparse_rows(TREFOIL_M), 3, 2)
     assert len(fam) == 9
     delta = ONE - T + T * T
     assert all(m.unit_ratio(delta) is not None for m in fam)
+    assert minor_dets(sparse_rows(TREFOIL_M), 3, 4) == []
 
 
 # -- Smith normal form ----------------------------------------------------------
