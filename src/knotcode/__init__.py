@@ -6,8 +6,8 @@ dimension calculus.
 """
 
 from .laurent import LaurentPoly, int_poly_content_gcd
-from .fields import FqElem, FqField, is_prime, poly_gcd
-from .exactlin import RingFpT, RingZ, SnfResult, kernel_basis, laurent_det, rank, snf
+from .fields import FqElem, FqField, RingFpT, RingZ, is_prime, poly_gcd
+from .exactlin import IntMod, PolyMod, SnfResult, kernel_basis, laurent_det, rank, snf
 from .diagram import (
     Crossing,
     Diagram,
@@ -30,11 +30,8 @@ from .generators import (
 )
 from .coloring import (
     ColoringMatrix,
-    IntMod,
-    PolyMod,
     alexander_polynomial,
-    count_colorings_mod,
-    count_colorings_poly_mod,
+    count_colorings,
     dehn_matrix,
     dehn_to_fox,
     fox_matrix,

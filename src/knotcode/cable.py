@@ -53,17 +53,15 @@ class EvaluatedIdealSeq:
 
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
-    te = field.element(t)
+    value = field.at(t)
     if d.n == 0:
         d._require_valid()
-        return unknot_ideal_seq(field, te)
-    if te.is_zero:
-        raise ValueError("t must be invertible (nonzero)")
+        return unknot_ideal_seq(field, t)
     mat = fox_matrix(d)
-    dim = mat.ncols - rank(field, mat.evaluate(lambda e: field.eval_laurent(e, te.val), 0))
+    dim = mat.ncols - rank(field, mat.evaluate(value, 0))
     if dim < 1:
         raise AssertionError("coloring matrix of a knot diagram must be singular")
-    return EvaluatedIdealSeq(field, te, dim, mat.ncols)
+    return EvaluatedIdealSeq(field, field.element(t), dim, mat.ncols)
 
 
 def torus_delta(field: FqField, a: int, b: int, t) -> FqElem:
@@ -92,10 +90,8 @@ def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdea
 
 def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:
     """Companion seed: the unknot has only the trivial colorings."""
-    te = field.element(t)
-    if te.is_zero:
-        raise ValueError("t must be invertible (nonzero)")
-    return EvaluatedIdealSeq(field, te, 1, 1)
+    field.at(t)  # t must be a unit
+    return EvaluatedIdealSeq(field, field.element(t), 1, 1)
 
 
 def iterated_cable_length(p: int, m: int) -> int:

@@ -5,8 +5,9 @@ sorted, numbers as decimal strings) so runs are byte-reproducible; a
 directory argument to a diagram command means every .json file in it.
 Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
 exceeded.  Each input has one parser: _ints (integers in option and file
-text), _fp_poly (F_p[T] elements), field_and_t (--q/--modulus/--t) and
-resolve_budget (--budget, else KNOTCODE_BUDGET, else 10^7; never negative).
+text), _fp_poly (F_p[T] elements of a matrix file), field_and_t
+(--q/--modulus/--t) and resolve_budget (--budget, else KNOTCODE_BUDGET,
+else 10^7; never negative).
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import sys
 import warnings
 
 from .laurent import LaurentPoly
-from .fields import FqField, fp_from_laurent, fp_trim, is_prime
+from .fields import FqField, RingFpT, RingZ, fp_from_laurent, fp_trim, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
 from . import coloring as col
 from . import codes as cd
 from . import cable as cab
-from .exactlin import RingFpT, RingZ, snf
+from .exactlin import IntMod, PolyMod, snf
 
 SCHEMA = "knotcode/1"
 
@@ -355,20 +356,16 @@ def cmd_colorings(args) -> int:
         p_text, colon, f_text = args.poly_mod.partition(":")
         if not colon:
             raise UsageError(f"--poly-mod: expected p:c0,c1,..., got {args.poly_mod!r}")
-        p = _ints([p_text], "--poly-mod")[0]
-        if not is_prime(p):
-            raise UsageError(f"p = {p} is not a prime")
-        f, t = _fp_poly(f_text, p, "--poly-mod"), _fp_poly(args.t, p, "--t")
-    for src, d in diagram_inputs(args.diagram):
+        p, f, t = _ints([p_text], "--poly-mod")[0], _ints(f_text, "--poly-mod"), _ints(args.t, "--t")
+    for src, d in diagram_inputs(args.diagram):  # a bad diagram is reported before a bad ring
         if args.mod is not None:
-            count = col.count_colorings_mod(d, args.mod, t)
+            ring = IntMod(args.mod)
             inputs = {**src, "modulus": args.mod, "t": t}
-            colorable = count > args.mod
         else:
-            count = col.count_colorings_poly_mod(d, p, f, t)
-            inputs = {**src, "p": p, "modulus_poly": list(f), "t": list(t)}
-            colorable = count > p ** (len(f) - 1)
-        emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": colorable}))
+            ring = PolyMod(p, f)
+            inputs = {**src, "p": p, "modulus_poly": list(ring.f), "t": list(fp_trim(t, p))}
+        count = col.count_colorings(d, ring, t)
+        emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": count > ring.size}))
     return 0
 
 

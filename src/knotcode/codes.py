@@ -110,10 +110,8 @@ def code_from_diagram(
     restrict_outer_zero adds the row pinning the unbounded region's color
     to 0, which cuts the dimension back to the strand-coloring one.
     """
-    tv = field.element(t).val
-    if tv == 0:
-        raise ValueError("t must be invertible (nonzero)")
-    if tv == field.from_int(1):
+    value = field.at(t)
+    if field.element(t).is_one:
         warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
     if kind == "fox":
         if restrict_outer_zero:
@@ -126,7 +124,7 @@ def code_from_diagram(
         mat = dehn_matrix(d)
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    rows = mat.evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    rows = mat.evaluate(value, 0)
     if restrict_outer_zero:
         rows += (((d.outer_region, field.from_int(1)),),)
     return LinearCode(field, mat.ncols, rows)

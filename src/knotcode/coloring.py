@@ -11,10 +11,11 @@ Strand colorings are kernel vectors of the Fox matrix; region colorings
 are kernel vectors of the Dehn matrix.
 
 Both are one type, ColoringMatrix, over Z[T, T^-1].  Everything else is
-that matrix pushed through a ring map by ColoringMatrix.evaluate: into
-F_q for codes and the Fox/Dehn conversions, and into Z/m or F_p[T]/(f)
-for coloring counts, which eliminate there on unit pivots and take a
-Smith form of the few rows left.
+that matrix pushed by ColoringMatrix.evaluate through a ring map
+ring.at(t), which checks that t is a unit: into F_q for codes and the
+Fox/Dehn conversions, and into F_q, Z/m or F_p[T]/(f) for the one
+coloring count, which eliminates there on unit pivots and takes a Smith
+form of the few rows left in the ring's cover (Z or F_p[T]).
 """
 
 from __future__ import annotations
@@ -23,21 +24,9 @@ import math
 from dataclasses import dataclass
 
 from .laurent import ONE, ZERO, LaurentPoly, T
-from . import fields as ff
 from .fields import FqField
 from .diagram import Diagram, DiagramError, dehn_role_tokens
-from .exactlin import (
-    RingFpT,
-    RingFpTmod,
-    RingZ,
-    RingZmod,
-    dense,
-    dot,
-    minor_dets,
-    snf,
-    sparse_dets,
-    unit_residual,
-)
+from .exactlin import dense, dot, minor_dets, snf, sparse_dets, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -64,7 +53,7 @@ class ColoringMatrix:
 
     def evaluate(self, value, zero) -> tuple:
         """The rows with every stored coefficient mapped through the ring
-        map value (for example e -> e.eval_int(t)), as ((column, image), ...)
+        map value (for example ring.at(t)), as ((column, image), ...)
         pairs; cells whose image is zero are dropped.  A matrix has only a
         handful of distinct coefficients, and each is mapped once per call."""
         images = {}
@@ -160,89 +149,25 @@ def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
 # -- colorability and counting ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMod:
-    """The quotient ring Z/(m)."""
-
-    m: int
-
-
-@dataclass(frozen=True)
-class PolyMod:
-    """The quotient ring F_p[T]/(f), f given by ascending coefficients."""
-
-    p: int
-    f: tuple[int, ...]
+def count_colorings(d: Diagram, ring, t) -> int:
+    """Number of Fox colorings over the ring (IntMod, PolyMod or FqField)
+    at a unit t: size^free * prod annihilated_by(d_i)/size over the nonzero
+    invariant factors d_i, in the ring's cover, of what unit-pivot
+    elimination over the ring leaves (never enumeration)."""
+    value = ring.at(t)
+    d._require_valid()
+    if d.n == 0:
+        return ring.size
+    mat = fox_matrix(d)
+    free, rest = unit_residual(ring, mat.evaluate(value, ring.zero), mat.ncols)
+    factors = [di for di in snf(rest, ring.cover).invariant_factors if di]
+    return ring.size ** (free - len(factors)) * math.prod(ring.annihilated_by(di) for di in factors)
 
 
 def is_colorable(d: Diagram, ring, t) -> bool:
     """Nontrivial Fox colorability over the ring: more colorings than the
-    constant ones over Z/(m) and F_p[T]/(f), a root of the Alexander
-    polynomial at t over F_q."""
-    if isinstance(ring, IntMod):
-        return count_colorings_mod(d, ring.m, t) > ring.m
-    if isinstance(ring, PolyMod):
-        count = count_colorings_poly_mod(d, ring.p, ring.f, t)
-        return count > ring.p ** (len(ff.fp_trim(ring.f, ring.p)) - 1)
-    if isinstance(ring, FqField):
-        tv = ring.element(t).val
-        if tv == 0:
-            raise ValueError("t must be invertible (nonzero)")
-        return ring.eval_laurent(alexander_polynomial(d), tv) == 0
-    raise TypeError(f"unsupported ring {ring!r}")
-
-
-def _check_int_mod(m: int, t: int) -> None:
-    """Z/(m) is a quotient ring with t a unit in it."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if math.gcd(m, t % m) != 1:
-        raise ValueError(f"t = {t} is not invertible mod {m}")
-
-
-def _check_poly_mod(p: int, f, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """F_p[T]/(f) is a quotient ring with t a unit in it; returns f and t
-    as reduced F_p[T] tuples."""
-    if not ff.is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
-    fpoly = ff.fp_trim(f, p)
-    if len(fpoly) < 2:
-        raise ValueError("modulus must have degree >= 1")
-    tp = ff.fp_from_laurent(t, p) if isinstance(t, LaurentPoly) else ff.fp_trim([t] if isinstance(t, int) else t, p)
-    if ff.poly_gcd(fpoly, tp, p) != (1,):
-        raise ValueError("t is not invertible in the quotient")
-    return fpoly, tp
-
-
-def count_colorings_mod(d: Diagram, m: int, t: int) -> int:
-    """Number of Fox colorings over Z/(m) at an invertible integer t:
-    m^free * prod gcd(m, d_i)/m over the nonzero invariant factors d_i of
-    what unit-pivot elimination over Z/(m) leaves (never enumeration)."""
-    _check_int_mod(m, t)
-    d._require_valid()
-    if d.n == 0:
-        return m
-    mat = fox_matrix(d)
-    free, rest = unit_residual(RingZmod(m), mat.evaluate(lambda e: e.eval_int(t) % m, 0), mat.ncols)
-    factors = [di for di in snf(rest, RingZ()).invariant_factors if di]
-    return m ** (free - len(factors)) * math.prod(math.gcd(m, di) for di in factors)
-
-
-def count_colorings_poly_mod(d: Diagram, p: int, f, t) -> int:
-    """Number of Fox colorings over F_p[T]/(f) at a polynomial t coprime
-    to f: p to the power deg f * free + sum of (deg gcd(f, d_i) - deg f)
-    over the nonzero invariant factors d_i of what unit-pivot elimination
-    over F_p[T]/(f) leaves."""
-    fpoly, tp = _check_poly_mod(p, f, t)
-    deg = len(fpoly) - 1
-    d._require_valid()
-    if d.n == 0:
-        return p**deg
-    mat = fox_matrix(d)
-    rows = mat.evaluate(lambda e: ff.fp_mod(ff.fp_compose(e, tp, p), fpoly, p), ())
-    free, rest = unit_residual(RingFpTmod(p, fpoly), rows, mat.ncols)
-    factors = [di for di in snf(rest, RingFpT(p)).invariant_factors if di]
-    return p ** (deg * free + sum(len(ff.poly_gcd(fpoly, di, p)) - 1 - deg for di in factors))
+    constant ones.  Over F_q and for a knot that is Delta(t) = 0."""
+    return count_colorings(d, ring, t) > ring.size
 
 
 # -- Fox <-> Dehn ---------------------------------------------------------------------
@@ -253,16 +178,17 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
     set to anchor; region colors propagate across each strand by
     x = U_left - t * U_right."""
     d._require_valid()
-    tv = _field_val(field, t)
-    av = _field_val(field, anchor)
-    vec = [_field_val(field, x) for x in fox]
+    value = field.at(t)
+    tv = field.element(t).val
+    av = field.element(anchor).val
+    vec = [field.element(x).val for x in fox]
     if len(vec) != max(d.arc_count, 1):
         raise ValueError("expected one color per arc")
     if d.n == 0:
         # bare loop: outer on the strand's left; x = U_outer - t U_inner
         inner = field.mul(field.inv(tv), field.sub(av, vec[0]))
         return [inner, av]
-    rows = fox_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    rows = fox_matrix(d).evaluate(value, 0)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Fox coloring: vector is not in the kernel")
     tinv = field.inv(tv)
@@ -287,7 +213,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
                 colors[lr] = field.add(x, field.mul(tv, colors[rr]))
                 queue.append(lr)
     out = [colors[r] for r in range(d.region_count)]
-    rows = dehn_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    rows = dehn_matrix(d).evaluate(value, 0)
     if any(dot(field, row, out) for row in rows):
         raise AssertionError("lifted vector is not a Dehn coloring")
     return out
@@ -296,13 +222,14 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
 def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
     """Strand colors x = U_left - t * U_right of a Dehn coloring."""
     d._require_valid()
-    tv = _field_val(field, t)
-    vec = [_field_val(field, u) for u in dehn]
+    value = field.at(t)
+    tv = field.element(t).val
+    vec = [field.element(u).val for u in dehn]
     if len(vec) != d.region_count:
         raise ValueError("expected one color per region")
     if d.n == 0:
         return [field.sub(vec[1], field.mul(tv, vec[0]))]
-    rows = dehn_matrix(d).evaluate(lambda e: field.eval_laurent(e, tv), 0)
+    rows = dehn_matrix(d).evaluate(value, 0)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Dehn coloring: vector is not in the kernel")
     out = []
@@ -311,7 +238,3 @@ def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
         l, r = d.side_regions(e)
         out.append(field.sub(vec[l], field.mul(tv, vec[r])))
     return out
-
-
-def _field_val(field: FqField, x) -> int:
-    return field.element(x).val

@@ -1,7 +1,7 @@
 """Exact linear algebra: determinants over Z[T, T^-1] by evaluation,
 interpolation and Chinese remaindering, Smith normal form over the
 Euclidean domains Z and F_p[T], and one sparse elimination over the
-quotient rings F_q, Z/m and F_p[T]/(f).
+quotient rings F_q, Z/m and F_p[T]/(f) (FqField, IntMod, PolyMod).
 
 The Smith form routines take plain lists of lists, with ints for Z and
 ascending coefficient tuples for F_p[T]; laurent_det takes a square list
@@ -28,7 +28,7 @@ from itertools import combinations, count
 
 from .laurent import ZERO, LaurentPoly
 from . import fields as ff
-from .fields import FqField
+from .fields import FqField, RingFpT, RingZ
 
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
@@ -107,7 +107,7 @@ def sparse_dets(rows, minors) -> list[LaurentPoly]:
         todo = [job for job in todo if residues[job[0]][1] ** 2 <= 4 * job[4]]  # M <= 2B
         if not todo:
             break
-        ring = RingZmod(p)
+        ring = IntMod(p)
         values = {job[0]: [] for job in todo}
         for x in range(max(job[3] for job in todo) + 1):
             image = [_eval_mod(e, x, p) for e in polys]
@@ -186,80 +186,6 @@ def _interpolate(values, p: int) -> list[int]:
 
 
 # -- Smith normal form ---------------------------------------------------------
-
-class RingZ:
-    """Euclidean-domain hooks for Z."""
-
-    name = "Z"
-    zero = 0
-    one = 1
-
-    def is_zero(self, x):
-        return x == 0
-
-    def norm(self, x):
-        return abs(x)
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def divmod(self, x, y):
-        q, r = divmod(x, y)
-        return q, r
-
-    def unit_to_normal(self, x):
-        """Unit u with u*x in normal form (positive / monic)."""
-        return -1 if x < 0 else 1
-
-    def divides(self, x, y):
-        """x | y."""
-        return y % x == 0 if x else y == 0
-
-
-class RingFpT:
-    """Euclidean-domain hooks for F_p[T] on coefficient tuples."""
-
-    zero = ()
-    one = (1,)
-
-    def __init__(self, p: int):
-        if not ff.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F_{p}[T]"
-
-    def is_zero(self, x):
-        return not x
-
-    def norm(self, x):
-        return len(x)
-
-    def add(self, x, y):
-        return ff.fp_add(x, y, self.p)
-
-    def neg(self, x):
-        return ff.fp_neg(x, self.p)
-
-    def mul(self, x, y):
-        return ff.fp_mul(x, y, self.p)
-
-    def divmod(self, x, y):
-        return ff.fp_divmod(x, y, self.p)
-
-    def unit_to_normal(self, x):
-        return (pow(x[-1], self.p - 2, self.p),) if x else (1,)
-
-    def divides(self, x, y):
-        if self.is_zero(x):
-            return self.is_zero(y)
-        return self.is_zero(ff.fp_mod(y, x, self.p))
-
 
 @dataclass(frozen=True)
 class SnfResult:
@@ -418,16 +344,37 @@ def _is_zero_factor(d):
 # pivot row.
 #
 # A ring here is an object with zero, sub, mul and inv, where inv returns
-# the inverse of a unit and None otherwise: FqField, RingZmod, RingFpTmod.
+# the inverse of a unit and None otherwise: FqField, IntMod, PolyMod.  The
+# three coloring rings also have size; at(t), the ring map Z[T, T^-1] -> R
+# sending T to t, which raises ValueError unless t is a unit; cover, the
+# Euclidean ring R is a quotient of, where the Smith form of what the
+# elimination leaves runs; and, for IntMod and PolyMod, annihilated_by(d),
+# how many x in R have d * x = 0 for d in the cover.
 
 
-class RingZmod:
-    """Z/m on ints in range(m); m is never factored."""
+@dataclass(frozen=True)
+class IntMod:
+    """Z/(m), m >= 2, on ints in range(m); m is never factored."""
 
+    m: int
     zero = 0
+    cover = RingZ()
 
-    def __init__(self, m: int):
-        self.m = m
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("modulus must be >= 2")
+
+    @property
+    def size(self) -> int:
+        return self.m
+
+    def annihilated_by(self, d: int) -> int:
+        return math.gcd(self.m, d)
+
+    def at(self, t: int):
+        if math.gcd(self.m, t % self.m) != 1:
+            raise ValueError(f"t = {t} is not invertible mod {self.m}")
+        return lambda e: e.eval_int(t) % self.m
 
     def sub(self, x, y):
         return (x - y) % self.m
@@ -439,14 +386,40 @@ class RingZmod:
         return pow(x, -1, self.m) if math.gcd(x, self.m) == 1 else None
 
 
-class RingFpTmod:
-    """F_p[T]/(f) on coefficient tuples reduced mod f; f is never factored."""
+@dataclass(frozen=True)
+class PolyMod:
+    """F_p[T]/(f), p prime and f of degree >= 1 by ascending coefficients
+    (kept reduced mod p), on coefficient tuples reduced mod f; f is never
+    factored.  at(t) takes an int or ascending coefficients."""
 
+    p: int
+    f: tuple[int, ...]
     zero = ()
 
-    def __init__(self, p: int, f):
-        self.p = p
-        self.f = tuple(f)
+    def __post_init__(self):
+        if not ff.is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not a prime")
+        object.__setattr__(self, "f", ff.fp_trim(self.f, self.p))
+        if len(self.f) < 2:
+            raise ValueError("modulus must have degree >= 1")
+
+    @property
+    def size(self) -> int:
+        return self.p ** (len(self.f) - 1)
+
+    @property
+    def cover(self) -> RingFpT:
+        return RingFpT(self.p)
+
+    def annihilated_by(self, d) -> int:
+        return self.p ** (len(ff.poly_gcd(self.f, d, self.p)) - 1)
+
+    def at(self, t):
+        p, f = self.p, self.f
+        tp = ff.fp_trim([t] if isinstance(t, int) else t, p)
+        if ff.poly_gcd(f, tp, p) != (1,):
+            raise ValueError("t is not invertible in the quotient")
+        return lambda e: ff.fp_mod(ff.fp_compose(e, tp, p), f, p)
 
     def sub(self, x, y):
         return ff.fp_sub(x, y, self.p)

@@ -1,4 +1,5 @@
-"""Finite fields F_{p^a} and polynomial arithmetic over F_p.
+"""Finite fields F_{p^a}, polynomial arithmetic over F_p, and the
+Euclidean domains Z and F_p[T] (RingZ, RingFpT) the Smith form runs in.
 
 Polynomials over F_p are ascending coefficient tuples of ints in
 {0, ..., p-1}; the zero polynomial is the empty tuple.  A field is a
@@ -14,6 +15,7 @@ codeword enumeration can run on plain ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .laurent import LaurentPoly
 
@@ -201,6 +203,82 @@ def fp_compose(poly: LaurentPoly, t, p):
     return acc
 
 
+# -- Smith-form hooks for the Euclidean domains Z and F_p[T] ----------------
+
+class RingZ:
+    """Euclidean-domain hooks for Z."""
+
+    name = "Z"
+    zero = 0
+    one = 1
+
+    def is_zero(self, x):
+        return x == 0
+
+    def norm(self, x):
+        return abs(x)
+
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def mul(self, x, y):
+        return x * y
+
+    def divmod(self, x, y):
+        q, r = divmod(x, y)
+        return q, r
+
+    def unit_to_normal(self, x):
+        """Unit u with u*x in normal form (positive / monic)."""
+        return -1 if x < 0 else 1
+
+    def divides(self, x, y):
+        """x | y."""
+        return y % x == 0 if x else y == 0
+
+
+class RingFpT:
+    """Euclidean-domain hooks for F_p[T] on coefficient tuples."""
+
+    zero = ()
+    one = (1,)
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.name = f"F_{p}[T]"
+
+    def is_zero(self, x):
+        return not x
+
+    def norm(self, x):
+        return len(x)
+
+    def add(self, x, y):
+        return fp_add(x, y, self.p)
+
+    def neg(self, x):
+        return fp_neg(x, self.p)
+
+    def mul(self, x, y):
+        return fp_mul(x, y, self.p)
+
+    def divmod(self, x, y):
+        return fp_divmod(x, y, self.p)
+
+    def unit_to_normal(self, x):
+        return (pow(x[-1], self.p - 2, self.p),) if x else (1,)
+
+    def divides(self, x, y):
+        if self.is_zero(x):
+            return self.is_zero(y)
+        return self.is_zero(fp_mod(y, x, self.p))
+
+
 # -- the field ----------------------------------------------------------------
 
 class FqField:
@@ -235,6 +313,23 @@ class FqField:
         if self.a == 1:
             return f"F_{self.p}"
         return f"F_{self.q}(p={self.p}, modulus={list(self.modulus)})"
+
+    # as a coloring ring (see exactlin): F_q = F_p[x]/(modulus) has cover
+    # F_p[x], but elimination over a field leaves nothing for a Smith form
+
+    @property
+    def size(self) -> int:
+        return self.q
+
+    @property
+    def cover(self) -> RingFpT:
+        return RingFpT(self.p)
+
+    def at(self, t):
+        tv = self.element(t).val
+        if tv == 0:
+            raise ValueError("t must be invertible (nonzero)")
+        return partial(self.eval_laurent, t=tv)
 
     # encoded-int arithmetic
 

@@ -11,7 +11,9 @@ import math
 from itertools import combinations, product
 
 from knotcode import fields as ff
-from knotcode.coloring import IntMod, PolyMod, alexander_polynomial
+from knotcode.coloring import alexander_polynomial
+from knotcode.exactlin import IntMod, PolyMod
+from knotcode.fields import FqField
 from knotcode.laurent import ONE, ZERO, LaurentPoly
 
 
@@ -81,14 +83,16 @@ def bareiss_minors(rows, order: int) -> list:
 def colorable_by_alexander(d, ring, t) -> bool:
     """Nontrivial Fox colorability by the Alexander polynomial: over Z/(m)
     the modulus and Delta(t) share a factor, over F_p[T]/(f) f and Delta(t)
-    have a nonconstant gcd (t an int for Z/(m), a coefficient tuple for
-    F_p[T]/(f))."""
+    have a nonconstant gcd, over F_q Delta(t) = 0 (t an int for Z/(m), a
+    coefficient tuple for F_p[T]/(f), an element for F_q)."""
     delta = alexander_polynomial(d)
     if isinstance(ring, IntMod):
         return math.gcd(ring.m, delta.eval_int(t) % ring.m) != 1
     if isinstance(ring, PolyMod):
         f = ff.fp_trim(ring.f, ring.p)
         return ff.poly_gcd(f, ff.fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
+    if isinstance(ring, FqField):
+        return ring.eval_laurent(delta, ring.element(t).val) == 0
     raise TypeError(f"unsupported ring {ring!r}")
 
 

@@ -13,10 +13,10 @@ import time
 from knotcode.laurent import ONE, T, ZERO
 from knotcode.fields import FqField
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
+from knotcode.exactlin import IntMod
 from knotcode.coloring import (
-    IntMod,
     alexander_polynomial,
-    count_colorings_mod,
+    count_colorings,
     dehn_matrix,
     fox_matrix,
     is_colorable,
@@ -142,7 +142,7 @@ def test_criterion_5_colorability_table():
         assert is_colorable(trefoil, F4, [0, 1])
         assert is_colorable(trefoil, F7, 3)
         for m, expected in ((3, 9), (4, 4), (9, 27)):
-            assert count_colorings_mod(trefoil, m, -1) == expected
+            assert count_colorings(trefoil, IntMod(m), -1) == expected
             assert count_colorings_brute(trefoil, m, -1) == expected
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from functools import partial
 
@@ -10,11 +11,8 @@ from knotcode.fields import FqField, fp_compose, fp_from_laurent, poly_gcd
 from knotcode.diagram import reidemeister_r1
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
-    IntMod,
-    PolyMod,
     alexander_polynomial,
-    count_colorings_mod,
-    count_colorings_poly_mod,
+    count_colorings,
     dehn_matrix,
     dehn_to_fox,
     fox_matrix,
@@ -25,7 +23,7 @@ from knotcode.coloring import (
 )
 from knotcode.codes import code_from_diagram
 from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
-from knotcode.exactlin import dense, kernel_basis, snf
+from knotcode.exactlin import IntMod, PolyMod, dense, kernel_basis, snf
 
 from conftest import small_diagrams
 from oracles import bareiss_minors, colorable_by_alexander, count_colorings_brute
@@ -159,12 +157,19 @@ def test_colorability_requires_invertible_t(trefoil):
         with pytest.raises(ValueError, match="not a prime"):
             is_colorable(trefoil, PolyMod(p, (1, 1)), (0, 1))
         with pytest.raises(ValueError, match="not a prime"):
-            count_colorings_poly_mod(trefoil, p, (1, 1), (0, 1))
-    # the cable ideal sequences need an invertible t too
-    with pytest.raises(ValueError, match="invertible"):
-        unknot_ideal_seq(FqField(3), 0)
-    with pytest.raises(ValueError, match="invertible"):
-        ideal_seq_from_diagram(trefoil, FqField(3), 0)
+            count_colorings(trefoil, PolyMod(p, (1, 1)), (0, 1))
+    # the cable ideal sequences and the Fox/Dehn conversions need an
+    # invertible t too
+    F3 = FqField(3)
+    for call in (
+        lambda: is_colorable(trefoil, F3, 0),
+        lambda: unknot_ideal_seq(F3, 0),
+        lambda: ideal_seq_from_diagram(trefoil, F3, 0),
+        lambda: fox_to_dehn(trefoil, F3, 0, [0, 0, 0], 0),
+        lambda: dehn_to_fox(trefoil, F3, 0, [0] * 5),
+    ):
+        with pytest.raises(ValueError, match=re.escape("t must be invertible (nonzero)")):
+            call()
 
 
 def test_poly_colorability(trefoil):
@@ -174,7 +179,9 @@ def test_poly_colorability(trefoil):
 
 def test_colorability_matches_alexander_oracle():
     """The coloring counts decide colorability as the Alexander polynomial
-    does: Z/(m) for m = 2..30, and F_p[T]/(f) for several f, some reducible."""
+    does: Z/(m) for m = 2..30, F_p[T]/(f) for several f, some reducible,
+    and F_q for q = 2, 3, 4, 5, 7, 9 at every nonzero t."""
+    fields = [FqField(2), FqField(3), FqField(2, [1, 1, 1]), FqField(5), FqField(7), FqField(3, [1, 0, 1])]
     poly_rings = [
         (PolyMod(2, (1, 1, 1)), (0, 1)),
         (PolyMod(3, (1, 0, 1)), (0, 1)),
@@ -191,6 +198,21 @@ def test_colorability_matches_alexander_oracle():
                     assert is_colorable(d, ring, t) == colorable_by_alexander(d, ring, t)
         for ring, t in poly_rings:
             assert is_colorable(d, ring, t) == colorable_by_alexander(d, ring, t)
+        for field in fields:
+            for t in field.elements()[1:]:
+                assert is_colorable(d, field, t) == colorable_by_alexander(d, field, t)
+
+
+def test_field_colorability_needs_no_determinant(monkeypatch, F3):
+    """Over F_q colorability is the nullity of the evaluated Fox matrix, not
+    a root of the Alexander polynomial computed by determinants."""
+
+    def spy(rows, minors):
+        raise AssertionError("is_colorable over F_q computed a determinant")
+
+    monkeypatch.setattr(coloring, "sparse_dets", spy)
+    assert is_colorable(torus_diagram(2, 81), F3, -1)
+    assert not is_colorable(builtin("figure_eight"), F3, -1)
 
 
 def test_multiple_of_three_admits_the_spread_coloring(trefoil):
@@ -207,9 +229,9 @@ def test_multiple_of_three_admits_the_spread_coloring(trefoil):
 
 
 def test_count_colorings_examples(trefoil):
-    assert count_colorings_mod(trefoil, 3, -1) == 9
-    assert count_colorings_mod(trefoil, 4, -1) == 4
-    assert count_colorings_mod(trefoil, 9, -1) == 27
+    assert count_colorings(trefoil, IntMod(3), -1) == 9
+    assert count_colorings(trefoil, IntMod(4), -1) == 4
+    assert count_colorings(trefoil, IntMod(9), -1) == 27
 
 
 def test_count_colorings_against_brute_force():
@@ -225,7 +247,7 @@ def test_count_colorings_against_brute_force():
             for t in range(1, m):
                 if math.gcd(m, t) != 1:
                     continue
-                assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+                assert count_colorings(d, IntMod(m), t) == count_colorings_brute(d, m, t)
 
 
 def test_count_colorings_mod_stays_fast_on_a_trefoil_sum(trefoil):
@@ -234,7 +256,7 @@ def test_count_colorings_mod_stays_fast_on_a_trefoil_sum(trefoil):
     for _ in range(3):
         d = connected_sum(d, 0, trefoil, 0)
     start = time.perf_counter()
-    count = count_colorings_mod(d, 3, 5)
+    count = count_colorings(d, IntMod(3), 5)
     assert time.perf_counter() - start < 1.0
     assert count == 3 ** code_from_diagram(d, FqField(3), 5).k == 243
 
@@ -245,9 +267,11 @@ def test_count_colorings_poly_mod_stays_fast_on_torus_knots(a, b):
     # T(4,11) and T(7,5)
     d = torus_diagram(a, b)
     start = time.perf_counter()
-    count = count_colorings_poly_mod(d, 3, (1, 0, 1), (0, 1))
+    count = count_colorings(d, PolyMod(3, (1, 0, 1)), (0, 1))
     assert time.perf_counter() - start < 1.0
     assert count == 9 ** code_from_diagram(d, FqField(3, [1, 0, 1]), [0, 1]).k
+    # T^2 + 1 is irreducible over F_3: the quotient ring is the field F_9
+    assert count == count_colorings(d, FqField(3, [1, 0, 1]), [0, 1])
 
 
 def test_counts_hand_the_smith_form_only_a_residual(monkeypatch):
@@ -261,26 +285,26 @@ def test_counts_hand_the_smith_form_only_a_residual(monkeypatch):
 
     monkeypatch.setattr(coloring, "snf", spy)
     b = 401
-    assert count_colorings_mod(torus_diagram(2, b), 27, -1) == 27 * math.gcd(27, b)
+    assert count_colorings(torus_diagram(2, b), IntMod(27), -1) == 27 * math.gcd(27, b)
     p, f = 3, (1, 0, 1)
     delta = fp_from_laurent(torus_alexander(5, 8), p)
     expect = p ** (len(f) - 1 + len(poly_gcd(f, delta, p)) - 1)
-    assert count_colorings_poly_mod(torus_diagram(5, 8), p, f, (0, 1)) == expect
+    assert count_colorings(torus_diagram(5, 8), PolyMod(p, f), (0, 1)) == expect
     assert len(seen) == 2 and max(seen) <= 2
 
 
 def test_count_colorings_poly_examples(trefoil):
-    assert count_colorings_poly_mod(trefoil, 2, (1, 1, 1), (0, 1)) == 16
-    assert count_colorings_poly_mod(trefoil, 5, (1, 1), (0, 1)) == 5
+    assert count_colorings(trefoil, PolyMod(2, (1, 1, 1)), (0, 1)) == 16
+    assert count_colorings(trefoil, PolyMod(5, (1, 1)), (0, 1)) == 5
     with pytest.raises(ValueError):
-        count_colorings_poly_mod(trefoil, 2, (1,), (0, 1))
+        count_colorings(trefoil, PolyMod(2, (1,)), (0, 1))
 
 
 def test_poly_count_matches_field_kernel(trefoil, figure_eight, F4):
     # F_4 = F_2[T]/(T^2+T+1) with t the class of T
     for d in (trefoil, figure_eight):
         k = code_from_diagram(d, F4, [0, 1]).k
-        assert count_colorings_poly_mod(d, 2, (1, 1, 1), (0, 1)) == 4**k
+        assert count_colorings(d, PolyMod(2, (1, 1, 1)), (0, 1)) == 4**k
 
 
 def test_colorings_at_t_one_are_trivial():
@@ -319,8 +343,8 @@ def test_determinants_match_modular_oracle():
 
 
 def test_unknot_counts(unknot):
-    assert count_colorings_mod(unknot, 6, 1) == 6
-    assert count_colorings_poly_mod(unknot, 3, (1, 1), (1,)) == 3
+    assert count_colorings(unknot, IntMod(6), 1) == 6
+    assert count_colorings(unknot, PolyMod(3, (1, 1)), (1,)) == 3
 
 
 # -- Fox <-> Dehn -------------------------------------------------------------------

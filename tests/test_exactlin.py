@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcode.exactlin import (
-    RingFpT,
-    RingZ,
     kernel_basis,
     laurent_det,
     mat_mul,
@@ -12,7 +10,7 @@ from knotcode.exactlin import (
     snf,
     snf_diagonal,
 )
-from knotcode.fields import FqField
+from knotcode.fields import FqField, RingFpT, RingZ
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from oracles import bareiss_det, cofactor_det, kernel_basis_dense, rank_dense, sparse_rows
 

@@ -11,7 +11,8 @@ from knotcode.diagram import DiagramError
 from knotcode.generators import from_braid
 from knotcode.fields import FqField
 from knotcode.laurent import ZERO
-from knotcode.coloring import alexander_polynomial, count_colorings_mod, count_colorings_poly_mod, fox_matrix
+from knotcode.coloring import alexander_polynomial, count_colorings, fox_matrix
+from knotcode.exactlin import IntMod, PolyMod
 from knotcode.codes import code_from_diagram, min_distance
 
 from oracles import count_colorings_brute, count_colorings_poly_brute, poly_mulmod
@@ -89,7 +90,7 @@ def test_coloring_count_vs_enumeration(d, m):
     assume(d.n <= 6)
     t = m - 1
     assume(math.gcd(m, t) == 1)
-    assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+    assert count_colorings(d, IntMod(m), t) == count_colorings_brute(d, m, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +100,7 @@ def test_coloring_count_vs_enumeration_two_prime_moduli(d, m, data):
     # the Smith form
     assume(m ** d.arc_count <= 12**4)
     t = data.draw(st.sampled_from([t for t in range(1, m) if math.gcd(m, t) == 1]))
-    assert count_colorings_mod(d, m, t) == count_colorings_brute(d, m, t)
+    assert count_colorings(d, IntMod(m), t) == count_colorings_brute(d, m, t)
 
 
 # (p, f) with p^deg f <= 9, ascending coefficients; reducible ones included
@@ -127,4 +128,4 @@ def test_poly_coloring_count_vs_enumeration(d, ring, data):
     one = poly_mulmod((1,), (1,), p, f)
     units = product(range(p), repeat=deg)
     assume(any(poly_mulmod(t, u, p, f) == one for u in units))
-    assert count_colorings_poly_mod(d, p, f, t) == count_colorings_poly_brute(d, p, f, t)
+    assert count_colorings(d, PolyMod(p, f), t) == count_colorings_poly_brute(d, p, f, t)
