@@ -3,8 +3,11 @@
 A code is held as its parity-check matrix exactly as evaluated from the
 diagram (no rank reduction), in sparse ((column, value), ...) rows; the
 generator is a cached kernel basis of dense codewords.
-Weight enumerators come from exhaustive message enumeration under a
-budget (exact below it, unknown above); minimum distances are read off them.
+Weight enumerators come from exhaustive enumeration under a budget (exact
+below it, unknown above); minimum distances are read off them.  The one
+codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
+not lexicographic order: each step adds one packed basis row to a word
+held in a single Python int.
 """
 
 from __future__ import annotations
@@ -63,7 +66,12 @@ class LinearCode:
         return self.q**self.k
 
     def codewords(self, budget: int | None = None):
-        """All codewords, message coefficients in lexicographic order."""
+        """All codewords as tuples of encoded field ints, each once, in the
+        walk's p-ary Gray-code order (not lexicographic); raises
+        BudgetExceeded above the budget."""
+        return map(_Packing(self.field, self.n).unpack, self._walk(budget))
+
+    def _walk(self, budget: int | None):
         limit = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > limit:
             raise BudgetExceeded(f"{self.q}^{self.k} codewords exceed budget {limit}")
@@ -79,22 +87,76 @@ class LinearCode:
         return f"[{self.n},{self.k}]_{self.q} code"
 
 
+_BLOCK = 4096  # the walk precomputes its innermost steps up to this many
+
+
+class _Packing:
+    """Words of F_q^n, q = p^a, packed into one Python int.
+
+    Base-p digit l of coordinate j sits in slot l*n + j (one plane of n
+    slots per digit), b = bitlen(2p - 2) + 1 bits wide: the sum of two
+    reduced slots stays below the slot's top bit, so packed words add
+    without carries and the top bits serve as per-slot flags.
+    """
+
+    def __init__(self, field: FqField, n: int):
+        p, a = field.p, field.a
+        b = (2 * p - 2).bit_length() + 1
+        self.p, self.a, self.n, self.b = p, a, n, b
+        self.plane = n * b
+        ones = ((1 << a * self.plane) - 1) // ((1 << b) - 1)  # bit 0 of every slot
+        self.flag = b - 1
+        self.top = ones << self.flag
+        self.fix = ones * ((1 << self.flag) - p)  # slot + fix flags slot >= p
+        self.nz = ones * ((1 << self.flag) - 1)  # slot + nz flags slot >= 1
+        self.top0 = self.top & ((1 << self.plane) - 1)  # the flags of plane 0
+
+    def pack(self, word) -> int:
+        v = 0
+        for j, x in enumerate(word):
+            for l in range(self.a):
+                x, d = divmod(x, self.p)
+                v |= d << self.b * (l * self.n + j)
+        return v
+
+    def unpack(self, v: int) -> tuple:
+        mask, n = (1 << self.b) - 1, self.n
+        digits = [(v >> self.b * s) & mask for s in range(self.a * n)]
+        powers = [self.p**l for l in range(self.a)]
+        return tuple(sum(d * w for d, w in zip(digits[j::n], powers)) for j in range(n))
+
+
 def _span(field: FqField, basis, n: int):
-    q = field.q
-    if not basis:
-        yield (0,) * n
-        return
-    scaled = [[[field.mul(m, x) for x in row] for m in range(q)] for row in basis]
+    """Every word of the F_q-span of basis, packed (see _Packing), once each.
 
-    def rec(i, acc):
-        if i == len(basis):
-            yield tuple(acc)
-            return
-        for m in range(q):
-            nxt = [field.add(a, b) for a, b in zip(acc, scaled[i][m])] if m else acc
-            yield from rec(i + 1, nxt)
-
-    yield from rec(0, [0] * n)
+    The k*a rows x^l * g_i (l < a) form an F_p-basis of the code; the walk
+    runs the modular p-ary Gray code over their coefficients, so each step
+    adds one packed row (step m adds the row indexed by the p-adic
+    valuation of m) and then reduces every slot from [0, 2p - 2] back into
+    [0, p) in a few whole-int operations.  The zero word comes first.
+    """
+    pk = _Packing(field, n)
+    p, fix, top, flag = pk.p, pk.fix, pk.top, pk.flag
+    rows = [pk.pack([field.mul(p**l, x) for x in g]) for g in basis for l in range(pk.a)]
+    low = 0  # the lowest `low` digits' steps repeat as one block
+    while low < len(rows) and p ** (low + 1) <= _BLOCK:
+        low += 1
+    block = []
+    for r in rows[:low]:
+        block = (block + [r]) * (p - 1) + block
+    v = 0
+    yield v
+    head = []
+    for m in range(1, p ** (len(rows) - low) + 1):
+        for r in chain(head, block):
+            s = v + r
+            v = s - (((s + fix) & top) >> flag) * p
+            yield v
+        i, j = low, m
+        while j % p == 0:
+            j //= p
+            i += 1
+        head = rows[i : i + 1]  # empty after the last block
 
 
 def code_from_diagram(
@@ -163,9 +225,15 @@ class WeightEnumerator:
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
     """Weight distribution a_0..a_n from one pass over all q^k codewords;
     raises BudgetExceeded above the budget."""
+    walk = c._walk(budget)
+    pk = _Packing(c.field, c.n)
+    nz, top, top0, plane, folds = pk.nz, pk.top, pk.top0, pk.plane, range(pk.a - 1)
     counts = [0] * (c.n + 1)
-    for w in c.codewords(budget):
-        counts[sum(1 for x in w if x)] += 1
+    for v in walk:
+        f = (v + nz) & top  # one flag per nonzero digit
+        for _ in folds:  # OR the a digit planes into plane 0
+            f |= f >> plane
+        counts[(f & top0).bit_count()] += 1
     return WeightEnumerator(tuple(counts))
 
 

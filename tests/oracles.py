@@ -267,6 +267,26 @@ def min_distance_brute(code) -> object:
     return float("inf") if best is None else best
 
 
+def span_lex(field, basis, n: int):
+    """Every codeword of the span of basis as a tuple, message coefficients
+    in lexicographic order, by field calls on each coordinate."""
+    q = field.q
+    if not basis:
+        yield (0,) * n
+        return
+    scaled = [[[field.mul(m, x) for x in row] for m in range(q)] for row in basis]
+
+    def rec(i, acc):
+        if i == len(basis):
+            yield tuple(acc)
+            return
+        for m in range(q):
+            nxt = [field.add(a, b) for a, b in zip(acc, scaled[i][m])] if m else acc
+            yield from rec(i + 1, nxt)
+
+    yield from rec(0, [0] * n)
+
+
 def weight_counts_brute(code):
     field, n = code.field, code.n
     counts = [0] * (n + 1)

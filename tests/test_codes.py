@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotcode.fields import FqField
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
@@ -26,7 +27,7 @@ from knotcode.diagram import reidemeister_r1
 from knotcode.exactlin import dense, rank
 
 from conftest import small_diagrams
-from oracles import kernel_basis_dense, min_distance_brute, sparse_rows, weight_counts_brute
+from oracles import kernel_basis_dense, min_distance_brute, span_lex, sparse_rows, weight_counts_brute
 
 
 def test_trefoil_code_lists_the_nine_codewords(F3, trefoil):
@@ -98,6 +99,103 @@ def test_weight_enumerator_trefoil(F3, trefoil):
 def test_weight_enumerator_budget(F3, trefoil):
     with pytest.raises(BudgetExceeded):
         weight_enumerator(code_from_diagram(trefoil, F3, -1), budget=5)
+
+
+@pytest.mark.parametrize("kind", ["fox", "dehn"])
+def test_budget_boundary_is_q_to_the_k(kind):
+    c = code_from_diagram(pretzel_diagram((5, 5, 5)), FqField(5), -1, kind=kind)
+    words = c.q**c.k
+    assert weight_enumerator(c, budget=words).total() == words
+    assert len(set(c.codewords(budget=words))) == words
+    with pytest.raises(BudgetExceeded):
+        weight_enumerator(c, budget=words - 1)
+    with pytest.raises(BudgetExceeded):
+        c.codewords(budget=words - 1)
+    assert min_distance(c, budget=words - 1) is None
+
+
+WALK_FIELDS = [
+    FqField(2),
+    FqField(3),
+    FqField(2, [1, 1, 1]),
+    FqField(5),
+    FqField(2, [1, 1, 0, 1]),
+    FqField(3, [1, 0, 1]),
+    FqField(13),
+    FqField(31),
+]
+WALK_LIMIT = 3**8  # codewords per drawn code
+
+
+def _assert_walk_matches_lex(c):
+    lex = sorted(span_lex(c.field, c.generator, c.n))
+    counts = [0] * (c.n + 1)
+    for w in lex:
+        counts[sum(1 for x in w if x)] += 1
+    assert weight_enumerator(c).counts == tuple(counts)
+    assert sorted(c.codewords()) == lex  # each codeword exactly once
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gray_walk_matches_lexicographic_oracle(data):
+    """The packed Gray-code walk yields the lexicographic span's codewords
+    and weight counts, over prime and extension fields, odd and even p."""
+    field = data.draw(st.sampled_from(WALK_FIELDS), label="field")
+    n = data.draw(st.integers(1, 9), label="n")
+    kmax = 0
+    while field.q ** (kmax + 1) <= WALK_LIMIT:
+        kmax += 1
+    # echelon rows pin the rank at n - kmax or more, so q^k stays small
+    sparsity = data.draw(st.sampled_from([0, field.q, 4 * field.q]), label="sparsity")
+    cell = st.integers(-sparsity, field.q - 1).map(lambda x: max(x, 0))
+    rows = []
+    for i in range(max(n - kmax, 0)):
+        row = [0] * n
+        row[i] = data.draw(st.integers(1, field.q - 1))
+        row[i + 1 :] = [data.draw(cell) for _ in range(i + 1, n)]
+        rows.append(row)
+    rows += [[data.draw(cell) for _ in range(n)] for _ in range(data.draw(st.integers(0, n + 1)))]
+    rows += [[0] * n] * data.draw(st.integers(0, 2), label="zero rows")
+    perm = data.draw(st.permutations(range(n)), label="columns")
+    rows = data.draw(st.permutations([[row[j] for j in perm] for row in rows]), label="rows")
+    c = LinearCode(field, n, sparse_rows(rows))
+    assert c.k <= kmax
+    _assert_walk_matches_lex(c)
+
+
+@pytest.mark.parametrize(
+    "field, n",
+    [
+        (FqField(2), 15),
+        (FqField(3), 10),
+        (FqField(2, [1, 1, 1]), 7),
+        (FqField(3, [1, 0, 1]), 5),
+        (FqField(4099), 1),
+    ],
+    ids=str,
+)
+def test_gray_walk_over_whole_space_past_one_block(field, n):
+    # 2^15, 3^10, 4^7 and 9^5 words take several blocks of precomputed
+    # steps, so the steps between blocks add rows of p-adic valuation >= 2;
+    # p = 4099 is past the block size, so every step lies between blocks
+    whole = LinearCode(field, n, ())
+    q = field.q
+    assert weight_enumerator(whole).counts == tuple(math.comb(n, w) * (q - 1) ** w for w in range(n + 1))
+    words = set(whole.codewords())
+    assert len(words) == q**n and all(len(w) == n and max(w) < q for w in words)
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=str)
+def test_gray_walk_at_dimensions_zero_and_n(field):
+    n = 1 if field.q > 9 else 3
+    whole = LinearCode(field, n, ())
+    assert whole.k == n
+    _assert_walk_matches_lex(whole)
+    zero = LinearCode(field, n, sparse_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
+    assert zero.k == 0
+    _assert_walk_matches_lex(zero)
+    assert list(zero.codewords()) == [(0,) * n]
 
 
 def test_dual_of_trefoil_code(F3, trefoil):
