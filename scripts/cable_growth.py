@@ -27,7 +27,7 @@ def main():
             delta = torus_delta(field, 2, p, t)
             seq = cable_ideal_seq(seq, 2, p, t)
             n = iterated_cable_length(p, m)
-            print(f"{m:>3} {str(list(delta.coeffs)):>6} {seq.dimension:>4} {n:>8} {seq.dimension / n:>8.4f}")
+            print(f"{m:>3} {str(list(field.decode(delta))):>6} {seq.dimension:>4} {n:>8} {seq.dimension / n:>8.4f}")
         print()
 
 

@@ -6,7 +6,7 @@ dimension calculus.
 """
 
 from .laurent import LaurentPoly, int_poly_content_gcd
-from .fields import FqElem, FqField, RingFpT, RingZ, is_prime, poly_gcd
+from .fields import FqField, RingFpT, RingZ, is_prime, poly_gcd
 from .exactlin import IntMod, PolyMod, SnfResult, kernel_basis, laurent_det, rank, snf
 from .diagram import (
     Crossing,
@@ -49,9 +49,7 @@ from .codes import (
     dual_knot_feasibility,
     ldpc_profile,
     min_distance,
-    subcode_last_zero,
     sum_code,
-    sum_min_distance,
     sum_weight_enumerator,
     weight_enumerator,
 )

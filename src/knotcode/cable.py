@@ -5,6 +5,9 @@ No cable diagrams are built: over a field every evaluated elementary
 ideal is 0 or everything, so an ideal sequence is just the first index
 where it becomes everything (the code dimension), and cabling transforms
 that index by one closed-form rule.
+
+A t is read by FqField.element, so an int t is n * 1; the t of a
+sequence and the value of torus_delta are encoded field ints.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import ONE, LaurentPoly, T
-from .fields import FqElem, FqField
+from .fields import FqField
 from .diagram import Diagram
 from .exactlin import rank
 from .coloring import fox_matrix
@@ -47,7 +50,7 @@ class EvaluatedIdealSeq:
     dimension), so the sequence is held as that threshold."""
 
     field: FqField
-    t: FqElem
+    t: int  # encoded field int
     dimension: int
     length: int | None = None  # columns of the matrix, when it came from one
 
@@ -64,11 +67,10 @@ def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     return EvaluatedIdealSeq(field, field.element(t), dim, mat.ncols)
 
 
-def torus_delta(field: FqField, a: int, b: int, t) -> FqElem:
+def torus_delta(field: FqField, a: int, b: int, t) -> int:
     """The torus Alexander value at t, the quantity that decides whether
     cabling bumps the dimension."""
-    te = field.element(t)
-    return FqElem(field, field.eval_laurent(torus_alexander(a, b), te.val))
+    return field.eval_laurent(torus_alexander(a, b), field.element(t))
 
 
 def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdealSeq:
@@ -80,12 +82,12 @@ def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdea
     exactly when delta vanishes.  base must be evaluated at t^b.
     """
     a, b = abs(a), abs(b)
-    te = base.field.element(t)
-    if (te ** b).val != base.t.val:
+    field = base.field
+    te = field.element(t)
+    if field.pow(te, b) != base.t:
         raise ValueError("base sequence must be evaluated at t^b")
-    delta = torus_delta(base.field, a, b, te)
-    bump = 1 if delta.is_zero else 0
-    return EvaluatedIdealSeq(base.field, te, base.dimension + bump, None)
+    bump = 1 if torus_delta(field, a, b, t) == 0 else 0
+    return EvaluatedIdealSeq(field, te, base.dimension + bump, None)
 
 
 def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:

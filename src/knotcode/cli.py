@@ -164,8 +164,10 @@ def _factor_prime_power(q: int):
 
 
 def field_and_t(args):
-    """The field of --q/--modulus and its element --t: -1 is sugar for p-1,
-    'alpha' for the residue of x, comma lists ascending coefficient vectors."""
+    """The field of --q/--modulus and its element --t as an encoded int: -1
+    is sugar for p-1, 'alpha' for the residue of x, comma lists ascending
+    coefficient vectors.  The library reads an int as n * 1, so t goes to
+    it as its coefficients, field.decode(t)."""
     field = parse_field(args.q, args.modulus)
     text = args.t
     if text == "alpha":
@@ -196,12 +198,12 @@ def resolve_budget(args) -> int:
     return cd.DEFAULT_BUDGET
 
 
-def build_codes(diagrams, field, t, kind="fox"):
-    """The knot codes of the diagrams over field at t, and the distinct
-    warnings raised while building them (for the report, not stderr)."""
+def build_codes(diagrams, field, t: int, kind="fox"):
+    """The knot codes of the diagrams over field at the encoded t, and the
+    distinct warnings raised building them (for the report, not stderr)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        codes = [cd.code_from_diagram(d, field, t, kind=kind) for d in diagrams]
+        codes = [cd.code_from_diagram(d, field, field.decode(t), kind=kind) for d in diagrams]
     return codes, list(dict.fromkeys(str(w.message) for w in caught))
 
 
@@ -311,7 +313,8 @@ def cmd_code(args) -> int:
                 outputs["d"] = None if we is None else we.min_weight()
             if args.weights and we is not None:
                 outputs["weights"] = we.to_json()
-        emit(report_for("code", {**src, "q": field.q, "t": list(t.coeffs), "kind": args.kind}, outputs, warn))
+        inputs = {**src, "q": field.q, "t": list(field.decode(t)), "kind": args.kind}
+        emit(report_for("code", inputs, outputs, warn))
         worst = max(worst, status)
     return worst
 
@@ -376,12 +379,12 @@ def cmd_cable(args) -> int:
         raise UsageError("--pairs needs a1,b1[,a2,b2,...]")
     pairs = [(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
 
-    t_step = [None] * (len(pairs) + 1)
-    t_step[len(pairs)] = field.element(t)
-    for i in range(len(pairs), 0, -1):
-        t_step[i - 1] = t_step[i] ** abs(pairs[i - 1][1])
+    t_step = [t]  # t_step[i] = t^(b_{i+1} ... b_m), the t of stage i
+    for _, b in reversed(pairs):
+        t_step.insert(0, field.pow(t_step[0], abs(b)))
+    t_step = [field.decode(x) for x in t_step]
 
-    inputs = {"pairs": [list(p) for p in pairs], "q": field.q, "t": list(t.coeffs)}
+    inputs = {"pairs": [list(p) for p in pairs], "q": field.q, "t": list(t_step[-1])}
     if args.base:
         base_d = load_diagram(args.base)
         seq = cab.ideal_seq_from_diagram(base_d, field, t_step[0])
@@ -390,7 +393,7 @@ def cmd_cable(args) -> int:
     else:
         seq = cab.unknot_ideal_seq(field, t_step[0])
         inputs["base"] = "unknot"
-    rows = [{"dim": seq.dimension, "stage": "base", "t": list(seq.t.coeffs)}]
+    rows = [{"dim": seq.dimension, "stage": "base", "t": list(field.decode(seq.t))}]
     for i, (a, b) in enumerate(pairs, start=1):
         delta = cab.torus_delta(field, a, b, t_step[i])
         seq = cab.cable_ideal_seq(seq, a, b, t_step[i])
@@ -398,8 +401,8 @@ def cmd_cable(args) -> int:
             "stage": i,
             "a": a,
             "b": b,
-            "t": list(seq.t.coeffs),
-            "delta": list(delta.coeffs),
+            "t": list(field.decode(seq.t)),
+            "delta": list(field.decode(delta)),
             "dim": seq.dimension,
         }
         rows.append(row)
@@ -421,9 +424,7 @@ def cmd_sum(args) -> int:
     outputs = {"n": total.n, "k": total.k, "q": field.q}
     status = 0
     try:
-        c1p = cd.subcode_last_zero(c1, pos1)
-        c2p = cd.subcode_last_zero(c2, pos2)
-        we = cd.sum_weight_enumerator(c1, c1p, c2, c2p, budget)
+        we = cd.sum_weight_enumerator(c1, pos1, c2, pos2, budget)
         outputs["d"] = we.min_weight()
         if args.weights:
             outputs["weights"] = we.to_json()
@@ -435,7 +436,7 @@ def cmd_sum(args) -> int:
         "files": list(args.files),
         "sha256": [_digest(f) for f in args.files],
         "q": field.q,
-        "t": list(t.coeffs),
+        "t": list(field.decode(t)),
         "positions": [pos1, pos2],
     }
     emit(report_for("sum", inputs, outputs, warn))

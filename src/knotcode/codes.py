@@ -7,7 +7,8 @@ Weight enumerators come from exhaustive enumeration under a budget (exact
 below it, unknown above); minimum distances are read off them.  The one
 codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
 not lexicographic order: each step adds one packed basis row to a word
-held in a single Python int.
+held in a single Python int.  A word is a sequence of encoded field ints
+(see fields); a t is read by FqField.element, so an int t is n * 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .fields import FqField
 from .diagram import Diagram
@@ -71,14 +72,16 @@ class LinearCode:
         BudgetExceeded above the budget."""
         return map(_Packing(self.field, self.n).unpack, self._walk(budget))
 
-    def _walk(self, budget: int | None):
+    def _walk(self, budget: int | None, basis=None):
+        """The one budget check, then the walk over a basis of this code."""
         limit = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > limit:
             raise BudgetExceeded(f"{self.q}^{self.k} codewords exceed budget {limit}")
-        return _span(self.field, self.generator, self.n)
+        return _span(self.field, self.generator if basis is None else basis, self.n)
 
     def contains(self, vec) -> bool:
-        vec = [self.field.element(x).val for x in vec]
+        """Whether vec, a word of encoded field ints, is a codeword."""
+        vec = self.field.word(vec)
         if len(vec) != self.n:
             raise ValueError(f"expected a word of length {self.n}, got {len(vec)}")
         return not any(dot(self.field, row, vec) for row in self.parity)
@@ -173,7 +176,7 @@ def code_from_diagram(
     to 0, which cuts the dimension back to the strand-coloring one.
     """
     value = field.at(t)
-    if field.element(t).is_one:
+    if field.element(t) == 1:
         warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
     if kind == "fox":
         if restrict_outer_zero:
@@ -188,7 +191,7 @@ def code_from_diagram(
         raise ValueError("kind must be 'fox' or 'dehn'")
     rows = mat.evaluate(value, 0)
     if restrict_outer_zero:
-        rows += (((d.outer_region, field.from_int(1)),),)
+        rows += (((d.outer_region, 1),),)
     return LinearCode(field, mat.ncols, rows)
 
 
@@ -225,16 +228,39 @@ class WeightEnumerator:
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
     """Weight distribution a_0..a_n from one pass over all q^k codewords;
     raises BudgetExceeded above the budget."""
-    walk = c._walk(budget)
-    pk = _Packing(c.field, c.n)
-    nz, top, top0, plane, folds = pk.nz, pk.top, pk.top0, pk.plane, range(pk.a - 1)
     counts = [0] * (c.n + 1)
-    for v in walk:
+    _tally(_Packing(c.field, c.n), c._walk(budget), counts)
+    return WeightEnumerator(tuple(counts))
+
+
+def _tally(pk: _Packing, words, counts: list) -> None:
+    """Add one to counts[weight] for each packed word."""
+    nz, top, top0, plane, folds = pk.nz, pk.top, pk.top0, pk.plane, range(pk.a - 1)
+    for v in words:
         f = (v + nz) & top  # one flag per nonzero digit
         for _ in folds:  # OR the a digit planes into plane 0
             f |= f >> plane
         counts[(f & top0).bit_count()] += 1
-    return WeightEnumerator(tuple(counts))
+
+
+def _split_weights(c: LinearCode, pos: int, budget: int | None):
+    """(W_C', W_C - W_C') from one walk of C, where C' = {x in C : x_pos = 0}.
+
+    A basis row nonzero at pos, scaled to 1 there and cleared from the
+    other rows, goes last; the walk's first q^(k-1) words then span
+    exactly C'.  With no such row C' = C."""
+    field, basis = c.field, [list(g) for g in c.generator]
+    pivot = next((g for g in basis if g[pos]), None)
+    if pivot is not None:
+        basis.remove(pivot)
+        inv = field.inv(pivot[pos])
+        pivot = [field.mul(inv, x) for x in pivot]
+        basis = [[field.sub(x, field.mul(g[pos], y)) for x, y in zip(g, pivot)] for g in basis] + [pivot]
+    pk, sub, rest = _Packing(field, c.n), [0] * (c.n + 1), [0] * (c.n + 1)
+    walk = c._walk(budget, basis)
+    _tally(pk, islice(walk, c.q ** (c.k - (pivot is not None))), sub)
+    _tally(pk, walk, rest)
+    return sub, rest
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -243,47 +269,34 @@ def dual(c: LinearCode) -> LinearCode:
     return LinearCode(c.field, c.n, parity)
 
 
-def subcode_last_zero(c: LinearCode, position: int | None = None) -> LinearCode:
-    """Intersection with the hyperplane x_position = 0 (default: last)."""
-    pos = c.n - 1 if position is None else position
-    if not 0 <= pos < c.n:
-        raise ValueError("position outside code length")
-    return LinearCode(c.field, c.n, c.parity + (((pos, c.field.from_int(1)),),))
+def _check_tie(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> None:
+    if c1.field != c2.field:
+        raise ValueError("a connected sum needs codes over the same field")
+    if not (0 <= pos1 < c1.n and 0 <= pos2 < c2.n):
+        raise ValueError("tie positions outside code lengths")
 
 
 def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode:
     """Connected-sum code: block parity plus one row tying coordinate pos1
     of the first code to coordinate pos2 of the second."""
-    if c1.field != c2.field:
-        raise ValueError("sum_code needs codes over the same field")
-    if not (0 <= pos1 < c1.n and 0 <= pos2 < c2.n):
-        raise ValueError("tie positions outside code lengths")
+    _check_tie(c1, pos1, c2, pos2)
     field, shift = c1.field, c1.n
-    one = field.from_int(1)
     shifted = tuple(tuple((shift + j, x) for j, x in row) for row in c2.parity)
-    link = ((pos1, one), (shift + pos2, field.neg(one)))
+    link = ((pos1, 1), (shift + pos2, field.neg(1)))
     return LinearCode(field, shift + c2.n, c1.parity + shifted + (link,))
 
 
-def sum_min_distance(c1, c1_sub, c2, c2_sub, budget: int | None = None):
-    """Minimum distance of the connected-sum code, read off its weight
-    enumerator: min of d(C'), d(D'), and the cheapest crossing pair."""
-    return sum_weight_enumerator(c1, c1_sub, c2, c2_sub, budget).min_weight()
-
-
-def sum_weight_enumerator(c1, c1_sub, c2, c2_sub, budget: int | None = None) -> WeightEnumerator:
-    """Weight enumerator of the connected-sum code:
-    W_C' W_D' + (W_C - W_C')(W_D - W_D') / (q - 1)."""
+def sum_weight_enumerator(c1, pos1, c2, pos2, budget: int | None = None) -> WeightEnumerator:
+    """Weight enumerator of sum_code(c1, pos1, c2, pos2) without walking it:
+    W_C' W_D' + (W_C - W_C')(W_D - W_D') / (q - 1), where C' (D') holds the
+    words of C (D) that are zero at pos1 (pos2).  One walk per summand
+    counts W and W'; each walk checks the budget against q^k of its code."""
+    _check_tie(c1, pos1, c2, pos2)
     q = c1.field.q
-    wc = weight_enumerator(c1, budget).counts
-    wcp = weight_enumerator(c1_sub, budget).counts
-    wd = weight_enumerator(c2, budget).counts
-    wdp = weight_enumerator(c2_sub, budget).counts
-    first = _convolve(wcp, wdp)
-    diff = _convolve(
-        [a - b for a, b in zip(wc, wcp)],
-        [a - b for a, b in zip(wd, wdp)],
-    )
+    zero1, rest1 = _split_weights(c1, pos1, budget)
+    zero2, rest2 = _split_weights(c2, pos2, budget)
+    first = _convolve(zero1, zero2)
+    diff = _convolve(rest1, rest2)
     counts = []
     for a, b in zip(first, diff):
         if b % (q - 1):

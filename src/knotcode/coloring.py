@@ -176,12 +176,12 @@ def is_colorable(d: Diagram, ring, t) -> bool:
 def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
     """Lift a Fox coloring to the Dehn coloring with the unbounded region
     set to anchor; region colors propagate across each strand by
-    x = U_left - t * U_right."""
+    x = U_left - t * U_right.  fox and anchor are encoded field ints."""
     d._require_valid()
     value = field.at(t)
-    tv = field.element(t).val
-    av = field.element(anchor).val
-    vec = [field.element(x).val for x in fox]
+    tv = field.element(t)
+    vec = field.word(fox)
+    [av] = field.word([anchor])
     if len(vec) != max(d.arc_count, 1):
         raise ValueError("expected one color per arc")
     if d.n == 0:
@@ -220,11 +220,12 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
 
 
 def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
-    """Strand colors x = U_left - t * U_right of a Dehn coloring."""
+    """Strand colors x = U_left - t * U_right of a Dehn coloring (a word of
+    encoded field ints)."""
     d._require_valid()
     value = field.at(t)
-    tv = field.element(t).val
-    vec = [field.element(u).val for u in dehn]
+    tv = field.element(t)
+    vec = field.word(dehn)
     if len(vec) != d.region_count:
         raise ValueError("expected one color per region")
     if d.n == 0:

@@ -9,7 +9,8 @@ of lists of LaurentPoly, sparse_dets and minor_dets sparse LaurentPoly
 rows.  The elimination takes sparse rows, ((column, value), ...) pairs of
 a row's nonzeros, which is how a coloring matrix is evaluated (at most 4
 nonzeros per row), so it costs little beyond its nonzeros where
-Gauss-Jordan took cubic time.  It pivots only on units: over F_q that is
+Gauss-Jordan took cubic time; over F_q every value, in rows and in the
+vectors returned, is an encoded field int (see fields).  It pivots only on units: over F_q that is
 every nonzero, and it gives rank, a canonical kernel basis, and over Z/p
 the determinant values the determinants over Z[T, T^-1] are interpolated
 from; over Z/m and F_p[T]/(f) the few rows left without a unit are what
@@ -314,23 +315,6 @@ def _swap_cols(mat, j, r):
         row[j], row[r] = row[r], row[j]
 
 
-def snf_diagonal(res: SnfResult) -> list[list]:
-    """The diagonal matrix U*A*V that snf() certifies (divisibility-increasing
-    along the diagonal, zero rows last)."""
-    m, n = len(res.U), len(res.V)
-    zero = 0 if res.ring_name == "Z" else ()
-    chain = [d for d in res.invariant_factors if not _is_zero_factor(d)]
-    chain.reverse()
-    out = [[zero] * n for _ in range(m)]
-    for i, d in enumerate(chain):
-        out[i][i] = d
-    return out
-
-
-def _is_zero_factor(d):
-    return d == 0 or d == ()
-
-
 # -- sparse elimination over quotient rings ---------------------------------------
 #
 # One sparse elimination serves rank and kernel_basis over F_q and the
@@ -346,7 +330,8 @@ def _is_zero_factor(d):
 # A ring here is an object with zero, sub, mul and inv, where inv returns
 # the inverse of a unit and None otherwise: FqField, IntMod, PolyMod.  The
 # three coloring rings also have size; at(t), the ring map Z[T, T^-1] -> R
-# sending T to t, which raises ValueError unless t is a unit; cover, the
+# sending T to t, which raises ValueError unless t is a unit (an int t is
+# n * 1 in each ring, so -1 works everywhere); cover, the
 # Euclidean ring R is a quotient of, where the Smith form of what the
 # elimination leaves runs; and, for IntMod and PolyMod, annihilated_by(d),
 # how many x in R have d * x = 0 for d in the cover.
@@ -549,8 +534,7 @@ def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
     kernel with its columns reversed.
     """
     red = _reduce(field, rows, _by_weight(rows))[0]
-    one = field.from_int(1)
-    basis = {f: {f: one} for f in range(ncols) if f not in red}
+    basis = {f: {f: 1} for f in range(ncols) if f not in red}
     for c, prow in red.items():
         for f, v in prow.items():
             if f != c:
@@ -568,18 +552,3 @@ def dot(field: FqField, row, vec) -> int:
             acc = field.add(acc, field.mul(a, b))
     return acc
 
-
-def mat_mul(ring, A, B):
-    """Ring matrix product (used to certify U*A*V against the SNF diagonal)."""
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = A[i][l]
-            if ring.is_zero(x):
-                continue
-            for j in range(m):
-                out[i][j] = ring.add(out[i][j], ring.mul(x, B[l][j]))
-    return out

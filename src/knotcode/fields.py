@@ -7,14 +7,16 @@ prime p plus a monic irreducible modulus of degree a >= 1 (degree-1
 modulus (0, 1) gives the prime field itself).
 
 Field elements are encoded as integers in range(q): the element with
-coefficient vector (c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  Small
-add/mul/inv tables are built lazily so that the linear algebra and the
-codeword enumeration can run on plain ints.
+coefficient vector (c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These
+ints are the only element type (one is 1); a word (codeword, coloring)
+is a sequence of them.  A t is read by FqField.element: an int n is n * 1
+(so -1 is p - 1), a sequence the ascending coefficients.  A lazy
+multiplication table for small q keeps the linear algebra and the
+codeword enumeration on plain ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .laurent import LaurentPoly
@@ -301,7 +303,6 @@ class FqField:
         self.a = len(modulus) - 1
         self.q = p**self.a
         self._mul_table = None
-        self._inv_table = None
 
     def __eq__(self, other):
         return isinstance(other, FqField) and (self.p, self.modulus) == (other.p, other.modulus)
@@ -326,7 +327,7 @@ class FqField:
         return RingFpT(self.p)
 
     def at(self, t):
-        tv = self.element(t).val
+        tv = self.element(t)
         if tv == 0:
             raise ValueError("t must be invertible (nonzero)")
         return partial(self.eval_laurent, t=tv)
@@ -348,10 +349,6 @@ class FqField:
             val, r = divmod(val, self.p)
             out.append(r)
         return tuple(out)
-
-    def from_int(self, n: int) -> int:
-        """Embed an integer (image of 1+1+...): n mod p as a constant."""
-        return n % self.p
 
     def add(self, x: int, y: int) -> int:
         if self.a == 1:
@@ -419,7 +416,7 @@ class FqField:
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv(x), -e
-        out, base = self.from_int(1), x
+        out, base = 1, x
         while e:
             if e & 1:
                 out = self.mul(out, base)
@@ -434,7 +431,7 @@ class FqField:
         n = self.q - 1
         order = n
         for l in _prime_factors(n):
-            while order % l == 0 and self.pow(x, order // l) == self.from_int(1):
+            while order % l == 0 and self.pow(x, order // l) == 1:
                 order //= l
         return order
 
@@ -446,82 +443,21 @@ class FqField:
             raise ZeroDivisionError("negative exponent at t = 0")
         acc = 0
         for c in reversed(poly.coeffs):
-            acc = self.add(self.mul(acc, t), self.from_int(c))
+            acc = self.add(self.mul(acc, t), c % self.p)
         tm = self.pow(t, poly.min_deg)
         return self.mul(acc, tm)
 
-    def element(self, value) -> "FqElem":
-        """Coerce an int, coefficient sequence, or FqElem into this field."""
-        if isinstance(value, FqElem):
-            if value.field != self:
-                raise ValueError("element from a different field")
-            return value
+    def element(self, value) -> int:
+        """The encoded int of t: an int n is n * 1, a sequence the ascending
+        coefficients c_0, c_1, ... of c_0 + c_1 x + ...."""
         if isinstance(value, int):
-            return FqElem(self, self.from_int(value))
-        return FqElem(self, self.encode(tuple(value)))
+            return value % self.p
+        return self.encode(value)
 
-    def elements(self):
-        return [FqElem(self, v) for v in range(self.q)]
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(obj) -> "FqField":
-        return FqField(int(obj["p"]), [int(c) for c in obj["modulus"]])
-
-
-@dataclass(frozen=True)
-class FqElem:
-    """A field element: a field reference plus its encoded value."""
-
-    field: FqField
-    val: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.val)
-
-    def __add__(self, other):
-        other = self.field.element(other)
-        return FqElem(self.field, self.field.add(self.val, other.val))
-
-    def __sub__(self, other):
-        other = self.field.element(other)
-        return FqElem(self.field, self.field.sub(self.val, other.val))
-
-    def __neg__(self):
-        return FqElem(self.field, self.field.neg(self.val))
-
-    def __mul__(self, other):
-        other = self.field.element(other)
-        return FqElem(self.field, self.field.mul(self.val, other.val))
-
-    def __truediv__(self, other):
-        other = self.field.element(other)
-        return FqElem(self.field, self.field.mul(self.val, self.field.inv(other.val)))
-
-    def __pow__(self, e: int):
-        return FqElem(self.field, self.field.pow(self.val, e))
-
-    def inverse(self) -> "FqElem":
-        return FqElem(self.field, self.field.inv(self.val))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.val == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.val == self.field.from_int(1)
-
-    def order(self) -> int:
-        return self.field.order(self.val)
-
-    def to_json(self) -> list:
-        return list(self.coeffs)
-
-    def __repr__(self):
-        if self.field.a == 1:
-            return f"{self.val} (mod {self.field.p})"
-        return f"{list(self.coeffs)} in {self.field!r}"
+    def word(self, values) -> list[int]:
+        """A word (codeword, coloring) as a list of encoded ints; a value
+        outside range(q) is a ValueError, not reduced."""
+        vec = list(values)
+        if not all(0 <= x < self.q for x in vec):
+            raise ValueError(f"a word's values must be encoded elements of {self}, in range({self.q})")
+        return vec

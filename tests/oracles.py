@@ -11,6 +11,7 @@ import math
 from itertools import combinations, product
 
 from knotcode import fields as ff
+from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial
 from knotcode.exactlin import IntMod, PolyMod
 from knotcode.fields import FqField
@@ -84,7 +85,7 @@ def colorable_by_alexander(d, ring, t) -> bool:
     """Nontrivial Fox colorability by the Alexander polynomial: over Z/(m)
     the modulus and Delta(t) share a factor, over F_p[T]/(f) f and Delta(t)
     have a nonconstant gcd, over F_q Delta(t) = 0 (t an int for Z/(m), a
-    coefficient tuple for F_p[T]/(f), an element for F_q)."""
+    coefficient tuple for F_p[T]/(f), as FqField.element reads it for F_q)."""
     delta = alexander_polynomial(d)
     if isinstance(ring, IntMod):
         return math.gcd(ring.m, delta.eval_int(t) % ring.m) != 1
@@ -92,7 +93,7 @@ def colorable_by_alexander(d, ring, t) -> bool:
         f = ff.fp_trim(ring.f, ring.p)
         return ff.poly_gcd(f, ff.fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
     if isinstance(ring, FqField):
-        return ring.eval_laurent(delta, ring.element(t).val) == 0
+        return ring.eval_laurent(delta, ring.element(t)) == 0
     raise TypeError(f"unsupported ring {ring!r}")
 
 
@@ -240,7 +241,7 @@ def kernel_basis_dense(field, rows, ncols):
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
-        vec[fc] = field.from_int(1)
+        vec[fc] = field.element(1)
         for i, pc in enumerate(pivots):
             vec[pc] = field.neg(red[i][fc])
         basis.append(vec)
@@ -294,3 +295,41 @@ def weight_counts_brute(code):
         if code.contains(vec):
             counts[sum(1 for x in vec if x)] += 1
     return tuple(counts)
+
+
+def subcode_last_zero(code, pos=None) -> LinearCode:
+    """C' = {x in C : x_pos = 0} (default: the last position), as its own
+    code: the parity rows plus the row e_pos."""
+    pos = code.n - 1 if pos is None else pos
+    if not 0 <= pos < code.n:
+        raise ValueError("position outside code length")
+    return LinearCode(code.field, code.n, code.parity + (((pos, 1),),))
+
+
+def mat_mul(ring, A, B):
+    """Ring matrix product (certifies U*A*V against the SNF diagonal)."""
+    if not A or not B:
+        return []
+    n, k, m = len(A), len(B), len(B[0])
+    out = [[ring.zero] * m for _ in range(n)]
+    for i in range(n):
+        for l in range(k):
+            x = A[i][l]
+            if ring.is_zero(x):
+                continue
+            for j in range(m):
+                out[i][j] = ring.add(out[i][j], ring.mul(x, B[l][j]))
+    return out
+
+
+def snf_diagonal(res):
+    """The diagonal matrix U*A*V that snf() certifies (divisibility-increasing
+    along the diagonal, zero rows last)."""
+    m, n = len(res.U), len(res.V)
+    zero = 0 if res.ring_name == "Z" else ()
+    chain = [d for d in res.invariant_factors if d != zero]
+    chain.reverse()
+    out = [[zero] * n for _ in range(m)]
+    for i, d in enumerate(chain):
+        out[i][i] = d
+    return out

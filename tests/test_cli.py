@@ -189,7 +189,7 @@ def test_sum_enumerates_each_summand_code_once(tmp_path, capsys, monkeypatch):
     t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
     calls = _count_spans(monkeypatch)
     code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "-1", "--weights"], capsys)
-    assert code == 0 and len(calls) == 4  # C, C', D, D'
+    assert code == 0 and len(calls) == 2  # C and D; each walk also counts C' and D'
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
@@ -350,6 +350,26 @@ def test_sum_command(tmp_path, capsys):
     rep = json.loads(out)
     assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == ("6", "3", "2")
     assert rep["outputs"]["weights"] == ["1", "0", "4", "0", "12", "8", "2"]
+
+
+def test_sum_over_an_extension_field_matches_the_sum_code(tmp_path, capsys):
+    # the golden corpus has no extension-field sum
+    from knotcode.codes import code_from_diagram, sum_code, weight_enumerator
+    from knotcode.fields import FqField
+    from knotcode.generators import builtin
+
+    F4 = FqField(2, [1, 1, 1])
+    names = ("trefoil", "figure_eight")
+    files = [gen_file(tmp_path, capsys, "builtin", name, name=f"{name}.json") for name in names]
+    c1, c2 = (code_from_diagram(builtin(name), F4, (0, 1)) for name in names)
+    for pos1, pos2 in ((c1.n - 1, c2.n - 1), (0, 2)):
+        argv = ["sum", *files, "--q", "4", "--modulus", "1,1,1", "--t", "alpha", "--weights"]
+        code, out, err = run_cli(argv + ["--pos1", str(pos1), "--pos2", str(pos2)], capsys)
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        s = sum_code(c1, pos1, c2, pos2)
+        assert rep["inputs"]["t"] == ["0", "1"] and rep["outputs"]["k"] == str(s.k)
+        assert rep["outputs"]["weights"] == [str(a) for a in weight_enumerator(s).counts]
 
 
 def test_sum_over_budget_reports_d_null(tmp_path, capsys):

@@ -16,18 +16,24 @@ from knotcode.codes import (
     dual_knot_feasibility,
     ldpc_profile,
     min_distance,
-    subcode_last_zero,
     sum_code,
-    sum_min_distance,
     sum_weight_enumerator,
     weight_enumerator,
     LinearCode,
+    _split_weights,
 )
 from knotcode.diagram import reidemeister_r1
 from knotcode.exactlin import dense, rank
 
 from conftest import small_diagrams
-from oracles import kernel_basis_dense, min_distance_brute, span_lex, sparse_rows, weight_counts_brute
+from oracles import (
+    kernel_basis_dense,
+    min_distance_brute,
+    span_lex,
+    sparse_rows,
+    subcode_last_zero,
+    weight_counts_brute,
+)
 
 
 def test_trefoil_code_lists_the_nine_codewords(F3, trefoil):
@@ -47,6 +53,16 @@ def test_contains_rejects_words_of_the_wrong_length(F3, trefoil):
     for word in ([], [1, 1, 1, 2]):
         with pytest.raises(ValueError):
             c.contains(word)
+
+
+def test_contains_takes_encoded_ints_only(F3, F4, trefoil):
+    # an encoded int of F_4 is not reduced mod 2, and -1 or q is no element
+    c = code_from_diagram(trefoil, F4, (0, 1))
+    assert (1, 3, 2) in set(c.codewords()) and c.contains([1, 3, 2])
+    assert not c.contains([1, 0, 1])
+    for field, word in ((F3, [2, 2, -1]), (F3, [1, 1, 3]), (F4, [1, 2, 4])):
+        with pytest.raises(ValueError, match="range"):
+            code_from_diagram(trefoil, field, (0, 1) if field is F4 else -1).contains(word)
 
 
 def test_t_zero_rejected_t_one_flagged(F3, trefoil):
@@ -247,9 +263,8 @@ def test_sum_code_field_mismatch(F3, F5, trefoil):
 
 def test_sum_min_distance_and_weights(F3, trefoil):
     c = code_from_diagram(trefoil, F3, -1)
-    cp = subcode_last_zero(c, 2)
-    assert sum_min_distance(c, cp, c, cp) == 2
-    formula = sum_weight_enumerator(c, cp, c, cp)
+    formula = sum_weight_enumerator(c, 2, c, 2)
+    assert formula.min_weight() == 2
     brute = weight_enumerator(sum_code(c, 2, c, 2))
     assert formula.counts == brute.counts
 
@@ -257,10 +272,52 @@ def test_sum_min_distance_and_weights(F3, trefoil):
 def test_sum_of_trivial_codes_distance(F5, unknot):
     # both subcodes zero: distance is the full length n + m
     c = code_from_diagram(unknot, F5, -1)
-    cp = subcode_last_zero(c, 0)
-    assert sum_min_distance(c, cp, c, cp) == 2
+    assert sum_weight_enumerator(c, 0, c, 0).min_weight() == 2
     s = sum_code(c, 0, c, 0)
     assert min_distance(s) == 2 == c.n + c.n
+
+
+def _split_walk_codes():
+    F2, F3, F4, F9 = FqField(2), FqField(3), FqField(2, [1, 1, 1]), FqField(3, [1, 0, 1])
+    trefoil, alpha = builtin("trefoil"), (0, 1)
+    codes = [
+        code_from_diagram(trefoil, F3, -1),
+        code_from_diagram(connected_sum(trefoil, 0, trefoil, 0), F3, -1),
+        code_from_diagram(trefoil, F3, -1, kind="dehn"),
+        code_from_diagram(trefoil, F4, alpha),
+        code_from_diagram(builtin("figure_eight"), F4, alpha),
+        code_from_diagram(trefoil, F9, -1),
+        code_from_diagram(trefoil, F9, -1, kind="dehn"),
+        # coordinate 3 is zero in every word, so there C' = C
+        LinearCode(F3, 4, sparse_rows([[1, 2, 0, 0], [0, 0, 0, 1]])),
+        LinearCode(F4, 3, sparse_rows([[0, 0, 3]])),
+    ]
+    # (k - 1) * a above the digits of the walk's precomputed block (2^12,
+    # 3^7 words), so C' ends after steps between blocks have run
+    rng = random.Random(7)
+    for field, n, k in ((F2, 15, 14), (F3, 10, 9), (F4, 9, 8), (F9, 6, 5)):
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n - k)]
+        codes.append(LinearCode(field, n, sparse_rows(rows)))
+    return codes
+
+
+@pytest.mark.parametrize("c", _split_walk_codes(), ids=str)
+def test_split_walk_counts_the_code_and_its_zero_subcode(c):
+    whole = weight_enumerator(c).counts
+    for pos in range(c.n):
+        sub, rest = _split_weights(c, pos, None)
+        assert tuple(sub) == weight_enumerator(subcode_last_zero(c, pos)).counts
+        assert tuple(a + b for a, b in zip(sub, rest)) == whole
+    s = sum_code(c, c.n - 1, c, 0)
+    if s.codeword_count() <= 10**5:
+        assert sum_weight_enumerator(c, c.n - 1, c, 0).counts == weight_enumerator(s).counts
+
+
+def test_sum_weight_enumerator_checks_the_tie(F3, F5, trefoil):
+    c3, c5 = code_from_diagram(trefoil, F3, -1), code_from_diagram(trefoil, F5, -1)
+    for args in ((c3, 2, c5, 2), (c3, 3, c3, 0), (c3, 0, c3, -1)):
+        with pytest.raises(ValueError):
+            sum_weight_enumerator(*args)
 
 
 def test_ldpc_profiles(F3, trefoil, unknot):
@@ -301,7 +358,7 @@ def test_torus_order_ab_element_gives_dimension_two():
     cases = [(2, 3, 7, 3), (2, 3, 13, 4), (3, 4, 13, 2)]
     for a, b, q, t in cases:
         field = FqField(q)
-        assert field.element(t).order() == a * b
+        assert field.order(field.element(t)) == a * b
         assert code_from_diagram(torus_diagram(a, b), field, t).k == 2
 
 
@@ -317,7 +374,7 @@ def test_repetition_subcode_and_bounds():
     for d in small_diagrams():
         for field in fields:
             c = code_from_diagram(d, field, -1)
-            ones = [field.from_int(1)] * c.n
+            ones = [field.element(1)] * c.n
             assert c.contains(ones)
             assert 1 <= c.k <= (c.n + 1) / 2
             dist = min_distance(c)
@@ -354,13 +411,13 @@ def test_dim_bounded_by_alexander_valuation(F3):
 
 
 @pytest.mark.filterwarnings("ignore:t = 1")
-def test_min_distance_matches_ambient_brute_force(F2, F3):
+def test_min_distance_matches_ambient_brute_force(F2, F3, F4):
     diagrams = [builtin("trefoil"), torus_diagram(2, 5), builtin("figure_eight")]
     for d in diagrams:
-        for field in (F2, F3):
+        for field, t in ((F2, -1), (F3, -1), (F4, (0, 1))):
             if field.q ** max(d.arc_count, 1) > 300000:
                 continue
-            c = code_from_diagram(d, field, -1)
+            c = code_from_diagram(d, field, t)
             assert min_distance(c) == min_distance_brute(c)
             assert weight_enumerator(c).counts == weight_counts_brute(c)
 

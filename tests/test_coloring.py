@@ -2,6 +2,7 @@ import math
 import re
 import time
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -199,7 +200,7 @@ def test_colorability_matches_alexander_oracle():
         for ring, t in poly_rings:
             assert is_colorable(d, ring, t) == colorable_by_alexander(d, ring, t)
         for field in fields:
-            for t in field.elements()[1:]:
+            for t in map(field.decode, range(1, field.q)):
                 assert is_colorable(d, field, t) == colorable_by_alexander(d, field, t)
 
 
@@ -310,7 +311,7 @@ def test_poly_count_matches_field_kernel(trefoil, figure_eight, F4):
 def test_colorings_at_t_one_are_trivial():
     for d in small_diagrams():
         for field in (FqField(2), FqField(3), FqField(5)):
-            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.from_int(1)), 0)
+            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.element(1)), 0)
             assert len(kernel_basis(field, rows, ncols=d.arc_count)) == 1
 
 
@@ -357,7 +358,7 @@ def test_zero_fox_lifts_to_index_powers(F5):
         lifted = fox_to_dehn(d, F5, t, zero, 1)
         idx = d.region_index
         for r in range(d.region_count):
-            assert lifted[r] == (t ** idx[r]).val
+            assert lifted[r] == F5.pow(t, idx[r])
 
 
 def test_zero_fox_at_minus_one_gives_checkerboard_constant(F5, trefoil):
@@ -368,12 +369,19 @@ def test_zero_fox_at_minus_one_gives_checkerboard_constant(F5, trefoil):
     assert len(values["white"]) == 1 and len(values["black"]) == 1
 
 
-def test_fox_dehn_roundtrip(F3, trefoil):
-    code = code_from_diagram(trefoil, F3, -1)
-    for vec in code.codewords():
-        lifted = fox_to_dehn(trefoil, F3, -1, vec, anchor=2)
-        back = dehn_to_fox(trefoil, F3, -1, lifted)
-        assert tuple(back) == vec
+def test_fox_dehn_roundtrip(trefoil, figure_eight):
+    # over F_4 and F_9 words hold encoded ints >= p, read as they are
+    cases = [(FqField(3), -1), (FqField(2, [1, 1, 1]), (0, 1)), (FqField(3, [1, 0, 1]), -1)]
+    for (field, t), d in product(cases, (trefoil, figure_eight)):
+        fox = code_from_diagram(d, field, t)
+        dehn = code_from_diagram(d, field, t, kind="dehn")
+        for vec in fox.codewords():
+            assert fox.contains(vec)
+            lifted = fox_to_dehn(d, field, t, vec, anchor=field.q - 1)
+            assert dehn.contains(lifted)
+            assert tuple(dehn_to_fox(d, field, t, lifted)) == vec
+        for vec in dehn.codewords():
+            assert dehn.contains(vec) and fox.contains(dehn_to_fox(d, field, t, vec))
 
 
 def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
@@ -381,7 +389,7 @@ def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     colors = d.checkerboard
     dehn = [0 if colors[r] == "white" else 3 for r in range(d.region_count)]
     assert sum(1 for u in dehn if u) == 2
-    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.from_int(-1)), 0)
+    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.element(-1)), 0)
     assert not any(_dot_mod(row, dehn, F5) for row in dense(rows, d.region_count, 0))
     fox = dehn_to_fox(d, F5, -1, dehn)
     assert sum(1 for x in fox if x) == 5
@@ -399,6 +407,13 @@ def test_conversion_rejects_non_colorings(F3, trefoil):
         fox_to_dehn(trefoil, F3, -1, [1, 0, 0], 0)
     with pytest.raises(ValueError):
         dehn_to_fox(trefoil, F3, -1, [1, 0, 0, 0, 0])
+    for call in (
+        lambda: fox_to_dehn(trefoil, F3, -1, [2, 2, -1], 0),
+        lambda: fox_to_dehn(trefoil, F3, -1, [1, 1, 1], 3),
+        lambda: dehn_to_fox(trefoil, F3, -1, [0, 0, 0, 0, 3]),
+    ):
+        with pytest.raises(ValueError, match="range"):
+            call()
 
 
 def test_dehn_kernel_dimension_exceeds_fox_by_one():

@@ -4,15 +4,13 @@ from hypothesis import given, settings, strategies as st
 from knotcode.exactlin import (
     kernel_basis,
     laurent_det,
-    mat_mul,
     minor_dets,
     rank,
     snf,
-    snf_diagonal,
 )
 from knotcode.fields import FqField, RingFpT, RingZ
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
-from oracles import bareiss_det, cofactor_det, kernel_basis_dense, rank_dense, sparse_rows
+from oracles import bareiss_det, cofactor_det, kernel_basis_dense, mat_mul, rank_dense, snf_diagonal, sparse_rows
 
 TREFOIL_M = [
     [ONE - T, T, -ONE],

@@ -77,7 +77,7 @@ def test_checkerboard_and_index(d):
 def test_code_bounds(d, field):
     c = code_from_diagram(d, field, -1)
     assert 1 <= c.k <= (c.n + 1) / 2
-    assert c.contains([field.from_int(1)] * c.n)
+    assert c.contains([field.element(1)] * c.n)
     dist = min_distance(c)
     assert c.k <= c.n - dist + 1
     if c.k >= 2:
