@@ -18,7 +18,6 @@ from .diagram import (
     reidemeister_r1_remove,
     reidemeister_r2,
     reidemeister_r2_remove,
-    validate_diagram,
 )
 from .generators import (
     builtin,

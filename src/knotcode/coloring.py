@@ -182,7 +182,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
     tv = field.element(t)
     vec = field.word(fox)
     [av] = field.word([anchor])
-    if len(vec) != max(d.arc_count, 1):
+    if len(vec) != d.arc_count:
         raise ValueError("expected one color per arc")
     if d.n == 0:
         # bare loop: outer on the strand's left; x = U_outer - t U_inner
@@ -192,26 +192,14 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Fox coloring: vector is not in the kernel")
     tinv = field.inv(tv)
-    regions = d.regions
     arcs = d.arcs
     colors = {d.outer_region: av}
-    queue = [d.outer_region]
-    by_edge = {}
-    for (e, side), r in regions.items():
-        by_edge.setdefault(e, {})[side] = r
-    while queue:
-        r = queue.pop()
-        for e, sides in by_edge.items():
-            if r not in sides.values():
-                continue
-            x = vec[arcs[e]]
-            lr, rr = sides["left"], sides["right"]
-            if lr in colors and rr not in colors:
-                colors[rr] = field.mul(tinv, field.sub(colors[lr], x))
-                queue.append(rr)
-            elif rr in colors and lr not in colors:
-                colors[lr] = field.add(x, field.mul(tv, colors[rr]))
-                queue.append(lr)
+    for e, r, s, step in d._region_walk:
+        x = vec[arcs[e]]
+        if step == 1:  # s is on the strand's left
+            colors[s] = field.add(x, field.mul(tv, colors[r]))
+        else:
+            colors[s] = field.mul(tinv, field.sub(colors[r], x))
     out = [colors[r] for r in range(d.region_count)]
     rows = dehn_matrix(d).evaluate(value, 0)
     if any(dot(field, row, out) for row in rows):

@@ -20,6 +20,15 @@ the edge's direction.
 
 A 0-crossing unknot has no edges; its outer marker is None and its two
 regions are synthesized.
+
+Each piece of structure is derived once per diagram and cached: the
+validation report, the edge cycle, the arc union-find, the face orbits
+and one spanning walk of the region adjacency from the unbounded region.
+The region index adds +-1 at each step of that walk, and the
+checkerboard is the parity of the index, even being white.  It is the
+unique proper 2-coloring with the unbounded region white: the two regions
+beside an edge differ in index by exactly one, and the adjacency is
+connected.
 """
 
 from __future__ import annotations
@@ -107,9 +116,10 @@ class Diagram:
         return c.under_out if role == "under" else c.over_out
 
     @cached_property
-    def traversal(self) -> tuple[int, ...]:
-        """Edges in knot order starting from edge 0 (valid diagrams only)."""
-        self._require_valid()
+    def _cycle(self) -> tuple[int, ...]:
+        """Edges in knot order from edge 0.  The walk returns to edge 0
+        once the slots are a matching, since next_edge is then a
+        permutation; the diagram is one component when it has 2n edges."""
         if self.n == 0:
             return ()
         seq = [0]
@@ -119,9 +129,20 @@ class Diagram:
             e = self.next_edge(e)
         return tuple(seq)
 
+    @property
+    def traversal(self) -> tuple[int, ...]:
+        """Edges in knot order starting from edge 0 (valid diagrams only)."""
+        self._require_valid()
+        return self._cycle
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The validation report, computed on first use."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         problems = []
         n = self.n
         if n == 0:
@@ -153,22 +174,15 @@ class Diagram:
         if problems:
             return ValidationReport(False, tuple(problems), n, None, None)
 
-        seen = set()
-        e = 0
-        for _ in range(2 * n):
-            if e in seen:
-                break
-            seen.add(e)
-            e = self.next_edge(e)
-        if len(seen) != 2 * n or e != 0:
+        if len(self._cycle) != 2 * n:
             problems.append("edge cycle is not a single closed component")
             return ValidationReport(False, tuple(problems), n, None, None)
 
-        arc_count = len(set(self._arc_of_edge().values()))
+        arc_count = len(set(self._arc_of_edge.values()))
         if arc_count != n:
             problems.append(f"{arc_count} arcs, expected {n}")
 
-        region_count = len(self._face_orbits())
+        region_count = len(self._face_orbits)
         if region_count != n + 2:
             problems.append(
                 f"{region_count} regions, expected {n + 2}: rotation system is not planar"
@@ -183,17 +197,15 @@ class Diagram:
 
         return ValidationReport(not problems, tuple(problems), n, arc_count, region_count)
 
-    @cached_property
-    def _is_valid(self) -> bool:
-        return self.validate().ok
-
-    def _require_valid(self):
-        if not self._is_valid:
-            report = self.validate()
+    def _require_valid(self) -> ValidationReport:
+        report = self._report
+        if not report.ok:
             raise DiagramError("invalid diagram: " + "; ".join(report.violations))
+        return report
 
     # -- arcs ------------------------------------------------------------------
 
+    @cached_property
     def _arc_of_edge(self) -> dict:
         """Union-find over edges merging over_in ~ over_out at each crossing."""
         parent = list(range(2 * self.n))
@@ -214,20 +226,29 @@ class Diagram:
     def arcs(self) -> dict:
         """edge -> ArcId; arcs are numbered by their smallest edge id."""
         self._require_valid()
-        raw = self._arc_of_edge()
-        reps = sorted(set(raw.values()))
-        index = {rep: i for i, rep in enumerate(reps)}
-        return {e: index[r] for e, r in raw.items()}
+        # each root is its arc's smallest edge, so roots first appear in increasing order
+        index = {}
+        return {e: index.setdefault(r, len(index)) for e, r in self._arc_of_edge.items()}
 
     @property
     def arc_count(self) -> int:
-        return 1 if self.n == 0 else len(set(self.arcs.values()))
+        return self._require_valid().arc_count
+
+    @cached_property
+    def _arc_members(self) -> list[list[int]]:
+        members = [[] for _ in range(self.arc_count)]
+        for e, a in self.arcs.items():
+            members[a].append(e)
+        return members
 
     def arc_edges(self, arc: int) -> list[int]:
-        return sorted(e for e, a in self.arcs.items() if a == arc)
+        """The arc's edges in increasing order; [] for an arc that does not exist."""
+        members = self._arc_members
+        return list(members[arc]) if 0 <= arc < len(members) else []
 
     # -- faces / regions --------------------------------------------------------
 
+    @cached_property
     def _face_orbits(self) -> list[list]:
         """Faces as orbits of momentum darts; dart (e, +1) walks along the
         edge with the face on its left, (e, -1) walks against it."""
@@ -264,23 +285,18 @@ class Diagram:
         if self.n == 0:
             return {}
         face_of = {}
-        for fi, orbit in enumerate(self._face_orbits()):
+        for fi, orbit in enumerate(self._face_orbits):
             for d in orbit:
                 face_of[self._token(d)] = fi
-        order = []
-        for c in self.crossings:
-            for tok in dehn_role_tokens(c):
-                fi = face_of[tok]
-                if fi not in order:
-                    order.append(fi)
+        order = dict.fromkeys(face_of[tok] for c in self.crossings for tok in dehn_role_tokens(c))
         outer_face = face_of[self.outer]
-        order = [fi for fi in order if fi != outer_face] + [outer_face]
-        renum = {fi: i for i, fi in enumerate(order)}
+        del order[outer_face]
+        renum = {fi: i for i, fi in enumerate([*order, outer_face])}
         return {tok: renum[fi] for tok, fi in face_of.items()}
 
     @property
     def region_count(self) -> int:
-        return 2 if self.n == 0 else len(set(self.regions.values()))
+        return self._require_valid().region_count
 
     @property
     def outer_region(self) -> int:
@@ -293,28 +309,27 @@ class Diagram:
         return self.regions[(edge, LEFT)], self.regions[(edge, RIGHT)]
 
     @cached_property
-    def checkerboard(self) -> dict:
-        """RegionId -> 'white'|'black'; proper 2-coloring, unbounded white."""
+    def _region_walk(self) -> tuple:
+        """A spanning tree of the region adjacency grown from the unbounded
+        region, as (edge, reached region, new region, index step) in the
+        order regions are reached; the step is +1 when the new region is on
+        the edge's left."""
         self._require_valid()
-        if self.n == 0:
-            return {0: "black", 1: "white"}
-        color = {self.outer_region: "white"}
-        queue = [self.outer_region]
-        adj = {}
+        adjacent = {}
         for e in range(2 * self.n):
             l, r = self.side_regions(e)
-            adj.setdefault(l, set()).add(r)
-            adj.setdefault(r, set()).add(l)
-        while queue:
-            r = queue.pop()
-            for s in adj[r]:
-                want = "black" if color[r] == "white" else "white"
-                if s not in color:
-                    color[s] = want
+            adjacent.setdefault(l, []).append((e, r, -1))
+            adjacent.setdefault(r, []).append((e, l, +1))
+        queue = [self.outer_region]
+        reached = set(queue)
+        steps = []
+        for r in queue:  # the queue grows while it is walked
+            for e, s, step in adjacent[r]:
+                if s not in reached:
+                    reached.add(s)
                     queue.append(s)
-                elif color[s] != want:
-                    raise DiagramError("region adjacency graph is not 2-colorable")
-        return color
+                    steps.append((e, r, s, step))
+        return tuple(steps)
 
     @cached_property
     def region_index(self) -> dict:
@@ -324,22 +339,19 @@ class Diagram:
         if self.n == 0:
             return {0: -1, 1: 0}
         index = {self.outer_region: 0}
-        queue = [self.outer_region]
-        cons = {}
+        for _, r, s, step in self._region_walk:
+            index[s] = index[r] + step
         for e in range(2 * self.n):
             l, r = self.side_regions(e)
-            cons.setdefault(l, set()).add((r, -1))
-            cons.setdefault(r, set()).add((l, +1))
-        while queue:
-            r = queue.pop()
-            for s, delta in cons[r]:
-                want = index[r] + delta
-                if s not in index:
-                    index[s] = want
-                    queue.append(s)
-                elif index[s] != want:
-                    raise DiagramError("inconsistent region indices: orientation corrupted")
+            if index[l] - index[r] != 1:
+                raise DiagramError("inconsistent region indices: orientation corrupted")
         return index
+
+    @cached_property
+    def checkerboard(self) -> dict:
+        """RegionId -> 'white'|'black'; the parity of the region index, so a
+        proper 2-coloring with the unbounded region white."""
+        return {r: "black" if i % 2 else "white" for r, i in self.region_index.items()}
 
     # -- io ------------------------------------------------------------------------
 
@@ -426,13 +438,6 @@ def dehn_role_tokens(c: Crossing) -> tuple:
         i = (c.under_in, RIGHT)
         l = (c.under_out, LEFT)
     return (i, j, k, l)
-
-
-# -- spec-style function fronts ---------------------------------------------------
-
-
-def validate_diagram(d: Diagram) -> ValidationReport:
-    return d.validate()
 
 
 # -- Reidemeister moves ------------------------------------------------------------
@@ -532,8 +537,7 @@ def reidemeister_r1_remove(d: Diagram, crossing: int) -> Diagram:
     d._require_valid()
     if not 0 <= crossing < d.n:
         raise MoveError(f"no crossing {crossing}")
-    c = d.crossings[crossing]
-    if c.under_out != c.over_in and c.over_out != c.under_in:
+    if not _is_twist(d.crossings[crossing]):
         raise MoveError(f"crossing {crossing} is not a removable twist")
     return _delete_crossings(d, {crossing})
 
@@ -578,26 +582,34 @@ def reidemeister_r2_remove(d: Diagram, c1: int, c2: int) -> Diagram:
     if c1 == c2 or not all(0 <= c < d.n for c in (c1, c2)):
         raise MoveError("need two distinct crossings")
     x, y = d.crossings[c1], d.crossings[c2]
-    if x.over_out == y.over_in:
-        a_first, a_second = x, y
-    elif y.over_out == x.over_in:
-        a_first, a_second = y, x
-    else:
-        raise MoveError("no overstrand connecting the two crossings")
-    a2 = a_first.over_out
-    if a_first.under_out == a_second.under_in:
-        b2 = a_first.under_out
-        b_first, b_second = a_first, a_second
-    elif a_second.under_out == a_first.under_in:
-        b2 = a_second.under_out
-        b_first, b_second = a_second, a_first
-    else:
-        raise MoveError("no understrand connecting the two crossings")
-    la, ra = d.side_regions(a2)
-    lb, rb = d.side_regions(b2)
-    if not ({la, ra} & {lb, rb}):
-        raise MoveError("the two crossings do not bound a bigon")
+    if x.over_out != y.over_in:
+        x, y = y, x  # the overstrand may run from c2 into c1
+    defect = _poke_defect(d, x, y)
+    if defect:
+        raise MoveError(defect)
     return _delete_crossings(d, {c1, c2})
+
+
+def _is_twist(c: Crossing) -> bool:
+    """Whether a loop edge leaves the crossing and feeds it again."""
+    return c.under_out == c.over_in or c.over_out == c.under_in
+
+
+def _poke_defect(d: Diagram, x: Crossing, y: Crossing) -> str | None:
+    """Why x, then y along x's overstrand, do not bound a removable poke:
+    one strand over at both, the other under at both, and a bigon
+    between; None when they do."""
+    if x.over_out != y.over_in:
+        return "no overstrand connecting the two crossings"
+    if x.under_out == y.under_in:
+        b2 = x.under_out
+    elif y.under_out == x.under_in:
+        b2 = y.under_out
+    else:
+        return "no understrand connecting the two crossings"
+    if not set(d.side_regions(x.over_out)) & set(d.side_regions(b2)):
+        return "the two crossings do not bound a bigon"
+    return None
 
 
 def _delete_crossings(d: Diagram, dead: set) -> Diagram:
@@ -614,9 +626,8 @@ def _delete_crossings(d: Diagram, dead: set) -> Diagram:
     passages = [d.in_slots[e] for e in seq]
     live = [i for i, (ci, _) in enumerate(passages) if ci not in dead]
     m = len(seq)
+    s = _Surgery(d)
     splice = {}
-    slot_in = {}
-    slot_out = {}
     for idx, i in enumerate(live):
         prev = live[idx - 1]
         kept = seq[(prev + 1) % m]
@@ -627,30 +638,14 @@ def _delete_crossings(d: Diagram, dead: set) -> Diagram:
                 break
             j = (j + 1) % m
         ci, role = passages[i]
-        slot_in[(ci, role)] = kept
-        slot_out[passages[prev]] = kept
-
-    crossings = []
-    for ci in survivors:
-        c = d.crossings[ci]
-        crossings.append(
-            Crossing(
-                under_in=slot_in[(ci, "under")],
-                under_out=slot_out[(ci, "under")],
-                over_in=slot_in[(ci, "over")],
-                over_out=slot_out[(ci, "over")],
-                sign=c.sign,
-            )
-        )
-    ids = sorted(set(splice.values()))
-    renum = {old: new for new, old in enumerate(ids)}
-    crossings = tuple(
-        Crossing(renum[c.under_in], renum[c.under_out], renum[c.over_in], renum[c.over_out], c.sign)
-        for c in crossings
-    )
+        s.crossings[ci][role + "_in"] = kept
+        ci, role = passages[prev]
+        s.crossings[ci][role + "_out"] = kept
+    s.crossings = [s.crossings[ci] for ci in survivors]
     # the outer token follows its merged edge: the new face flanking the
     # spliced edge on that side absorbs the old one
-    return Diagram(crossings, (renum[splice[d.outer[0]]], d.outer[1]))
+    s.outer = (splice[d.outer[0]], d.outer[1])
+    return s.emit()
 
 
 def _arc_edge_on_region(d: Diagram, arc: int, region: int, exclude: int | None = None):
@@ -665,27 +660,16 @@ def _arc_edge_on_region(d: Diagram, arc: int, region: int, exclude: int | None =
 
 def removable_twists(d: Diagram) -> list[int]:
     d._require_valid()
-    out = []
-    for ci, c in enumerate(d.crossings):
-        if c.under_out == c.over_in or c.over_out == c.under_in:
-            out.append(ci)
-    return out
+    return [ci for ci, c in enumerate(d.crossings) if _is_twist(c)]
 
 
 def removable_pokes(d: Diagram) -> list[tuple[int, int]]:
     d._require_valid()
     out = []
     for ci, x in enumerate(d.crossings):
-        for cj, y in enumerate(d.crossings):
-            if ci == cj:
-                continue
-            if x.over_out != y.over_in:
-                continue
-            if x.under_out == y.under_in or y.under_out == x.under_in:
-                a2 = x.over_out
-                b2 = x.under_out if x.under_out == y.under_in else y.under_out
-                if set(d.side_regions(a2)) & set(d.side_regions(b2)):
-                    out.append((ci, cj))
+        cj = d.in_slots[x.over_out][0]  # where x's overstrand edge arrives
+        if cj != ci and _poke_defect(d, x, d.crossings[cj]) is None:
+            out.append((ci, cj))
     return out
 
 

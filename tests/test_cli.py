@@ -176,6 +176,34 @@ def _count_spans(monkeypatch):
     return calls
 
 
+def _count_structure(monkeypatch):
+    """Record each computation of a diagram's validation report, arc
+    union-find and face walk, the cached properties of Diagram."""
+    from functools import cached_property
+    from knotcode.diagram import Diagram
+
+    calls = []
+    for name in ("_report", "_arc_of_edge", "_face_orbits"):
+
+        def counted(self, func=Diagram.__dict__[name].func, name=name):
+            calls.append(name)
+            return func(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Diagram, name)
+        monkeypatch.setattr(Diagram, name, prop)
+    return calls
+
+
+def test_code_derives_diagram_structure_once(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys, "torus", "--a", "3", "--b", "4")
+    calls = _count_structure(monkeypatch)
+    for kind in ("fox", "dehn"):
+        calls.clear()
+        code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--kind", kind], capsys)
+        assert code == 0 and sorted(calls) == ["_arc_of_edge", "_face_orbits", "_report"], (kind, calls)
+
+
 def test_code_enumerates_once(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     calls = _count_spans(monkeypatch)

@@ -384,6 +384,18 @@ def test_fox_dehn_roundtrip(trefoil, figure_eight):
             assert dehn.contains(vec) and fox.contains(dehn_to_fox(d, field, t, vec))
 
 
+def test_fox_dehn_roundtrip_t2_401(F3):
+    # the region walk and the arc map are linear: 401 crossings take milliseconds
+    d = torus_diagram(2, 401)
+    fox = code_from_diagram(d, F3, -1)
+    dehn = code_from_diagram(d, F3, -1, kind="dehn")
+    for vec in fox.generator:
+        lifted = fox_to_dehn(d, F3, -1, vec, anchor=F3.q - 1)
+        assert dehn.contains(lifted)
+        back = dehn_to_fox(d, F3, -1, lifted)
+        assert tuple(back) == vec and fox.contains(back)
+
+
 def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     d = torus_diagram(2, 5)
     colors = d.checkerboard

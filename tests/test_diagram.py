@@ -14,7 +14,6 @@ from knotcode.diagram import (
     reidemeister_r2_remove,
     removable_pokes,
     removable_twists,
-    validate_diagram,
 )
 from knotcode.generators import torus_diagram
 from knotcode.codes import code_from_diagram
@@ -24,14 +23,14 @@ from conftest import random_move, small_diagrams
 
 
 def test_trefoil_validates(trefoil):
-    rep = validate_diagram(trefoil)
+    rep = trefoil.validate()
     assert rep.ok
     assert rep.arc_count == 3
     assert rep.region_count == 5
 
 
 def test_unknot_validates(unknot):
-    rep = validate_diagram(unknot)
+    rep = unknot.validate()
     assert rep.ok
     assert rep.arc_count == 1
     assert rep.region_count == 2
@@ -45,7 +44,7 @@ def test_duplicate_incoming_edge_is_flagged():
         ),
         outer=(0, "left"),
     )
-    rep = validate_diagram(bad)
+    rep = bad.validate()
     assert not rep.ok
     assert any("matching" in v for v in rep.violations)
 
@@ -59,7 +58,7 @@ def test_two_component_link_is_flagged():
         ),
         outer=(0, "left"),
     )
-    rep = validate_diagram(bad)
+    rep = bad.validate()
     assert not rep.ok
     assert any("single closed component" in v for v in rep.violations)
 
@@ -123,7 +122,7 @@ def test_trefoil_index_window(trefoil):
 
 def test_r1_on_unknot(unknot):
     k = reidemeister_r1(unknot, 0)
-    rep = validate_diagram(k)
+    rep = k.validate()
     assert rep.ok and k.n == 1 and k.arc_count == 1
     back = reidemeister_r1_remove(k, 0)
     assert back.same_up_to_relabeling(unknot)
@@ -133,7 +132,7 @@ def test_r1_roundtrip(trefoil):
     for direction in ("add_left_twist", "add_right_twist"):
         for arc in range(3):
             bigger = reidemeister_r1(trefoil, arc, direction)
-            assert validate_diagram(bigger).ok
+            assert bigger.validate().ok
             assert bigger.n == 4
             twists = removable_twists(bigger)
             assert twists
@@ -149,7 +148,7 @@ def test_r1_remove_rejects_plain_crossing(trefoil):
 def test_r2_roundtrip(trefoil):
     for site in poke_sites(trefoil)[:6]:
         poked = reidemeister_r2(trefoil, *site)
-        assert validate_diagram(poked).ok
+        assert poked.validate().ok
         assert poked.n == 5
         pairs = removable_pokes(poked)
         assert pairs
