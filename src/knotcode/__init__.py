@@ -5,7 +5,7 @@ parameters for torus/pretzel/connected-sum families, and the cable
 dimension calculus.
 """
 
-from .laurent import LaurentPoly, int_poly_content_gcd
+from .laurent import LaurentPoly
 from .fields import FqField, RingFpT, RingZ, is_prime, poly_gcd
 from .exactlin import IntMod, PolyMod, SnfResult, kernel_basis, laurent_det, rank, snf
 from .diagram import (

@@ -7,7 +7,9 @@ where it becomes everything (the code dimension), and cabling transforms
 that index by one closed-form rule.
 
 A t is read by FqField.element, so an int t is n * 1; the t of a
-sequence and the value of torus_delta are encoded field ints.
+sequence holds the ascending coefficients FqField.decode gives, so it
+can be passed back as a t, and the value of torus_delta is an encoded
+field int.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class EvaluatedIdealSeq:
     dimension), so the sequence is held as that threshold."""
 
     field: FqField
-    t: int  # encoded field int
+    t: tuple[int, ...]  # ascending coefficients, as FqField.decode gives them
     dimension: int
     length: int | None = None  # columns of the matrix, when it came from one
 
@@ -64,7 +66,7 @@ def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     dim = mat.ncols - rank(field, mat.evaluate(value, 0))
     if dim < 1:
         raise AssertionError("coloring matrix of a knot diagram must be singular")
-    return EvaluatedIdealSeq(field, field.element(t), dim, mat.ncols)
+    return EvaluatedIdealSeq(field, field.decode(field.element(t)), dim, mat.ncols)
 
 
 def torus_delta(field: FqField, a: int, b: int, t) -> int:
@@ -84,16 +86,16 @@ def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdea
     a, b = abs(a), abs(b)
     field = base.field
     te = field.element(t)
-    if field.pow(te, b) != base.t:
+    if field.pow(te, b) != field.element(base.t):
         raise ValueError("base sequence must be evaluated at t^b")
     bump = 1 if torus_delta(field, a, b, t) == 0 else 0
-    return EvaluatedIdealSeq(field, te, base.dimension + bump, None)
+    return EvaluatedIdealSeq(field, field.decode(te), base.dimension + bump, None)
 
 
 def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:
     """Companion seed: the unknot has only the trivial colorings."""
     field.at(t)  # t must be a unit
-    return EvaluatedIdealSeq(field, field.element(t), 1, 1)
+    return EvaluatedIdealSeq(field, field.decode(field.element(t)), 1, 1)
 
 
 def iterated_cable_length(p: int, m: int) -> int:

@@ -393,7 +393,7 @@ def cmd_cable(args) -> int:
     else:
         seq = cab.unknot_ideal_seq(field, t_step[0])
         inputs["base"] = "unknot"
-    rows = [{"dim": seq.dimension, "stage": "base", "t": list(field.decode(seq.t))}]
+    rows = [{"dim": seq.dimension, "stage": "base", "t": list(seq.t)}]
     for i, (a, b) in enumerate(pairs, start=1):
         delta = cab.torus_delta(field, a, b, t_step[i])
         seq = cab.cable_ideal_seq(seq, a, b, t_step[i])
@@ -401,7 +401,7 @@ def cmd_cable(args) -> int:
             "stage": i,
             "a": a,
             "b": b,
-            "t": list(field.decode(seq.t)),
+            "t": list(seq.t),
             "delta": list(field.decode(delta)),
             "dim": seq.dimension,
         }

@@ -391,34 +391,27 @@ class Diagram:
     @cached_property
     def canonical_key(self) -> tuple:
         """Relabeling-invariant key: minimum over start edges of the passage
-        encoding, with the outer face pinned by its first traversal token."""
+        encoding, with the outer face pinned by its first traversal token.
+        The walk from each start is a rotation of the edge cycle."""
         self._require_valid()
         if self.n == 0:
             return ("unknot",)
+        cycle = self._cycle
+        size = len(cycle)
+        passes = [(ci, role, self.crossings[ci].sign) for ci, role in (self.in_slots[e] for e in cycle)]
+        pos = {e: i for i, e in enumerate(cycle)}
+        outer_face = self.outer_region
+        outer_tokens = [(pos[e], side) for (e, side), r in self.regions.items() if r == outer_face]
         best = None
-        for start in range(2 * self.n):
-            key = self._encode_from(start)
+        for start in range(size):
+            number = {}
+            passages = tuple(
+                (number.setdefault(ci, len(number)), role, sign) for ci, role, sign in passes[start:] + passes[:start]
+            )
+            key = (passages, min(((p - start) % size, side) for p, side in outer_tokens))
             if best is None or key < best:
                 best = key
         return best
-
-    def _encode_from(self, start: int) -> tuple:
-        pos_of_edge = {}
-        number = {}
-        passages = []
-        e = start
-        for pos in range(2 * self.n):
-            pos_of_edge[e] = pos
-            ci, role = self.in_slots[e]
-            if ci not in number:
-                number[ci] = len(number)
-            passages.append((number[ci], role, self.crossings[ci].sign))
-            e = self.next_edge(e)
-        outer_face = self.outer_region
-        outer_rep = min(
-            (pos_of_edge[e2], side) for (e2, side), r in self.regions.items() if r == outer_face
-        )
-        return (tuple(passages), outer_rep)
 
     def same_up_to_relabeling(self, other: "Diagram") -> bool:
         return self.canonical_key == other.canonical_key

@@ -3,19 +3,21 @@ interpolation and Chinese remaindering, Smith normal form over the
 Euclidean domains Z and F_p[T], and one sparse elimination over the
 quotient rings F_q, Z/m and F_p[T]/(f) (FqField, IntMod, PolyMod).
 
-The Smith form routines take plain lists of lists, with ints for Z and
-ascending coefficient tuples for F_p[T]; laurent_det takes a square list
-of lists of LaurentPoly, sparse_dets and minor_dets sparse LaurentPoly
-rows.  The elimination takes sparse rows, ((column, value), ...) pairs of
-a row's nonzeros, which is how a coloring matrix is evaluated (at most 4
-nonzeros per row), so it costs little beyond its nonzeros where
-Gauss-Jordan took cubic time; over F_q every value, in rows and in the
-vectors returned, is an encoded field int (see fields).  It pivots only on units: over F_q that is
-every nonzero, and it gives rank, a canonical kernel basis, and over Z/p
-the determinant values the determinants over Z[T, T^-1] are interpolated
-from; over Z/m and F_p[T]/(f) the few rows left without a unit are what
-the coloring counts hand to the Smith form, whose entries then stay
-reduced instead of growing.  dense() turns sparse rows into the full grid.
+The Smith form takes a plain list of lists, with ints for Z and
+ascending coefficient tuples for F_p[T], and returns the invariant
+factors and the rank, not the transforms that produce them.  laurent_det
+takes a square list of lists of LaurentPoly, sparse_dets and minor_dets
+sparse LaurentPoly rows.  The elimination takes sparse rows, ((column,
+value), ...) pairs of a row's nonzeros, which is how a coloring matrix is
+evaluated (at most 4 nonzeros per row), so it costs little beyond its
+nonzeros where Gauss-Jordan took cubic time; over F_q every value, in
+rows and in the vectors returned, is an encoded field int (see fields).
+It pivots only on units: over F_q that is every nonzero, and it gives
+rank, a canonical kernel basis, and over Z/p the determinant values the
+determinants over Z[T, T^-1] are interpolated from; over Z/m and
+F_p[T]/(f) the few rows left without a unit are what the coloring counts
+hand to the Smith form, whose entries then stay reduced instead of
+growing.  dense() turns sparse rows into the full grid.
 """
 
 from __future__ import annotations
@@ -191,123 +193,71 @@ def _interpolate(values, p: int) -> list[int]:
 @dataclass(frozen=True)
 class SnfResult:
     """Invariant factors in ideal-increasing order: (d_1) in (d_2) in ...,
-    so zeros come first and d_{i+1} divides d_i.  U and V are the recorded
-    row/column transforms with U*A*V = diag(reversed factors padded)."""
+    so zeros come first and d_{i+1} divides d_i; rank counts the nonzero
+    ones."""
 
     invariant_factors: tuple
     rank: int
-    U: tuple
-    V: tuple
-    ring_name: str
 
 
 def snf(rows: list[list], ring) -> SnfResult:
-    """Smith normal form by elementary operations over Z or F_p[T].
+    """Invariant factors over Z or F_p[T] by elementary row and column
+    operations, each factor an associate in normal form (positive over Z,
+    monic over F_p[T]).
 
-    Pivoting picks the smallest-norm nonzero entry (row-major tie break),
-    reduces its row and column, and restarts whenever a division leaves a
-    remainder; afterwards the divisibility chain is enforced pairwise.
+    A ring here has zero, norm, add, sub, mul, divmod and normal (the
+    associate in normal form): RingZ and RingFpT.  Step r moves the
+    smallest-norm nonzero entry of the submatrix that starts at (r, r) to
+    (r, r), the first in row-major order on a tie, then clears column r
+    and row r by Euclidean division; a division that leaves a remainder swaps that remainder in
+    as the pivot, whose norm then drops, and the clearing repeats.  If the
+    pivot fails to divide an entry of the submatrix below and right of it,
+    that entry's row is added to row r and the step starts over, so each
+    pivot divides every later one.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    U = _identity(m, ring)
-    V = _identity(n, ring)
-
-    r = 0
     size = min(m, n)
+    a = [list(row) for row in rows]
+    zero, sub, mul, divmod_ = ring.zero, ring.sub, ring.mul, ring.divmod
+    r = 0
     while r < size:
-        pivot = _smallest_pivot(a, r, ring)
+        pivot = min(
+            ((ring.norm(x), i, j) for i in range(r, m) for j, x in enumerate(a[i][r:], r) if x != zero),
+            default=None,
+        )
         if pivot is None:
             break
-        pi, pj = pivot
-        if pi != r:
-            a[pi], a[r] = a[r], a[pi]
-            U[pi], U[r] = U[r], U[pi]
-        if pj != r:
-            _swap_cols(a, pj, r)
-            _swap_cols(V, pj, r)
-        while True:
+        _, pi, pj = pivot
+        a[pi], a[r] = a[r], a[pi]
+        _swap_cols(a, pj, r)
+        cleared = False
+        while not cleared:
             cleared = True
             for i in range(r + 1, m):
-                if ring.is_zero(a[i][r]):
-                    continue
-                q, rem = ring.divmod(a[i][r], a[r][r])
-                _row_sub(a, i, r, q, ring)
-                _row_sub(U, i, r, q, ring)
-                if not ring.is_zero(rem):
-                    a[i], a[r] = a[r], a[i]
-                    U[i], U[r] = U[r], U[i]
-                    cleared = False
+                if a[i][r] != zero:
+                    q, rem = divmod_(a[i][r], a[r][r])
+                    a[i] = [sub(x, mul(q, y)) for x, y in zip(a[i], a[r])]
+                    if rem != zero:
+                        a[i], a[r] = a[r], a[i]
+                        cleared = False
             for j in range(r + 1, n):
-                if ring.is_zero(a[r][j]):
-                    continue
-                q, rem = ring.divmod(a[r][j], a[r][r])
-                _col_sub(a, j, r, q, ring)
-                _col_sub(V, j, r, q, ring)
-                if not ring.is_zero(rem):
-                    _swap_cols(a, j, r)
-                    _swap_cols(V, j, r)
-                    cleared = False
-            if cleared:
-                break
-        # pivot must divide the rest of the submatrix
-        offender = None
-        for i in range(r + 1, m):
-            for j in range(r + 1, n):
-                if not ring.divides(a[r][r], a[i][j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _row_add(a, r, offender, ring)
-            _row_add(U, r, offender, ring)
-            continue
-        u = ring.unit_to_normal(a[r][r])
-        if u != ring.one:
-            a[r] = [ring.mul(u, x) for x in a[r]]
-            U[r] = [ring.mul(u, x) for x in U[r]]
-        r += 1
-
-    chain = [a[i][i] for i in range(r)]
-    factors = tuple([ring.zero] * (size - r)) + tuple(reversed(chain))
-    return SnfResult(factors, r, _freeze(U), _freeze(V), ring.name)
-
-
-def _identity(k, ring):
-    return [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)]
-
-
-def _freeze(mat):
-    return tuple(tuple(row) for row in mat)
-
-
-def _smallest_pivot(a, r, ring):
-    best = None
-    for i in range(r, len(a)):
-        for j in range(r, len(a[0])):
-            if not ring.is_zero(a[i][j]):
-                if best is None or ring.norm(a[i][j]) < ring.norm(a[best[0]][best[1]]):
-                    best = (i, j)
-    return best
-
-
-def _row_sub(mat, i, r, q, ring):
-    if ring.is_zero(q):
-        return
-    mat[i] = [ring.add(x, ring.neg(ring.mul(q, y))) for x, y in zip(mat[i], mat[r])]
-
-
-def _row_add(mat, i, r, ring):
-    mat[i] = [ring.add(x, y) for x, y in zip(mat[i], mat[r])]
-
-
-def _col_sub(mat, j, r, q, ring):
-    if ring.is_zero(q):
-        return
-    for row in mat:
-        row[j] = ring.add(row[j], ring.neg(ring.mul(q, row[r])))
+                if a[r][j] != zero:
+                    q, rem = divmod_(a[r][j], a[r][r])
+                    for row in a:
+                        row[j] = sub(row[j], mul(q, row[r]))
+                    if rem != zero:
+                        _swap_cols(a, j, r)
+                        cleared = False
+        offender = next(
+            (i for i in range(r + 1, m) if any(divmod_(x, a[r][r])[1] != zero for x in a[i][r + 1 :])), None
+        )
+        if offender is None:
+            r += 1
+        else:
+            a[r] = [ring.add(x, y) for x, y in zip(a[r], a[offender])]
+    chain = [ring.normal(a[i][i]) for i in reversed(range(r))]
+    return SnfResult(tuple([zero] * (size - r) + chain), r)
 
 
 def _swap_cols(mat, j, r):

@@ -212,41 +212,31 @@ class RingZ:
 
     name = "Z"
     zero = 0
-    one = 1
-
-    def is_zero(self, x):
-        return x == 0
 
     def norm(self, x):
+        return abs(x)
+
+    def normal(self, x):
+        """The associate in normal form: |x|."""
         return abs(x)
 
     def add(self, x, y):
         return x + y
 
-    def neg(self, x):
-        return -x
+    def sub(self, x, y):
+        return x - y
 
     def mul(self, x, y):
         return x * y
 
     def divmod(self, x, y):
-        q, r = divmod(x, y)
-        return q, r
-
-    def unit_to_normal(self, x):
-        """Unit u with u*x in normal form (positive / monic)."""
-        return -1 if x < 0 else 1
-
-    def divides(self, x, y):
-        """x | y."""
-        return y % x == 0 if x else y == 0
+        return divmod(x, y)
 
 
 class RingFpT:
     """Euclidean-domain hooks for F_p[T] on coefficient tuples."""
 
     zero = ()
-    one = (1,)
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -254,31 +244,24 @@ class RingFpT:
         self.p = p
         self.name = f"F_{p}[T]"
 
-    def is_zero(self, x):
-        return not x
-
     def norm(self, x):
         return len(x)
+
+    def normal(self, x):
+        """The associate in normal form: x made monic."""
+        return fp_monic(x, self.p)
 
     def add(self, x, y):
         return fp_add(x, y, self.p)
 
-    def neg(self, x):
-        return fp_neg(x, self.p)
+    def sub(self, x, y):
+        return fp_sub(x, y, self.p)
 
     def mul(self, x, y):
         return fp_mul(x, y, self.p)
 
     def divmod(self, x, y):
         return fp_divmod(x, y, self.p)
-
-    def unit_to_normal(self, x):
-        return (pow(x[-1], self.p - 2, self.p),) if x else (1,)
-
-    def divides(self, x, y):
-        if self.is_zero(x):
-            return self.is_zero(y)
-        return self.is_zero(fp_mod(y, x, self.p))
 
 
 # -- the field ----------------------------------------------------------------

@@ -5,13 +5,12 @@ tuple (c_k, ..., c_m) together with the lowest exponent k.  The stored
 coefficients never have zero at either end; the zero polynomial is the
 empty tuple with min_deg 0.  All arithmetic is exact (Python ints).
 
-Plain integer polynomials are the special case min_deg >= 0; the helpers
-that require them (exact division, gcd) say so.
+Plain integer polynomials are the special case min_deg >= 0; eval_int
+needs one unless t = +-1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -85,11 +84,6 @@ class LaurentPoly:
                     out[i + j] += ai * bj
         return LaurentPoly.make(out, self.min_deg + other.min_deg)
 
-    def scale(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            return ZERO
-        return LaurentPoly(tuple(n * c for c in self.coeffs), self.min_deg)
-
     def shift(self, s: int) -> "LaurentPoly":
         """Multiply by T^s."""
         if self.is_zero:
@@ -123,26 +117,25 @@ class LaurentPoly:
     # -- division -----------------------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other in Z[T, T^-1]; raises if not divisible."""
+        """Exact quotient self / other in Z[T, T^-1] by schoolbook division;
+        raises if not divisible."""
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return ZERO
-        q, r = _divmod_int_poly(list(self.coeffs), list(other.coeffs))
-        if q is None or any(r):
+        a, b = list(self.coeffs), other.coeffs
+        q = [0] * max(len(a) - len(b) + 1, 0)
+        for k in reversed(range(len(q))):
+            c, r = divmod(a[k + len(b) - 1], b[-1])
+            if r:
+                raise ValueError("polynomial division is not exact")
+            q[k] = c
+            if c:
+                for j, bj in enumerate(b):
+                    a[k + j] -= c * bj
+        if any(a[: len(b) - 1]):
             raise ValueError("polynomial division is not exact")
         return LaurentPoly.make(q, self.min_deg - other.min_deg)
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        if other.is_zero:
-            return True
-        try:
-            other.exact_div(self)
-            return True
-        except ValueError:
-            return False
 
     def unit_ratio(self, other: "LaurentPoly"):
         """If self = +-T^s * other, return (sign, s); otherwise None."""
@@ -164,17 +157,6 @@ class LaurentPoly:
         if p.coeffs[0] < 0:
             p = -p
         return p
-
-    @property
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
-    def primitive_part(self) -> "LaurentPoly":
-        if self.is_zero:
-            return self
-        g = self.content
-        p = LaurentPoly(tuple(c // g for c in self.coeffs), self.min_deg)
-        return p if p.coeffs[-1] > 0 else -p
 
     # -- io -------------------------------------------------------------------
 
@@ -207,72 +189,3 @@ ZERO = LaurentPoly((), 0)
 ONE = LaurentPoly((1,), 0)
 T = LaurentPoly((1,), 1)
 
-
-def _divmod_int_poly(a: list[int], b: list[int]):
-    """Schoolbook divmod of integer coefficient lists (ascending order).
-
-    Returns (quotient, remainder) when every quotient coefficient is an
-    exact integer, else (None, a).  Exactness per step suffices for exact
-    quotients such as the torus-knot closed form and for divisibility tests
-    of exact products.
-    """
-    if len(a) < len(b):
-        return ([], a)
-    lead = b[-1]
-    rem = a[:]
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        num = rem[k + len(b) - 1]
-        if num % lead:
-            return (None, a)
-        c = num // lead
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return (q, rem[: len(b) - 1])
-
-
-def int_poly_divmod(a: LaurentPoly, b: LaurentPoly):
-    """Divmod in Z[T] when the leading coefficient divides at each step."""
-    if a.min_deg < 0 or b.min_deg < 0:
-        raise ValueError("divmod needs plain polynomials (min_deg >= 0)")
-    ca = [0] * a.min_deg + list(a.coeffs)
-    cb = [0] * b.min_deg + list(b.coeffs)
-    q, r = _divmod_int_poly(ca, cb)
-    if q is None:
-        return None
-    return LaurentPoly.make(q), LaurentPoly.make(r)
-
-
-def int_poly_content_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd in Z[T] up to sign: gcd of contents times primitive-part gcd.
-
-    Uses a primitive pseudo-remainder sequence, so it is exact over Z.
-    Laurent inputs are allowed; T-power units are dropped first.
-    """
-    if a.is_zero and b.is_zero:
-        return ZERO
-    if a.is_zero or b.is_zero:
-        f = (b if a.is_zero else a)
-        return LaurentPoly(f.primitive_part().coeffs, 0).scale(f.content)
-    ca, cb = a.content, b.content
-    f, g = a.primitive_part(), b.primitive_part()
-    f = LaurentPoly(f.coeffs, 0)
-    g = LaurentPoly(g.coeffs, 0)
-    while not g.is_zero:
-        r = _pseudo_rem(f, g)
-        f, g = g, r.primitive_part() if not r.is_zero else ZERO
-    return f.scale(math.gcd(ca, cb))
-
-
-def _pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Pseudo-remainder of plain polynomials: rem(lead(b)^k * a, b)."""
-    if a.max_deg < b.max_deg:
-        return a
-    k = a.max_deg - b.max_deg + 1
-    scaled = a.scale(b.coeffs[-1] ** k)
-    res = int_poly_divmod(scaled, b)
-    if res is None:  # lead(b)^k scaling makes every division step exact
-        raise AssertionError("pseudo-division failed")
-    return res[1]

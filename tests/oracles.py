@@ -3,8 +3,11 @@
 Everything here enumerates or expands definitions directly; none of it
 shares code with the SNF / modular determinant / kernel routes it
 certifies.  The dense Gauss-Jordan elimination over F_q is the reference
-for the sparse one, and fraction-free (Bareiss) elimination over Z[T] the
-reference for the determinants by evaluation and Chinese remaindering.
+for the sparse one, fraction-free (Bareiss) elimination over Z[T] the
+reference for the determinants by evaluation and Chinese remaindering,
+and determinantal divisors (gcds of all k x k minors) the reference for
+the Smith form.  The Z[T] gcd helpers at the end serve tests that compare
+ideals generated by minors.
 """
 
 import math
@@ -306,30 +309,106 @@ def subcode_last_zero(code, pos=None) -> LinearCode:
     return LinearCode(code.field, code.n, code.parity + (((pos, 1),),))
 
 
-def mat_mul(ring, A, B):
-    """Ring matrix product (certifies U*A*V against the SNF diagonal)."""
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = A[i][l]
-            if ring.is_zero(x):
-                continue
-            for j in range(m):
-                out[i][j] = ring.add(out[i][j], ring.mul(x, B[l][j]))
-    return out
+def _ring_det(ring, rows):
+    """Cofactor expansion along the first row over RingZ or RingFpT."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ring.zero
+    for j, x in enumerate(rows[0]):
+        term = ring.mul(x, _ring_det(ring, [row[:j] + row[j + 1 :] for row in rows[1:]]))
+        total = ring.sub(total, term) if j % 2 else ring.add(total, term)
+    return total
 
 
-def snf_diagonal(res):
-    """The diagonal matrix U*A*V that snf() certifies (divisibility-increasing
-    along the diagonal, zero rows last)."""
-    m, n = len(res.U), len(res.V)
-    zero = 0 if res.ring_name == "Z" else ()
-    chain = [d for d in res.invariant_factors if d != zero]
-    chain.reverse()
-    out = [[zero] * n for _ in range(m)]
-    for i, d in enumerate(chain):
-        out[i][i] = d
-    return out
+def _normal(ring, x):
+    """The associate of x in normal form: positive over Z, monic over F_p[T]."""
+    if isinstance(x, int):
+        return abs(x)
+    return ring.mul(x, (pow(x[-1], -1, ring.p),)) if x else x
+
+
+def _ring_gcd(ring, a, b):
+    """Euclid's algorithm on ring.divmod, in normal form."""
+    while b != ring.zero:
+        a, b = b, ring.divmod(a, b)[1]
+    return _normal(ring, a)
+
+
+def snf_by_minors(ring, rows) -> tuple:
+    """Invariant factors of rows over RingZ or RingFpT, in snf()'s order
+    (zeros first, each factor dividing the one before), from determinantal
+    divisors: d_k is the gcd of all k x k minors, and the k-th factor from
+    the top of the chain is d_k / d_{k-1}, with d_0 = 1."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    factors = []
+    prev = None  # d_{k-1}; None is d_0 = 1
+    for k in range(1, min(m, n) + 1):
+        d = ring.zero
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                d = _ring_gcd(ring, d, _ring_det(ring, [[rows[i][j] for j in ci] for i in ri]))
+        if prev is None or d == ring.zero:
+            factors.append(d)
+        else:
+            q, rem = ring.divmod(d, prev)
+            assert rem == ring.zero, "d_{k-1} divides d_k"
+            factors.append(q)
+        prev = d
+    return tuple(reversed(factors))
+
+
+def content(p: LaurentPoly) -> int:
+    return math.gcd(*p.coeffs) if p.coeffs else 0
+
+
+def primitive_part(p: LaurentPoly) -> LaurentPoly:
+    """p over its content, with a positive leading coefficient."""
+    if p.is_zero:
+        return p
+    g = content(p)
+    q = LaurentPoly(tuple(c // g for c in p.coeffs), p.min_deg)
+    return q if q.coeffs[-1] > 0 else -q
+
+
+def int_poly_divmod(a: LaurentPoly, b: LaurentPoly):
+    """Schoolbook divmod in Z[T] of plain polynomials (min_deg >= 0);
+    None when the leading coefficient of b fails to divide at some step."""
+    if a.min_deg < 0 or b.min_deg < 0:
+        raise ValueError("divmod needs plain polynomials (min_deg >= 0)")
+    rem = [0] * a.min_deg + list(a.coeffs)
+    cb = [0] * b.min_deg + list(b.coeffs)
+    q = [0] * max(len(rem) - len(cb) + 1, 0)
+    for k in reversed(range(len(q))):
+        c, r = divmod(rem[k + len(cb) - 1], cb[-1])
+        if r:
+            return None
+        q[k] = c
+        for j, bj in enumerate(cb):
+            rem[k + j] -= c * bj
+    return LaurentPoly.make(q), LaurentPoly.make(rem[: len(cb) - 1])
+
+
+def _pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Pseudo-remainder of plain polynomials: rem(lead(b)^k * a, b), where
+    the lead(b)^k scaling makes every division step exact."""
+    if a.max_deg < b.max_deg:
+        return a
+    k = a.max_deg - b.max_deg + 1
+    return int_poly_divmod(a * LaurentPoly.const(b.coeffs[-1] ** k), b)[1]
+
+
+def int_poly_content_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Gcd in Z[T] up to sign: gcd of contents times primitive-part gcd, by a
+    primitive pseudo-remainder sequence.  Laurent inputs are allowed; T-power
+    units are dropped first."""
+    if a.is_zero and b.is_zero:
+        return ZERO
+    if a.is_zero or b.is_zero:
+        f = b if a.is_zero else a
+        return LaurentPoly(primitive_part(f).coeffs, 0) * LaurentPoly.const(content(f))
+    f = LaurentPoly(primitive_part(a).coeffs, 0)
+    g = LaurentPoly(primitive_part(b).coeffs, 0)
+    while not g.is_zero:
+        f, g = g, primitive_part(_pseudo_rem(f, g))
+    return f * LaurentPoly.const(math.gcd(content(a), content(b)))

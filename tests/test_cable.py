@@ -149,3 +149,15 @@ def test_monotone_flags(F3, trefoil):
     # the ideal chain is held as its threshold, which lies inside the matrix
     seq = ideal_seq_from_diagram(trefoil, F3, -1)
     assert 1 <= seq.dimension <= seq.length == 3
+
+
+def test_sequence_t_passes_back_as_t(trefoil):
+    # over F_4 and F_9 the t a sequence holds names the same element when
+    # passed back as a t, where an encoded int would be read as n * 1
+    for field in (FqField(2, (1, 1, 1)), FqField(3, (1, 0, 1))):
+        seq = unknot_ideal_seq(field, (0, 1))
+        assert seq.t == (0, 1)
+        assert unknot_ideal_seq(field, seq.t) == seq
+        assert ideal_seq_from_diagram(trefoil, field, seq.t).t == seq.t
+        lifted = cable_ideal_seq(seq, 2, 1, seq.t)
+        assert cable_ideal_seq(lifted, 3, 1, lifted.t).t == seq.t

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from knotcode.laurent import ONE, T, ZERO, LaurentPoly, int_poly_content_gcd
+from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from knotcode import coloring
 from knotcode.fields import FqField, fp_compose, fp_from_laurent, poly_gcd
 from knotcode.diagram import reidemeister_r1
@@ -27,7 +27,7 @@ from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal
 from knotcode.exactlin import IntMod, PolyMod, dense, kernel_basis, snf
 
 from conftest import small_diagrams
-from oracles import bareiss_minors, colorable_by_alexander, count_colorings_brute
+from oracles import bareiss_minors, colorable_by_alexander, count_colorings_brute, int_poly_content_gcd
 
 DELTA_TREFOIL = ONE - T + T * T
 

@@ -218,3 +218,20 @@ def test_json_format_shape(trefoil):
 def test_canonical_form_detects_difference(trefoil, figure_eight):
     assert not trefoil.same_up_to_relabeling(figure_eight)
     assert trefoil.same_up_to_relabeling(torus_diagram(2, 3))
+
+
+def test_canonical_form_ignores_crossing_order_and_edge_ids():
+    d = torus_diagram(2, 201)
+    rng = random.Random(13)
+    order = rng.sample(range(d.n), d.n)
+    ids = rng.sample(range(2 * d.n), 2 * d.n)
+    shuffled = Diagram(
+        tuple(
+            Crossing(ids[c.under_in], ids[c.under_out], ids[c.over_in], ids[c.over_out], c.sign)
+            for c in (d.crossings[i] for i in order)
+        ),
+        (ids[d.outer[0]], d.outer[1]),
+    )
+    assert shuffled.validate().ok and shuffled.crossings != d.crossings
+    assert shuffled.same_up_to_relabeling(d)
+    assert not torus_diagram(2, -201).same_up_to_relabeling(d)
