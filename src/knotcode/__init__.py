@@ -6,8 +6,8 @@ dimension calculus.
 """
 
 from .laurent import LaurentPoly
-from .fields import FqField, RingFpT, RingZ, is_prime, poly_gcd
-from .exactlin import IntMod, PolyMod, SnfResult, kernel_basis, laurent_det, rank, snf
+from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime, poly_gcd
+from .exactlin import SnfResult, kernel_basis, laurent_det, rank, snf
 from .diagram import (
     Crossing,
     Diagram,

@@ -22,13 +22,13 @@ import sys
 import warnings
 
 from .laurent import LaurentPoly
-from .fields import FqField, RingFpT, RingZ, fp_from_laurent, fp_trim, is_prime
+from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, fp_from_laurent, fp_trim, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
 from . import coloring as col
 from . import codes as cd
 from . import cable as cab
-from .exactlin import IntMod, PolyMod, snf
+from .exactlin import snf
 
 SCHEMA = "knotcode/1"
 
@@ -133,7 +133,7 @@ def parse_field(qtext: str, modulus: str | None) -> FqField:
     nums = _ints(qtext, "--q", sep="^")
     if len(nums) > 2:
         raise UsageError(f"--q: expected p or p^a, got {qtext!r}")
-    p, a = nums if len(nums) == 2 else _factor_prime_power(nums[0])
+    p, a = nums if len(nums) == 2 else _prime_power(nums[0])
     if not is_prime(p):
         raise UsageError(f"field size {qtext} is not a prime power")
     if a == 1:
@@ -151,16 +151,24 @@ def parse_field(qtext: str, modulus: str | None) -> FqField:
         raise UsageError(str(exc)) from exc
 
 
-def _factor_prime_power(q: int):
-    if q < 2:
-        raise UsageError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    a = 1
-    while p**a < q:
-        a += 1
-    if p**a != q:
-        raise UsageError("field size is not a prime power")
-    return p, a
+def _prime_power(q: int):
+    """(p, a) with p^a = q and p prime: the first a whose integer a-th root
+    r of q has r^a = q and r prime; q is never factored."""
+    for a in range(1, max(q, 0).bit_length()):  # none for q < 2
+        r = _iroot(q, a)
+        if r**a == q and is_prime(r):
+            return r, a
+    raise UsageError(f"{q} is not a prime power")
+
+
+def _iroot(q: int, a: int) -> int:
+    """floor(q^(1/a)) by Newton's method from above, on ints."""
+    r = 1 << -(-q.bit_length() // a)
+    while True:
+        s = ((a - 1) * r + q // r ** (a - 1)) // a
+        if s >= r:
+            return r
+        r = s
 
 
 def field_and_t(args):

@@ -15,7 +15,7 @@ that matrix pushed by ColoringMatrix.evaluate through a ring map
 ring.at(t), which checks that t is a unit: into F_q for codes and the
 Fox/Dehn conversions, and into F_q, Z/m or F_p[T]/(f) for the one
 coloring count, which eliminates there on unit pivots and takes a Smith
-form of the few rows left in the ring's cover (Z or F_p[T]).
+form of the few rows left, lifted into the ring's cover (Z or F_p[T]).
 """
 
 from __future__ import annotations
@@ -152,14 +152,16 @@ def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
 def count_colorings(d: Diagram, ring, t) -> int:
     """Number of Fox colorings over the ring (IntMod, PolyMod or FqField)
     at a unit t: size^free * prod annihilated_by(d_i)/size over the nonzero
-    invariant factors d_i, in the ring's cover, of what unit-pivot
-    elimination over the ring leaves (never enumeration)."""
+    invariant factors d_i of what unit-pivot elimination over the ring
+    leaves, each entry lifted by ring.lift into the ring's cover (Z or
+    F_p[T]) for the Smith form (never enumeration)."""
     value = ring.at(t)
     d._require_valid()
     if d.n == 0:
         return ring.size
     mat = fox_matrix(d)
     free, rest = unit_residual(ring, mat.evaluate(value, ring.zero), mat.ncols)
+    rest = [[ring.lift(x) for x in row] for row in rest]
     factors = [di for di in snf(rest, ring.cover).invariant_factors if di]
     return ring.size ** (free - len(factors)) * math.prod(ring.annihilated_by(di) for di in factors)
 

@@ -1,7 +1,8 @@
 """Exact linear algebra: determinants over Z[T, T^-1] by evaluation,
 interpolation and Chinese remaindering, Smith normal form over the
 Euclidean domains Z and F_p[T], and one sparse elimination over the
-quotient rings F_q, Z/m and F_p[T]/(f) (FqField, IntMod, PolyMod).
+coloring rings F_q, Z/m and F_p[T]/(f) of fields (FqField, IntMod,
+PolyMod); this module defines no ring.
 
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
@@ -10,14 +11,14 @@ takes a square list of lists of LaurentPoly, sparse_dets and minor_dets
 sparse LaurentPoly rows.  The elimination takes sparse rows, ((column,
 value), ...) pairs of a row's nonzeros, which is how a coloring matrix is
 evaluated (at most 4 nonzeros per row), so it costs little beyond its
-nonzeros where Gauss-Jordan took cubic time; over F_q every value, in
-rows and in the vectors returned, is an encoded field int (see fields).
-It pivots only on units: over F_q that is every nonzero, and it gives
-rank, a canonical kernel basis, and over Z/p the determinant values the
-determinants over Z[T, T^-1] are interpolated from; over Z/m and
+nonzeros where Gauss-Jordan took cubic time; over F_q and F_p[T]/(f)
+every value, in rows and in the vectors returned, is an encoded int (see
+fields).  It pivots only on units: over F_q that is every nonzero, and it
+gives rank, a canonical kernel basis, and over Z/p the determinant values
+the determinants over Z[T, T^-1] are interpolated from; over Z/m and
 F_p[T]/(f) the few rows left without a unit are what the coloring counts
-hand to the Smith form, whose entries then stay reduced instead of
-growing.  dense() turns sparse rows into the full grid.
+lift into the cover and hand to the Smith form, whose entries then stay
+reduced instead of growing.  dense() turns sparse rows into the full grid.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 
 from .laurent import ZERO, LaurentPoly
-from . import fields as ff
-from .fields import FqField, RingFpT, RingZ
+from .fields import FqField, IntMod, is_prime
 
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
@@ -134,7 +134,7 @@ def _word_prime(i: int) -> int:
     """The (i+1)-th largest prime below 2^62, found by is_prime once."""
     p = _word_prime(i - 1) if i else 1 << 62
     p -= 1
-    while not ff.is_prime(p):
+    while not is_prime(p):
         p -= 1
     return p
 
@@ -277,94 +277,8 @@ def _swap_cols(mat, j, r):
 # back=True back-reduction then clears every other pivot column from each
 # pivot row.
 #
-# A ring here is an object with zero, sub, mul and inv, where inv returns
-# the inverse of a unit and None otherwise: FqField, IntMod, PolyMod.  The
-# three coloring rings also have size; at(t), the ring map Z[T, T^-1] -> R
-# sending T to t, which raises ValueError unless t is a unit (an int t is
-# n * 1 in each ring, so -1 works everywhere); cover, the
-# Euclidean ring R is a quotient of, where the Smith form of what the
-# elimination leaves runs; and, for IntMod and PolyMod, annihilated_by(d),
-# how many x in R have d * x = 0 for d in the cover.
-
-
-@dataclass(frozen=True)
-class IntMod:
-    """Z/(m), m >= 2, on ints in range(m); m is never factored."""
-
-    m: int
-    zero = 0
-    cover = RingZ()
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("modulus must be >= 2")
-
-    @property
-    def size(self) -> int:
-        return self.m
-
-    def annihilated_by(self, d: int) -> int:
-        return math.gcd(self.m, d)
-
-    def at(self, t: int):
-        if math.gcd(self.m, t % self.m) != 1:
-            raise ValueError(f"t = {t} is not invertible mod {self.m}")
-        return lambda e: e.eval_int(t) % self.m
-
-    def sub(self, x, y):
-        return (x - y) % self.m
-
-    def mul(self, x, y):
-        return x * y % self.m
-
-    def inv(self, x):
-        return pow(x, -1, self.m) if math.gcd(x, self.m) == 1 else None
-
-
-@dataclass(frozen=True)
-class PolyMod:
-    """F_p[T]/(f), p prime and f of degree >= 1 by ascending coefficients
-    (kept reduced mod p), on coefficient tuples reduced mod f; f is never
-    factored.  at(t) takes an int or ascending coefficients."""
-
-    p: int
-    f: tuple[int, ...]
-    zero = ()
-
-    def __post_init__(self):
-        if not ff.is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not a prime")
-        object.__setattr__(self, "f", ff.fp_trim(self.f, self.p))
-        if len(self.f) < 2:
-            raise ValueError("modulus must have degree >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.p ** (len(self.f) - 1)
-
-    @property
-    def cover(self) -> RingFpT:
-        return RingFpT(self.p)
-
-    def annihilated_by(self, d) -> int:
-        return self.p ** (len(ff.poly_gcd(self.f, d, self.p)) - 1)
-
-    def at(self, t):
-        p, f = self.p, self.f
-        tp = ff.fp_trim([t] if isinstance(t, int) else t, p)
-        if ff.poly_gcd(f, tp, p) != (1,):
-            raise ValueError("t is not invertible in the quotient")
-        return lambda e: ff.fp_mod(ff.fp_compose(e, tp, p), f, p)
-
-    def sub(self, x, y):
-        return ff.fp_sub(x, y, self.p)
-
-    def mul(self, x, y):
-        return ff.fp_mod(ff.fp_mul(x, y, self.p), self.f, self.p)
-
-    def inv(self, x):
-        g, s, _ = ff.fp_gcdext(x, self.f, self.p)
-        return ff.fp_mod(s, self.f, self.p) if g == (1,) else None
+# A ring here is one of the coloring rings of fields (FqField, IntMod,
+# PolyMod), whose inv returns None on a non-unit.
 
 
 def dense(rows, ncols: int, zero) -> list[list]:

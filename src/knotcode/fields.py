@@ -1,28 +1,30 @@
-"""Finite fields F_{p^a}, polynomial arithmetic over F_p, and the
-Euclidean domains Z and F_p[T] (RingZ, RingFpT) the Smith form runs in.
+"""Polynomial arithmetic over F_p, the Euclidean domains Z and F_p[T]
+(RingZ, RingFpT) the Smith form runs in, and the coloring rings: Z/m
+(IntMod), F_p[x]/(f) (PolyMod) and the field F_{p^a} (FqField, the
+PolyMod whose modulus is monic and irreducible).
 
 Polynomials over F_p are ascending coefficient tuples of ints in
-{0, ..., p-1}; the zero polynomial is the empty tuple.  A field is a
-prime p plus a monic irreducible modulus of degree a >= 1 (degree-1
-modulus (0, 1) gives the prime field itself).
-
-Field elements are encoded as integers in range(q): the element with
-coefficient vector (c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These
-ints are the only element type (one is 1); a word (codeword, coloring)
-is a sequence of them.  A t is read by FqField.element: an int n is n * 1
-(so -1 is p - 1), a sequence the ascending coefficients.  A lazy
-multiplication table for small q keeps the linear algebra and the
-codeword enumeration on plain ints.
+{0, ..., p-1}; the zero polynomial is the empty tuple.  RingFpT works on
+these tuples.  F_p[x]/(f) has one implementation, PolyMod, on encoded
+ints in range(p^a), a = deg f: the element with coefficient vector
+(c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These ints are the only
+element type of F_p[x]/(f) and of F_q (one is 1); a word (codeword,
+coloring) is a sequence of them.  A t is read by element: an int n is
+n * 1 (so -1 is p - 1), a sequence the ascending coefficients.  A lazy
+multiplication table for q up to _TABLE_LIMIT keeps the linear algebra
+and the codeword enumeration on plain ints.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import partial
 
 from .laurent import LaurentPoly
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TABLE_LIMIT = 4096  # build dense q x q tables only below this
+_TABLE_LIMIT = 64  # build the q x q multiplication table only up to this q
 
 
 def is_prime(n: int) -> bool:
@@ -140,35 +142,10 @@ def fp_gcdext(a, b, p):
     return fp_monic(r0, p), fp_mul(s0, scale, p), fp_mul(t0, scale, p)
 
 
-def fp_pow_mod(a, e: int, m, p):
-    result = (1,)
-    a = fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = fp_mod(fp_mul(result, a, p), m, p)
-        a = fp_mod(fp_mul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
 def fp_is_irreducible(f, p) -> bool:
-    """Distinct-degree test: f of degree a is irreducible over F_p iff
-    T^{p^a} = T (mod f) and gcd(T^{p^{a/l}} - T, f) = 1 for prime l | a."""
+    """Whether f is irreducible over F_p (see PolyMod.is_field)."""
     f = fp_trim(f, p)
-    a = len(f) - 1
-    if a < 1:
-        return False
-    if a == 1:
-        return True
-    t = (0, 1)
-    x = fp_pow_mod(t, p**a, f, p)
-    if x != fp_mod(t, f, p):
-        return False
-    for l in _prime_factors(a):
-        x = fp_pow_mod(t, p ** (a // l), f, p)
-        if poly_gcd(fp_sub(x, t, p), f, p) != (1,):
-            return False
-    return True
+    return len(f) > 1 and PolyMod(p, f).is_field()
 
 
 def _prime_factors(n: int):
@@ -191,18 +168,6 @@ def fp_from_laurent(poly: LaurentPoly, p: int):
     if poly.min_deg < 0:
         raise ValueError("needs a plain polynomial (min_deg >= 0)")
     return fp_trim([0] * poly.min_deg + list(poly.coeffs), p)
-
-
-def fp_compose(poly: LaurentPoly, t, p):
-    """Evaluate an integer polynomial at the F_p[T] element t (Horner)."""
-    acc = ()
-    for c in reversed(poly.coeffs):
-        acc = fp_add(fp_mul(acc, t, p), fp_trim([c], p), p)
-    if poly.min_deg < 0:
-        raise ValueError("needs a plain polynomial (min_deg >= 0)")
-    for _ in range(poly.min_deg):
-        acc = fp_mul(acc, t, p)
-    return acc
 
 
 # -- Smith-form hooks for the Euclidean domains Z and F_p[T] ----------------
@@ -264,42 +229,82 @@ class RingFpT:
         return fp_divmod(x, y, self.p)
 
 
-# -- the field ----------------------------------------------------------------
+# -- the coloring rings Z/m, F_p[x]/(f) and F_q ----------------------------------
+#
+# A coloring ring has zero, sub, mul and inv, where inv returns the inverse
+# of a unit and None otherwise (what the sparse elimination in exactlin
+# pivots on); size; at(t), the ring map Z[T, T^-1] -> R sending T to t,
+# which raises ValueError unless t is a unit (an int t is n * 1 in each
+# ring, so -1 works everywhere); cover, the Euclidean ring R is a quotient
+# of, where the Smith form of what the elimination leaves runs; lift(x),
+# an element's representative in the cover; and annihilated_by(d), how
+# many x in R have d * x = 0 for d in the cover.
 
-class FqField:
-    """F_{p^a} = F_p[x]/(modulus); elements are ints in range(p^a)."""
+
+@dataclass(frozen=True)
+class IntMod:
+    """Z/(m), m >= 2, on ints in range(m); m is never factored."""
+
+    m: int
+    zero = 0
+    cover = RingZ()
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("modulus must be >= 2")
+
+    @property
+    def size(self) -> int:
+        return self.m
+
+    def annihilated_by(self, d: int) -> int:
+        return math.gcd(self.m, d)
+
+    def at(self, t: int):
+        if math.gcd(self.m, t % self.m) != 1:
+            raise ValueError(f"t = {t} is not invertible mod {self.m}")
+        return lambda e: e.eval_int(t) % self.m
+
+    def lift(self, x: int) -> int:
+        return x
+
+    def sub(self, x, y):
+        return (x - y) % self.m
+
+    def mul(self, x, y):
+        return x * y % self.m
+
+    def inv(self, x):
+        return pow(x, -1, self.m) if math.gcd(x, self.m) == 1 else None
+
+
+class PolyMod:
+    """F_p[x]/(f), p prime and f of degree a >= 1 by ascending coefficients
+    (kept reduced mod p); f is never factored.  Elements are the encoded
+    ints of range(p^a), c_0 + c_1 x + ... as c_0 + c_1 p + ...; inv
+    returns None on a non-unit."""
 
     zero = 0
 
-    def __init__(self, p: int, modulus=None):
+    def __init__(self, p: int, f):
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if modulus is None:
-            modulus = (0, 1)
-        modulus = fp_trim(modulus, p)
-        if len(modulus) < 2 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if not fp_is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
+            raise ValueError(f"p = {p} is not a prime")
+        self.f = fp_trim(f, p)
+        if len(self.f) < 2:
+            raise ValueError("modulus must have degree >= 1")
         self.p = p
-        self.modulus = modulus
-        self.a = len(modulus) - 1
+        self.a = len(self.f) - 1
         self.q = p**self.a
         self._mul_table = None
 
     def __eq__(self, other):
-        return isinstance(other, FqField) and (self.p, self.modulus) == (other.p, other.modulus)
+        return type(other) is type(self) and (self.p, self.f) == (other.p, other.f)
 
     def __hash__(self):
-        return hash((self.p, self.modulus))
+        return hash((self.p, self.f))
 
     def __repr__(self):
-        if self.a == 1:
-            return f"F_{self.p}"
-        return f"F_{self.q}(p={self.p}, modulus={list(self.modulus)})"
-
-    # as a coloring ring (see exactlin): F_q = F_p[x]/(modulus) has cover
-    # F_p[x], but elimination over a field leaves nothing for a Smith form
+        return f"PolyMod(p={self.p}, f={self.f})"
 
     @property
     def size(self) -> int:
@@ -309,18 +314,32 @@ class FqField:
     def cover(self) -> RingFpT:
         return RingFpT(self.p)
 
+    def annihilated_by(self, d) -> int:
+        return self.p ** (len(poly_gcd(self.f, d, self.p)) - 1)
+
     def at(self, t):
         tv = self.element(t)
-        if tv == 0:
-            raise ValueError("t must be invertible (nonzero)")
+        if not tv or self.inv(tv) is None:
+            raise ValueError("t must be invertible (a unit of the ring)")
         return partial(self.eval_laurent, t=tv)
 
-    # encoded-int arithmetic
+    def lift(self, x: int) -> tuple[int, ...]:
+        return fp_trim(self.decode(x), self.p)
+
+    def is_field(self) -> bool:
+        """Distinct-degree test: f of degree a is irreducible over F_p iff
+        x^(p^a) = x and gcd(x^(p^(a/l)) - x, f) = 1 for each prime l | a."""
+        p, a = self.p, self.a
+        x = self.element((0, 1))
+        if self.pow(x, p**a) != x:
+            return False
+        gcds = (poly_gcd(self.lift(self.sub(self.pow(x, p ** (a // l)), x)), self.f, p) for l in _prime_factors(a))
+        return all(g == (1,) for g in gcds)
 
     def encode(self, coeffs) -> int:
         coeffs = fp_trim(coeffs, self.p)
         if len(coeffs) > self.a:
-            coeffs = fp_mod(coeffs, self.modulus, self.p)
+            coeffs = fp_mod(coeffs, self.f, self.p)
         val = 0
         for c in reversed(coeffs):
             val = val * self.p + c
@@ -336,30 +355,28 @@ class FqField:
     def add(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x + y) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.a):
-            out += (x % p + y % p) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
-
-    def neg(self, x: int) -> int:
-        if self.a == 1:
-            return -x % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.a):
-            out += (-x % p) % p * mult
-            x //= p
-            mult *= p
-        return out
+        return self._digitwise(x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
         if self.a == 1:
             return (x - y) % self.p
-        return self.add(x, self.neg(y))
+        return self._digitwise(x, y, -1)
+
+    def neg(self, x: int) -> int:
+        if self.a == 1:
+            return -x % self.p
+        return self._digitwise(0, x, -1)
+
+    def _digitwise(self, x: int, y: int, sign: int) -> int:
+        """x + sign * y, one base-p digit (coefficient) at a time."""
+        p = self.p
+        out, mult = 0, 1
+        for _ in range(self.a):
+            out += (x + sign * y) % p * mult
+            x //= p
+            y //= p
+            mult *= p
+        return out
 
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:
@@ -370,8 +387,7 @@ class FqField:
         return self._mul_slow(x, y)
 
     def _mul_slow(self, x: int, y: int) -> int:
-        prod = fp_mod(fp_mul(self.decode(x), self.decode(y), self.p), self.modulus, self.p)
-        return self.encode(prod)
+        return self.encode(fp_mul(self.decode(x), self.decode(y), self.p))
 
     @property
     def mul_table(self):
@@ -380,25 +396,21 @@ class FqField:
             tab = [0] * (q * q)
             for x in range(q):
                 for y in range(x, q):
-                    v = self._mul_slow(x, y)
-                    tab[x * q + y] = v
-                    tab[y * q + x] = v
+                    tab[x * q + y] = tab[y * q + x] = self._mul_slow(x, y)
             self._mul_table = tab
         return self._mul_table
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero field element")
+    def inv(self, x: int) -> int | None:
         if self.a == 1:
-            return pow(x, self.p - 2, self.p)
-        g, s, _ = fp_gcdext(self.decode(x), self.modulus, self.p)
-        if g != (1,):
-            raise AssertionError("modulus not coprime to element")
-        return self.encode(s)
+            return pow(x, self.p - 2, self.p) if x else None
+        g, s, _ = fp_gcdext(self.decode(x), self.f, self.p)
+        return self.encode(s) if g == (1,) else None
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv(x), -e
+            if x is None:
+                raise ZeroDivisionError("negative power of a non-unit")
         out, base = 1, x
         while e:
             if e & 1:
@@ -407,28 +419,15 @@ class FqField:
             e >>= 1
         return out
 
-    def order(self, x: int) -> int:
-        """Multiplicative order; divides q - 1."""
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for l in _prime_factors(n):
-            while order % l == 0 and self.pow(x, order // l) == 1:
-                order //= l
-        return order
-
     def eval_laurent(self, poly: LaurentPoly, t: int) -> int:
-        """Evaluate an integer Laurent polynomial at the field element t."""
+        """Evaluate an integer Laurent polynomial at the element t, a unit
+        if poly has negative exponents."""
         if poly.is_zero:
             return 0
-        if poly.min_deg < 0 and t == 0:
-            raise ZeroDivisionError("negative exponent at t = 0")
         acc = 0
         for c in reversed(poly.coeffs):
             acc = self.add(self.mul(acc, t), c % self.p)
-        tm = self.pow(t, poly.min_deg)
-        return self.mul(acc, tm)
+        return self.mul(acc, self.pow(t, poly.min_deg))
 
     def element(self, value) -> int:
         """The encoded int of t: an int n is n * 1, a sequence the ascending
@@ -444,3 +443,37 @@ class FqField:
         if not all(0 <= x < self.q for x in vec):
             raise ValueError(f"a word's values must be encoded elements of {self}, in range({self.q})")
         return vec
+
+
+class FqField(PolyMod):
+    """F_{p^a} = F_p[x]/(modulus), modulus monic and irreducible (default
+    x, the prime field); elements are ints in range(p^a).  Elimination
+    over a field leaves nothing for a Smith form in the cover F_p[x]."""
+
+    def __init__(self, p: int, modulus=None):
+        super().__init__(p, (0, 1) if modulus is None else modulus)
+        if self.f[-1] != 1:
+            raise ValueError("modulus must be monic of degree >= 1")
+        if self.a > 1 and not self.is_field():  # degree 1 is irreducible
+            raise ValueError("modulus is reducible")
+
+    def __repr__(self):
+        if self.a == 1:
+            return f"F_{self.p}"
+        return f"F_{self.q}(p={self.p}, modulus={list(self.f)})"
+
+    def inv(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        return PolyMod.inv(self, x)
+
+    def order(self, x: int) -> int:
+        """Multiplicative order; divides q - 1."""
+        if x == 0:
+            raise ValueError("zero has no multiplicative order")
+        n = self.q - 1
+        order = n
+        for l in _prime_factors(n):
+            while order % l == 0 and self.pow(x, order // l) == 1:
+                order //= l
+        return order

@@ -16,8 +16,7 @@ from itertools import combinations, product
 from knotcode import fields as ff
 from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial
-from knotcode.exactlin import IntMod, PolyMod
-from knotcode.fields import FqField
+from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ONE, ZERO, LaurentPoly
 
 
@@ -92,12 +91,25 @@ def colorable_by_alexander(d, ring, t) -> bool:
     delta = alexander_polynomial(d)
     if isinstance(ring, IntMod):
         return math.gcd(ring.m, delta.eval_int(t) % ring.m) != 1
+    if isinstance(ring, FqField):  # first: an FqField is also a PolyMod
+        return ring.eval_laurent(delta, ring.element(t)) == 0
     if isinstance(ring, PolyMod):
         f = ff.fp_trim(ring.f, ring.p)
-        return ff.poly_gcd(f, ff.fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
-    if isinstance(ring, FqField):
-        return ring.eval_laurent(delta, ring.element(t)) == 0
+        return ff.poly_gcd(f, fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
     raise TypeError(f"unsupported ring {ring!r}")
+
+
+def fp_compose(poly: LaurentPoly, t, p):
+    """Evaluate an integer polynomial at the F_p[T] element t (Horner), on
+    coefficient tuples."""
+    if poly.min_deg < 0:
+        raise ValueError("needs a plain polynomial (min_deg >= 0)")
+    acc = ()
+    for c in reversed(poly.coeffs):
+        acc = ff.fp_add(ff.fp_mul(acc, t, p), ff.fp_trim([c], p), p)
+    for _ in range(poly.min_deg):
+        acc = ff.fp_mul(acc, t, p)
+    return acc
 
 
 def fox_relation_holds(d, colors, m: int, t: int) -> bool:

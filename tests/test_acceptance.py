@@ -11,9 +11,8 @@ import random
 import time
 
 from knotcode.laurent import ONE, T, ZERO
-from knotcode.fields import FqField
+from knotcode.fields import FqField, IntMod
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
-from knotcode.exactlin import IntMod
 from knotcode.coloring import (
     alexander_polynomial,
     count_colorings,

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from knotcode.cli import main
+from knotcode.cli import UsageError, _prime_power, main
 
 RUN = [sys.executable, "-m", "knotcode.cli"]
 
@@ -269,6 +271,32 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     # an integer t outside F_2 is not reduced mod 2 in F_4
     code, out, err = run_cli(["code", path, "--q", "4", "--modulus", "1,1,1", "--t", "5"], capsys)
     assert (code, out) == (2, "") and "c0,c1" in err
+
+
+def test_field_size_is_never_factored(tmp_path, capsys):
+    """--q is read by primality and integer roots, so a large prime, the
+    square of a large prime and a product of two large primes each answer
+    at once (trial division to sqrt(q) ran past 10 s on 10^18 + 3)."""
+    p = 10**9 + 7
+    start = time.perf_counter()
+    assert _prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert _prime_power(p * p) == (p, 2)
+    assert time.perf_counter() - start < 1.0
+    for q in range(-5, 2000):  # against factoring by trial division
+        d = next((d for d in range(2, q + 1) if q % d == 0), None)
+        a = round(math.log(q, d)) if d else 0
+        expect = (d, a) if d and d**a == q else None
+        try:
+            assert _prime_power(q) == expect
+        except UsageError:
+            assert expect is None
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    for q, exit_code in ((10**18 + 3, 0), (p * (p + 2), 2)):
+        start = time.perf_counter()
+        code, out, err = run_cli(["code", path, "--q", str(q), "--t", "-1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == exit_code, err
+    assert out == "" and "not a prime power" in err
 
 
 def test_matrix_command(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcode.fields import (
     FqField,
+    PolyMod,
     fp_is_irreducible,
     fp_divmod,
     fp_mul,
@@ -108,6 +111,30 @@ def test_large_field_paths_without_tables():
     x = F_5_6.element([1, 2, 3, 4, 0, 1])
     assert F_5_6.mul(x, F_5_6.inv(x)) == 1
     assert F_5_6.mul(F_5_6.pow(x, 7), F_5_6.pow(x, -7)) == 1
+    # F_{2^11} has 4M products: the table is never built, and a first
+    # product takes no time to set up
+    F_2_11 = FqField(2, [1, 0, 1] + [0] * 8 + [1])  # x^11 + x^2 + 1
+    start = time.perf_counter()
+    assert F_2_11.mul(2, 1 << 10) == 5  # x * x^10 = x^2 + 1
+    assert time.perf_counter() - start < 1.0 and F_2_11.mul_table is None
+
+
+def test_quotient_ring_zero_divisors():
+    """F_5[T]/(T^2 + 1) = F_5[T]/(T - 2) x F_5[T]/(T + 2) is no field: inv
+    finds no inverse of a zero divisor and at() rejects one as t."""
+    R = PolyMod(5, (1, 0, 1))
+    divisor = R.element((2, 1))  # T + 2
+    assert R.mul(divisor, R.element((3, 1))) == 0  # (T + 2)(T - 2) = T^2 + 1
+    assert R.inv(divisor) is None and R.inv(0) is None and PolyMod(5, (1, 1)).inv(0) is None
+    assert R.lift(divisor) == (2, 1) and R.lift(R.element(3)) == (3,) and R.lift(0) == ()
+    units = [x for x in range(R.q) if R.inv(x) is not None]
+    assert len(units) == 25 - 9 and all(R.mul(x, R.inv(x)) == 1 for x in units)
+    for t in ((2, 1), 0, (0, 0, 1, 0, 1)):  # T^4 + T^2 = T^2 (T^2 + 1) = 0
+        with pytest.raises(ValueError, match="t must be invertible"):
+            R.at(t)
+    with pytest.raises(ZeroDivisionError):
+        R.pow(divisor, -1)
+    assert R.at((0, 1))(LaurentPoly.make([1, 0, 1])) == 0
 
 
 def test_encode_decode_roundtrip():

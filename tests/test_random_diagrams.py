@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from knotcode.diagram import DiagramError
 from knotcode.generators import from_braid
-from knotcode.fields import FqField
+from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, fox_matrix
-from knotcode.exactlin import IntMod, PolyMod
 from knotcode.codes import code_from_diagram, min_distance
 
 from oracles import count_colorings_brute, count_colorings_poly_brute, poly_mulmod
