@@ -19,7 +19,7 @@ def main():
     args = ap.parse_args()
     for p in (int(x) for x in args.primes.split(",")):
         field = FqField(p)
-        t = field.element(-1)
+        t = -1
         seq = unknot_ideal_seq(field, t)
         print(f"== iterated (2,{p}) cables over F_{p} at t = -1 ==")
         print(f"{'m':>3} {'delta':>6} {'dim':>4} {'length':>8} {'rate':>8}")

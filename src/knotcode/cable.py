@@ -59,9 +59,6 @@ class EvaluatedIdealSeq:
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     value = field.at(t)
-    if d.n == 0:
-        d._require_valid()
-        return unknot_ideal_seq(field, t)
     mat = fox_matrix(d)
     dim = mat.ncols - rank(field, mat.evaluate(value, 0))
     if dim < 1:

@@ -22,7 +22,7 @@ import sys
 import warnings
 
 from .laurent import LaurentPoly
-from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, fp_from_laurent, fp_trim, is_prime
+from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
 from . import coloring as col
@@ -118,15 +118,18 @@ def _ints(text, where: str, sep: str = ",") -> list[int]:
     return out
 
 
-def _fp_poly(x, p: int, where: str) -> tuple[int, ...]:
-    """An element of F_p[T] (p prime) as a reduced ascending tuple, from text
-    c0,c1,..., a coefficient list, or a {"min_deg": k >= 0, "coeffs"} object."""
-    if isinstance(x, dict):
-        try:
-            return fp_from_laurent(LaurentPoly.from_json(x), p)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{where}: bad polynomial {x!r}: {exc}") from None
-    return fp_trim(_ints(x, where), p)
+def _fp_poly(x, ring: RingFpT, where: str) -> tuple[int, ...]:
+    """An element of F_p[T] as a trimmed ascending tuple, from text c0,c1,...,
+    a coefficient list, or a {"min_deg": k >= 0, "coeffs"} object."""
+    if not isinstance(x, dict):
+        return ring.trim(_ints(x, where))
+    try:
+        poly = LaurentPoly.from_json(x)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: bad polynomial {x!r}: {exc}") from None
+    if poly.min_deg < 0:
+        raise UsageError(f"{where}: bad polynomial {x!r}: needs a plain polynomial (min_deg >= 0)")
+    return ring.trim([0] * poly.min_deg + list(poly.coeffs))
 
 
 def parse_field(qtext: str, modulus: str | None) -> FqField:
@@ -143,8 +146,8 @@ def parse_field(qtext: str, modulus: str | None) -> FqField:
     if modulus is None:
         raise UsageError(f"extension field of degree {a} needs --modulus c0,c1,...,1")
     coeffs = _ints(modulus, "--modulus")
-    if len(coeffs) != a + 1:
-        raise UsageError(f"--modulus must have degree {a}")
+    if len(coeffs) != a + 1 or coeffs[-1] % p == 0:
+        raise UsageError(f"--modulus must have degree {a} over F_{p}")
     try:
         return FqField(p, coeffs)
     except ValueError as exc:
@@ -337,7 +340,7 @@ def cmd_snf(args) -> int:
             raise UsageError("--ring FpT needs --p")
         ring = RingFpT(args.p)
         rows = [[x if isinstance(x, (list, dict)) else [x] for x in row] for row in _read_matrix(path)]
-        res = snf([[_fp_poly(x, args.p, path) for x in row] for row in rows], ring)
+        res = snf([[_fp_poly(x, ring, path) for x in row] for row in rows], ring)
         factors = [[str(c) for c in dd] for dd in res.invariant_factors]
     inputs = {"file": path, "sha256": _digest(path), "ring": args.ring}
     emit(report_for("snf", inputs, {"invariant_factors": factors, "rank": res.rank}))
@@ -374,7 +377,7 @@ def cmd_colorings(args) -> int:
             inputs = {**src, "modulus": args.mod, "t": t}
         else:
             ring = PolyMod(p, f)
-            inputs = {**src, "p": p, "modulus_poly": list(ring.f), "t": list(fp_trim(t, p))}
+            inputs = {**src, "p": p, "modulus_poly": list(ring.f), "t": list(ring.cover.trim(t))}
         count = col.count_colorings(d, ring, t)
         emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": count > ring.size}))
     return 0

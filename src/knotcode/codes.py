@@ -181,9 +181,6 @@ def code_from_diagram(
     if kind == "fox":
         if restrict_outer_zero:
             raise ValueError("restrict_outer_zero only applies to Dehn codes")
-        if d.n == 0:  # the bare loop: one arc, no relations
-            d._require_valid()
-            return LinearCode(field, 1, ())
         mat = fox_matrix(d)
     elif kind == "dehn":
         mat = dehn_matrix(d)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .laurent import ONE, ZERO, LaurentPoly, T
 from .fields import FqField
-from .diagram import Diagram, DiagramError, dehn_role_tokens
+from .diagram import Diagram, dehn_role_tokens
 from .exactlin import dense, dot, minor_dets, snf, sparse_dets, unit_residual
 
 _ONE_MINUS_T = ONE - T
@@ -86,10 +86,9 @@ def _summed(roles) -> tuple:
 
 
 def fox_matrix(d: Diagram) -> ColoringMatrix:
-    """Alexander / Fox coloring matrix over Z[T, T^-1]."""
+    """Alexander / Fox coloring matrix over Z[T, T^-1]; the 0-crossing
+    unknot's is 0 x 1, its one arc and no relation."""
     d._require_valid()
-    if d.n == 0:
-        raise DiagramError("the 0-crossing unknot has no coloring relations")
     arcs = d.arcs
     rows = []
     for c in d.crossings:
@@ -99,7 +98,7 @@ def fox_matrix(d: Diagram) -> ColoringMatrix:
             left, right = c.under_in, c.under_out
         roles = ((arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T))
         rows.append(_summed(roles))
-    return ColoringMatrix("fox", tuple(rows), d.n)
+    return ColoringMatrix("fox", tuple(rows), d.arc_count)
 
 
 def dehn_matrix(d: Diagram) -> ColoringMatrix:
@@ -119,11 +118,9 @@ def dehn_matrix(d: Diagram) -> ColoringMatrix:
 def alexander_polynomial(d: Diagram) -> LaurentPoly:
     """Normalized generator of the first elementary ideal: the (1,1) minor
     of the Fox matrix scaled to a positive constant term."""
-    d._require_valid()
-    if d.n == 0:
-        return ONE
-    inner = range(1, d.n)
-    delta = sparse_dets(fox_matrix(d).rows, [(inner, inner)])[0].alexander_normalized()
+    mat = fox_matrix(d)
+    minor = (range(1, len(mat.rows)), range(1, mat.ncols))
+    delta = sparse_dets(mat.rows, [minor])[0].alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta
@@ -156,9 +153,6 @@ def count_colorings(d: Diagram, ring, t) -> int:
     leaves, each entry lifted by ring.lift into the ring's cover (Z or
     F_p[T]) for the Smith form (never enumeration)."""
     value = ring.at(t)
-    d._require_valid()
-    if d.n == 0:
-        return ring.size
     mat = fox_matrix(d)
     free, rest = unit_residual(ring, mat.evaluate(value, ring.zero), mat.ncols)
     rest = [[ring.lift(x) for x in row] for row in rest]

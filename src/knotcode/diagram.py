@@ -464,20 +464,6 @@ class _Surgery:
         self.next_id += 1
         return e
 
-    def slots_of(self, edge: int):
-        """((ci, out slot name), (cj, in slot name)) of an edge."""
-        tail = head = None
-        for ci, c in enumerate(self.crossings):
-            if c["under_out"] == edge:
-                tail = (ci, "under_out")
-            if c["over_out"] == edge:
-                tail = (ci, "over_out")
-            if c["under_in"] == edge:
-                head = (ci, "under_in")
-            if c["over_in"] == edge:
-                head = (ci, "over_in")
-        return tail, head
-
     def emit(self) -> Diagram:
         ids = sorted(
             {c[s] for c in self.crossings for s in ("under_in", "under_out", "over_in", "over_out")}
@@ -513,13 +499,12 @@ def reidemeister_r1(d: Diagram, arc: int, direction: str = ADD_LEFT_TWIST) -> Di
         raise MoveError(f"no such arc {arc}")
     e = edges[0]
     s = _Surgery(d)
-    tail, head = s.slots_of(e)
+    ci, role = d.in_slots[e]
     loop = s.fresh()
     out = s.fresh()
     x = {"under_in": e, "under_out": loop, "over_in": loop, "over_out": out, "sign": sign}
     s.crossings.append(x)
-    ci, slot = head
-    s.crossings[ci][slot] = out
+    s.crossings[ci][role + "_in"] = out
     # outer marker on e stays on the tail-side piece, which keeps the id
     return s.emit()
 
@@ -553,18 +538,17 @@ def reidemeister_r2(d: Diagram, arc_a: int, arc_b: int, region: int) -> Diagram:
     b2, b3 = s.fresh(), s.fresh()
     x1 = len(s.crossings)
     x2 = x1 + 1
-    _, head_a = s.slots_of(ea)
-    _, head_b = s.slots_of(eb)
+    ca, role_a = d.in_slots[ea]
+    cb, role_b = d.in_slots[eb]
     s.crossings.append({"over_in": ea, "over_out": a2, "under_in": -1, "under_out": -1, "sign": sign1})
     s.crossings.append({"over_in": a2, "over_out": a3, "under_in": -1, "under_out": -1, "sign": -sign1})
-    s.crossings[head_a[0]][head_a[1]] = a3
+    s.crossings[ca][role_a + "_in"] = a3
     first, second = (x1, x2) if fwd_a != fwd_b else (x2, x1)
     s.crossings[first]["under_in"] = eb
     s.crossings[first]["under_out"] = b2
     s.crossings[second]["under_in"] = b2
     s.crossings[second]["under_out"] = b3
-    ci, slot = head_b
-    s.crossings[ci][slot] = b3
+    s.crossings[cb][role_b + "_in"] = b3
     return s.emit()
 
 

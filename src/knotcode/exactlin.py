@@ -113,7 +113,7 @@ def sparse_dets(rows, minors) -> list[LaurentPoly]:
         ring = IntMod(p)
         values = {job[0]: [] for job in todo}
         for x in range(max(job[3] for job in todo) + 1):
-            image = [_eval_mod(e, x, p) for e in polys]
+            image = [ring.eval_laurent(e, x) for e in polys]
             for k, sub, order, degree, _ in todo:
                 if x <= degree:
                     grid = [[(c, image[j]) for c, j in row if image[j]] for row in sub]
@@ -137,14 +137,6 @@ def _word_prime(i: int) -> int:
     while not is_prime(p):
         p -= 1
     return p
-
-
-def _eval_mod(e: LaurentPoly, x: int, p: int) -> int:
-    """A polynomial's value at x mod p."""
-    acc = 0
-    for c in reversed(e.coeffs):
-        acc = (acc * x + c) % p
-    return acc * pow(x, e.min_deg, p) % p
 
 
 def _det_mod(ring, rows, order) -> int:

@@ -1,12 +1,13 @@
-"""Polynomial arithmetic over F_p, the Euclidean domains Z and F_p[T]
-(RingZ, RingFpT) the Smith form runs in, and the coloring rings: Z/m
-(IntMod), F_p[x]/(f) (PolyMod) and the field F_{p^a} (FqField, the
-PolyMod whose modulus is monic and irreducible).
+"""Primality, the Euclidean domains Z and F_p[T] (RingZ, RingFpT) the
+Smith form runs in, and the coloring rings: Z/m (IntMod), F_p[x]/(f)
+(PolyMod) and the field F_{p^a} (FqField, the PolyMod whose modulus is
+monic and irreducible).
 
 Polynomials over F_p are ascending coefficient tuples of ints in
-{0, ..., p-1}; the zero polynomial is the empty tuple.  RingFpT works on
-these tuples.  F_p[x]/(f) has one implementation, PolyMod, on encoded
-ints in range(p^a), a = deg f: the element with coefficient vector
+{0, ..., p-1}; the zero polynomial is the empty tuple.  RingFpT(p) is the
+one implementation of their arithmetic, and PolyMod computes through it.
+F_p[x]/(f) has one implementation, PolyMod, on encoded ints in
+range(p^a), a = deg f: the element with coefficient vector
 (c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These ints are the only
 element type of F_p[x]/(f) and of F_q (one is 1); a word (codeword,
 coloring) is a sequence of them.  A t is read by element: an int n is
@@ -20,18 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 from .laurent import LaurentPoly
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # the witnesses decide primality below this
 _TABLE_LIMIT = 64  # build the q x q multiplication table only up to this q
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^6, deterministic Miller-Rabin above."""
+    """Trial division below 10^6, Miller-Rabin to the bases 2, ..., 37
+    above.  Those bases decide primality below _MR_BOUND (Sorenson &
+    Webster 2015); at or above it, a base can still prove n composite, but
+    an n that passes every base is a ValueError, since no base set is
+    proven to certify it prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n < 10**6:
@@ -55,97 +62,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify that {n} is prime: Miller-Rabin is proven only below {_MR_BOUND}")
     return True
-
-
-# -- F_p[T] on coefficient tuples ---------------------------------------------
-
-def fp_trim(c, p: int) -> tuple[int, ...]:
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return fp_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
-
-
-def fp_neg(a, p):
-    return tuple((p - x) % p for x in a)
-
-
-def fp_sub(a, b, p):
-    return fp_add(a, fp_neg(b, p), p)
-
-
-def fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return fp_trim(out, p)
-
-
-def fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv_lead % p
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % p
-    return fp_trim(q, p), fp_trim(a[: len(b) - 1], p)
-
-
-def fp_mod(a, b, p):
-    return fp_divmod(a, b, p)[1]
-
-
-def fp_monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return fp_trim([x * inv for x in a], p)
-
-
-def poly_gcd(a, b, p):
-    """Monic gcd in F_p[T]."""
-    a, b = fp_trim(a, p), fp_trim(b, p)
-    while b:
-        a, b = b, fp_mod(a, b, p)
-    return fp_monic(a, p)
-
-
-def fp_gcdext(a, b, p):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = fp_trim(a, p), fp_trim(b, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
-        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
-    if not r0:
-        return (), s0, t0
-    inv = pow(r0[-1], p - 2, p)
-    scale = (inv,)
-    return fp_monic(r0, p), fp_mul(s0, scale, p), fp_mul(t0, scale, p)
-
-
-def fp_is_irreducible(f, p) -> bool:
-    """Whether f is irreducible over F_p (see PolyMod.is_field)."""
-    f = fp_trim(f, p)
-    return len(f) > 1 and PolyMod(p, f).is_field()
 
 
 def _prime_factors(n: int):
@@ -159,15 +78,6 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
-
-
-def fp_from_laurent(poly: LaurentPoly, p: int):
-    """Reduce an integer polynomial (min_deg >= 0) mod p."""
-    if poly.is_zero:
-        return ()
-    if poly.min_deg < 0:
-        raise ValueError("needs a plain polynomial (min_deg >= 0)")
-    return fp_trim([0] * poly.min_deg + list(poly.coeffs), p)
 
 
 # -- Smith-form hooks for the Euclidean domains Z and F_p[T] ----------------
@@ -199,34 +109,84 @@ class RingZ:
 
 
 class RingFpT:
-    """Euclidean-domain hooks for F_p[T] on coefficient tuples."""
+    """F_p[T], p prime, on ascending coefficient tuples: the arithmetic
+    PolyMod computes through, and the Euclidean-domain hooks the Smith
+    form runs in.  Results are trimmed: reduced mod p, no zero leading
+    coefficient."""
 
     zero = ()
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"p = {p} is not a prime")
         self.p = p
         self.name = f"F_{p}[T]"
+
+    def trim(self, c) -> tuple[int, ...]:
+        p = self.p
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c)
 
     def norm(self, x):
         return len(x)
 
     def normal(self, x):
         """The associate in normal form: x made monic."""
-        return fp_monic(x, self.p)
+        if not x:
+            return x
+        inv = pow(x[-1], self.p - 2, self.p)
+        return self.trim([c * inv for c in x])
 
     def add(self, x, y):
-        return fp_add(x, y, self.p)
+        return self.trim([a + b for a, b in zip_longest(x, y, fillvalue=0)])
 
     def sub(self, x, y):
-        return fp_sub(x, y, self.p)
+        return self.trim([a - b for a, b in zip_longest(x, y, fillvalue=0)])
 
     def mul(self, x, y):
-        return fp_mul(x, y, self.p)
+        if not x or not y:
+            return ()
+        out = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    out[i + j] += a * b
+        return self.trim(out)
 
     def divmod(self, x, y):
-        return fp_divmod(x, y, self.p)
+        if not y:
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.p
+        r = list(x)
+        inv_lead = pow(y[-1], p - 2, p)
+        q = [0] * max(len(r) - len(y) + 1, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = r[k + len(y) - 1] * inv_lead % p
+            if c:
+                for j, b in enumerate(y):
+                    r[k + j] = (r[k + j] - c * b) % p
+        return self.trim(q), self.trim(r[: len(y) - 1])
+
+    def gcd(self, x, y):
+        """The monic gcd."""
+        x, y = self.trim(x), self.trim(y)
+        while y:
+            x, y = y, self.divmod(x, y)[1]
+        return self.normal(x)
+
+    def gcdext(self, x, y):
+        """(g, s): g the monic gcd of x and y, s x = g mod y."""
+        r0, r1 = self.trim(x), self.trim(y)
+        s0, s1 = (1,), ()
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+        if not r0:
+            return (), s0
+        return self.normal(r0), self.mul(s0, (pow(r0[-1], self.p - 2, self.p),))
 
 
 # -- the coloring rings Z/m, F_p[x]/(f) and F_q ----------------------------------
@@ -263,7 +223,16 @@ class IntMod:
     def at(self, t: int):
         if math.gcd(self.m, t % self.m) != 1:
             raise ValueError(f"t = {t} is not invertible mod {self.m}")
-        return lambda e: e.eval_int(t) % self.m
+        return partial(self.eval_laurent, t=t % self.m)
+
+    def eval_laurent(self, poly: LaurentPoly, t: int) -> int:
+        """Evaluate an integer Laurent polynomial at t in range(m), a unit
+        if poly has negative exponents."""
+        m = self.m
+        acc = 0
+        for c in reversed(poly.coeffs):
+            acc = (acc * t + c) % m
+        return acc * pow(t, poly.min_deg, m) % m
 
     def lift(self, x: int) -> int:
         return x
@@ -287,9 +256,8 @@ class PolyMod:
     zero = 0
 
     def __init__(self, p: int, f):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not a prime")
-        self.f = fp_trim(f, p)
+        self.cover = RingFpT(p)  # checks that p is prime
+        self.f = self.cover.trim(f)
         if len(self.f) < 2:
             raise ValueError("modulus must have degree >= 1")
         self.p = p
@@ -310,12 +278,8 @@ class PolyMod:
     def size(self) -> int:
         return self.q
 
-    @property
-    def cover(self) -> RingFpT:
-        return RingFpT(self.p)
-
     def annihilated_by(self, d) -> int:
-        return self.p ** (len(poly_gcd(self.f, d, self.p)) - 1)
+        return self.p ** (len(self.cover.gcd(self.f, d)) - 1)
 
     def at(self, t):
         tv = self.element(t)
@@ -324,7 +288,7 @@ class PolyMod:
         return partial(self.eval_laurent, t=tv)
 
     def lift(self, x: int) -> tuple[int, ...]:
-        return fp_trim(self.decode(x), self.p)
+        return self.cover.trim(self.decode(x))
 
     def is_field(self) -> bool:
         """Distinct-degree test: f of degree a is irreducible over F_p iff
@@ -333,13 +297,13 @@ class PolyMod:
         x = self.element((0, 1))
         if self.pow(x, p**a) != x:
             return False
-        gcds = (poly_gcd(self.lift(self.sub(self.pow(x, p ** (a // l)), x)), self.f, p) for l in _prime_factors(a))
+        gcds = (self.cover.gcd(self.lift(self.sub(self.pow(x, p ** (a // l)), x)), self.f) for l in _prime_factors(a))
         return all(g == (1,) for g in gcds)
 
     def encode(self, coeffs) -> int:
-        coeffs = fp_trim(coeffs, self.p)
+        coeffs = self.cover.trim(coeffs)
         if len(coeffs) > self.a:
-            coeffs = fp_mod(coeffs, self.f, self.p)
+            coeffs = self.cover.divmod(coeffs, self.f)[1]
         val = 0
         for c in reversed(coeffs):
             val = val * self.p + c
@@ -387,7 +351,7 @@ class PolyMod:
         return self._mul_slow(x, y)
 
     def _mul_slow(self, x: int, y: int) -> int:
-        return self.encode(fp_mul(self.decode(x), self.decode(y), self.p))
+        return self.encode(self.cover.mul(self.decode(x), self.decode(y)))
 
     @property
     def mul_table(self):
@@ -403,7 +367,7 @@ class PolyMod:
     def inv(self, x: int) -> int | None:
         if self.a == 1:
             return pow(x, self.p - 2, self.p) if x else None
-        g, s, _ = fp_gcdext(self.decode(x), self.f, self.p)
+        g, s = self.cover.gcdext(self.decode(x), self.f)
         return self.encode(s) if g == (1,) else None
 
     def pow(self, x: int, e: int) -> int:

@@ -13,7 +13,6 @@ ideals generated by minors.
 import math
 from itertools import combinations, product
 
-from knotcode import fields as ff
 from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial
 from knotcode.fields import FqField, IntMod, PolyMod
@@ -94,21 +93,21 @@ def colorable_by_alexander(d, ring, t) -> bool:
     if isinstance(ring, FqField):  # first: an FqField is also a PolyMod
         return ring.eval_laurent(delta, ring.element(t)) == 0
     if isinstance(ring, PolyMod):
-        f = ff.fp_trim(ring.f, ring.p)
-        return ff.poly_gcd(f, fp_compose(delta, ff.fp_trim(t, ring.p), ring.p), ring.p) != (1,)
+        R = ring.cover
+        return R.gcd(ring.f, fp_compose(delta, R.trim(t), R)) != (1,)
     raise TypeError(f"unsupported ring {ring!r}")
 
 
-def fp_compose(poly: LaurentPoly, t, p):
-    """Evaluate an integer polynomial at the F_p[T] element t (Horner), on
-    coefficient tuples."""
+def fp_compose(poly: LaurentPoly, t, ring):
+    """Evaluate an integer polynomial at the element t of ring, a RingFpT
+    (Horner), on coefficient tuples."""
     if poly.min_deg < 0:
         raise ValueError("needs a plain polynomial (min_deg >= 0)")
     acc = ()
     for c in reversed(poly.coeffs):
-        acc = ff.fp_add(ff.fp_mul(acc, t, p), ff.fp_trim([c], p), p)
+        acc = ring.add(ring.mul(acc, t), ring.trim([c]))
     for _ in range(poly.min_deg):
-        acc = ff.fp_mul(acc, t, p)
+        acc = ring.mul(acc, t)
     return acc
 
 

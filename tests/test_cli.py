@@ -271,6 +271,12 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     # an integer t outside F_2 is not reduced mod 2 in F_4
     code, out, err = run_cli(["code", path, "--q", "4", "--modulus", "1,1,1", "--t", "5"], capsys)
     assert (code, out) == (2, "") and "c0,c1" in err
+    # a leading coefficient 3 = 0 in F_3 would leave a degree-1 modulus, F_3
+    code, out, err = run_cli(["code", path, "--q", "9", "--modulus", "1,1,3", "--t", "-1"], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "--modulus" in err
+    # 1287836182261 * 2575672364521 passes Miller-Rabin to every base 2..37
+    code, out, err = run_cli(["code", path, "--q", "3317044064679887385961981", "--t", "-1"], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "cannot certify" in err
 
 
 def test_field_size_is_never_factored(tmp_path, capsys):
@@ -309,6 +315,10 @@ def test_matrix_command(tmp_path, capsys):
     rep = json.loads(out)
     assert len(rep["outputs"]["entries"][0]) == 5
     assert rep["outputs"]["region_order"] == ["0", "1", "2", "3", "4"]
+    unknot = gen_file(tmp_path, capsys, "builtin", "unknot", name="u.json")
+    code, out, err = run_cli(["matrix", unknot], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["outputs"]["entries"] == [] and rep["outputs"]["arc_order"] == ["0"]
 
 
 def test_snf_command(tmp_path, capsys):

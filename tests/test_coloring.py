@@ -7,7 +7,7 @@ import pytest
 
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from knotcode import coloring
-from knotcode.fields import FqField, IntMod, PolyMod, fp_from_laurent, poly_gcd
+from knotcode.fields import FqField, IntMod, PolyMod, RingFpT
 from knotcode.diagram import reidemeister_r1
 from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
@@ -294,8 +294,9 @@ def test_counts_hand_the_smith_form_only_a_residual(monkeypatch):
     b = 401
     assert count_colorings(torus_diagram(2, b), IntMod(27), -1) == 27 * math.gcd(27, b)
     p, f = 3, (1, 0, 1)
-    delta = fp_from_laurent(torus_alexander(5, 8), p)
-    expect = p ** (len(f) - 1 + len(poly_gcd(f, delta, p)) - 1)
+    R = RingFpT(p)
+    delta = fp_compose(torus_alexander(5, 8), (0, 1), R)
+    expect = p ** (len(f) - 1 + len(R.gcd(f, delta)) - 1)
     assert count_colorings(torus_diagram(5, 8), PolyMod(p, f), (0, 1)) == expect
     assert len(seen) == 2 and max(seen) <= 2
 
@@ -345,7 +346,7 @@ def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
     # over Z, F_q and F_p[T]: (ring map, ring zero)
     maps = [(partial(LaurentPoly.eval_int, t=t), 0) for t in (-1, 2, 3)]
     maps += [(partial(f.eval_laurent, t=tv), 0) for f in (F3, F4, F5, F7) for tv in range(1, f.q)]
-    maps += [(partial(fp_compose, t=tp, p=p), ()) for p, tp in ((3, (0, 1)), (5, (2, 1)), (2, (1, 1, 1)))]
+    maps += [(partial(fp_compose, t=tp, ring=RingFpT(p)), ()) for p, tp in ((3, (0, 1)), (5, (2, 1)), (2, (1, 1, 1)))]
     for d in small_diagrams():
         for mat in (fox_matrix(d), dehn_matrix(d)):
             sym = mat.entries
@@ -372,6 +373,13 @@ def test_determinants_match_modular_oracle():
 def test_unknot_counts(unknot):
     assert count_colorings(unknot, IntMod(6), 1) == 6
     assert count_colorings(unknot, PolyMod(3, (1, 1)), (1,)) == 3
+
+
+def test_unknot_fox_matrix_is_0_by_1(unknot):
+    """The bare loop has one arc and no crossing: no relations on one color."""
+    mat = fox_matrix(unknot)
+    assert (mat.rows, mat.ncols) == ((), 1)
+    assert minor_family(unknot, "fox", 1) == []
 
 
 # -- Fox <-> Dehn -------------------------------------------------------------------

@@ -3,33 +3,29 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcode.fields import (
-    FqField,
-    PolyMod,
-    fp_is_irreducible,
-    fp_divmod,
-    fp_mul,
-    fp_trim,
-    is_prime,
-    poly_gcd,
-)
+from knotcode.fields import FqField, PolyMod, RingFpT, is_prime
 from knotcode.laurent import LaurentPoly
 
 
 def test_primality():
-    primes = {2, 3, 5, 7, 11, 101, 10007, 1_000_003}
+    bound = 3_317_044_064_679_887_385_961_981  # bases 2..37 are proven below it
+    primes = {2, 3, 5, 7, 11, 101, 10007, 1_000_003, 10**18 + 3, bound - 168}
     for p in primes:
         assert is_prime(p)
-    for n in (0, 1, 4, 9, 1_000_005, 25326001):
+    for n in (0, 1, 4, 9, 1_000_005, 25326001, 10**18 + 1, bound + 1):
         assert not is_prime(n)
+    # a strong pseudoprime to every base 2..37 is not taken for a prime
+    assert bound == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(bound)
 
 
 def test_irreducibility():
-    assert fp_is_irreducible((1, 1, 1), 2)  # x^2+x+1
-    assert not fp_is_irreducible((1, 0, 1), 2)  # x^2+1 = (x+1)^2
-    assert fp_is_irreducible((1, 1, 0, 1), 2)  # x^3+x+1
-    assert fp_is_irreducible((2, 0, 1), 5)  # x^2+2
-    assert not fp_is_irreducible((4, 0, 1), 5)  # x^2+4 = (x+1)(x+4)... x^2-1
+    assert PolyMod(2, (1, 1, 1)).is_field()  # x^2+x+1
+    assert not PolyMod(2, (1, 0, 1)).is_field()  # x^2+1 = (x+1)^2
+    assert PolyMod(2, (1, 1, 0, 1)).is_field()  # x^3+x+1
+    assert PolyMod(5, (2, 0, 1)).is_field()  # x^2+2
+    assert not PolyMod(5, (4, 0, 1)).is_field()  # x^2+4 = (x+1)(x+4)... x^2-1
     with pytest.raises(ValueError):
         FqField(2, [1, 0, 1])
     with pytest.raises(ValueError):
@@ -38,10 +34,11 @@ def test_irreducibility():
 
 def test_poly_gcd_example():
     # T^3 + 1 = (T + 1)(T^2 - T + 1) over F_5
-    a = fp_trim([1, 0, 0, 1], 5)
-    b = fp_trim([1, -1, 1], 5)
-    assert poly_gcd(a, b, 5) == b
-    assert poly_gcd((), b, 5) == b
+    R = RingFpT(5)
+    a = R.trim([1, 0, 0, 1])
+    b = R.trim([1, -1, 1])
+    assert R.gcd(a, b) == b
+    assert R.gcd((), b) == b
 
 
 def test_f4_table():
@@ -156,5 +153,6 @@ def test_fp_divmod_roundtrip():
     p = 5
     a = (1, 2, 3, 4)
     b = (2, 1)
-    q, r = fp_divmod(a, b, p)
-    assert fp_trim([x + y for x, y in zip(list(fp_mul(q, b, p)) + [0] * 4, list(r) + [0] * 4)], p) == a
+    R = RingFpT(p)
+    q, r = R.divmod(a, b)
+    assert R.add(R.mul(q, b), r) == a

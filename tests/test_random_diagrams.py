@@ -7,7 +7,6 @@ from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
-from knotcode.diagram import DiagramError
 from knotcode.generators import from_braid
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
@@ -20,18 +19,34 @@ F3 = FqField(3)
 F5 = FqField(5)
 
 
+def _cycle_of(word, k: int) -> list[int]:
+    """The closure component of each braid position 0..k-1: a cycle label
+    of the word's permutation."""
+    perm = list(range(k))
+    for letter in word:
+        i = abs(letter)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    label = [-1] * k
+    for start in range(k):
+        j = start
+        while label[j] < 0:
+            label[j] = start
+            j = perm[j]
+    return label
+
+
 @st.composite
 def braid_diagrams(draw, max_strands=4, max_len=8):
+    """Closures of braid words of at most max_len letters that are knots by
+    construction: while the permutation has more than one cycle, a letter
+    +-s_i whose positions i, i+1 lie in different cycles joins two of them."""
     k = draw(st.integers(2, max_strands))
-    length = draw(st.integers(k - 1, max_len))
-    word = [
-        draw(st.integers(1, k - 1)) * draw(st.sampled_from((1, -1)))
-        for _ in range(length)
-    ]
-    try:
-        return from_braid(k, word)
-    except DiagramError:  # split link: some position untouched
-        assume(False)
+    length = draw(st.integers(0, max_len - (k - 1)))
+    word = [draw(st.integers(1, k - 1)) * draw(st.sampled_from((1, -1))) for _ in range(length)]
+    while len(set(label := _cycle_of(word, k))) > 1:
+        joins = [i for i in range(1, k) if label[i - 1] != label[i]]
+        word.append(draw(st.sampled_from(joins)) * draw(st.sampled_from((1, -1))))
+    return from_braid(k, word)
 
 
 @settings(max_examples=60, deadline=None)
