@@ -33,11 +33,11 @@ from .coloring import (
     count_colorings,
     dehn_matrix,
     dehn_to_fox,
+    first_minors_agree,
     fox_matrix,
     fox_to_dehn,
     is_colorable,
     knot_determinant,
-    minor_family,
 )
 from .codes import (
     BudgetExceeded,

@@ -218,17 +218,6 @@ def build_codes(diagrams, field, t: int, kind="fox"):
     return codes, list(dict.fromkeys(str(w.message) for w in caught))
 
 
-MINOR_LIMIT = 7  # the first-minor check runs up to this many crossings
-
-
-def first_minors_agree(d: Diagram, delta: LaurentPoly):
-    """Whether every first minor of the Fox matrix is zero or delta up to a
-    unit; None when the diagram has no crossings or more than MINOR_LIMIT."""
-    if not 1 <= d.n <= MINOR_LIMIT:
-        return None
-    return all(m.is_zero or m.unit_ratio(delta) is not None for m in col.minor_family(d, "fox", 1))
-
-
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -276,9 +265,8 @@ def cmd_invariants(args, command="invariants") -> int:
                     "regions": d.region_count,
                 }
             )
-            agree = first_minors_agree(d, delta)
-            if agree is not None:
-                outputs["minors_agree_up_to_units"] = agree
+            if d.n >= 1:
+                outputs["minors_agree_up_to_units"] = col.first_minors_agree(d)
         emit(report_for(command, src, outputs))
     return 0
 
@@ -376,7 +364,7 @@ def cmd_colorings(args) -> int:
             ring = IntMod(args.mod)
             inputs = {**src, "modulus": args.mod, "t": t}
         else:
-            ring = PolyMod(p, f)
+            ring = PolyMod(p, RingFpT(p).trim(f))  # the modulus is read as an F_p[T] element, like t
             inputs = {**src, "p": p, "modulus_poly": list(ring.f), "t": list(ring.cover.trim(t))}
         count = col.count_colorings(d, ring, t)
         emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": count > ring.size}))
@@ -473,17 +461,14 @@ def cmd_check(args) -> int:
         rep = d.validate()
         run("validates", lambda: rep.ok)
         if rep.ok and d.n >= 1:
-            fox = col.fox_matrix(d)
-            run("row_sums_zero", lambda: all(_row_sum_zero(row) for row in fox.entries))
+            run("row_sums_zero", lambda: all(col.row_sum(row).is_zero for row in col.fox_matrix(d).rows))
             delta = col.alexander_polynomial(d)
             run("alexander_value_at_1_is_unit", lambda: abs(delta.eval_int(1)) == 1)
             run("arc_count", lambda: d.arc_count == d.n)
             run("region_count", lambda: d.region_count == d.n + 2)
             run("checkerboard_exists", lambda: len(set(d.checkerboard.values())) <= 2)
             run("region_index_steps", lambda: _index_steps_ok(d))
-            agree = first_minors_agree(d, delta)
-            if agree is not None:
-                run("fox_minors_agree_up_to_units", lambda: agree)
+            run("fox_minors_agree_up_to_units", lambda: col.first_minors_agree(d))
             for p in (3, 5):
                 field = FqField(p)
                 run(
@@ -501,13 +486,6 @@ def cmd_check(args) -> int:
         if failures:
             worst = EXIT_BAD_DIAGRAM
     return worst
-
-
-def _row_sum_zero(row):
-    total = row[0]
-    for e in row[1:]:
-        total = total + e
-    return total.is_zero
 
 
 def _index_steps_ok(d: Diagram) -> bool:

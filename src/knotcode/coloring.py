@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .laurent import ONE, ZERO, LaurentPoly, T
 from .fields import FqField
-from .diagram import Diagram, dehn_role_tokens
-from .exactlin import dense, dot, minor_dets, snf, sparse_dets, unit_residual
+from .diagram import RIGHT, Diagram, dehn_role_tokens
+from .exactlin import dense, dot, snf, sparse_dets, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -130,17 +130,51 @@ def knot_determinant(d: Diagram) -> int:
     return abs(alexander_polynomial(d).eval_int(-1))
 
 
-def minor_family(d: Diagram, kind: str, k: int) -> list[LaurentPoly]:
-    """All minors of the coloring matrix of order (columns - k), unnormalized."""
-    if kind == "fox":
-        mat = fox_matrix(d)
-    elif kind == "dehn":
-        mat = dehn_matrix(d)
-    else:
-        raise ValueError("kind must be 'fox' or 'dehn'")
-    if k < 0 or k > mat.ncols:
-        raise ValueError(f"minor order {k} outside matrix bounds")
-    return minor_dets(mat.rows, mat.ncols, mat.ncols - k)
+def first_minors_agree(d: Diagram) -> bool:
+    """Whether every first minor of the Fox matrix A is the Alexander
+    polynomial up to a unit of Z[T, T^-1], by two identities instead of
+    n^2 determinants: about 3n products of Laurent polynomials, at any size.
+
+    The identities are A 1 = 0 (each row holds 1-T, -1 and T) and w^T A = 0
+    with w_c = sign(c) T^(-ind R_c), where ind is the region index
+    (Alexander, Trans. AMS 30, 1928) and R_c the region on the right of
+    over_in at a positive crossing and of under_in at a negative one.
+
+    Why they suffice (Crowell & Fox, Introduction to Knot Theory, ch.
+    VII-VIII): A is square and A 1 = 0, so rank A <= n-1.  If rank A < n-1
+    every first minor is 0, and so is their normalized (1,1) minor Delta.
+    If rank A = n-1, then A adj(A) = adj(A) A = det(A) I = 0 puts the
+    columns of adj(A) in the kernel, spanned by 1 over Q(T), and its rows
+    in the left kernel, spanned by w; so adj(A) = c 1 w^T, and c lies in
+    Z[T, T^-1] because w_1 is a unit.  The minor without row i and column j
+    is then +-c w_i: every one is c times a unit, and so is Delta.
+
+    Why w^T A = 0: follow an arc a from the crossing where it leaves as an
+    understrand to the one where it ends, and let r_0, ..., r_m be the
+    indices of the regions on its right along its edges.  Crossing a strand
+    from its left to its right lowers the index by 1, so where a passes
+    over a crossing c of sign s the index steps from r to r' = r - s, and
+    ind R_c is r when s = +1 and r' when s = -1.  Either way w_c (1-T) =
+    T^(-r) - T^(-r'), and these telescope along a to T^(-r_0) - T^(-r_m).
+    The first crossing adds -T^(-r_0) to column a (coefficient -1 with
+    ind R_c = r_0 when positive, T with ind R_c = r_0 + 1 when negative),
+    and the last adds T^(-r_m) (coefficient T with ind R_c = r_m + 1 when
+    positive, -1 with ind R_c = r_m when negative), so the column is 0.
+    Coincident roles are summed in A, and their terms add alike.
+    """
+    mat = fox_matrix(d)
+    index, regions = d.region_index, d.regions
+    column = [ZERO] * mat.ncols  # w^T A
+    for c, row in zip(d.crossings, mat.rows):
+        w = LaurentPoly((c.sign,), -index[regions[(c.over_in if c.sign == 1 else c.under_in, RIGHT)]])
+        for j, e in row:
+            column[j] += w * e
+    return all(row_sum(row).is_zero for row in mat.rows) and not any(column)
+
+
+def row_sum(row) -> LaurentPoly:
+    """The sum of a sparse row's entries: zero for every Fox row."""
+    return sum((e for _, e in row), ZERO)
 
 
 # -- colorability and counting ------------------------------------------------------

@@ -7,18 +7,19 @@ PolyMod); this module defines no ring.
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
 factors and the rank, not the transforms that produce them.  laurent_det
-takes a square list of lists of LaurentPoly, sparse_dets and minor_dets
-sparse LaurentPoly rows.  The elimination takes sparse rows, ((column,
-value), ...) pairs of a row's nonzeros, which is how a coloring matrix is
-evaluated (at most 4 nonzeros per row), so it costs little beyond its
-nonzeros where Gauss-Jordan took cubic time; over F_q and F_p[T]/(f)
-every value, in rows and in the vectors returned, is an encoded int (see
-fields).  It pivots only on units: over F_q that is every nonzero, and it
-gives rank, a canonical kernel basis, and over Z/p the determinant values
-the determinants over Z[T, T^-1] are interpolated from; over Z/m and
-F_p[T]/(f) the few rows left without a unit are what the coloring counts
-lift into the cover and hand to the Smith form, whose entries then stay
-reduced instead of growing.  dense() turns sparse rows into the full grid.
+takes a square list of lists of LaurentPoly, sparse_dets sparse
+LaurentPoly rows and the minors to take of them.  The elimination takes
+sparse rows, ((column, value), ...) pairs of a row's nonzeros, which is
+how a coloring matrix is evaluated (at most 4 nonzeros per row), so it
+costs little beyond its nonzeros where Gauss-Jordan took cubic time;
+over F_q and F_p[T]/(f) every value, in rows and in the vectors
+returned, is an encoded int (see fields).  It pivots only on units: over
+F_q that is every nonzero, and it gives rank, a canonical kernel basis,
+and over Z/p the determinant values the determinants over Z[T, T^-1] are
+interpolated from; over Z/m and F_p[T]/(f) the few rows left without a
+unit are what the coloring counts lift into the cover and hand to the
+Smith form, whose entries then stay reduced instead of growing.  dense()
+turns sparse rows into the full grid.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, count
+from itertools import count
 
 from .laurent import ZERO, LaurentPoly
 from .fields import FqField, IntMod, is_prime
@@ -53,16 +54,6 @@ def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             raise ValueError("matrix is not square")
     whole = range(n)
     return sparse_dets([tuple((j, e) for j, e in enumerate(row) if e) for row in rows], [(whole, whole)])[0]
-
-
-def minor_dets(rows, ncols: int, order: int) -> list[LaurentPoly]:
-    """Determinants of all order x order submatrices of sparse LaurentPoly
-    rows of width ncols (row-major combination order); empty when the
-    matrix has no submatrix of that size."""
-    if order <= 0 or order > len(rows) or order > ncols:
-        return []
-    cols = list(combinations(range(ncols), order))
-    return sparse_dets(rows, [(ri, ci) for ri in combinations(range(len(rows)), order) for ci in cols])
 
 
 def sparse_dets(rows, minors) -> list[LaurentPoly]:

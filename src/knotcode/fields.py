@@ -258,8 +258,8 @@ class PolyMod:
     def __init__(self, p: int, f):
         self.cover = RingFpT(p)  # checks that p is prime
         self.f = self.cover.trim(f)
-        if len(self.f) < 2:
-            raise ValueError("modulus must have degree >= 1")
+        if len(self.f) < 2 or len(self.f) != len(f):  # a leading 0 mod p would drop the degree
+            raise ValueError(f"modulus {list(f)} must have degree >= 1 and a leading coefficient nonzero mod {p}")
         self.p = p
         self.a = len(self.f) - 1
         self.q = p**self.a
@@ -334,6 +334,8 @@ class PolyMod:
     def _digitwise(self, x: int, y: int, sign: int) -> int:
         """x + sign * y, one base-p digit (coefficient) at a time."""
         p = self.p
+        if p == 2:  # one bit per digit, and + and - mod 2 are both xor
+            return x ^ y
         out, mult = 0, 1
         for _ in range(self.a):
             out += (x + sign * y) % p * mult
@@ -355,13 +357,16 @@ class PolyMod:
 
     @property
     def mul_table(self):
+        """The products x * y at x * q + y, for q up to _TABLE_LIMIT.  Only the
+        rows of the monomials x^i (encoded p^i) are slow products; every
+        other row x is row(x - m) + row(m), m the leading monomial of x."""
         if self._mul_table is None and self.q <= _TABLE_LIMIT:
-            q = self.q
-            tab = [0] * (q * q)
-            for x in range(q):
-                for y in range(x, q):
-                    tab[x * q + y] = tab[y * q + x] = self._mul_slow(x, y)
-            self._mul_table = tab
+            q, rows = self.q, [[0] * self.q]
+            for x in range(1, q):
+                m = self.p ** (len(self.lift(x)) - 1)
+                row = [self._mul_slow(x, y) for y in range(q)] if x == m else [*map(self.add, rows[x - m], rows[m])]
+                rows.append(row)
+            self._mul_table = [v for row in rows for v in row]
         return self._mul_table
 
     def inv(self, x: int) -> int | None:

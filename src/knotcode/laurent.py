@@ -137,16 +137,6 @@ class LaurentPoly:
             raise ValueError("polynomial division is not exact")
         return LaurentPoly.make(q, self.min_deg - other.min_deg)
 
-    def unit_ratio(self, other: "LaurentPoly"):
-        """If self = +-T^s * other, return (sign, s); otherwise None."""
-        if self.is_zero or other.is_zero:
-            return (1, 0) if self.is_zero and other.is_zero else None
-        if self.coeffs == other.coeffs:
-            return (1, self.min_deg - other.min_deg)
-        if self.coeffs == tuple(-c for c in other.coeffs):
-            return (-1, self.min_deg - other.min_deg)
-        return None
-
     # -- normalizations ------------------------------------------------------
 
     def alexander_normalized(self) -> "LaurentPoly":

@@ -6,7 +6,10 @@ certifies.  The dense Gauss-Jordan elimination over F_q is the reference
 for the sparse one, fraction-free (Bareiss) elimination over Z[T] the
 reference for the determinants by evaluation and Chinese remaindering,
 and determinantal divisors (gcds of all k x k minors) the reference for
-the Smith form.  The Z[T] gcd helpers at the end serve tests that compare
+the Smith form.  All n^2 first minors of the Fox matrix, by the
+determinants by evaluation (themselves checked against Bareiss), are the
+reference for the two identities coloring.first_minors_agree checks
+instead.  The Z[T] gcd helpers at the end serve tests that compare
 ideals generated by minors.
 """
 
@@ -14,7 +17,8 @@ import math
 from itertools import combinations, product
 
 from knotcode.codes import LinearCode
-from knotcode.coloring import alexander_polynomial
+from knotcode.coloring import alexander_polynomial, dehn_matrix, fox_matrix
+from knotcode.exactlin import sparse_dets
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ONE, ZERO, LaurentPoly
 
@@ -80,6 +84,43 @@ def bareiss_minors(rows, order: int) -> list:
         for ri in combinations(range(len(rows)), order)
         for ci in combinations(range(len(rows[0])), order)
     ]
+
+
+def minor_dets(rows, ncols: int, order: int) -> list[LaurentPoly]:
+    """Determinants of all order x order submatrices of sparse LaurentPoly
+    rows of width ncols by sparse_dets (row-major combination order); empty
+    when the matrix has no submatrix of that size."""
+    if order <= 0 or order > len(rows) or order > ncols:
+        return []
+    cols = list(combinations(range(ncols), order))
+    return sparse_dets(rows, [(ri, ci) for ri in combinations(range(len(rows)), order) for ci in cols])
+
+
+def minor_family(d, kind: str, k: int) -> list[LaurentPoly]:
+    """All minors of the Fox or Dehn matrix of order (columns - k),
+    unnormalized."""
+    mat = {"fox": fox_matrix, "dehn": dehn_matrix}[kind](d)
+    if k < 0 or k > mat.ncols:
+        raise ValueError(f"minor order {k} outside matrix bounds")
+    return minor_dets(mat.rows, mat.ncols, mat.ncols - k)
+
+
+def unit_ratio(a: LaurentPoly, b: LaurentPoly):
+    """(sign, s) when a = sign * T^s * b, else None; (1, 0) when both are 0."""
+    if a.is_zero or b.is_zero:
+        return (1, 0) if a.is_zero and b.is_zero else None
+    if a.coeffs == b.coeffs:
+        return (1, a.min_deg - b.min_deg)
+    if a.coeffs == tuple(-c for c in b.coeffs):
+        return (-1, a.min_deg - b.min_deg)
+    return None
+
+
+def first_minors_agree_brute(d) -> bool:
+    """Every first minor of the Fox matrix is zero or Delta up to a unit,
+    by all n^2 of them."""
+    delta = alexander_polynomial(d)
+    return all(m.is_zero or unit_ratio(m, delta) is not None for m in minor_family(d, "fox", 1))
 
 
 def colorable_by_alexander(d, ring, t) -> bool:

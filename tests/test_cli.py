@@ -7,6 +7,7 @@ import time
 import pytest
 
 from knotcode.cli import UsageError, _prime_power, main
+from knotcode.generators import from_braid
 
 RUN = [sys.executable, "-m", "knotcode.cli"]
 
@@ -63,6 +64,19 @@ def test_invariants_report(tmp_path, capsys):
     assert rep["outputs"]["arcs"] == "3"
     assert rep["outputs"]["regions"] == "5"
     assert rep["outputs"]["minors_agree_up_to_units"] is True
+
+
+def test_minor_check_past_seven_crossings(tmp_path, capsys):
+    """The first-minor check has no size limit: invariants on T(2, 41) and
+    check on a 12-crossing braid closure with both crossing signs."""
+    path = gen_file(tmp_path, capsys, "torus", "--a", "2", "--b", "41")
+    code, out, err = run_cli(["invariants", path], capsys)
+    assert code == 0 and json.loads(out)["outputs"]["minors_agree_up_to_units"] is True
+    braid = tmp_path / "braid.json"
+    braid.write_text(from_braid(3, [1, -2, 1, -2, 1, -2, 1, -2, 1, -2, 1, 1]).dumps())
+    code, out, err = run_cli(["check", str(braid)], capsys)
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["outputs"]["checks"]}
+    assert code == 0 and checks["fox_minors_agree_up_to_units"] is True
 
 
 @pytest.mark.parametrize(

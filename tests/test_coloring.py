@@ -8,18 +8,18 @@ import pytest
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from knotcode import coloring
 from knotcode.fields import FqField, IntMod, PolyMod, RingFpT
-from knotcode.diagram import reidemeister_r1
-from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_diagram
+from knotcode.diagram import LEFT, RIGHT, reidemeister_r1
+from knotcode.generators import builtin, connected_sum, from_braid, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
     alexander_polynomial,
     count_colorings,
     dehn_matrix,
     dehn_to_fox,
+    first_minors_agree,
     fox_matrix,
     fox_to_dehn,
     is_colorable,
     knot_determinant,
-    minor_family,
 )
 from knotcode.codes import code_from_diagram
 from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
@@ -30,9 +30,12 @@ from oracles import (
     bareiss_minors,
     colorable_by_alexander,
     count_colorings_brute,
+    first_minors_agree_brute,
     fp_compose,
     int_poly_content_gcd,
+    minor_family,
     poly_mulmod,
+    unit_ratio,
 )
 
 DELTA_TREFOIL = ONE - T + T * T
@@ -96,7 +99,52 @@ def test_minors_agree_up_to_unit():
     for d in small_diagrams():
         delta = alexander_polynomial(d)
         for m in minor_family(d, "fox", 1):
-            assert m.unit_ratio(delta) is not None
+            assert unit_ratio(m, delta) is not None
+
+
+def _left_product(d, sign, token) -> list:
+    """w^T A for the Fox matrix A and w_c = sign(c) T^(-ind R_c), R_c the
+    region of the token token(c)."""
+    mat = fox_matrix(d)
+    out = [ZERO] * mat.ncols
+    for c, row in zip(d.crossings, mat.rows):
+        w = LaurentPoly((sign(c),), -d.region_index[d.regions[token(c)]])
+        for j, e in row:
+            out[j] += w * e
+    return out
+
+
+def test_left_kernel_weights_and_their_mutants():
+    """w^T A = 0 for the rule first_minors_agree uses, and not for a dropped
+    sign or for over_in's right at a negative crossing.  Only diagrams with
+    both signs tell those apart: on T(2, 5) and T(2, -5) they are the rule
+    up to a global unit, as the left quadrant is everywhere (each index
+    one higher)."""
+    signed, unsigned = (lambda c: c.sign), (lambda c: 1)
+    right = lambda c: (c.over_in if c.sign == 1 else c.under_in, RIGHT)
+    left = lambda c: (c.over_in if c.sign == 1 else c.under_in, LEFT)
+    over_in = lambda c: (c.over_in, RIGHT)
+    mixed = [builtin("figure_eight"), pretzel_diagram([3, -5, 7]), from_braid(3, [1, -2, 1, -2])]
+    one_handed = [torus_diagram(2, 5), torus_diagram(2, -5)]
+    for d in mixed + one_handed:
+        assert first_minors_agree(d) and first_minors_agree_brute(d)
+        assert not any(_left_product(d, signed, right))
+        assert not any(_left_product(d, signed, left))
+    for d in mixed:
+        assert any(_left_product(d, unsigned, right))
+        assert any(_left_product(d, signed, over_in))
+    for d in one_handed:
+        assert not any(_left_product(d, unsigned, right))
+        assert not any(_left_product(d, signed, over_in))
+
+
+def test_first_minor_identity_at_any_size():
+    """No size limit: T(2, 1601) within 5 s, and agreement with all n^2
+    minors on the 8 crossings of T(3, 5)."""
+    assert first_minors_agree(torus_diagram(3, 5)) and first_minors_agree_brute(torus_diagram(3, 5))
+    t0 = time.perf_counter()
+    assert first_minors_agree(torus_diagram(2, 1601))
+    assert time.perf_counter() - t0 < 5
 
 
 def test_alexander_ladder():
@@ -136,7 +184,7 @@ def test_dehn_second_ideal_generated_by_alexander():
         g = ZERO
         for m in fam:
             g = int_poly_content_gcd(g, m)
-        assert g.unit_ratio(delta) is not None or g.unit_ratio(-delta) is not None
+        assert unit_ratio(g, delta) is not None
 
 
 def test_dehn_first_ideal_vanishes():

@@ -156,3 +156,34 @@ def test_fp_divmod_roundtrip():
     R = RingFpT(p)
     q, r = R.divmod(a, b)
     assert R.add(R.mul(q, b), r) == a
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        FqField(2, (1, 1, 0, 0, 1)),  # F_16
+        FqField(3, (1, 2, 0, 1)),  # F_27
+        FqField(7, (1, 0, 1)),  # F_49
+        FqField(2, (1, 1, 0, 1, 1, 0, 1)),  # F_64
+        PolyMod(3, (1, 0, 0, 1)),  # x^3 + 1 = (x + 1)^3 over F_3
+        PolyMod(2, (0, 1, 1, 0, 1)),  # x (x^3 + x + 1)
+    ],
+)
+def test_mul_table_is_the_slow_products(ring):
+    """The table built from the monomial rows by additions holds every
+    product of the polynomials mod f, over fields and reducible moduli."""
+    q = ring.q
+    table = ring.mul_table
+    assert len(table) == q * q
+    assert all(table[x * q + y] == ring._mul_slow(x, y) for x in range(q) for y in range(q))
+
+
+def test_modulus_keeps_its_degree():
+    """A leading coefficient divisible by p is refused, not trimmed away to
+    a modulus of lower degree."""
+    for build in (PolyMod, FqField):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            build(3, (1, 1, 3))
+        with pytest.raises(ValueError, match="leading coefficient"):
+            build(3, [2, 1, 0])
+    assert PolyMod(3, (4, 1)).f == (1, 1)  # lower coefficients are reduced mod p

@@ -3,6 +3,7 @@ lemma, coloring-matrix structure, and code bounds on arbitrary valid
 diagrams rather than the curated families."""
 
 import math
+import random
 from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
@@ -10,10 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 from knotcode.generators import from_braid
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
-from knotcode.coloring import alexander_polynomial, count_colorings, fox_matrix
+from knotcode.coloring import alexander_polynomial, count_colorings, first_minors_agree, fox_matrix
 from knotcode.codes import code_from_diagram, min_distance
 
-from oracles import count_colorings_brute, count_colorings_poly_brute, poly_mulmod
+from conftest import random_move
+from oracles import count_colorings_brute, count_colorings_poly_brute, first_minors_agree_brute, poly_mulmod
 
 F3 = FqField(3)
 F5 = FqField(5)
@@ -84,6 +86,18 @@ def test_checkerboard_and_index(d):
         l, r = d.side_regions(e)
         assert colors[l] != colors[r]
         assert idx[l] - idx[r] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_diagrams(max_len=6), st.integers(0, 3), st.integers(0, 2**32))
+def test_first_minor_identity_vs_all_minors(d, moves, seed):
+    """The left-kernel identity against all n^2 first minors, on braid
+    closures with mixed signs, also after random Reidemeister moves."""
+    rng = random.Random(seed)
+    for _ in range(moves):
+        d = random_move(d, rng, max_crossings=7)
+    assume(d.n >= 1)
+    assert first_minors_agree(d) == first_minors_agree_brute(d)
 
 
 @settings(max_examples=40, deadline=None)
