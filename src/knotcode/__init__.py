@@ -1,5 +1,5 @@
 """Exact-arithmetic library for linear codes built from knot diagram
-colorings: diagrams and Reidemeister moves, Fox/Dehn coloring matrices,
+colorings: oriented diagrams and their regions, Fox/Dehn coloring matrices,
 Alexander polynomials, Smith normal forms, coloring counts, code
 parameters for torus/pretzel/connected-sum families, and the cable
 dimension calculus.
@@ -8,17 +8,7 @@ dimension calculus.
 from .laurent import LaurentPoly
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
 from .exactlin import SnfResult, kernel_basis, laurent_det, rank, snf
-from .diagram import (
-    Crossing,
-    Diagram,
-    DiagramError,
-    MoveError,
-    ValidationReport,
-    reidemeister_r1,
-    reidemeister_r1_remove,
-    reidemeister_r2,
-    reidemeister_r2_remove,
-)
+from .diagram import Crossing, Diagram, DiagramError, ValidationReport
 from .generators import (
     builtin,
     connected_sum,

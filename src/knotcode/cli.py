@@ -132,7 +132,10 @@ def _fp_poly(x, ring: RingFpT, where: str) -> tuple[int, ...]:
     return ring.trim([0] * poly.min_deg + list(poly.coeffs))
 
 
+@functools.cache
 def parse_field(qtext: str, modulus: str | None) -> FqField:
+    """The field of --q and --modulus, built once per process for each
+    pair of texts (a usage error is raised again each time)."""
     nums = _ints(qtext, "--q", sep="^")
     if len(nums) > 2:
         raise UsageError(f"--q: expected p or p^a, got {qtext!r}")
@@ -467,7 +470,7 @@ def cmd_check(args) -> int:
             run("arc_count", lambda: d.arc_count == d.n)
             run("region_count", lambda: d.region_count == d.n + 2)
             run("checkerboard_exists", lambda: len(set(d.checkerboard.values())) <= 2)
-            run("region_index_steps", lambda: _index_steps_ok(d))
+            run("region_index_steps", lambda: d.region_index)  # raises unless every edge steps it by one
             run("fox_minors_agree_up_to_units", lambda: col.first_minors_agree(d))
             for p in (3, 5):
                 field = FqField(p)
@@ -486,11 +489,6 @@ def cmd_check(args) -> int:
         if failures:
             worst = EXIT_BAD_DIAGRAM
     return worst
-
-
-def _index_steps_ok(d: Diagram) -> bool:
-    idx = d.region_index
-    return all(idx[d.regions[(e, "left")]] - idx[d.regions[(e, "right")]] == 1 for e in range(2 * d.n))
 
 
 # -- parser ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO, LaurentPoly, T
 from .fields import FqField
 from .diagram import RIGHT, Diagram, dehn_role_tokens
-from .exactlin import dense, dot, snf, sparse_dets, unit_residual
+from .exactlin import dense, dot, snf, sparse_det, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -118,9 +118,8 @@ def dehn_matrix(d: Diagram) -> ColoringMatrix:
 def alexander_polynomial(d: Diagram) -> LaurentPoly:
     """Normalized generator of the first elementary ideal: the (1,1) minor
     of the Fox matrix scaled to a positive constant term."""
-    mat = fox_matrix(d)
-    minor = (range(1, len(mat.rows)), range(1, mat.ncols))
-    delta = sparse_dets(mat.rows, [minor])[0].alexander_normalized()
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    delta = sparse_det(minor).alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta

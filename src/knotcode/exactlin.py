@@ -7,8 +7,8 @@ PolyMod); this module defines no ring.
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
 factors and the rank, not the transforms that produce them.  laurent_det
-takes a square list of lists of LaurentPoly, sparse_dets sparse
-LaurentPoly rows and the minors to take of them.  The elimination takes
+takes a square list of lists of LaurentPoly, sparse_det the same matrix
+as sparse LaurentPoly rows.  The elimination takes
 sparse rows, ((column, value), ...) pairs of a row's nonzeros, which is
 how a coloring matrix is evaluated (at most 4 nonzeros per row), so it
 costs little beyond its nonzeros where Gauss-Jordan took cubic time;
@@ -38,7 +38,7 @@ from .fields import FqField, IntMod, is_prime
 # -- determinants over Z[T, T^-1] ----------------------------------------------
 #
 # Evaluation, interpolation and Chinese remaindering (von zur Gathen &
-# Gerhard, Modern Computer Algebra, ch. 5): a minor's determinant is a
+# Gerhard, Modern Computer Algebra, ch. 5): a determinant is a
 # polynomial of bounded degree and bounded coefficients once each row is
 # divided by its lowest power of T, so its values mod word-size primes at
 # enough points fix it.  Each value is one sparse elimination over Z/p on
@@ -47,24 +47,22 @@ from .fields import FqField, IntMod, is_prime
 
 
 def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square LaurentPoly matrix, by sparse_dets."""
+    """Exact determinant of a square LaurentPoly matrix, by sparse_det."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    whole = range(n)
-    return sparse_dets([tuple((j, e) for j, e in enumerate(row) if e) for row in rows], [(whole, whole)])[0]
+    return sparse_det([tuple((j, e) for j, e in enumerate(row) if e) for row in rows])
 
 
-def sparse_dets(rows, minors) -> list[LaurentPoly]:
-    """Exact determinants of square submatrices of sparse LaurentPoly rows
-    ((column, entry), ...); each minor is a pair (row indices, column
-    indices) of equal length.
+def sparse_det(rows) -> LaurentPoly:
+    """Exact determinant of a square matrix given as sparse LaurentPoly
+    rows ((column, entry), ...) of its nonzeros, in columns 0..len(rows)-1.
 
     Every row is divided by its lowest power of T, which leaves polynomial
-    entries a_ij.  A minor's determinant is then a polynomial P(T) of
-    degree at most D, the sum over its rows of their highest entry degree,
-    and every coefficient c_k of P obeys
+    entries a_ij.  The determinant is then a polynomial P(T) of degree at
+    most D, the sum over the rows of their highest entry degree, and every
+    coefficient c_k of P obeys
 
         |c_k| <= B = prod_i sqrt(sum_j ||a_ij||_1^2),
 
@@ -73,51 +71,36 @@ def sparse_dets(rows, minors) -> list[LaurentPoly]:
     Hadamard's inequality bounds |P(z)| by the product of the Euclidean
     norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
 
-    The whole matrix is evaluated once per (point, prime), at T = 0..D
-    modulo word-size primes, and every minor's value is read off that one
-    grid by sparse elimination over Z/p.  Interpolation gives P mod p, and
-    Chinese remaindering over the primes gives P once their product
-    exceeds 2B, lifted to (-M/2, M/2].  The result is exact; no step is
-    probabilistic.
+    The matrix is evaluated at T = 0..D modulo word-size primes, and each
+    value is one sparse elimination over Z/p.  Interpolation gives P mod
+    p, and Chinese remaindering over the primes gives P once their
+    product exceeds 2B, lifted to (-M/2, M/2].  The result is exact; no
+    step is probabilistic.
     """
     shifts, cells, index = [], [], {}  # index: distinct shifted entry -> position in polys
     for row in rows:
-        s = min((e.min_deg for _, e in row), default=0)
+        if not row:
+            return ZERO
+        s = min(e.min_deg for _, e in row)
         shifts.append(s)
         cells.append([(c, index.setdefault(e.shift(-s), len(index))) for c, e in row])
     polys = list(index)
-    degs = [e.max_deg for e in polys]
-    norms = [sum(map(abs, e.coeffs)) ** 2 for e in polys]
-    todo = []  # (minor, its rows as (position, entry) pairs, elimination order, D, B^2)
-    for k, (ri, ci) in enumerate(minors):
-        pos = {c: i for i, c in enumerate(ci)}
-        sub = [[(pos[c], j) for c, j in cells[i] if c in pos] for i in ri]
-        if all(sub):  # an empty row makes the determinant zero
-            degree = sum(max(degs[j] for _, j in row) for row in sub)
-            bound2 = math.prod(sum(norms[j] for _, j in row) for row in sub)
-            todo.append((k, sub, _by_weight(sub), degree, bound2))
-    residues = {job[0]: ([0] * (job[3] + 1), 1) for job in todo}  # coefficients mod M, M
+    degree = sum(max(polys[j].max_deg for _, j in row) for row in cells)
+    bound2 = math.prod(sum(sum(map(abs, polys[j].coeffs)) ** 2 for _, j in row) for row in cells)
+    order = _by_weight(cells)
+    coeffs, m = [0] * (degree + 1), 1  # P's coefficients mod m
     for p in map(_word_prime, count()):
-        todo = [job for job in todo if residues[job[0]][1] ** 2 <= 4 * job[4]]  # M <= 2B
-        if not todo:
+        if m * m > 4 * bound2:  # m > 2B
             break
         ring = IntMod(p)
-        values = {job[0]: [] for job in todo}
-        for x in range(max(job[3] for job in todo) + 1):
+        values = []
+        for x in range(degree + 1):
             image = [ring.eval_laurent(e, x) for e in polys]
-            for k, sub, order, degree, _ in todo:
-                if x <= degree:
-                    grid = [[(c, image[j]) for c, j in row if image[j]] for row in sub]
-                    values[k].append(_det_mod(ring, grid, order))
-        for k, vals in values.items():
-            coeffs, m = residues[k]
-            inv = pow(m, -1, p)
-            residues[k] = ([r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(vals, p))], m * p)
-    out = [ZERO] * len(minors)
-    for k, (coeffs, m) in residues.items():
-        lifted = [c - m if 2 * c > m else c for c in coeffs]
-        out[k] = LaurentPoly.make(lifted, sum(shifts[i] for i in minors[k][0]))
-    return out
+            values.append(_det_mod(ring, [[(c, image[j]) for c, j in row if image[j]] for row in cells], order))
+        inv = pow(m, -1, p)
+        coeffs = [r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(values, p))]
+        m *= p
+    return LaurentPoly.make([c - m if 2 * c > m else c for c in coeffs], sum(shifts))
 
 
 @cache

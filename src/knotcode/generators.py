@@ -9,8 +9,9 @@ the canonical arc/crossing ordering; the tests pin those matrices.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .diagram import Crossing, Diagram, DiagramError, RIGHT, _Surgery
+from .diagram import Crossing, Diagram, DiagramError, RIGHT
 
 _ROT_CCW = {"NE": "NW", "NW": "SW", "SW": "SE", "SE": "NE"}
 _ROT_CW = {v: k for k, v in _ROT_CCW.items()}
@@ -239,8 +240,10 @@ def pretzel_diagram(twists) -> Diagram:
 def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     """Splice d2 into d1 along the chosen arcs, orientation preserved.
 
-    The two cut edges are cross-joined; no crossings are added, so the
-    result has n1 + n2 crossings.  Summing with the 0-crossing unknot
+    The two cut edges are cross-joined: each arc's first edge now arrives
+    where the other's did.  No crossings are added, so the result has
+    n1 + n2 crossings, d1's and then d2's with its edge ids shifted past
+    d1's, and d1's outer marker.  Summing with the 0-crossing unknot
     returns the other diagram unchanged.
     """
     d1._require_valid()
@@ -258,9 +261,14 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     if not edges1 or not edges2:
         raise DiagramError("no such arc")
     e1, e2 = edges1[0], edges2[0]
-    s = _Surgery(d1, d2)
-    h1_ci, h1_role = d1.in_slots[e1]
-    h2_ci, h2_role = d2.in_slots[e2]
-    s.crossings[h2_ci + d1.n][h2_role + "_in"] = e1
-    s.crossings[h1_ci][h1_role + "_in"] = e2 + 2 * d1.n
-    return s.emit()
+    off = 2 * d1.n  # d2's edges follow d1's
+    h1, role1 = d1.in_slots[e1]
+    h2, role2 = d2.in_slots[e2]
+    first = list(d1.crossings)
+    first[h1] = replace(first[h1], **{role1 + "_in": e2 + off})
+    second = [
+        Crossing(c.under_in + off, c.under_out + off, c.over_in + off, c.over_out + off, c.sign)
+        for c in d2.crossings
+    ]
+    second[h2] = replace(second[h2], **{role2 + "_in": e1})
+    return Diagram((*first, *second), d1.outer)

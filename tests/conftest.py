@@ -1,18 +1,7 @@
-import random
-
 import pytest
 
 from knotcode.fields import FqField
 from knotcode.generators import builtin, pretzel_diagram, torus_diagram
-from knotcode.diagram import (
-    poke_sites,
-    reidemeister_r1,
-    reidemeister_r1_remove,
-    reidemeister_r2,
-    reidemeister_r2_remove,
-    removable_pokes,
-    removable_twists,
-)
 
 
 @pytest.fixture(scope="session")
@@ -68,29 +57,3 @@ def small_diagrams():
         pretzel_diagram([3, 2, 3]),
     ]
 
-
-def random_move(d, rng: random.Random, max_crossings: int = 12):
-    """Apply one random valid Reidemeister move, preferring removals once
-    the diagram gets big; returns the new diagram."""
-    options = []
-    twists = removable_twists(d)
-    pokes = removable_pokes(d)
-    if d.n + 1 <= max_crossings:
-        options.append("r1")
-    if d.n + 2 <= max_crossings and d.n >= 1:
-        options.append("r2")
-    if twists:
-        options.append("r1_remove")
-    if pokes:
-        options.append("r2_remove")
-    kind = rng.choice(options)
-    if kind == "r1":
-        arc = rng.randrange(max(d.arc_count, 1))
-        direction = rng.choice(["add_left_twist", "add_right_twist"])
-        return reidemeister_r1(d, arc, direction)
-    if kind == "r2":
-        sites = poke_sites(d)
-        return reidemeister_r2(d, *rng.choice(sites))
-    if kind == "r1_remove":
-        return reidemeister_r1_remove(d, rng.choice(twists))
-    return reidemeister_r2_remove(d, *rng.choice(pokes))

@@ -9,8 +9,10 @@ and determinantal divisors (gcds of all k x k minors) the reference for
 the Smith form.  All n^2 first minors of the Fox matrix, by the
 determinants by evaluation (themselves checked against Bareiss), are the
 reference for the two identities coloring.first_minors_agree checks
-instead.  The Z[T] gcd helpers at the end serve tests that compare
-ideals generated by minors.
+instead; minor_dets takes them one sparse_det at a time.  The Z[T] gcd
+helpers at the end serve tests that compare ideals generated by minors.
+The Reidemeister moves and the canonical form, the other oracle
+machinery, are in moves.py.
 """
 
 import math
@@ -18,7 +20,7 @@ from itertools import combinations, product
 
 from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial, dehn_matrix, fox_matrix
-from knotcode.exactlin import sparse_dets
+from knotcode.exactlin import sparse_det
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ONE, ZERO, LaurentPoly
 
@@ -88,12 +90,16 @@ def bareiss_minors(rows, order: int) -> list:
 
 def minor_dets(rows, ncols: int, order: int) -> list[LaurentPoly]:
     """Determinants of all order x order submatrices of sparse LaurentPoly
-    rows of width ncols by sparse_dets (row-major combination order); empty
+    rows of width ncols by sparse_det (row-major combination order); empty
     when the matrix has no submatrix of that size."""
     if order <= 0 or order > len(rows) or order > ncols:
         return []
-    cols = list(combinations(range(ncols), order))
-    return sparse_dets(rows, [(ri, ci) for ri in combinations(range(len(rows)), order) for ci in cols])
+    out = []
+    for ri in combinations(range(len(rows)), order):
+        for ci in combinations(range(ncols), order):
+            pos = {c: i for i, c in enumerate(ci)}
+            out.append(sparse_det([tuple((pos[c], e) for c, e in rows[i] if c in pos) for i in ri]))
+    return out
 
 
 def minor_family(d, kind: str, k: int) -> list[LaurentPoly]:

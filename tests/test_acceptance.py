@@ -31,7 +31,7 @@ from knotcode.codes import (
 )
 from knotcode.cable import cable_ideal_seq, iterated_cable_length, unknot_ideal_seq
 
-from conftest import random_move
+from moves import random_move
 from oracles import count_colorings_brute, minor_family, sparse_rows, unit_ratio
 
 F3 = FqField(3)

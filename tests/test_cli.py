@@ -293,6 +293,24 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     assert (code, out) == (2, "") and err.count("\n") == 1 and "cannot certify" in err
 
 
+def test_field_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """parse_field is cached: the second report over F_64 reuses the field
+    and its multiplication table; a bad --q is still an error each time."""
+    from knotcode import cli
+    from knotcode.fields import FqField
+
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    built = []
+    monkeypatch.setattr(cli, "FqField", lambda *args: built.append(args) or FqField(*args))
+    cli.parse_field.cache_clear()
+    argv = ["code", path, "--q", "64", "--modulus", "1,1,0,1,1,0,1", "--t", "alpha"]
+    first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+    assert first[0] == 0 and first == second and built == [(2, [1, 1, 0, 1, 1, 0, 1])]
+    for _ in range(2):
+        assert run_cli(["code", path, "--q", "6", "--t", "-1"], capsys)[0] == 2
+    cli.parse_field.cache_clear()  # drop the fields built through the spy
+
+
 def test_field_size_is_never_factored(tmp_path, capsys):
     """--q is read by primality and integer roots, so a large prime, the
     square of a large prime and a product of two large primes each answer

@@ -22,10 +22,10 @@ from knotcode.codes import (
     LinearCode,
     _split_weights,
 )
-from knotcode.diagram import reidemeister_r1
 from knotcode.exactlin import dense, rank
 
 from conftest import small_diagrams
+from moves import reidemeister_r1
 from oracles import (
     kernel_basis_dense,
     min_distance_brute,

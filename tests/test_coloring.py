@@ -8,7 +8,7 @@ import pytest
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from knotcode import coloring
 from knotcode.fields import FqField, IntMod, PolyMod, RingFpT
-from knotcode.diagram import LEFT, RIGHT, reidemeister_r1
+from knotcode.diagram import LEFT, RIGHT
 from knotcode.generators import builtin, connected_sum, from_braid, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
     alexander_polynomial,
@@ -26,6 +26,7 @@ from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal
 from knotcode.exactlin import dense, kernel_basis, snf
 
 from conftest import small_diagrams
+from moves import reidemeister_r1
 from oracles import (
     bareiss_minors,
     colorable_by_alexander,
@@ -262,10 +263,10 @@ def test_field_colorability_needs_no_determinant(monkeypatch, F3):
     """Over F_q colorability is the nullity of the evaluated Fox matrix, not
     a root of the Alexander polynomial computed by determinants."""
 
-    def spy(rows, minors):
+    def spy(rows):
         raise AssertionError("is_colorable over F_q computed a determinant")
 
-    monkeypatch.setattr(coloring, "sparse_dets", spy)
+    monkeypatch.setattr(coloring, "sparse_det", spy)
     assert is_colorable(torus_diagram(2, 81), F3, -1)
     assert not is_colorable(builtin("figure_eight"), F3, -1)
 

@@ -8,13 +8,14 @@ from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
-from knotcode.generators import from_braid
+from knotcode.generators import builtin, connected_sum, from_braid
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, first_minors_agree, fox_matrix
 from knotcode.codes import code_from_diagram, min_distance
 
-from conftest import random_move
+from conftest import small_diagrams
+from moves import random_move, surgery_sum
 from oracles import count_colorings_brute, count_colorings_poly_brute, first_minors_agree_brute, poly_mulmod
 
 F3 = FqField(3)
@@ -49,6 +50,35 @@ def braid_diagrams(draw, max_strands=4, max_len=8):
         joins = [i for i in range(1, k) if label[i - 1] != label[i]]
         word.append(draw(st.sampled_from(joins)) * draw(st.sampled_from((1, -1))))
     return from_braid(k, word)
+
+
+def _moved(d, moves: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(moves):
+        d = random_move(d, rng)
+    return d
+
+
+# built families and braid closures, each after up to four random Reidemeister moves
+summands = st.builds(
+    _moved,
+    st.one_of(st.sampled_from([builtin("unknot"), *small_diagrams()]), braid_diagrams()),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(summands, summands, st.data())
+def test_connected_sum_is_the_surgery_splice(d1, d2, data):
+    """The direct splice of generators.connected_sum equals the one that
+    moves._Surgery makes of both diagrams, as a Diagram and as JSON text,
+    at random arcs of each summand."""
+    arc1 = data.draw(st.integers(0, d1.arc_count - 1), label="arc1")
+    arc2 = data.draw(st.integers(0, d2.arc_count - 1), label="arc2")
+    s, ref = connected_sum(d1, arc1, d2, arc2), surgery_sum(d1, arc1, d2, arc2)
+    assert s == ref and s.dumps() == ref.dumps()
+    assert s.validate().ok and s.n == d1.n + d2.n
 
 
 @settings(max_examples=60, deadline=None)
