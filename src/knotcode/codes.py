@@ -162,34 +162,24 @@ def _span(field: FqField, basis, n: int):
         head = rows[i : i + 1]  # empty after the last block
 
 
-def code_from_diagram(
-    d: Diagram, field: FqField, t, kind: str = "fox", restrict_outer_zero: bool = False
-) -> LinearCode:
+def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> LinearCode:
     """The knot code: kernel of the evaluated coloring matrix.
 
     Fox codes live on arcs (length n), Dehn codes on regions (length
     n + 2).  t must be invertible; t = 1 is allowed but gives the
-    repetition code, which is flagged with a warning.
-
-    The Dehn kernel is the unrestricted region-coloring module; passing
-    restrict_outer_zero adds the row pinning the unbounded region's color
-    to 0, which cuts the dimension back to the strand-coloring one.
+    repetition code, which is flagged with a warning.  The Dehn kernel is
+    the unrestricted region-coloring module.
     """
     value = field.at(t)
     if field.element(t) == 1:
         warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
     if kind == "fox":
-        if restrict_outer_zero:
-            raise ValueError("restrict_outer_zero only applies to Dehn codes")
         mat = fox_matrix(d)
     elif kind == "dehn":
         mat = dehn_matrix(d)
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    rows = mat.evaluate(value, 0)
-    if restrict_outer_zero:
-        rows += (((d.outer_region, 1),),)
-    return LinearCode(field, mat.ncols, rows)
+    return LinearCode(field, mat.ncols, mat.evaluate(value, 0))
 
 
 def min_distance(c: LinearCode, budget: int | None = None):

@@ -88,7 +88,6 @@ def _summed(roles) -> tuple:
 def fox_matrix(d: Diagram) -> ColoringMatrix:
     """Alexander / Fox coloring matrix over Z[T, T^-1]; the 0-crossing
     unknot's is 0 x 1, its one arc and no relation."""
-    d._require_valid()
     arcs = d.arcs
     rows = []
     for c in d.crossings:
@@ -103,7 +102,6 @@ def fox_matrix(d: Diagram) -> ColoringMatrix:
 
 def dehn_matrix(d: Diagram) -> ColoringMatrix:
     """Dehn coloring matrix over Z[T, T^-1], one column per region."""
-    d._require_valid()
     regions = d.regions
     rows = tuple(
         _summed((regions[tok], coeff) for tok, coeff in zip(dehn_role_tokens(c), _DEHN_COEFFS))
@@ -206,7 +204,6 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
     """Lift a Fox coloring to the Dehn coloring with the unbounded region
     set to anchor; region colors propagate across each strand by
     x = U_left - t * U_right.  fox and anchor are encoded field ints."""
-    d._require_valid()
     value = field.at(t)
     tv = field.element(t)
     vec = field.word(fox)
@@ -239,7 +236,6 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
 def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
     """Strand colors x = U_left - t * U_right of a Dehn coloring (a word of
     encoded field ints)."""
-    d._require_valid()
     value = field.at(t)
     tv = field.element(t)
     vec = field.word(dehn)

@@ -21,9 +21,16 @@ the edge's direction.
 A 0-crossing unknot has no edges; its outer marker is None and its two
 regions are synthesized.
 
-Each piece of structure is derived once per diagram and cached: the
-validation report, the edge cycle, the arc union-find, the face orbits
-and one spanning walk of the region adjacency from the unbounded region.
+A Diagram is valid by construction: the constructor raises DiagramError,
+listing every violation, unless the slots are a matching of the edges
+0..2n-1, the edges form one closed component (so there are n arcs), there
+are n + 2 faces (the rotation system is planar), and the outer marker is
+an edge side.  Every other function may take validity for granted.
+
+Each piece of structure is derived once per diagram and cached: the edge
+cycle and the face of each dart (which the constructor's check computes), the
+arc union-find, and one spanning walk of the region adjacency from the
+unbounded region.
 The region index adds +-1 at each step of that walk, and the
 checkerboard is the parity of the index, even being white.  It is the
 unique proper 2-coloring with the unbounded region white: the two regions
@@ -42,7 +49,7 @@ RIGHT = "right"
 
 
 class DiagramError(ValueError):
-    """An invalid diagram (or an operation that needs a valid one)."""
+    """An invalid diagram, or a diagram operation that does not apply."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +59,6 @@ class Crossing:
     over_in: int
     over_out: int
     sign: int
-
-    def rotation(self) -> tuple:
-        """Emanating darts in counterclockwise order; a dart is (edge, dir)
-        with dir +1 pointing away along the edge, -1 pointing back."""
-        ui = (self.under_in, -1)
-        uo = (self.under_out, +1)
-        oi = (self.over_in, -1)
-        oo = (self.over_out, +1)
-        if self.sign == 1:
-            return (ui, oo, uo, oi)
-        return (ui, oi, uo, oo)
 
     def to_json(self) -> dict:
         return {
@@ -75,18 +71,53 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-    n: int
-    arc_count: int | None
-    region_count: int | None
-
-
-@dataclass(frozen=True)
 class Diagram:
     crossings: tuple[Crossing, ...]
     outer: tuple[int, str] | None = None
+
+    def __post_init__(self):
+        problems = self._violations()
+        if problems:
+            raise DiagramError("invalid diagram: " + "; ".join(problems))
+
+    def _violations(self) -> list[str]:
+        """Why the crossings and the outer marker are not a knot diagram, in
+        stages that each need the ones before to hold; [] when they are."""
+        n = self.n
+        if n == 0:
+            return [] if self.outer is None else ["0-crossing unknot must have outer = None"]
+        crossings = self.crossings
+        problems = [f"crossing {ci}: sign must be +-1" for ci, c in enumerate(crossings) if c.sign not in (1, -1)]
+        ids = range(2 * n)
+        ins = [c.under_in for c in crossings] + [c.over_in for c in crossings]
+        outs = [c.under_out for c in crossings] + [c.over_out for c in crossings]
+        for kind, edges in (("incoming", ins), ("outgoing", outs)):
+            if sorted(edges) == list(ids):
+                continue  # each of the 2n edges fills one of the 2n slots
+            seen = set()
+            for i, e in enumerate(edges):
+                if e not in ids:
+                    problems.append(f"crossing {i % n}: edge {e} outside 0..{2*n-1}")
+                elif e in seen:
+                    problems.append(f"edge not a matching: {e} used twice as {kind}")
+                else:
+                    seen.add(e)
+        if problems:
+            return problems
+
+        if len(self.traversal) != 2 * n:
+            return ["edge cycle is not a single closed component"]
+        # so there are n arcs: the n under-passages cut the one cycle into n runs
+        region_count = max(self._dart_faces) + 1
+        if region_count != n + 2:
+            problems.append(f"{region_count} regions, expected {n + 2}: rotation system is not planar")
+        if self.outer is None:
+            problems.append("missing outer region marker")
+        else:
+            oe, os_ = self.outer
+            if os_ not in (LEFT, RIGHT) or not (0 <= oe < 2 * n):
+                problems.append(f"outer marker {self.outer} is not an edge side")
+        return problems
 
     # -- raw structure ------------------------------------------------------
 
@@ -103,98 +134,24 @@ class Diagram:
             out[c.over_in] = (ci, "over")
         return out
 
-    def next_edge(self, edge: int) -> int:
-        ci, role = self.in_slots[edge]
-        c = self.crossings[ci]
-        return c.under_out if role == "under" else c.over_out
-
     @cached_property
-    def _cycle(self) -> tuple[int, ...]:
+    def traversal(self) -> tuple[int, ...]:
         """Edges in knot order from edge 0.  The walk returns to edge 0
-        once the slots are a matching, since next_edge is then a
-        permutation; the diagram is one component when it has 2n edges."""
+        once the slots are a matching, since following an edge to the
+        out-slot beside its in-slot is then a permutation; the diagram is
+        one component when the walk has 2n edges."""
         if self.n == 0:
             return ()
+        succ = [0] * (2 * self.n)
+        for c in self.crossings:
+            succ[c.under_in] = c.under_out
+            succ[c.over_in] = c.over_out
         seq = [0]
-        e = self.next_edge(0)
+        e = succ[0]
         while e != 0:
             seq.append(e)
-            e = self.next_edge(e)
+            e = succ[e]
         return tuple(seq)
-
-    @property
-    def traversal(self) -> tuple[int, ...]:
-        """Edges in knot order starting from edge 0 (valid diagrams only)."""
-        self._require_valid()
-        return self._cycle
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> ValidationReport:
-        """The validation report, computed on first use."""
-        return self._report
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        problems = []
-        n = self.n
-        if n == 0:
-            if self.outer is not None:
-                problems.append("0-crossing unknot must have outer = None")
-            return ValidationReport(not problems, tuple(problems), 0, 1, 2)
-
-        ids = range(2 * n)
-        ins, outs = {}, {}
-        for ci, c in enumerate(self.crossings):
-            if c.sign not in (1, -1):
-                problems.append(f"crossing {ci}: sign must be +-1")
-            for e, table, kind in (
-                (c.under_in, ins, "incoming"),
-                (c.over_in, ins, "incoming"),
-                (c.under_out, outs, "outgoing"),
-                (c.over_out, outs, "outgoing"),
-            ):
-                if not (0 <= e < 2 * n):
-                    problems.append(f"crossing {ci}: edge {e} outside 0..{2*n-1}")
-                elif e in table:
-                    problems.append(f"edge not a matching: {e} used twice as {kind}")
-                else:
-                    table[e] = ci
-        if not problems:
-            missing = [e for e in ids if e not in ins or e not in outs]
-            if missing:
-                problems.append(f"edge not a matching: {missing} lack a slot")
-        if problems:
-            return ValidationReport(False, tuple(problems), n, None, None)
-
-        if len(self._cycle) != 2 * n:
-            problems.append("edge cycle is not a single closed component")
-            return ValidationReport(False, tuple(problems), n, None, None)
-
-        arc_count = len(set(self._arc_of_edge.values()))
-        if arc_count != n:
-            problems.append(f"{arc_count} arcs, expected {n}")
-
-        region_count = len(self._face_orbits)
-        if region_count != n + 2:
-            problems.append(
-                f"{region_count} regions, expected {n + 2}: rotation system is not planar"
-            )
-
-        if self.outer is None:
-            problems.append("missing outer region marker")
-        else:
-            oe, os_ = self.outer
-            if os_ not in (LEFT, RIGHT) or not (0 <= oe < 2 * n):
-                problems.append(f"outer marker {self.outer} is not an edge side")
-
-        return ValidationReport(not problems, tuple(problems), n, arc_count, region_count)
-
-    def _require_valid(self) -> ValidationReport:
-        report = self._report
-        if not report.ok:
-            raise DiagramError("invalid diagram: " + "; ".join(report.violations))
-        return report
 
     # -- arcs ------------------------------------------------------------------
 
@@ -218,14 +175,14 @@ class Diagram:
     @cached_property
     def arcs(self) -> dict:
         """edge -> ArcId; arcs are numbered by their smallest edge id."""
-        self._require_valid()
         # each root is its arc's smallest edge, so roots first appear in increasing order
         index = {}
         return {e: index.setdefault(r, len(index)) for e, r in self._arc_of_edge.items()}
 
     @property
     def arc_count(self) -> int:
-        return self._require_valid().arc_count
+        """n, and 1 for the unknot's single arc without edges."""
+        return max(self.n, 1)
 
     @cached_property
     def _arc_members(self) -> list[list[int]]:
@@ -242,45 +199,39 @@ class Diagram:
     # -- faces / regions --------------------------------------------------------
 
     @cached_property
-    def _face_orbits(self) -> list[list]:
-        """Faces as orbits of momentum darts; dart (e, +1) walks along the
-        edge with the face on its left, (e, -1) walks against it."""
-        sigma_inv = {}
+    def _dart_faces(self) -> list[int]:
+        """The face of each dart, faces numbered 0, 1, ... in order of their
+        first dart.  Dart 2e runs along edge e with the face on its left,
+        token (e, LEFT); dart 2e + 1 runs back against it with the face on
+        its right, token (e, RIGHT).  A face is an orbit of after: turn back
+        along the dart's edge, then take the dart before that one
+        counterclockwise around the crossing there."""
+        n4 = 4 * self.n
+        after = [0] * n4
         for c in self.crossings:
-            rot = c.rotation()
-            for i, d in enumerate(rot):
-                sigma_inv[d] = rot[(i - 1) % 4]
-        orbits = []
-        seen = set()
-        for e in range(2 * self.n):
-            for direction in (+1, -1):
-                d = (e, direction)
-                if d in seen:
-                    continue
-                orbit = []
-                while d not in seen:
-                    seen.add(d)
-                    orbit.append(d)
-                    d = sigma_inv[(d[0], -d[1])]
-                orbits.append(orbit)
-        return orbits
-
-    @staticmethod
-    def _token(dart) -> tuple:
-        return (dart[0], LEFT if dart[1] == 1 else RIGHT)
+            ui, uo, oi, oo = 2 * c.under_in + 1, 2 * c.under_out, 2 * c.over_in + 1, 2 * c.over_out
+            w, x, y, z = (ui, oo, uo, oi) if c.sign == 1 else (ui, oi, uo, oo)  # counterclockwise
+            after[w ^ 1], after[x ^ 1], after[y ^ 1], after[z ^ 1] = z, w, x, y
+        face = [None] * n4
+        count = 0
+        for start in range(n4):
+            if face[start] is None:
+                d = start
+                while face[d] is None:
+                    face[d] = count
+                    d = after[d]
+                count += 1
+        return face
 
     @cached_property
     def regions(self) -> dict:
         """(edge, side) -> RegionId, canonical: regions are numbered by first
         appearance in Dehn role order (i, j, k, l) per crossing in input
         order, then the unbounded region is moved to the last id."""
-        self._require_valid()
         if self.n == 0:
             return {}
-        face_of = {}
-        for fi, orbit in enumerate(self._face_orbits):
-            for d in orbit:
-                face_of[self._token(d)] = fi
+        sides = (LEFT, RIGHT)
+        face_of = {(d >> 1, sides[d & 1]): fi for d, fi in enumerate(self._dart_faces)}
         order = dict.fromkeys(face_of[tok] for c in self.crossings for tok in dehn_role_tokens(c))
         outer_face = face_of[self.outer]
         del order[outer_face]
@@ -289,7 +240,7 @@ class Diagram:
 
     @property
     def region_count(self) -> int:
-        return self._require_valid().region_count
+        return self.n + 2
 
     @property
     def outer_region(self) -> int:
@@ -307,7 +258,6 @@ class Diagram:
         region, as (edge, reached region, new region, index step) in the
         order regions are reached; the step is +1 when the new region is on
         the edge's left."""
-        self._require_valid()
         adjacent = {}
         for e in range(2 * self.n):
             l, r = self.side_regions(e)
@@ -328,7 +278,6 @@ class Diagram:
     def region_index(self) -> dict:
         """RegionId -> Alexander index: unbounded 0, crossing a strand from
         its left side to its right side drops the index by 1."""
-        self._require_valid()
         if self.n == 0:
             return {0: -1, 1: 0}
         index = {self.outer_region: 0}

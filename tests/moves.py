@@ -55,8 +55,6 @@ class _Surgery:
 def surgery_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     """The connected sum through _Surgery: cross-join the in-slots of the
     first edges of the two arcs; the unknot is the identity."""
-    d1._require_valid()
-    d2._require_valid()
     if d1.n == 0:
         return d2
     if d2.n == 0:
@@ -78,7 +76,6 @@ def reidemeister_r1(d: Diagram, arc: int, direction: str = ADD_LEFT_TWIST) -> Di
     if direction not in (ADD_LEFT_TWIST, ADD_RIGHT_TWIST):
         raise MoveError(f"unknown twist direction {direction!r}")
     sign = 1 if direction == ADD_LEFT_TWIST else -1
-    d._require_valid()
     if d.n == 0:
         if arc != 0:
             raise MoveError("the unknot has a single arc 0")
@@ -102,7 +99,6 @@ def reidemeister_r1(d: Diagram, arc: int, direction: str = ADD_LEFT_TWIST) -> Di
 def reidemeister_r1_remove(d: Diagram, crossing: int) -> Diagram:
     """Undo a twist: the crossing must have an arc that is both its
     overstrand and an understrand (a loop edge feeding the same crossing)."""
-    d._require_valid()
     if not 0 <= crossing < d.n:
         raise MoveError(f"no crossing {crossing}")
     if not _is_twist(d.crossings[crossing]):
@@ -112,7 +108,6 @@ def reidemeister_r1_remove(d: Diagram, crossing: int) -> Diagram:
 
 def reidemeister_r2(d: Diagram, arc_a: int, arc_b: int, region: int) -> Diagram:
     """Poke arc_a over arc_b across the named region (two new crossings)."""
-    d._require_valid()
     if d.n == 0:
         raise MoveError("poke needs two strand edges on a region boundary")
     ea = _arc_edge_on_region(d, arc_a, region)
@@ -145,7 +140,6 @@ def reidemeister_r2(d: Diagram, arc_a: int, arc_b: int, region: int) -> Diagram:
 def reidemeister_r2_remove(d: Diagram, c1: int, c2: int) -> Diagram:
     """Undo a poke: c1, c2 must bound a bigon with one strand over at both
     crossings and the other under at both."""
-    d._require_valid()
     if c1 == c2 or not all(0 <= c < d.n for c in (c1, c2)):
         raise MoveError("need two distinct crossings")
     x, y = d.crossings[c1], d.crossings[c2]
@@ -226,12 +220,10 @@ def _arc_edge_on_region(d: Diagram, arc: int, region: int, exclude: int | None =
 
 
 def removable_twists(d: Diagram) -> list[int]:
-    d._require_valid()
     return [ci for ci, c in enumerate(d.crossings) if _is_twist(c)]
 
 
 def removable_pokes(d: Diagram) -> list[tuple[int, int]]:
-    d._require_valid()
     out = []
     for ci, x in enumerate(d.crossings):
         cj = d.in_slots[x.over_out][0]  # where x's overstrand edge arrives
@@ -243,7 +235,6 @@ def removable_pokes(d: Diagram) -> list[tuple[int, int]]:
 def poke_sites(d: Diagram) -> list[tuple[int, int, int]]:
     """(arc_a, arc_b, region) triples where a poke applies; a strand may
     be poked over itself when two of its edges bound the region."""
-    d._require_valid()
     by_region = {}
     for (e, side), r in d.regions.items():
         by_region.setdefault(r, {}).setdefault(d.arcs[e], set()).add(e)

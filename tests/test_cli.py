@@ -118,7 +118,10 @@ def test_invalid_diagram_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"crossings":[{"under_in":0,"under_out":1,"over_in":0,"over_out":1,"sign":1}],"outer":{"edge":0,"side":"left"}}')
     code, out, err = run_cli(["invariants", str(bad)], capsys)
-    assert code == 3
+    assert (code, out) == (3, "")
+    # one line naming the file and every violation the constructor found
+    matching = "edge not a matching: 0 used twice as incoming; edge not a matching: 1 used twice as outgoing"
+    assert err == f"error: {bad}: invalid diagram: {matching}\n"
     # a JSON top level that is not an object is a parse error, not a traceback
     for text in ("[1,2]", '"x"', "3", "null"):
         bad.write_text(text)
@@ -193,13 +196,13 @@ def _count_spans(monkeypatch):
 
 
 def _count_structure(monkeypatch):
-    """Record each computation of a diagram's validation report, arc
-    union-find and face walk, the cached properties of Diagram."""
+    """Record each computation of a diagram's edge cycle, arc union-find
+    and face walk, the cached structure of Diagram."""
     from functools import cached_property
     from knotcode.diagram import Diagram
 
     calls = []
-    for name in ("_report", "_arc_of_edge", "_face_orbits"):
+    for name in ("traversal", "_arc_of_edge", "_dart_faces"):
 
         def counted(self, func=Diagram.__dict__[name].func, name=name):
             calls.append(name)
@@ -214,10 +217,14 @@ def _count_structure(monkeypatch):
 def test_code_derives_diagram_structure_once(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path, capsys, "torus", "--a", "3", "--b", "4")
     calls = _count_structure(monkeypatch)
-    for kind in ("fox", "dehn"):
+    # a Dehn code reads regions only, so its arcs are never derived
+    for kind, derived in (
+        ("fox", ["_arc_of_edge", "_dart_faces", "traversal"]),
+        ("dehn", ["_dart_faces", "traversal"]),
+    ):
         calls.clear()
         code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--kind", kind], capsys)
-        assert code == 0 and sorted(calls) == ["_arc_of_edge", "_face_orbits", "_report"], (kind, calls)
+        assert code == 0 and sorted(calls) == derived, (kind, calls)
 
 
 def test_code_enumerates_once(tmp_path, capsys, monkeypatch):
@@ -291,6 +298,41 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     # 1287836182261 * 2575672364521 passes Miller-Rabin to every base 2..37
     code, out, err = run_cli(["code", path, "--q", "3317044064679887385961981", "--t", "-1"], capsys)
     assert (code, out) == (2, "") and err.count("\n") == 1 and "cannot certify" in err
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
+    """Every command opens each input file once and reports the sha256 of
+    the bytes it parsed."""
+    import builtins
+    import hashlib
+
+    from knotcode import cli
+
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    f8 = gen_file(tmp_path, capsys, "builtin", "figure_eight", name="f8.json")
+    m = tmp_path / "m.json"
+    m.write_text("[[2,-1],[-1,2]]")
+    sha = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (t, f8, str(m))}
+    opened = []
+
+    def spy(path, *args):
+        opened.append(path)
+        return builtins.open(path, *args)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    for argv, files, key in (
+        (["check", t], [t], "sha256"),
+        (["sum", t, f8, "--q", "3", "--t", "-1"], [t, f8], "sha256"),
+        (["cable", "--base", f8, "--pairs", "2,3", "--q", "5", "--t", "2"], [f8], "base_sha256"),
+        (["snf", str(m)], [str(m)], "sha256"),
+        (["gen", "sum", t, f8], [t, f8], None),
+    ):
+        opened.clear()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and opened == files, (argv, err, opened)
+        if key:
+            digest = json.loads(out)["inputs"][key]
+            assert digest == ([sha[f] for f in files] if len(files) > 1 else sha[files[0]]), argv
 
 
 def test_field_is_built_once_per_process(tmp_path, capsys, monkeypatch):

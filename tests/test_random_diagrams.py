@@ -4,6 +4,7 @@ diagrams rather than the curated families."""
 
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from knotcode.generators import builtin, connected_sum, from_braid
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
-from knotcode.coloring import alexander_polynomial, count_colorings, first_minors_agree, fox_matrix
+from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
+from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
 from knotcode.codes import code_from_diagram, min_distance
 
 from conftest import small_diagrams
@@ -78,16 +80,52 @@ def test_connected_sum_is_the_surgery_splice(d1, d2, data):
     arc2 = data.draw(st.integers(0, d2.arc_count - 1), label="arc2")
     s, ref = connected_sum(d1, arc1, d2, arc2), surgery_sum(d1, arc1, d2, arc2)
     assert s == ref and s.dumps() == ref.dumps()
-    assert s.validate().ok and s.n == d1.n + d2.n
+    assert s.n == d1.n + d2.n
 
 
 @settings(max_examples=60, deadline=None)
 @given(braid_diagrams())
 def test_counting_lemma(d):
-    rep = d.validate()
-    assert rep.ok
-    assert rep.arc_count == d.n
-    assert rep.region_count == d.n + 2
+    assert len(set(d.arcs.values())) == d.n
+    assert len(set(d.regions.values())) == d.n + 2
+
+
+@st.composite
+def corrupted(draw):
+    """(crossings, outer) of a braid closure with one slot id, one sign or
+    the outer marker redrawn, in range or just outside it."""
+    d = draw(braid_diagrams())
+    crossings, outer = list(d.crossings), d.outer
+    part = draw(st.sampled_from(("slot", "sign", "outer")))
+    if part == "outer":
+        edge = st.integers(-1, 2 * d.n)
+        outer = draw(st.none() | st.tuples(edge, st.sampled_from((LEFT, RIGHT, "up"))))
+    else:
+        ci = draw(st.integers(0, d.n - 1))
+        if part == "sign":
+            change = {"sign": draw(st.sampled_from((-2, -1, 0, 1, 2)))}
+        else:
+            slot = draw(st.sampled_from(("under_in", "under_out", "over_in", "over_out")))
+            change = {slot: draw(st.integers(-1, 2 * d.n))}
+        crossings[ci] = replace(crossings[ci], **change)
+    return tuple(crossings), outer
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted())
+def test_constructor_admits_only_whole_diagrams(case):
+    """A corrupted diagram is refused at construction, or every structure
+    read from it is whole: n arcs, n + 2 regions, both coloring matrices
+    and the region index."""
+    try:
+        d = Diagram(*case)
+    except DiagramError:
+        return
+    assert len(set(d.arcs.values())) == d.n
+    assert len(set(d.regions.values())) == d.n + 2
+    fox_matrix(d)
+    dehn_matrix(d)
+    d.region_index  # raises unless every edge steps the index by one
 
 
 @settings(max_examples=60, deadline=None)
