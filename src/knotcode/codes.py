@@ -195,10 +195,6 @@ def min_distance(c: LinearCode, budget: int | None = None):
 class WeightEnumerator:
     counts: tuple[int, ...]  # a_0 .. a_n
 
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
     def total(self) -> int:
         return sum(self.counts)
 

@@ -29,8 +29,8 @@ an edge side.  Every other function may take validity for granted.
 
 Each piece of structure is derived once per diagram and cached: the edge
 cycle and the face of each dart (which the constructor's check computes), the
-arc union-find, and one spanning walk of the region adjacency from the
-unbounded region.
+arcs (runs of the edge cycle), and one spanning walk of the region adjacency
+from the unbounded region.
 The region index adds +-1 at each step of that walk, and the
 checkerboard is the parity of the index, even being white.  It is the
 unique proper 2-coloring with the unbounded region white: the two regions
@@ -156,40 +156,36 @@ class Diagram:
     # -- arcs ------------------------------------------------------------------
 
     @cached_property
-    def _arc_of_edge(self) -> dict:
-        """Union-find over edges merging over_in ~ over_out at each crossing."""
-        parent = list(range(2 * self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.crossings:
-            a, b = find(c.over_in), find(c.over_out)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        return {e: find(e) for e in range(2 * self.n)}
+    def _arc_members(self) -> list[list[int]]:
+        """Each arc's edges in increasing order, arcs in order of their
+        smallest edge.  An arc runs from an under_out edge along the knot
+        until the next under-passage, so the arcs are the runs of the
+        traversal cut before each under_out edge."""
+        if self.n == 0:
+            return [[]]
+        starts = {c.under_out for c in self.crossings}
+        seq = self.traversal
+        first = next(k for k, e in enumerate(seq) if e in starts)
+        runs = []
+        for e in seq[first:] + seq[:first]:
+            if e in starts:
+                runs.append([])
+            runs[-1].append(e)
+        return sorted(sorted(run) for run in runs)
 
     @cached_property
     def arcs(self) -> dict:
         """edge -> ArcId; arcs are numbered by their smallest edge id."""
-        # each root is its arc's smallest edge, so roots first appear in increasing order
-        index = {}
-        return {e: index.setdefault(r, len(index)) for e, r in self._arc_of_edge.items()}
+        arc_of = [0] * (2 * self.n)
+        for arc, members in enumerate(self._arc_members):
+            for e in members:
+                arc_of[e] = arc
+        return dict(enumerate(arc_of))
 
     @property
     def arc_count(self) -> int:
         """n, and 1 for the unknot's single arc without edges."""
         return max(self.n, 1)
-
-    @cached_property
-    def _arc_members(self) -> list[list[int]]:
-        members = [[] for _ in range(self.arc_count)]
-        for e, a in self.arcs.items():
-            members[a].append(e)
-        return members
 
     def arc_edges(self, arc: int) -> list[int]:
         """The arc's edges in increasing order; [] for an arc that does not exist."""

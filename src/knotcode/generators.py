@@ -13,9 +13,6 @@ from dataclasses import replace
 
 from .diagram import Crossing, Diagram, DiagramError, RIGHT
 
-_ROT_CCW = {"NE": "NW", "NW": "SW", "SW": "SE", "SE": "NE"}
-_ROT_CW = {v: k for k, v in _ROT_CCW.items()}
-
 # T(2,3) twist column with crossings listed bottom-up and edges numbered
 # along the knot; this labeling reproduces the classical 3x3 Fox matrix
 # [[1-T,T,-1],[-1,1-T,T],[T,-1,1-T]] and its 3x5 Dehn companion exactly.
@@ -65,7 +62,8 @@ def from_braid(strand_count: int, word) -> Diagram:
     Letters are nonzero ints: +i crosses positions i, i+1 with the strand
     entering top-right passing over (a positive twist), -i mirrors it.
     Strands run downward; the closure joins bottom position j back to top
-    position j.
+    position j.  Edges are numbered in the order they close: as the word
+    is read, then the closing edges by position.
     """
     word = list(word)
     if strand_count < 1:
@@ -74,63 +72,34 @@ def from_braid(strand_count: int, word) -> Diagram:
         if word:
             raise DiagramError("no room for crossings on one strand")
         return _UNKNOT
-    perm = list(range(strand_count + 1))
-    for letter in word:
-        i = abs(letter)
-        if 1 <= i < strand_count:
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    cycles, pos = 0, set(range(1, strand_count + 1))
-    while pos:
-        cycles += 1
-        start = j = pos.pop()
-        while perm[j] != start:
-            j = perm[j]
-            pos.discard(j)
-    if cycles != 1:
-        raise DiagramError(f"braid closure has {cycles} components, must be a knot")
-    pending = {p: None for p in range(1, strand_count + 1)}
-    top_head = {}
-    edges = []
-
-    def consume(pos, head):
-        if pending[pos] is None:
-            top_head[pos] = head
-        else:
-            edges.append((pending[pos], head))
-
-    signs = []
+    # slots[4 * ci + role], roles in Crossing field order: under_in, under_out, over_in, over_out
+    slots = [0] * (4 * len(word))
+    tail = [None] * strand_count  # the out-slot of the edge now open at each position
+    first_head = [None] * strand_count  # the in-slot where each position's closing edge ends
+    eid = 0
     for ci, letter in enumerate(word):
         i = abs(letter)
         if not 1 <= i <= strand_count - 1:
             raise DiagramError(f"letter {letter} outside braid positions")
-        if letter > 0:
-            consume(i, (ci, "under_in"))
-            consume(i + 1, (ci, "over_in"))
-            pending[i + 1] = (ci, "under_out")
-            pending[i] = (ci, "over_out")
-            signs.append(1)
-        else:
-            consume(i, (ci, "over_in"))
-            consume(i + 1, (ci, "under_in"))
-            pending[i + 1] = (ci, "over_out")
-            pending[i] = (ci, "under_out")
-            signs.append(-1)
-    for pos in range(1, strand_count + 1):
-        if pos not in top_head:
-            raise DiagramError(f"braid position {pos} unused: closure is a split link")
-        edges.append((pending[pos], top_head[pos]))
-
-    slots = [dict() for _ in word]
-    for eid, (tail, head) in enumerate(edges):
-        slots[tail[0]][tail[1]] = eid
-        slots[head[0]][head[1]] = eid
+        # in-slots of the strands arriving from positions i and i + 1
+        left, right = (4 * ci, 4 * ci + 2) if letter > 0 else (4 * ci + 2, 4 * ci)
+        for pos, head in ((i - 1, left), (i, right)):
+            if tail[pos] is None:
+                first_head[pos] = head
+            else:
+                slots[tail[pos]] = slots[head] = eid
+                eid += 1
+        tail[i - 1], tail[i] = right + 1, left + 1
+    for pos in range(strand_count):
+        if first_head[pos] is None:
+            raise DiagramError(f"braid position {pos + 1} unused: closure is a split link")
+        slots[tail[pos]] = slots[first_head[pos]] = eid
+        eid += 1
     crossings = tuple(
-        Crossing(s["under_in"], s["under_out"], s["over_in"], s["over_out"], sign)
-        for s, sign in zip(slots, signs)
+        Crossing(*slots[4 * ci : 4 * ci + 4], 1 if letter > 0 else -1) for ci, letter in enumerate(word)
     )
-    top_right_slot = "over_in" if word[0] > 0 else "under_in"
-    outer = (slots[0][top_right_slot], RIGHT)
-    return Diagram(crossings, outer)
+    # the unbounded region is the one right of the edge entering crossing 0 at top right
+    return Diagram(crossings, (slots[2 if word[0] > 0 else 0], RIGHT))
 
 
 def torus_diagram(a: int, b: int) -> Diagram:
@@ -192,43 +161,27 @@ def pretzel_diagram(twists) -> Diagram:
 
     through = {"TL": "BR", "BR": "TL", "TR": "BL", "BL": "TR"}
     total = 2 * sum(abs(p) for p in twists)
-    entry_of = {}
+    entry_of = {}  # (twist, site, corner) -> the step at which the walk enters there
     port = (0, 0, "TL")
     for step in range(total):
-        site = port[:2]
-        corner = port[2]
-        if (site, corner) in entry_of:
-            raise DiagramError("pretzel walk revisited a passage")
-        entry_of[(site, corner)] = step
-        port = joint[(*site, through[corner])]
-    if port != (0, 0, "TL"):
-        raise DiagramError(f"P{tuple(twists)} walk did not close up")
-    if len(entry_of) != total:
-        raise DiagramError(f"P{tuple(twists)} is not a single closed curve")
+        entry_of[port] = step
+        i, j, corner = port
+        port = joint[(i, j, through[corner])]
 
-    dir_of_entry = {"TL": "SE", "BR": "NW", "TR": "SW", "BL": "NE"}
+    # The slash strand runs SW from TR or NE from BL, the back strand SE from
+    # TL or NW from BR.  SE is SW turned a quarter counterclockwise, and NW is
+    # NE turned so, so with the slash strand over the sign is +1 exactly when
+    # both strands enter at the top or both at the bottom.
     crossings = []
     for i, p in enumerate(twists):
         for j in range(abs(p)):
-            site = (i, j)
-            slash = [(c, entry_of[(site, c)]) for c in ("TR", "BL") if (site, c) in entry_of]
-            back = [(c, entry_of[(site, c)]) for c in ("TL", "BR") if (site, c) in entry_of]
-            (sc, s_in), (bc, b_in) = slash[0], back[0]
-            s_edge = (s_in, (s_in + 1) % total)
-            b_edge = (b_in, (b_in + 1) % total)
-            if p > 0:
-                (over_in, over_out), (under_in, under_out) = s_edge, b_edge
-                over_dir, under_dir = dir_of_entry[sc], dir_of_entry[bc]
-            else:
-                (over_in, over_out), (under_in, under_out) = b_edge, s_edge
-                over_dir, under_dir = dir_of_entry[bc], dir_of_entry[sc]
-            if under_dir == _ROT_CCW[over_dir]:
-                sign = 1
-            elif under_dir == _ROT_CW[over_dir]:
-                sign = -1
-            else:
-                raise AssertionError("strands not transverse")
-            crossings.append(Crossing(under_in, under_out, over_in, over_out, sign))
+            slash_top, back_top = (i, j, "TR") in entry_of, (i, j, "TL") in entry_of
+            s_in = entry_of[(i, j, "TR" if slash_top else "BL")]
+            b_in = entry_of[(i, j, "TL" if back_top else "BR")]
+            slash, back = (s_in, (s_in + 1) % total), (b_in, (b_in + 1) % total)
+            over, under = (slash, back) if p > 0 else (back, slash)
+            sign = (1 if slash_top == back_top else -1) * (1 if p > 0 else -1)
+            crossings.append(Crossing(*under, *over, sign))
     # edge 0 enters twist 0 top-left through the wrap arc over the top,
     # so the unbounded region is on its right
     return Diagram(tuple(crossings), outer=(0, RIGHT))

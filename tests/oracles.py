@@ -11,8 +11,9 @@ determinants by evaluation (themselves checked against Bareiss), are the
 reference for the two identities coloring.first_minors_agree checks
 instead; minor_dets takes them one sparse_det at a time.  The Z[T] gcd
 helpers at the end serve tests that compare ideals generated by minors.
-The Reidemeister moves and the canonical form, the other oracle
-machinery, are in moves.py.
+arcs_by_union_find is the reference for Diagram.arcs, which cuts the
+edge cycle into runs.  The Reidemeister moves and the canonical form, the
+other oracle machinery, are in moves.py.
 """
 
 import math
@@ -127,6 +128,23 @@ def first_minors_agree_brute(d) -> bool:
     by all n^2 of them."""
     delta = alexander_polynomial(d)
     return all(m.is_zero or unit_ratio(m, delta) is not None for m in minor_family(d, "fox", 1))
+
+
+def arcs_by_union_find(d) -> dict:
+    """edge -> arc by merging over_in with over_out at every crossing, arcs
+    numbered by their smallest edge."""
+    parent = list(range(2 * d.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in d.crossings:
+        a, b = find(c.over_in), find(c.over_out)
+        parent[max(a, b)] = min(a, b)
+    index = {}
+    return {e: index.setdefault(find(e), len(index)) for e in range(2 * d.n)}
 
 
 def colorable_by_alexander(d, ring, t) -> bool:

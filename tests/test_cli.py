@@ -196,13 +196,13 @@ def _count_spans(monkeypatch):
 
 
 def _count_structure(monkeypatch):
-    """Record each computation of a diagram's edge cycle, arc union-find
-    and face walk, the cached structure of Diagram."""
+    """Record each computation of a diagram's edge cycle, arcs and face
+    walk, the cached structure of Diagram."""
     from functools import cached_property
     from knotcode.diagram import Diagram
 
     calls = []
-    for name in ("traversal", "_arc_of_edge", "_dart_faces"):
+    for name in ("traversal", "_arc_members", "_dart_faces"):
 
         def counted(self, func=Diagram.__dict__[name].func, name=name):
             calls.append(name)
@@ -219,7 +219,7 @@ def test_code_derives_diagram_structure_once(tmp_path, capsys, monkeypatch):
     calls = _count_structure(monkeypatch)
     # a Dehn code reads regions only, so its arcs are never derived
     for kind, derived in (
-        ("fox", ["_arc_of_edge", "_dart_faces", "traversal"]),
+        ("fox", ["_arc_members", "_dart_faces", "traversal"]),
         ("dehn", ["_dart_faces", "traversal"]),
     ):
         calls.clear()
@@ -273,11 +273,24 @@ def test_budget_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch):
         (["code", "{d}", "--q", "3", "--t", "y"], "--t"),
         (["code", "{d}", "--q", "4", "--modulus", "1,z,1", "--t", "alpha"], "--modulus"),
         (["snf", "{m}"], "{m}"),
+        (["code", "{d}", "--q", "2^2^2", "--t", "-1"], "--q"),
+        (["cable", "--base-unknot", "--pairs", "2,3,2", "--q", "3", "--t", "-1"], "--pairs"),
+        (["snf", "{m}", "--ring", "FpT"], "--p"),
+        (["snf", "{e}"], "{e}"),
+        (["check", "{dir}"], "{dir}"),
     ],
 )
 def test_malformed_option_text_names_its_source(tmp_path, capsys, argv, where):
-    names = {"d": gen_file(tmp_path, capsys, "builtin", "trefoil"), "m": str(tmp_path / "m.json")}
+    names = {
+        "d": gen_file(tmp_path, capsys, "builtin", "trefoil"),
+        "m": str(tmp_path / "m.json"),
+        "e": str(tmp_path / "e.json"),
+        "dir": str(tmp_path / "notes"),
+    }
     (tmp_path / "m.json").write_text(json.dumps({"entries": [[1, "x"], [0, 1]]}))
+    (tmp_path / "e.json").write_text(json.dumps({"entries": 5}))
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "readme.txt").write_text("a directory without .json diagram files\n")
     code, out, err = run_cli([a.format(**names) for a in argv], capsys)
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert where.format(**names) in err
@@ -295,6 +308,13 @@ def test_usage_error_on_bad_field(tmp_path, capsys):
     # a leading coefficient 3 = 0 in F_3 would leave a degree-1 modulus, F_3
     code, out, err = run_cli(["code", path, "--q", "9", "--modulus", "1,1,3", "--t", "-1"], capsys)
     assert (code, out) == (2, "") and err.count("\n") == 1 and "--modulus" in err
+    for flags, where in (
+        (["--q", "4^2", "--t", "-1"], "4^2"),  # the base of p^a must be prime
+        (["--q", "3", "--modulus", "1,1", "--t", "-1"], "--modulus"),  # F_3 takes no modulus
+        (["--q", "3", "--t", "alpha"], "alpha"),  # alpha is a root of an extension's modulus
+    ):
+        code, out, err = run_cli(["code", path, *flags], capsys)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and where in err, flags
     # 1287836182261 * 2575672364521 passes Miller-Rabin to every base 2..37
     code, out, err = run_cli(["code", path, "--q", "3317044064679887385961981", "--t", "-1"], capsys)
     assert (code, out) == (2, "") and err.count("\n") == 1 and "cannot certify" in err
@@ -550,6 +570,31 @@ def test_batch_check_over_directory(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert all(json.loads(line)["outputs"]["ok"] for line in lines)
+
+
+def test_check_reports_failed_and_raising_checks(tmp_path, capsys, monkeypatch):
+    """A check that returns False and one that raises both fail the report:
+    exit 3, one report line with ok false, first_failure the first failing
+    check, and a raised check named `name: message`."""
+    from knotcode import codes, coloring
+
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+
+    def boom(*args, **kwargs):
+        raise ValueError("no code today")
+
+    monkeypatch.setattr(coloring, "first_minors_agree", lambda d: False)
+    monkeypatch.setattr(codes, "code_from_diagram", boom)
+    code, out, err = run_cli(["check", path], capsys)
+    assert (code, err) == (3, "") and out.count("\n") == 1
+    outputs = json.loads(out)["outputs"]
+    failed = [c["name"] for c in outputs["checks"] if not c["ok"]]
+    assert failed == [
+        "fox_minors_agree_up_to_units",
+        "dehn_kernel_exceeds_fox_by_one_F3: no code today",
+        "dehn_kernel_exceeds_fox_by_one_F5: no code today",
+    ]
+    assert outputs["ok"] is False and outputs["first_failure"] == "fox_minors_agree_up_to_units"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -198,8 +199,10 @@ def test_connected_sum_invariants_independent_of_arc_choice(trefoil, figure_eigh
 
 def test_from_braid_unknot_cases():
     assert from_braid(1, []).n == 0
-    with pytest.raises(DiagramError):
-        from_braid(3, [1])  # position 3 never used: split link
+    with pytest.raises(DiagramError, match="position 3 unused"):
+        from_braid(3, [1])  # a free loop the constructor cannot see
+    with pytest.raises(DiagramError, match="not a single closed component"):
+        from_braid(2, [1, 1])  # the Hopf link: the constructor refuses it
 
 
 def test_generated_diagrams_all_validate():
@@ -213,3 +216,59 @@ def test_generated_diagrams_all_validate():
     ]
     for d in diagrams:  # each was checked as it was built
         assert len(set(d.arcs.values())) == d.n and len(set(d.regions.values())) == d.n + 2
+
+
+# sha256 of dumps() for a ladder of generated diagrams: the golden CLI corpus
+# pins only T(2,5) and P(3,3,3), so these pin each generator's slot and edge
+# numbering, and the arc numbering that connected_sum splices at, byte for byte
+_LADDER_BRAIDS = {
+    "braid3": (3, [1, -2, 1, -2, -2, 1, 2, -1, 1, 2]),
+    "braid4": (4, [1, -2, 3, -1, 2, 2, -3, 1, -2, 3, 3, 2, 3]),
+    "braid5": (5, [1, -2, 3, -4, 2, -1, -3, 4, 1, 2, -3, -4]),
+    "braid6": (6, [1, -2, 3, -4, 5, -1, 2, -3, 4, -5, 1, -2, 3, -4, 5, 1, 2]),
+}
+
+_LADDER = [
+    ("T(2,153)", lambda: torus_diagram(2, 153), "205aad08769567be73ffddc2c620c4f8f55ccbaace345f490e0bc007030048dc"),
+    ("T(2,-153)", lambda: torus_diagram(2, -153), "2e52fa8fa4a28c536e556ecfbf8e15a4768b2723d2d495ae0aa229c611b159f0"),
+    ("T(3,-20)", lambda: torus_diagram(3, -20), "c715d437e1b771b723adad3c9ec5221e2aecf80a88b736c52fdb39d68905083c"),
+    ("T(4,13)", lambda: torus_diagram(4, 13), "9a45ecf3c80ee19f632c1f05955fba882d7d74c4169d737ffbf247545171680a"),
+    ("T(5,9)", lambda: torus_diagram(5, 9), "5f6a7e6e9f332432132ec9188971b665840417367e130676c94feef14c9321db"),
+    ("P(-3,2,5)", lambda: pretzel_diagram([-3, 2, 5]), "a4d64149c50540d6f524158604d203c94ad226591d0966f11ab72d2c955cfc46"),
+    ("P(3,-5,7,-9,11)", lambda: pretzel_diagram([3, -5, 7, -9, 11]), "99ff8f778d9f38353adb097467c8d841e8f503d2c43e8492a0131a7bd17d0331"),
+    ("P(13,13,13)", lambda: pretzel_diagram([13, 13, 13]), "43f94b47b18f87abfe4c72fc24f44dee0fab25c2ebb1181e92fb3910c8b4a3fc"),
+    ("braid3", lambda: from_braid(*_LADDER_BRAIDS["braid3"]), "7fa6db09fedd8c2f52298bfac9c6cc1697ef6988d52540b902570c04827af52a"),
+    ("braid4", lambda: from_braid(*_LADDER_BRAIDS["braid4"]), "9b05a9cd8f32be86324ced18cb54b02b797dfc7d3d287ee88eab6548521be8bc"),
+    ("braid5", lambda: from_braid(*_LADDER_BRAIDS["braid5"]), "ef51829c7a8c5905e5f5dbf44014f9200214a3b9f75b6ca19ce9c4e9a87e85f3"),
+    ("braid6", lambda: from_braid(*_LADDER_BRAIDS["braid6"]), "1cc74b8d3866204ceeb0e0404a173671cc3318ad064b94a1df71654c6dda086b"),
+    *(
+        (
+            f"T(2,5)#P(-3,2,5) at arcs {a1},{a2}",
+            lambda a1=a1, a2=a2: connected_sum(torus_diagram(2, 5), a1, pretzel_diagram([-3, 2, 5]), a2),
+            digest,
+        )
+        for a1, a2, digest in [
+            (0, 0, "458f6530713915d3a82b2ecb883bd84249f47cf034748146173f18aa6e54835e"),
+            (2, 5, "5f850a390acbd6bc6be47306f950b95d07de1d6ed9b739c40ce426aedf9e26f1"),
+            (4, 9, "8c4d25d9ee981571cf0a4acc12b3917eff43664b4aa3795a0d82766dc03f3818"),
+        ]
+    ),
+    *(
+        (
+            f"braid4#braid5 at arcs {a1},{a2}",
+            lambda a1=a1, a2=a2: connected_sum(
+                from_braid(*_LADDER_BRAIDS["braid4"]), a1, from_braid(*_LADDER_BRAIDS["braid5"]), a2
+            ),
+            digest,
+        )
+        for a1, a2, digest in [
+            (3, 11, "fc035c4a430d656404b2014a77384b69f1f2e25e48cb91e10fc47bd6e4bf9ef0"),
+            (9, 0, "657eca38a5c91c3b5bfc26c864bae1998e24c5efe4137ddd2d642724c1be43fa"),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("build, digest", [case[1:] for case in _LADDER], ids=[case[0] for case in _LADDER])
+def test_generated_diagram_bytes_are_pinned(build, digest):
+    assert hashlib.sha256(build().dumps().encode()).hexdigest() == digest

@@ -18,7 +18,13 @@ from knotcode.codes import code_from_diagram, min_distance
 
 from conftest import small_diagrams
 from moves import random_move, surgery_sum
-from oracles import count_colorings_brute, count_colorings_poly_brute, first_minors_agree_brute, poly_mulmod
+from oracles import (
+    arcs_by_union_find,
+    count_colorings_brute,
+    count_colorings_poly_brute,
+    first_minors_agree_brute,
+    poly_mulmod,
+)
 
 F3 = FqField(3)
 F5 = FqField(5)
@@ -88,6 +94,20 @@ def test_connected_sum_is_the_surgery_splice(d1, d2, data):
 def test_counting_lemma(d):
     assert len(set(d.arcs.values())) == d.n
     assert len(set(d.regions.values())) == d.n + 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(braid_diagrams(max_strands=6, max_len=20), summands))
+def test_arcs_vs_union_find(d):
+    """The arcs cut from the edge cycle against a union-find over the
+    over-passages, on braid closures and Reidemeister-moved diagrams; each
+    arc's edges come back ascending, so connected_sum splices at the arc's
+    smallest edge."""
+    assert d.arcs == arcs_by_union_find(d)
+    for arc in range(d.arc_count):
+        edges = d.arc_edges(arc)
+        assert edges == sorted(edges) == sorted(e for e, a in d.arcs.items() if a == arc)
+    assert d.arc_edges(d.arc_count) == [] and d.arc_edges(-1) == []
 
 
 @st.composite
