@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 from .laurent import ONE, ZERO, LaurentPoly, T
-from .fields import FqField
+from .fields import FqField, RingLaurent
 from .diagram import RIGHT, Diagram, dehn_role_tokens
-from .exactlin import dense, dot, snf, sparse_det, unit_residual
+from .exactlin import dense, det_cost, dot, snf, sparse_det, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -115,9 +115,23 @@ def dehn_matrix(d: Diagram) -> ColoringMatrix:
 
 def alexander_polynomial(d: Diagram) -> LaurentPoly:
     """Normalized generator of the first elementary ideal: the (1,1) minor
-    of the Fox matrix scaled to a positive constant term."""
+    of the Fox matrix scaled to a positive constant term.
+
+    Unit-pivot elimination over Z[T, T^-1] pivots only on units +-T^k, so
+    the minor is a unit times the determinant of the rows it leaves on the
+    free columns, and zero when those rows fall short of the columns.  That
+    residual is a handful of rows on torus, pretzel and braid closures, but
+    on a connected sum it keeps a row per summand, which can fill in and
+    raise sparse_det's degree and coefficient bounds past the whole
+    minor's; sparse_det runs on whichever of the two det_cost prices lower.
+    """
     minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
-    delta = sparse_det(minor).alexander_normalized()
+    free, rest = unit_residual(RingLaurent(), minor, d.arc_count - 1)
+    if len(rest) < free:
+        delta = ZERO
+    else:
+        rest = [tuple((j, e) for j, e in enumerate(row) if e) for row in rest]
+        delta = sparse_det(min(rest, minor, key=det_cost)).alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta

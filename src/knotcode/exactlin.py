@@ -2,7 +2,7 @@
 interpolation and Chinese remaindering, Smith normal form over the
 Euclidean domains Z and F_p[T], and one sparse elimination over the
 coloring rings F_q, Z/m and F_p[T]/(f) of fields (FqField, IntMod,
-PolyMod); this module defines no ring.
+PolyMod) and over Z[T, T^-1] (RingLaurent); this module defines no ring.
 
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
@@ -18,8 +18,10 @@ F_q that is every nonzero, and it gives rank, a canonical kernel basis,
 and over Z/p the determinant values the determinants over Z[T, T^-1] are
 interpolated from; over Z/m and F_p[T]/(f) the few rows left without a
 unit are what the coloring counts lift into the cover and hand to the
-Smith form, whose entries then stay reduced instead of growing.  dense()
-turns sparse rows into the full grid.
+Smith form, whose entries then stay reduced instead of growing; over
+Z[T, T^-1], whose units are +-T^k, they are what the Alexander
+polynomial takes its determinant of.  dense() turns sparse rows into the
+full grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import count
 
 from .laurent import ZERO, LaurentPoly
 from .fields import FqField, IntMod, is_prime
@@ -77,21 +78,18 @@ def sparse_det(rows) -> LaurentPoly:
     product exceeds 2B, lifted to (-M/2, M/2].  The result is exact; no
     step is probabilistic.
     """
+    if not all(rows):
+        return ZERO
+    degree, primes = _det_size(rows)
     shifts, cells, index = [], [], {}  # index: distinct shifted entry -> position in polys
     for row in rows:
-        if not row:
-            return ZERO
         s = min(e.min_deg for _, e in row)
         shifts.append(s)
         cells.append([(c, index.setdefault(e.shift(-s), len(index))) for c, e in row])
     polys = list(index)
-    degree = sum(max(polys[j].max_deg for _, j in row) for row in cells)
-    bound2 = math.prod(sum(sum(map(abs, polys[j].coeffs)) ** 2 for _, j in row) for row in cells)
     order = _by_weight(cells)
     coeffs, m = [0] * (degree + 1), 1  # P's coefficients mod m
-    for p in map(_word_prime, count()):
-        if m * m > 4 * bound2:  # m > 2B
-            break
+    for p in primes:
         ring = IntMod(p)
         values = []
         for x in range(degree + 1):
@@ -101,6 +99,28 @@ def sparse_det(rows) -> LaurentPoly:
         coeffs = [r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(values, p))]
         m *= p
     return LaurentPoly.make([c - m if 2 * c > m else c for c in coeffs], sum(shifts))
+
+
+def det_cost(rows) -> int:
+    """What sparse_det costs on the same rows, in cells visited: each of
+    its (D + 1) x (number of primes) eliminations visits every nonzero at
+    least once.  Zero when a row is empty, as the determinant is then."""
+    if not all(rows):
+        return 0
+    degree, primes = _det_size(rows)
+    return (degree + 1) * len(primes) * sum(map(len, rows))
+
+
+def _det_size(rows) -> tuple[int, list[int]]:
+    """sparse_det's degree bound D and the word-size primes whose product
+    exceeds 2B, for sparse LaurentPoly rows none of which is empty."""
+    degree = sum(max(e.max_deg for _, e in row) - min(e.min_deg for _, e in row) for row in rows)
+    bound2 = math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
+    primes, m = [], 1
+    while m * m <= 4 * bound2:  # until m > 2B
+        primes.append(_word_prime(len(primes)))
+        m *= primes[-1]
+    return degree, primes
 
 
 @cache
@@ -244,7 +264,7 @@ def _swap_cols(mat, j, r):
 # pivot row.
 #
 # A ring here is one of the coloring rings of fields (FqField, IntMod,
-# PolyMod), whose inv returns None on a non-unit.
+# PolyMod) or RingLaurent, whose inv returns None on a non-unit.
 
 
 def dense(rows, ncols: int, zero) -> list[list]:

@@ -1,7 +1,8 @@
 """Primality, the Euclidean domains Z and F_p[T] (RingZ, RingFpT) the
-Smith form runs in, and the coloring rings: Z/m (IntMod), F_p[x]/(f)
-(PolyMod) and the field F_{p^a} (FqField, the PolyMod whose modulus is
-monic and irreducible).
+Smith form runs in, Z[T, T^-1] (RingLaurent) for the unit-pivot
+elimination of the Alexander polynomial, and the coloring rings: Z/m
+(IntMod), F_p[x]/(f) (PolyMod) and the field F_{p^a} (FqField, the
+PolyMod whose modulus is monic and irreducible).
 
 Polynomials over F_p are ascending coefficient tuples of ints in
 {0, ..., p-1}; the zero polynomial is the empty tuple.  RingFpT(p) is the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 
-from .laurent import LaurentPoly
+from .laurent import ZERO, LaurentPoly
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # the witnesses decide primality below this
@@ -187,6 +188,27 @@ class RingFpT:
         if not r0:
             return (), s0
         return self.normal(r0), self.mul(s0, (pow(r0[-1], self.p - 2, self.p),))
+
+
+# -- Z[T, T^-1], where the Alexander polynomial is eliminated ------------------
+
+class RingLaurent:
+    """Z[T, T^-1] on LaurentPoly: the hooks the sparse elimination in
+    exactlin pivots with, whose units are exactly +-T^k."""
+
+    zero = ZERO
+
+    def sub(self, x, y):
+        return x - y
+
+    def mul(self, x, y):
+        return x * y
+
+    def inv(self, x):
+        """The inverse of +-T^k; None on anything else."""
+        if len(x.coeffs) == 1 and x.coeffs[0] in (1, -1):
+            return LaurentPoly(x.coeffs, -x.min_deg)
+        return None
 
 
 # -- the coloring rings Z/m, F_p[x]/(f) and F_q ----------------------------------

@@ -58,30 +58,42 @@ class LaurentPoly:
         return not self.is_zero
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.min_deg, other.min_deg)
-        hi = max(self.max_deg, other.max_deg)
-        c = [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
-        return LaurentPoly.make(c, lo)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple(-c for c in self.coeffs), self.min_deg)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, sign = +-1."""
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other if sign == 1 else -other
+        lo = min(self.min_deg, other.min_deg)
+        out = [0] * (max(self.max_deg, other.max_deg) - lo + 1)
+        i = self.min_deg - lo
+        out[i : i + len(self.coeffs)] = self.coeffs
+        for k, c in enumerate(other.coeffs, other.min_deg - lo):
+            out[k] += sign * c
+        return LaurentPoly.make(out, lo)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return ZERO
         a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:  # a monomial: no sum can cancel
+            c = a[0]
+            return LaurentPoly(b if c == 1 else tuple(c * x for x in b), self.min_deg + other.min_deg)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
         return LaurentPoly.make(out, self.min_deg + other.min_deg)
 
     def shift(self, s: int) -> "LaurentPoly":

@@ -573,7 +573,8 @@ def test_batch_check_over_directory(tmp_path, capsys):
 
 
 def test_check_reports_failed_and_raising_checks(tmp_path, capsys, monkeypatch):
-    """A check that returns False and one that raises both fail the report:
+    """A check that returns False and one that raises, the Alexander
+    polynomial included, fail the report:
     exit 3, one report line with ok false, first_failure the first failing
     check, and a raised check named `name: message`."""
     from knotcode import codes, coloring
@@ -595,6 +596,17 @@ def test_check_reports_failed_and_raising_checks(tmp_path, capsys, monkeypatch):
         "dehn_kernel_exceeds_fox_by_one_F5: no code today",
     ]
     assert outputs["ok"] is False and outputs["first_failure"] == "fox_minors_agree_up_to_units"
+
+    def no_alex(d):
+        raise ValueError("no polynomial today")
+
+    monkeypatch.setattr(coloring, "alexander_polynomial", no_alex)
+    code, out, err = run_cli(["check", path], capsys)
+    assert (code, err) == (3, "") and out.count("\n") == 1
+    outputs = json.loads(out)["outputs"]
+    failed = [c["name"] for c in outputs["checks"] if not c["ok"]]
+    assert failed[0] == "alexander_value_at_1_is_unit: no polynomial today"
+    assert outputs["ok"] is False and outputs["first_failure"] == failed[0]
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

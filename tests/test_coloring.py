@@ -156,6 +156,21 @@ def test_alexander_ladder():
         assert alexander_polynomial(torus_diagram(a, b)) == torus_alexander(a, b)
 
 
+def test_alexander_determinant_of_the_cheaper_matrix(monkeypatch, trefoil):
+    """sparse_det gets the one row that unit pivots leave of T(2,81), and
+    the whole 29-row minor of ten trefoils each spliced in at arc 0, whose
+    residual rows fill in; both results are the closed forms."""
+    sizes = []
+    real = coloring.sparse_det
+    monkeypatch.setattr(coloring, "sparse_det", lambda rows: sizes.append(len(rows)) or real(rows))
+    assert alexander_polynomial(torus_diagram(2, 81)) == LaurentPoly.make([(-1) ** i for i in range(81)])
+    nested = trefoil
+    for _ in range(9):
+        nested = connected_sum(nested, 0, trefoil, 0)
+    assert alexander_polynomial(nested) == math.prod([DELTA_TREFOIL] * 10, start=ONE)
+    assert sizes == [1, 29]
+
+
 def test_first_minors_match_bareiss_oracle():
     d = torus_diagram(3, 5)
     assert d.n >= 8

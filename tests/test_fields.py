@@ -3,8 +3,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcode.fields import FqField, PolyMod, RingFpT, is_prime
-from knotcode.laurent import LaurentPoly
+from knotcode.fields import FqField, PolyMod, RingFpT, RingLaurent, is_prime
+from knotcode.laurent import ONE, ZERO, LaurentPoly, T
 
 
 def test_primality():
@@ -30,6 +30,17 @@ def test_irreducibility():
         FqField(2, [1, 0, 1])
     with pytest.raises(ValueError):
         FqField(4)
+
+
+def test_laurent_units():
+    """Z[T, T^-1] inverts exactly +-T^k, negative k included."""
+    R = RingLaurent()
+    for c in (1, -1):
+        for k in (-3, -1, 0, 1, 4):
+            u = LaurentPoly((c,), k)
+            assert R.inv(u) == LaurentPoly((c,), -k) and R.mul(u, R.inv(u)) == ONE
+    for x in (LaurentPoly.const(2), ONE - T, T * T - ONE, ZERO):
+        assert R.inv(x) is None
 
 
 def test_poly_gcd_example():

@@ -9,17 +9,19 @@ from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
-from knotcode.generators import builtin, connected_sum, from_braid
+from knotcode.generators import builtin, connected_sum, from_braid, is_pretzel_knot, pretzel_diagram
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
 from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
+from knotcode.exactlin import dense, sparse_det
 from knotcode.codes import code_from_diagram, min_distance
 
 from conftest import small_diagrams
 from moves import random_move, surgery_sum
 from oracles import (
     arcs_by_union_find,
+    bareiss_det,
     count_colorings_brute,
     count_colorings_poly_brute,
     first_minors_agree_brute,
@@ -87,6 +89,40 @@ def test_connected_sum_is_the_surgery_splice(d1, d2, data):
     s, ref = connected_sum(d1, arc1, d2, arc2), surgery_sum(d1, arc1, d2, arc2)
     assert s == ref and s.dumps() == ref.dumps()
     assert s.n == d1.n + d2.n
+
+
+@st.composite
+def pretzels(draw):
+    """Pretzel knots P(p_1, ..., p_m), m = 2..4, twists of both signs."""
+    twists = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=2, max_size=4))
+    assume(is_pretzel_knot(twists))
+    return pretzel_diagram(twists)
+
+
+@st.composite
+def sums(draw):
+    """Connected sums of 2-6 small summands at random arcs."""
+    part = st.sampled_from(small_diagrams()[:5]) | braid_diagrams(max_strands=3, max_len=5)
+    parts = draw(st.lists(part, min_size=2, max_size=6))
+    d = parts[0]
+    for part in parts[1:]:
+        arc1 = draw(st.integers(0, d.arc_count - 1))
+        arc2 = draw(st.integers(0, part.arc_count - 1))
+        d = connected_sum(d, arc1, part, arc2)
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(braid_diagrams(max_strands=5, max_len=12), summands, pretzels(), sums()))
+def test_alexander_polynomial_vs_whole_minor(d):
+    """Delta by unit pivots over Z[T, T^-1] against the modular determinant
+    of the whole (1,1) Fox minor and against Bareiss elimination over Z[T],
+    on braid closures, Reidemeister-moved diagrams, mixed-sign pretzels and
+    connected sums."""
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    delta = alexander_polynomial(d)
+    assert delta == sparse_det(minor).alexander_normalized()
+    assert delta == bareiss_det(dense(minor, d.arc_count - 1, ZERO)).alexander_normalized()
 
 
 @settings(max_examples=60, deadline=None)
