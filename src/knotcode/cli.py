@@ -299,12 +299,15 @@ def cmd_code(args) -> int:
         status = 0
         if args.min_dist or args.weights:
             try:
-                we = cd.weight_enumerator(code, budget)
+                if args.kind == "fox":
+                    we = cd.knot_weight_enumerator(d, code, field.decode(t), budget)
+                else:
+                    we = cd.weight_enumerator(code, budget)
             except cd.BudgetExceeded as exc:
                 we = None
                 status = EXIT_BUDGET
                 if args.min_dist:
-                    warn.append(f"minimum distance needs {field.q}^{code.k} codewords > budget {budget}")
+                    warn.append(f"minimum distance needs {exc.q}^{exc.k} codewords > budget {exc.budget}")
                 if args.weights:
                     warn.append(str(exc))
             if args.min_dist:

@@ -7,7 +7,10 @@ Weight enumerators come from exhaustive enumeration under a budget (exact
 below it, unknown above); minimum distances are read off them.  The one
 codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
 not lexicographic order: each step adds one packed basis row to a word
-held in a single Python int.  A word is a sequence of encoded field ints
+held in a single Python int.  Codes tied at coordinates along a tree (a
+connected sum's code is its summands' codes tied at the cut arcs) are
+counted from one walk per code, never of the tied code, and the budget
+then applies to each walk.  A word is a sequence of encoded field ints
 (see fields); a t is read by FqField.element, so an int t is n * 1.
 """
 
@@ -22,6 +25,7 @@ from itertools import chain, islice
 from .fields import FqField
 from .diagram import Diagram
 from .coloring import dehn_matrix, fox_matrix
+from .generators import split_sum
 from .exactlin import dot, kernel_basis
 
 INF = math.inf
@@ -29,7 +33,11 @@ DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration would need more codewords than the budget allows."""
+    """Enumeration would need more codewords, q^k, than the budget allows."""
+
+    def __init__(self, q: int, k: int, budget: int):
+        super().__init__(f"{q}^{k} codewords exceed budget {budget}")
+        self.q, self.k, self.budget = q, k, budget
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,15 @@ class LinearCode:
         BudgetExceeded above the budget."""
         return map(_Packing(self.field, self.n).unpack, self._walk(budget))
 
-    def _walk(self, budget: int | None, basis=None):
-        """The one budget check, then the walk over a basis of this code."""
+    def _afford(self, budget: int | None) -> None:
+        """The one budget check: raise BudgetExceeded if q^k exceeds it."""
         limit = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > limit:
-            raise BudgetExceeded(f"{self.q}^{self.k} codewords exceed budget {limit}")
+            raise BudgetExceeded(self.q, self.k, limit)
+
+    def _walk(self, budget: int | None, basis=None):
+        """The budget check, then the walk over a basis of this code."""
+        self._afford(budget)
         return _span(self.field, self.generator if basis is None else basis, self.n)
 
     def contains(self, vec) -> bool:
@@ -226,24 +238,41 @@ def _tally(pk: _Packing, words, counts: list) -> None:
         counts[(f & top0).bit_count()] += 1
 
 
-def _split_weights(c: LinearCode, pos: int, budget: int | None):
-    """(W_C', W_C - W_C') from one walk of C, where C' = {x in C : x_pos = 0}.
+def _joint_weights(c: LinearCode, positions, budget: int | None) -> dict:
+    """The weight distributions of C's words by where among positions they
+    are nonzero (a tuple of bools, one per position), from one walk; a
+    pattern no word has is left out.  With one position pos this is
+    {(False,): W_C', (True,): W_C - W_C'}, where C' = {x in C : x_pos = 0}.
 
-    A basis row nonzero at pos, scaled to 1 there and cleared from the
-    other rows, goes last; the walk's first q^(k-1) words then span
-    exactly C'.  With no such row C' = C."""
-    field, basis = c.field, [list(g) for g in c.generator]
-    pivot = next((g for g in basis if g[pos]), None)
-    if pivot is not None:
-        basis.remove(pivot)
+    With the s rows that _pivots_last puts last, the walk runs in blocks
+    of q^(k-s) words, each a coset of the words zero at every position, so
+    the first word of a block gives the whole block's values there."""
+    basis, s = _pivots_last(c, positions)
+    pk = _Packing(c.field, c.n)
+    digit = (1 << pk.b) - 1
+    masks = [sum(digit << pk.b * (l * c.n + j) for l in range(pk.a)) for j in positions]
+    size, out = c.q ** (c.k - s), {}
+    walk = c._walk(budget, basis)
+    for first in walk:
+        pattern = tuple(bool(first & m) for m in masks)
+        _tally(pk, chain((first,), islice(walk, size - 1)), out.setdefault(pattern, [0] * (c.n + 1)))
+    return out
+
+
+def _pivots_last(c: LinearCode, positions):
+    """(basis, s): a basis of C whose last s rows are each 1 at one of
+    positions, and whose other rows are 0 at every position."""
+    field, rows, pivots = c.field, [list(g) for g in c.generator], []
+    for pos in positions:
+        pivot = next((g for g in rows if g[pos]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
         inv = field.inv(pivot[pos])
         pivot = [field.mul(inv, x) for x in pivot]
-        basis = [[field.sub(x, field.mul(g[pos], y)) for x, y in zip(g, pivot)] for g in basis] + [pivot]
-    pk, sub, rest = _Packing(field, c.n), [0] * (c.n + 1), [0] * (c.n + 1)
-    walk = c._walk(budget, basis)
-    _tally(pk, islice(walk, c.q ** (c.k - (pivot is not None))), sub)
-    _tally(pk, walk, rest)
-    return sub, rest
+        rows = [[field.sub(x, field.mul(g[pos], y)) for x, y in zip(g, pivot)] for g in rows]
+        pivots.append(pivot)
+    return rows + pivots, len(pivots)
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -272,20 +301,82 @@ def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode
 def sum_weight_enumerator(c1, pos1, c2, pos2, budget: int | None = None) -> WeightEnumerator:
     """Weight enumerator of sum_code(c1, pos1, c2, pos2) without walking it:
     W_C' W_D' + (W_C - W_C')(W_D - W_D') / (q - 1), where C' (D') holds the
-    words of C (D) that are zero at pos1 (pos2).  One walk per summand
-    counts W and W'; each walk checks the budget against q^k of its code."""
-    _check_tie(c1, pos1, c2, pos2)
-    q = c1.field.q
-    zero1, rest1 = _split_weights(c1, pos1, budget)
-    zero2, rest2 = _split_weights(c2, pos2, budget)
-    first = _convolve(zero1, zero2)
-    diff = _convolve(rest1, rest2)
-    counts = []
-    for a, b in zip(first, diff):
-        if b % (q - 1):
-            raise AssertionError("crossing term not divisible by q - 1")
-        counts.append(a + b // (q - 1))
-    return WeightEnumerator(tuple(counts))
+    words of C (D) that are zero at pos1 (pos2); tied_weight_enumerator's
+    case of two codes.  One walk per summand counts W and W'; each walk
+    checks the budget against q^k of its code."""
+    return tied_weight_enumerator([c1, c2], [(0, pos1, 1, pos2)], budget)
+
+
+def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnumerator:
+    """Weight enumerator of codes tied along a tree, without walking the
+    tied code: the words of their direct sum that agree at every tie (i,
+    pos_i, j, pos_j), as sum_code ties two codes and split_sum the summands
+    of a diagram.
+
+    Every code's q^k is checked against the budget first; then each code is
+    walked once and its words counted by weight and by where among its tie
+    positions they are nonzero (_joint_weights).  The tree is folded from
+    the leaves into code 0.  Scaling by a unit keeps weight, so a subtree
+    has as many words of each weight at every nonzero value of its tie to
+    its parent: the words nonzero there, divided by q - 1.
+    """
+    q = codes[0].q
+    nbrs = [[] for _ in codes]
+    for i, a, j, b in ties:
+        if not (0 <= i < len(codes) and 0 <= j < len(codes)):
+            raise ValueError(f"a tie names a code outside range({len(codes)})")
+        _check_tie(codes[i], a, codes[j], b)
+        nbrs[i].append((a, j, b))
+        nbrs[j].append((b, i, a))
+    up, kids, order = {0: None}, [[] for _ in codes], [0]
+    for i in order:  # the order grows while it is walked
+        for a, j, b in nbrs[i]:
+            if j not in up:
+                up[j] = b
+                kids[i].append((a, j))
+                order.append(j)
+    if len(order) != len(codes) or len(ties) != len(codes) - 1:
+        raise ValueError("the ties must join the codes in a tree")
+    for c in codes:
+        c._afford(budget)
+    tied = {}  # code -> (its subtree's counts at parent tie value 0, at any one nonzero value)
+    for i in reversed(order):
+        c, parent = codes[i], up[i]
+        positions = sorted({a for a, _ in kids[i]} | ({parent} - {None}))
+        buckets = _joint_weights(c, positions, budget)
+        at = {pos: x for x, pos in enumerate(positions)}
+        length = c.n + sum(len(tied[j][0]) - 1 for _, j in kids[i])
+        out = [[0] * (length + 1), [0] * (length + 1)]
+        for pattern, counts in buckets.items():
+            for a, j in kids[i]:
+                counts = _convolve(counts, tied[j][pattern[at[a]]])
+            side = out[0] if parent is None else out[pattern[at[parent]]]
+            for w, x in enumerate(counts):
+                side[w] += x
+        zero, nonzero = out
+        if any(x % (q - 1) for x in nonzero):
+            raise AssertionError("words nonzero at a tie not divisible by q - 1")
+        tied[i] = zero, [x // (q - 1) for x in nonzero]
+    return WeightEnumerator(tuple(tied[0][0]))
+
+
+def knot_weight_enumerator(d: Diagram, c: LinearCode, t, budget: int | None = None) -> WeightEnumerator:
+    """weight_enumerator(c) where c is code_from_diagram(d, c.field, t), d's
+    Fox code.  When walking c would pass the walk's one precomputed block
+    or the budget (q^k > min(_BLOCK, budget)), a visibly composite d is cut
+    by split_sum and its summands' codes are tied by tied_weight_enumerator,
+    which walks q^k_i words per summand and checks the budget against each;
+    otherwise c is walked.  Under the block the walk costs less than the
+    split, and the budget counts the words walked either way."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if c.codeword_count() > min(_BLOCK, limit):
+        summands, ties = split_sum(d)
+        if len(summands) > 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # t = 1 is flagged once, when c was built
+                codes = [code_from_diagram(s, c.field, t) for s in summands]
+            return tied_weight_enumerator(codes, ties, budget)
+    return weight_enumerator(c, budget)
 
 
 def _convolve(a, b):

@@ -248,6 +248,13 @@ class Diagram:
         """(left region, right region) of an edge."""
         return self.regions[(edge, LEFT)], self.regions[(edge, RIGHT)]
 
+    def edge_faces(self) -> list[tuple[int, int]]:
+        """(left face, right face) of each edge, in one numbering of the
+        faces that is not the canonical RegionId of regions: the cheap way
+        to ask which edges border the same two faces."""
+        faces = self._dart_faces
+        return list(zip(faces[0::2], faces[1::2]))
+
     @cached_property
     def _region_walk(self) -> tuple:
         """A spanning tree of the region adjacency grown from the unbounded

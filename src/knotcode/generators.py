@@ -1,5 +1,6 @@
 """Diagram constructors: built-in small knots, torus knots as braid
-closures, pretzel knots, and connected sums.
+closures, pretzel knots, and connected sums, with split_sum to cut a
+visibly composite diagram back into its summands.
 
 The built-in trefoil and figure-eight carry a fixed labeling chosen so
 that the coloring matrices come out in the familiar published form under
@@ -223,3 +224,83 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     ]
     second[h2] = replace(second[h2], **{role2 + "_in": e1})
     return Diagram((*first, *second), d1.outer)
+
+
+def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]]]:
+    """The visible summands of d and the ties that join them: connected_sum
+    undone, as often as it applies.
+
+    Two distinct edges bordering the same two distinct faces mark a splice:
+    a closed curve through those faces that crosses only these two edges
+    cuts d into two 1-1 tangles, each with a crossing.  Each tangle's strand
+    is closed up by joining its cut ends, which undoes connected_sum's
+    cross-join.  Cuts repeat until no piece has such a pair, so every
+    summand is visibly prime (a kink is a 1-crossing summand).
+
+    Summands keep d's crossings in d's order, and an arc of d corresponds to
+    the summand arc that starts at the same crossing.  A tie (i, arc_i, j,
+    arc_j) joins the two arcs through a cut: a 1-1 tangle's two ends carry
+    one color, so the colorings of d are the summands' colorings that agree
+    at every tie, and d's Fox code is the summands' codes tied as sum_code
+    ties two.  The m - 1 ties join the m summands in a tree.  A diagram
+    without a splice is its own one summand, with no ties.
+    """
+    pieces, ties = [], []
+    rest, origin = d, tuple(range(d.n))  # origin[ci]: the crossing of d that crossing ci of rest is
+    while (cut := _splice(rest)) is not None:
+        (piece, inner, a), (rest, outer, b) = _cut(rest, *cut)
+        ties.append((origin[a], origin[b]))
+        pieces.append((piece, [origin[ci] for ci in inner]))
+        origin = tuple(origin[ci] for ci in outer)
+    pieces.append((rest, origin))
+    # a tie end is the summand arc that starts at its crossing
+    place = {}
+    for i, (piece, crossings) in enumerate(pieces):
+        for ci, c in zip(crossings, piece.crossings):
+            place[ci] = i, piece.arcs[c.under_out]
+    return [piece for piece, _ in pieces], [(*place[a], *place[b]) for a, b in ties]
+
+
+def _splice(d: Diagram):
+    """(f, e): the first two edges along the traversal that border the same
+    two faces; None when no two edges do.  The strand from f to e holds no
+    other such pair, so the tangle it bounds is visibly prime."""
+    faces, seen = d.edge_faces(), {}
+    for e in d.traversal:
+        pair = frozenset(faces[e])
+        if pair in seen:
+            return seen[pair], e
+        seen[pair] = e
+    return None
+
+
+def _cut(d: Diagram, f: int, e: int):
+    """The two pieces of d cut at edges f and e, f first along the
+    traversal: the strand after f up to e closed by e, then the strand
+    after e up to f closed by f (see _close)."""
+    seq = d.traversal
+    i, j = seq.index(f), seq.index(e)
+    return _close(d, seq[i + 1 : j + 1], f), _close(d, seq[j + 1 :] + seq[: i + 1], e)
+
+
+def _close(d: Diagram, strand, cut: int):
+    """(piece, its crossings' indices in d, the crossing of d that starts the
+    arc through the joined edge): the piece of d whose edges are strand,
+    closed by letting its last edge also arrive where cut arrived.  Edges
+    are renumbered in increasing order, and d's outer marker is kept if its
+    edge is on the strand."""
+    tail = {}
+    for ci, c in enumerate(d.crossings):
+        tail[c.under_out] = tail[c.over_out] = ci
+    crossings = sorted({tail[x] for x in strand})
+    new = {x: k for k, x in enumerate(sorted(strand))}
+    edge, side = d.outer
+    outer = (new[edge], side) if edge in new else (new[strand[-1]], RIGHT)
+    new[cut] = new[strand[-1]]
+    piece = tuple(
+        Crossing(new[c.under_in], new[c.under_out], new[c.over_in], new[c.over_out], c.sign)
+        for c in (d.crossings[ci] for ci in crossings)
+    )
+    # the joined arc runs back from the strand's end to the last under-passage
+    start = next(tail[x] for x in reversed(strand) if d.crossings[tail[x]].under_out == x)
+    return Diagram(piece, outer), crossings, start

@@ -512,6 +512,65 @@ def test_sum_command(tmp_path, capsys):
     assert rep["outputs"]["weights"] == ["1", "0", "4", "0", "12", "8", "2"]
 
 
+def _trefoil_sum(tmp_path, capsys, m: int) -> str:
+    """The m-fold trefoil sum, built by `gen sum` at its default arcs."""
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    path = str(tmp_path / f"sum{m}.json")
+    gen_file(tmp_path, capsys, "sum", t, t, name=f"sum{m}.json")
+    for _ in range(m - 2):
+        gen_file(tmp_path, capsys, "sum", path, t, name=f"sum{m}.json")
+    return path
+
+
+def test_code_splits_only_past_one_walk_block(tmp_path, capsys, monkeypatch):
+    """A code with q^k <= codes._BLOCK is walked and its diagram never split:
+    there the split costs more than the walk.  Past the block a visibly
+    composite diagram's Fox code is split and each summand walked once;
+    a Dehn code is always walked."""
+    import knotcode.codes as cd
+
+    splits, real = [], cd.split_sum
+    monkeypatch.setattr(cd, "split_sum", lambda d: splits.append(d.n) or real(d))
+    walks = _count_spans(monkeypatch)
+    for m, kind, split, walked in ((6, "fox", False, 1), (7, "fox", True, 7), (7, "dehn", False, 1)):
+        path = _trefoil_sum(tmp_path, capsys, m)
+        splits.clear()
+        walks.clear()
+        code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--kind", kind, "--min-dist", "--weights"], capsys)
+        rep = json.loads(out)
+        k = m + 1 + (kind == "dehn")
+        assert (code, rep["outputs"]["k"]) == (0, str(k))
+        assert (3**k > cd._BLOCK, splits, len(walks)) == (m == 7, [3 * m] if split else [], walked)
+        assert sum(map(int, rep["outputs"]["weights"])) == 3**k
+
+
+def test_code_budget_counts_each_summand(tmp_path, capsys):
+    """The budget counts the words walked, per summand when the diagram is
+    split, on either side of one walk block: the 6-fold and 7-fold trefoil
+    sums [18, 7]_3 and [21, 8]_3 walk 3^2-word codes, so a budget of 9 gives
+    their weights and a budget of 8 names a summand's 3^2.  A visibly prime
+    diagram is walked whole, so its budget counts its own q^k."""
+    for m in (6, 7):
+        path = _trefoil_sum(tmp_path, capsys, m)
+        argv = ["code", path, "--q", "3", "--t", "-1", "--min-dist", "--weights", "--budget"]
+        code, out, err = run_cli(argv + ["8"], capsys)
+        rep = json.loads(out)
+        assert code == 4 and rep["outputs"]["d"] is None and "weights" not in rep["outputs"]
+        assert rep["warnings"] == [
+            "minimum distance needs 3^2 codewords > budget 8",
+            "3^2 codewords exceed budget 8",
+        ]
+        code, out, err = run_cli(argv + ["9"], capsys)
+        rep = json.loads(out)
+        assert (code, rep["outputs"]["d"], rep["warnings"]) == (0, "2", [])
+        assert sum(map(int, rep["outputs"]["weights"])) == 3 ** (m + 1)
+    path = gen_file(tmp_path, capsys, "torus", "--a", "2", "--b", "9")
+    code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--min-dist", "--budget", "8"], capsys)
+    rep = json.loads(out)
+    assert (code, rep["outputs"]["k"], rep["outputs"]["d"]) == (4, "2", None)
+    assert rep["warnings"] == ["minimum distance needs 3^2 codewords > budget 8"]
+
+
 def test_sum_over_an_extension_field_matches_the_sum_code(tmp_path, capsys):
     # the golden corpus has no extension-field sum
     from knotcode.codes import code_from_diagram, sum_code, weight_enumerator

@@ -18,9 +18,10 @@ from knotcode.codes import (
     min_distance,
     sum_code,
     sum_weight_enumerator,
+    tied_weight_enumerator,
     weight_enumerator,
     LinearCode,
-    _split_weights,
+    _joint_weights,
 )
 from knotcode.exactlin import dense, rank
 
@@ -305,12 +306,37 @@ def _split_walk_codes():
 def test_split_walk_counts_the_code_and_its_zero_subcode(c):
     whole = weight_enumerator(c).counts
     for pos in range(c.n):
-        sub, rest = _split_weights(c, pos, None)
+        split = _joint_weights(c, [pos], None)
+        sub, rest = split[(False,)], split.get((True,), [0] * (c.n + 1))
         assert tuple(sub) == weight_enumerator(subcode_last_zero(c, pos)).counts
         assert tuple(a + b for a, b in zip(sub, rest)) == whole
     s = sum_code(c, c.n - 1, c, 0)
     if s.codeword_count() <= 10**5:
         assert sum_weight_enumerator(c, c.n - 1, c, 0).counts == weight_enumerator(s).counts
+
+
+@pytest.mark.parametrize("c", _split_walk_codes(), ids=str)
+def test_joint_walk_counts_by_where_the_tie_positions_are_nonzero(c):
+    """_joint_weights against the words themselves, sorted by which of two
+    or three positions they are nonzero at."""
+    rng = random.Random(c.n)
+    for positions in ([0, c.n - 1], sorted(rng.sample(range(c.n), min(3, c.n)))):
+        expect = {}
+        for w in c.codewords():
+            counts = expect.setdefault(tuple(bool(w[j]) for j in positions), [0] * (c.n + 1))
+            counts[sum(1 for x in w if x)] += 1
+        assert _joint_weights(c, positions, None) == expect
+
+
+def test_tied_weight_enumerator_needs_a_tree(F3, trefoil):
+    c = code_from_diagram(trefoil, F3, -1)
+    assert tied_weight_enumerator([c], []) == weight_enumerator(c)
+    for ties in ([], [(0, 0, 1, 0), (1, 1, 0, 1)], [(0, 0, 1, 0), (0, 1, 0, 2)], [(0, 0, 0, 1), (1, 0, 2, 0)]):
+        with pytest.raises(ValueError, match="tree"):
+            tied_weight_enumerator([c, c, c], ties)
+    for tie in ((0, 0, 2, 0), (-1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="range"):
+            tied_weight_enumerator([c, c], [tie])
 
 
 def test_sum_weight_enumerator_checks_the_tie(F3, F5, trefoil):

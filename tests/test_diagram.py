@@ -81,6 +81,15 @@ def test_checkerboard_proper(trefoil):
         assert colors[d.outer_region] == "white"
 
 
+def test_edge_faces_are_the_regions_renamed():
+    for d in small_diagrams():
+        rename = {}
+        for e, pair in enumerate(d.edge_faces()):
+            for face, region in zip(pair, d.side_regions(e)):
+                assert rename.setdefault(face, region) == region
+        assert sorted(rename.values()) == (list(range(d.region_count)) if d.n else [])
+
+
 def test_checkerboard_torus25():
     d = torus_diagram(2, 5)
     colors = d.checkerboard

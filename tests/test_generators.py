@@ -11,6 +11,7 @@ from knotcode.generators import (
     from_braid,
     is_pretzel_knot,
     pretzel_diagram,
+    split_sum,
     torus_diagram,
 )
 from knotcode.coloring import alexander_polynomial, fox_matrix, knot_determinant
@@ -195,6 +196,33 @@ def test_connected_sum_invariants_independent_of_arc_choice(trefoil, figure_eigh
             dims.add((code_from_diagram(s, F3, -1).k, code_from_diagram(s, F5, -1).k))
             alexes.add(alexander_polynomial(s))
     assert len(dims) == 1 and len(alexes) == 1
+
+
+def test_split_sum_undoes_connected_sum(trefoil, figure_eight):
+    """Each summand keeps its crossings in order and its edge numbering, and
+    the tie names the two arcs the sum was spliced at.  The strand cut off
+    first is the figure-eight's; the trefoil keeps its outer marker, which
+    the sum kept."""
+    for arc1 in range(3):
+        for arc2 in range(4):
+            summands, ties = split_sum(connected_sum(trefoil, arc1, figure_eight, arc2))
+            assert summands[0].crossings == figure_eight.crossings and summands[1] == trefoil
+            assert ties == [(0, arc2, 1, arc1)]
+
+
+def test_split_sum_of_a_visibly_prime_diagram_is_itself():
+    """T(2,401) and P(13,13,13) have no two edges between the same two
+    faces; neither has the unknot, which has no edges."""
+    for d in (torus_diagram(2, 401), pretzel_diagram([13, 13, 13]), builtin("unknot")):
+        assert split_sum(d) == ([d], [])
+
+
+def test_split_sum_cuts_off_kinks(trefoil):
+    """A kink is a 1-crossing summand, tied at its one arc: the closure of
+    s1^3 s2, a stabilized trefoil, is a kink and the trefoil."""
+    summands, ties = split_sum(from_braid(3, [1, 1, 1, 2]))
+    assert [p.n for p in summands] == [1, 3] and same_up_to_relabeling(summands[1], trefoil)
+    assert ties == [(0, 0, 1, 0)]
 
 
 def test_from_braid_unknot_cases():

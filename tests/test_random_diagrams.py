@@ -9,16 +9,22 @@ from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
-from knotcode.generators import builtin, connected_sum, from_braid, is_pretzel_knot, pretzel_diagram
+from knotcode.generators import builtin, connected_sum, from_braid, is_pretzel_knot, pretzel_diagram, split_sum
 from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
 from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
 from knotcode.exactlin import dense, sparse_det
-from knotcode.codes import code_from_diagram, min_distance
+from knotcode.codes import (
+    code_from_diagram,
+    min_distance,
+    sum_weight_enumerator,
+    tied_weight_enumerator,
+    weight_enumerator,
+)
 
 from conftest import small_diagrams
-from moves import random_move, surgery_sum
+from moves import canonical_key, random_move, surgery_sum
 from oracles import (
     arcs_by_union_find,
     bareiss_det,
@@ -30,6 +36,9 @@ from oracles import (
 
 F3 = FqField(3)
 F5 = FqField(5)
+F4 = FqField(2, [1, 1, 1])
+# the fields and t of the sum tests: F_3 and F_5 at -1, F_4 at a root alpha of x^2 + x + 1
+FIELDS_T = [(F3, -1), (F5, -1), (F4, (0, 1))]
 
 
 def _cycle_of(word, k: int) -> list[int]:
@@ -281,3 +290,92 @@ def test_poly_coloring_count_vs_enumeration(d, ring, data):
     units = product(range(p), repeat=deg)
     assume(any(poly_mulmod(t, u, p, f) == one for u in units))
     assert count_colorings(d, PolyMod(p, f), t) == count_colorings_poly_brute(d, p, f, t)
+
+
+# -- connected sums cut back into summands ------------------------------------------
+
+
+def _key_up_to_outer(d):
+    """moves.canonical_key, least over the choice of unbounded face: a
+    summand keeps its diagram on the sphere, but a connected sum keeps only
+    the first diagram's outer marker."""
+    if d.n == 0:
+        return canonical_key(d)
+    faces = {}
+    for tok, r in d.regions.items():
+        faces.setdefault(r, tok)
+    return min(canonical_key(Diagram(d.crossings, tok)) for tok in faces.values())
+
+
+def _summand_keys(d):
+    return sorted(_key_up_to_outer(p) for p in split_sum(d)[0] if p.n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(summands, summands, st.data())
+def test_split_gives_back_the_summands(d1, d2, data):
+    """split_sum(connected_sum(d1, a1, d2, a2)) is the split of d1 with the
+    split of d2, up to relabeling and the unbounded face, on built families
+    and braid closures after random Reidemeister moves (which may add kink
+    summands)."""
+    arc1 = data.draw(st.integers(0, d1.arc_count - 1), label="arc1")
+    arc2 = data.draw(st.integers(0, d2.arc_count - 1), label="arc2")
+    assert _summand_keys(connected_sum(d1, arc1, d2, arc2)) == sorted(_summand_keys(d1) + _summand_keys(d2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(small_diagrams()), braid_diagrams()),
+    st.one_of(st.sampled_from(small_diagrams()), braid_diagrams()),
+    st.sampled_from(FIELDS_T),
+    st.data(),
+)
+def test_sum_formula_on_the_diagram_sum(d1, d2, field_t, data):
+    """The paper's sum code, pinned on the knot it describes: the walk of
+    the Fox code of connected_sum(d1, a1, d2, a2) counts the weights that
+    sum_weight_enumerator gives for the summands' codes tied at a1 and a2."""
+    field, t = field_t
+    arc1 = data.draw(st.integers(0, d1.arc_count - 1), label="arc1")
+    arc2 = data.draw(st.integers(0, d2.arc_count - 1), label="arc2")
+    c1, c2 = code_from_diagram(d1, field, t), code_from_diagram(d2, field, t)
+    whole = code_from_diagram(connected_sum(d1, arc1, d2, arc2), field, t)
+    assert weight_enumerator(whole) == sum_weight_enumerator(c1, arc1, c2, arc2)
+
+
+@st.composite
+def long_sums(draw, moves: bool):
+    """Connected sums of up to 12 summands at random arcs whose Fox code
+    over a drawn field has at most 3^9 words, so the walk can check them (a
+    drawn summand that would pass that is left out); with moves, the sum
+    is then moved by one to four Reidemeister moves."""
+    field, t = draw(st.sampled_from(FIELDS_T))
+    part = st.sampled_from(small_diagrams()) | braid_diagrams(max_strands=3, max_len=5)
+    d = draw(part)
+    k = code_from_diagram(d, field, t).k
+    for _ in range(draw(st.integers(1, 11))):
+        nxt = draw(part)
+        arc1 = draw(st.integers(0, d.arc_count - 1))
+        arc2 = draw(st.integers(0, nxt.arc_count - 1))
+        kn = code_from_diagram(nxt, field, t).k
+        if field.q ** (k + kn - 1) <= 3**9:
+            d, k = connected_sum(d, arc1, nxt, arc2), k + kn - 1
+    if moves:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        for _ in range(draw(st.integers(1, 4))):
+            d = random_move(d, rng, max_crossings=d.n + 2)
+    return d, field, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(long_sums(moves=False), long_sums(moves=True)))
+def test_summand_weights_tie_to_the_walk(case):
+    """The tie DP over split_sum's summands gives the walk's weight
+    enumerator of the whole Fox code, whose k is the summands' k less one
+    per tie."""
+    d, field, t = case
+    summands, ties = split_sum(d)
+    codes = [code_from_diagram(p, field, t) for p in summands]
+    whole = code_from_diagram(d, field, t)
+    assert len(ties) == len(summands) - 1
+    assert whole.k == sum(c.k for c in codes) - len(ties)
+    assert tied_weight_enumerator(codes, ties) == weight_enumerator(whole)
