@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO, LaurentPoly, T
 from .fields import FqField, RingLaurent
 from .diagram import RIGHT, Diagram, dehn_role_tokens
-from .exactlin import dense, det_cost, dot, snf, sparse_det, unit_residual
+from .exactlin import dense, det_cost, dot, kronecker_det, snf, sparse_det, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -120,10 +120,14 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
     Unit-pivot elimination over Z[T, T^-1] pivots only on units +-T^k, so
     the minor is a unit times the determinant of the rows it leaves on the
     free columns, and zero when those rows fall short of the columns.  That
-    residual is a handful of rows on torus, pretzel and braid closures, but
-    on a connected sum it keeps a row per summand, which can fill in and
-    raise sparse_det's degree and coefficient bounds past the whole
-    minor's; sparse_det runs on whichever of the two det_cost prices lower.
+    residual is a few dense rows on torus, pretzel and braid closures (no
+    more than the strands less one on those tried), and kronecker_det
+    takes its determinant by one elimination over Z.  On a connected sum
+    it keeps a row per summand, which can fill in and raise the degree and
+    coefficient bounds past the whole minor's, and one elimination over
+    big integers on those rows can cost many times sparse_det's on the
+    whole minor; so sparse_det runs on the whole minor when det_cost
+    prices that below the residual.
     """
     minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
     free, rest = unit_residual(RingLaurent(), minor, d.arc_count - 1)
@@ -131,7 +135,8 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
         delta = ZERO
     else:
         rest = [tuple((j, e) for j, e in enumerate(row) if e) for row in rest]
-        delta = sparse_det(min(rest, minor, key=det_cost)).alexander_normalized()
+        det = sparse_det(minor) if det_cost(minor) < det_cost(rest) else kronecker_det(rest)
+        delta = det.alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta

@@ -1,17 +1,20 @@
-"""Exact linear algebra: determinants over Z[T, T^-1] by evaluation,
-interpolation and Chinese remaindering, Smith normal form over the
-Euclidean domains Z and F_p[T], and one sparse elimination over the
-coloring rings F_q, Z/m and F_p[T]/(f) of fields (FqField, IntMod,
-PolyMod) and over Z[T, T^-1] (RingLaurent); this module defines no ring.
+"""Exact linear algebra: determinants over Z[T, T^-1], of a large sparse
+matrix by evaluation, interpolation and Chinese remaindering and of a
+few dense rows by Kronecker substitution and one fraction-free
+elimination over Z, Smith normal form over the Euclidean domains Z and
+F_p[T], and one sparse elimination over the coloring rings F_q, Z/m and
+F_p[T]/(f) of fields (FqField, IntMod, PolyMod) and over Z[T, T^-1]
+(RingLaurent); this module defines no ring.
 
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
 factors and the rank, not the transforms that produce them.  laurent_det
-takes a square list of lists of LaurentPoly, sparse_det the same matrix
-as sparse LaurentPoly rows.  The elimination takes
-sparse rows, ((column, value), ...) pairs of a row's nonzeros, which is
-how a coloring matrix is evaluated (at most 4 nonzeros per row), so it
-costs little beyond its nonzeros where Gauss-Jordan took cubic time;
+takes a square list of lists of LaurentPoly, sparse_det and
+kronecker_det the same matrix as sparse LaurentPoly rows.  The
+elimination takes sparse rows, ((column, value), ...) pairs of a row's
+nonzeros, which is how a coloring matrix is evaluated (at most 4
+nonzeros per row), so it costs little beyond its nonzeros where
+Gauss-Jordan took cubic time;
 over F_q and F_p[T]/(f) every value, in rows and in the vectors
 returned, is an encoded int (see fields).  It pivots only on units: over
 F_q that is every nonzero, and it gives rank, a canonical kernel basis,
@@ -38,13 +41,16 @@ from .fields import FqField, IntMod, is_prime
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
 #
-# Evaluation, interpolation and Chinese remaindering (von zur Gathen &
-# Gerhard, Modern Computer Algebra, ch. 5): a determinant is a
-# polynomial of bounded degree and bounded coefficients once each row is
-# divided by its lowest power of T, so its values mod word-size primes at
-# enough points fix it.  Each value is one sparse elimination over Z/p on
-# word-size residues, so no entry grows during elimination, as polynomial
-# entries do in fraction-free elimination over Z[T].
+# Once each row is divided by its lowest power of T, a determinant is a
+# polynomial whose coefficients _bound_squared bounds, and two routines
+# read it off integer images.  sparse_det evaluates it mod word-size primes
+# at more points than its degree, interpolates and remainders (von zur
+# Gathen & Gerhard, Modern Computer Algebra, ch. 5): each value is one
+# sparse elimination on word-size residues, so no entry grows, which suits
+# a large sparse matrix.  kronecker_det evaluates it once, at a power of 2
+# wide enough to hold every coefficient as a digit (ibid., 8.4), by one
+# fraction-free elimination over Z, which suits the few dense rows that
+# unit pivots leave.
 
 
 def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -60,18 +66,9 @@ def sparse_det(rows) -> LaurentPoly:
     """Exact determinant of a square matrix given as sparse LaurentPoly
     rows ((column, entry), ...) of its nonzeros, in columns 0..len(rows)-1.
 
-    Every row is divided by its lowest power of T, which leaves polynomial
-    entries a_ij.  The determinant is then a polynomial P(T) of degree at
-    most D, the sum over the rows of their highest entry degree, and every
-    coefficient c_k of P obeys
-
-        |c_k| <= B = prod_i sqrt(sum_j ||a_ij||_1^2),
-
-    ||a||_1 the sum of the absolute coefficients of a: c_k is a Fourier
-    coefficient of P on the unit circle, so |c_k| <= max_{|z|=1} |P(z)|;
-    Hadamard's inequality bounds |P(z)| by the product of the Euclidean
-    norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
-
+    Every row is divided by its lowest power of T, which leaves a
+    polynomial P(T) of degree at most D, the sum over the rows of their
+    highest entry degree, with coefficients bounded by B (_bound_squared).
     The matrix is evaluated at T = 0..D modulo word-size primes, and each
     value is one sparse elimination over Z/p.  Interpolation gives P mod
     p, and Chinese remaindering over the primes gives P once their
@@ -101,6 +98,59 @@ def sparse_det(rows) -> LaurentPoly:
     return LaurentPoly.make([c - m if 2 * c > m else c for c in coeffs], sum(shifts))
 
 
+def kronecker_det(rows) -> LaurentPoly:
+    """The determinant sparse_det computes, of the same sparse LaurentPoly
+    rows, from one integer: its value at T = X = 2^s.
+
+    Every row is divided by its lowest power of T, which leaves a
+    polynomial P(T) with coefficients bounded by B (_bound_squared), and s
+    is the least with 2^(s-1) > B.  Every entry is evaluated at X, and
+    fraction-free elimination over Z (Bareiss, Math. Comp. 22, 1968; a row
+    swap on a zero pivot) gives P(X), every division exact.  Each
+    coefficient of P lies in (-X/2, X/2), so the coefficients are the
+    balanced base-X digits of P(X), lowest first.  No degree bound, prime
+    or interpolation is needed, and the big-integer arithmetic runs in C.
+    Step k leaves k x k minors of A(X), of about k s (d + 1) bits for
+    entries of degree d, in every cell below and right of the pivot, so
+    this suits a few dense rows and not a large sparse matrix.
+    """
+    if not all(rows):
+        return ZERO
+    s = (_bound_squared(rows).bit_length() + 1) // 2 + 1  # 4^(s-1) > B^2
+    n, shift, a = len(rows), 0, []
+    for row in rows:
+        low = min(e.min_deg for _, e in row)
+        shift += low
+        full = [0] * n
+        for c, e in row:
+            v = 0
+            for coeff in reversed(e.coeffs):
+                v = (v << s) + coeff
+            full[c] = v << s * (e.min_deg - low)
+        a.append(full)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return ZERO
+            a[k], a[i], sign = a[i], a[k], -sign
+        pivot, top = a[k][k], a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = pivot
+    value = sign * a[-1][-1] if a else 1
+    coeffs = []
+    while value:
+        digit = value & ((1 << s) - 1)
+        if digit >> (s - 1):  # at least X/2: a negative coefficient
+            digit -= 1 << s
+        coeffs.append(digit)
+        value = (value - digit) >> s
+    return LaurentPoly.make(coeffs, shift)
+
+
 def det_cost(rows) -> int:
     """What sparse_det costs on the same rows, in cells visited: each of
     its (D + 1) x (number of primes) eliminations visits every nonzero at
@@ -111,11 +161,28 @@ def det_cost(rows) -> int:
     return (degree + 1) * len(primes) * sum(map(len, rows))
 
 
+def _bound_squared(rows) -> int:
+    """B^2, where B bounds the coefficients of the determinant of sparse
+    LaurentPoly rows.
+
+    Divide every row by its lowest power of T, which leaves polynomial
+    entries a_ij and a determinant P(T).  Every coefficient c_k of P obeys
+
+        |c_k| <= B = prod_i sqrt(sum_j ||a_ij||_1^2),
+
+    ||a||_1 the sum of the absolute coefficients of a: c_k is a Fourier
+    coefficient of P on the unit circle, so |c_k| <= max_{|z|=1} |P(z)|;
+    Hadamard's inequality bounds |P(z)| by the product of the Euclidean
+    norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
+    """
+    return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
+
+
 def _det_size(rows) -> tuple[int, list[int]]:
     """sparse_det's degree bound D and the word-size primes whose product
     exceeds 2B, for sparse LaurentPoly rows none of which is empty."""
     degree = sum(max(e.max_deg for _, e in row) - min(e.min_deg for _, e in row) for row in rows)
-    bound2 = math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
+    bound2 = _bound_squared(rows)
     primes, m = [], 1
     while m * m <= 4 * bound2:  # until m > 2B
         primes.append(_word_prime(len(primes)))

@@ -4,9 +4,9 @@ Everything here enumerates or expands definitions directly; none of it
 shares code with the SNF / modular determinant / kernel routes it
 certifies.  The dense Gauss-Jordan elimination over F_q is the reference
 for the sparse one, fraction-free (Bareiss) elimination over Z[T] the
-reference for the determinants by evaluation and Chinese remaindering,
-and determinantal divisors (gcds of all k x k minors) the reference for
-the Smith form.  All n^2 first minors of the Fox matrix, by the
+reference for the determinants by evaluation and Chinese remaindering
+and by Kronecker substitution, and determinantal divisors (gcds of all
+k x k minors) the reference for the Smith form.  All n^2 first minors of the Fox matrix, by the
 determinants by evaluation (themselves checked against Bareiss), are the
 reference for the two identities coloring.first_minors_agree checks
 instead; minor_dets takes them one sparse_det at a time.  The Z[T] gcd
@@ -328,8 +328,8 @@ def kernel_basis_dense(field, rows, ncols):
 
 
 def sparse_rows(rows) -> tuple:
-    """Dense F_q rows as the ((column, value), ...) pairs of their nonzeros,
-    the row format the library's F_q routines take."""
+    """Dense rows as the ((column, value), ...) pairs of their nonzeros,
+    the row format the library's sparse routines take."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from functools import partial
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from knotcode import coloring
-from knotcode.fields import FqField, IntMod, PolyMod, RingFpT
+from knotcode.fields import FqField, IntMod, PolyMod, RingFpT, RingLaurent
 from knotcode.diagram import LEFT, RIGHT
 from knotcode.generators import builtin, connected_sum, from_braid, pretzel_diagram, torus_diagram
 from knotcode.coloring import (
@@ -23,7 +24,7 @@ from knotcode.coloring import (
 )
 from knotcode.codes import code_from_diagram
 from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
-from knotcode.exactlin import dense, kernel_basis, snf
+from knotcode.exactlin import dense, kernel_basis, snf, sparse_det, unit_residual
 
 from conftest import small_diagrams
 from moves import reidemeister_r1
@@ -36,6 +37,7 @@ from oracles import (
     int_poly_content_gcd,
     minor_family,
     poly_mulmod,
+    sparse_rows,
     unit_ratio,
 )
 
@@ -157,18 +159,58 @@ def test_alexander_ladder():
 
 
 def test_alexander_determinant_of_the_cheaper_matrix(monkeypatch, trefoil):
-    """sparse_det gets the one row that unit pivots leave of T(2,81), and
-    the whole 29-row minor of ten trefoils each spliced in at arc 0, whose
-    residual rows fill in; both results are the closed forms."""
-    sizes = []
-    real = coloring.sparse_det
-    monkeypatch.setattr(coloring, "sparse_det", lambda rows: sizes.append(len(rows)) or real(rows))
+    """kronecker_det gets the one row that unit pivots leave of T(2,81), and
+    sparse_det the whole 29-row minor of ten trefoils each spliced in at
+    arc 0, whose residual rows fill in; both results are the closed forms."""
+    sizes = {"kronecker_det": [], "sparse_det": []}
+    for name, seen in sizes.items():
+        real = getattr(coloring, name)
+        monkeypatch.setattr(coloring, name, lambda rows, real=real, seen=seen: seen.append(len(rows)) or real(rows))
     assert alexander_polynomial(torus_diagram(2, 81)) == LaurentPoly.make([(-1) ** i for i in range(81)])
     nested = trefoil
     for _ in range(9):
         nested = connected_sum(nested, 0, trefoil, 0)
     assert alexander_polynomial(nested) == math.prod([DELTA_TREFOIL] * 10, start=ONE)
-    assert sizes == [1, 29]
+    assert sizes == {"kronecker_det": [1], "sparse_det": [29]}
+
+
+def _minor_and_residual(d):
+    """The (1,1) Fox minor as sparse rows, and the dense rows that unit
+    pivots leave of it."""
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    return minor, unit_residual(RingLaurent(), minor, d.arc_count - 1)[1]
+
+
+# (strands, letters, seed, residual rows, span of Delta, |Delta(-1)|) of
+# closures of random braid words that are knots; the residuals of 5-10
+# rows are where kronecker_det's elimination runs past one step
+MANY_STRAND_BRAIDS = [
+    (8, 41, 49, 5, 10, 1689),
+    (10, 81, 24, 7, 28, 6540621),
+    (12, 121, 9, 10, 36, 322352211),
+    (8, 161, 12, 7, 46, 4398682487),
+]
+
+
+def test_alexander_of_many_strand_braids():
+    """Delta of braid closures on 8-12 strands and of T(7,5) and T(7,9),
+    whose residuals have 5-10 rows: against the closed form on the torus
+    knots, and against sparse_det of the whole minor up to 81 crossings;
+    on the two largest, whose whole minors take seconds, against
+    sparse_det of the same residual rows."""
+    for a, b, rows in ((7, 5, 5), (7, 9, 6)):
+        d = torus_diagram(a, b)
+        minor, rest = _minor_and_residual(d)
+        assert len(rest) == rows
+        assert alexander_polynomial(d) == torus_alexander(a, b) == sparse_det(minor).alexander_normalized()
+    for strands, letters, seed, rows, span, det in MANY_STRAND_BRAIDS:
+        rng = random.Random(seed)
+        d = from_braid(strands, [rng.randint(1, strands - 1) * rng.choice((1, -1)) for _ in range(letters)])
+        minor, rest = _minor_and_residual(d)
+        delta = alexander_polynomial(d)
+        assert (len(rest), delta.max_deg - delta.min_deg, abs(delta.eval_int(-1))) == (rows, span, det)
+        whole = minor if d.n <= 81 else sparse_rows(rest)
+        assert delta == sparse_det(whole).alexander_normalized()
 
 
 def test_first_minors_match_bareiss_oracle():
@@ -282,6 +324,7 @@ def test_field_colorability_needs_no_determinant(monkeypatch, F3):
         raise AssertionError("is_colorable over F_q computed a determinant")
 
     monkeypatch.setattr(coloring, "sparse_det", spy)
+    monkeypatch.setattr(coloring, "kronecker_det", spy)
     assert is_colorable(torus_diagram(2, 81), F3, -1)
     assert not is_colorable(builtin("figure_eight"), F3, -1)
 

@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcode.exactlin import (
+    _bound_squared,
     kernel_basis,
+    kronecker_det,
     laurent_det,
     rank,
     snf,
+    sparse_det,
 )
 from knotcode.fields import FqField, RingFpT, RingZ
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
@@ -68,14 +71,55 @@ def test_laurent_det_matches_cofactor_oracle(data):
 
 def test_laurent_det_past_64_bits():
     two40 = LaurentPoly.const(2**40)
-    assert laurent_det([[two40, ZERO, ZERO], [ZERO, two40, ZERO], [ZERO, ZERO, ONE]]) == LaurentPoly.const(2**80)
     big = LaurentPoly.make((3**200, -(5**150)), -3)  # a bound of about 2^350: six primes
-    assert laurent_det([[big, ONE], [-ONE, T]]) == big * T + ONE
-    assert laurent_det([]) == ONE
     # a coefficient at the bound B itself: the first prime lies between B
-    # and 2B, and lifting mod that prime alone would flip its sign
+    # and 2B, and lifting mod that prime alone would flip its sign; digits
+    # of one bit fewer than kronecker_det's would hold only up to 2^61
     at_bound = LaurentPoly.const(-(2**61 + 1))
-    assert laurent_det([[at_bound]]) == at_bound
+    cases = [
+        ([[two40, ZERO, ZERO], [ZERO, two40, ZERO], [ZERO, ZERO, ONE]], LaurentPoly.const(2**80)),
+        ([[big, ONE], [-ONE, T]], big * T + ONE),
+        ([], ONE),
+        ([[at_bound]], at_bound),
+    ]
+    for rows, det in cases:
+        assert laurent_det(rows) == kronecker_det(sparse_rows(rows)) == det
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_kronecker_det_matches_bareiss_and_sparse_det(data):
+    """One integer elimination at T = 2^s agrees with Bareiss over Z[T] and
+    with evaluation and CRT, on orders 0-8 with zero rows, dependent rows,
+    a zero (1,1) entry (a row swap) and coefficients past 2^64; on a
+    monomial matrix the determinant's one coefficient is -B, the most
+    negative the digits must hold."""
+    n = data.draw(st.integers(min_value=0, max_value=8), label="order")
+    kind = data.draw(st.sampled_from(["monomial", "random", "zero row", "dependent", "zero corner"]), label="kind")
+    if kind == "monomial" and n:  # one c T^e per row and column: det -B T^k
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, j in enumerate(data.draw(st.permutations(range(n)))):
+            c = data.draw(st.integers(-(10**6), 10**6).filter(bool))
+            rows[i][j] = LaurentPoly((c,), data.draw(st.integers(-2, 2)))
+        if bareiss_det(rows).coeffs[0] > 0:
+            rows[0] = [-e for e in rows[0]]
+        assert bareiss_det(rows).coeffs[0] ** 2 == _bound_squared(sparse_rows(rows))
+    else:
+        entry = _entries(data.draw(st.sampled_from([4, 10**6, 2**70]), label="coefficient bound"))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "zero row" and n:
+        rows[data.draw(st.integers(0, n - 1))] = [ZERO] * n
+    elif kind == "dependent" and n >= 2:  # row i = T^s row j + c row k, with i not in (j, k)
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k, s, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-2, 2)), data.draw(entry)
+        rows[i] = [a.shift(s) + (c * b if k != i else ZERO) for a, b in zip(rows[j], rows[k])]
+    elif kind == "zero corner" and n:
+        rows[0][0] = ZERO
+    sparse = sparse_rows(rows)
+    det = kronecker_det(sparse)
+    assert det == bareiss_det(rows) == sparse_det(sparse)
+    if kind in ("zero row", "dependent") and n >= 2:
+        assert det == ZERO
 
 
 def test_minor_dets_count():
