@@ -7,7 +7,7 @@ dimension calculus.
 
 from .laurent import LaurentPoly
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
-from .exactlin import SnfResult, kernel_basis, laurent_det, rank, snf
+from .exactlin import SnfResult, kernel_basis, rank, snf
 from .diagram import Crossing, Diagram, DiagramError
 from .generators import (
     builtin,

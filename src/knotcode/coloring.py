@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO, LaurentPoly, T
 from .fields import FqField, RingLaurent
 from .diagram import RIGHT, Diagram, dehn_role_tokens
-from .exactlin import dense, det_cost, dot, kronecker_det, snf, sparse_det, unit_residual
+from .generators import split_sum
+from .exactlin import dense, dot, kronecker_det, snf, unit_residual
 
 _ONE_MINUS_T = ONE - T
 _MINUS_ONE = -ONE
@@ -117,26 +118,27 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
     """Normalized generator of the first elementary ideal: the (1,1) minor
     of the Fox matrix scaled to a positive constant term.
 
-    Unit-pivot elimination over Z[T, T^-1] pivots only on units +-T^k, so
-    the minor is a unit times the determinant of the rows it leaves on the
-    free columns, and zero when those rows fall short of the columns.  That
-    residual is a few dense rows on torus, pretzel and braid closures (no
-    more than the strands less one on those tried), and kronecker_det
-    takes its determinant by one elimination over Z.  On a connected sum
-    it keeps a row per summand, which can fill in and raise the degree and
-    coefficient bounds past the whole minor's, and one elimination over
-    big integers on those rows can cost many times sparse_det's on the
-    whole minor; so sparse_det runs on the whole minor when det_cost
-    prices that below the residual.
+    Delta is multiplicative under connected sum (Crowell & Fox,
+    Introduction to Knot Theory; Rolfsen, Knots and Links), so it is the
+    product of the visible summands' Delta, each summand one of
+    split_sum(d); a diagram with no splice is its own one summand.  On
+    each summand, unit-pivot elimination over Z[T, T^-1] pivots only on
+    units +-T^k, so its minor is a unit times the determinant of the rows
+    it leaves on the free columns, and zero when those rows fall short of
+    the columns.  That residual is a few dense rows on a visibly prime
+    summand (no more than the strands less one on the torus, pretzel and
+    braid closures tried), and kronecker_det takes its determinant by one
+    elimination over Z.
     """
-    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
-    free, rest = unit_residual(RingLaurent(), minor, d.arc_count - 1)
-    if len(rest) < free:
-        delta = ZERO
-    else:
-        rest = [tuple((j, e) for j, e in enumerate(row) if e) for row in rest]
-        det = sparse_det(minor) if det_cost(minor) < det_cost(rest) else kronecker_det(rest)
-        delta = det.alexander_normalized()
+    delta = ONE
+    for s in split_sum(d)[0]:
+        minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(s).rows[1:]]
+        free, rest = unit_residual(RingLaurent(), minor, s.arc_count - 1)
+        if len(rest) < free:
+            delta = ZERO
+            break
+        delta *= kronecker_det([tuple((j, e) for j, e in enumerate(row) if e) for row in rest])
+    delta = delta.alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")
     return delta

@@ -1,25 +1,22 @@
-"""Exact linear algebra: determinants over Z[T, T^-1], of a large sparse
-matrix by evaluation, interpolation and Chinese remaindering and of a
-few dense rows by Kronecker substitution and one fraction-free
-elimination over Z, Smith normal form over the Euclidean domains Z and
-F_p[T], and one sparse elimination over the coloring rings F_q, Z/m and
-F_p[T]/(f) of fields (FqField, IntMod, PolyMod) and over Z[T, T^-1]
-(RingLaurent); this module defines no ring.
+"""Exact linear algebra: the determinant over Z[T, T^-1] of a few dense
+rows by Kronecker substitution and one fraction-free elimination over Z,
+Smith normal form over the Euclidean domains Z and F_p[T], and one
+sparse elimination over the coloring rings F_q, Z/m and F_p[T]/(f) of
+fields (FqField, IntMod, PolyMod) and over Z[T, T^-1] (RingLaurent);
+this module defines no ring.
 
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
-factors and the rank, not the transforms that produce them.  laurent_det
-takes a square list of lists of LaurentPoly, sparse_det and
-kronecker_det the same matrix as sparse LaurentPoly rows.  The
+factors and the rank, not the transforms that produce them.
+kronecker_det takes a square matrix as sparse LaurentPoly rows.  The
 elimination takes sparse rows, ((column, value), ...) pairs of a row's
 nonzeros, which is how a coloring matrix is evaluated (at most 4
 nonzeros per row), so it costs little beyond its nonzeros where
 Gauss-Jordan took cubic time;
 over F_q and F_p[T]/(f) every value, in rows and in the vectors
 returned, is an encoded int (see fields).  It pivots only on units: over
-F_q that is every nonzero, and it gives rank, a canonical kernel basis,
-and over Z/p the determinant values the determinants over Z[T, T^-1] are
-interpolated from; over Z/m and F_p[T]/(f) the few rows left without a
+F_q that is every nonzero, and it gives rank and a canonical kernel
+basis; over Z/m and F_p[T]/(f) the few rows left without a
 unit are what the coloring counts lift into the cover and hand to the
 Smith form, whose entries then stay reduced instead of growing; over
 Z[T, T^-1], whose units are +-T^k, they are what the Alexander
@@ -32,75 +29,26 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heappush
 
 from .laurent import ZERO, LaurentPoly
-from .fields import FqField, IntMod, is_prime
+from .fields import FqField
 
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
 #
 # Once each row is divided by its lowest power of T, a determinant is a
-# polynomial whose coefficients _bound_squared bounds, and two routines
-# read it off integer images.  sparse_det evaluates it mod word-size primes
-# at more points than its degree, interpolates and remainders (von zur
-# Gathen & Gerhard, Modern Computer Algebra, ch. 5): each value is one
-# sparse elimination on word-size residues, so no entry grows, which suits
-# a large sparse matrix.  kronecker_det evaluates it once, at a power of 2
-# wide enough to hold every coefficient as a digit (ibid., 8.4), by one
-# fraction-free elimination over Z, which suits the few dense rows that
-# unit pivots leave.
-
-
-def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square LaurentPoly matrix, by sparse_det."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    return sparse_det([tuple((j, e) for j, e in enumerate(row) if e) for row in rows])
-
-
-def sparse_det(rows) -> LaurentPoly:
-    """Exact determinant of a square matrix given as sparse LaurentPoly
-    rows ((column, entry), ...) of its nonzeros, in columns 0..len(rows)-1.
-
-    Every row is divided by its lowest power of T, which leaves a
-    polynomial P(T) of degree at most D, the sum over the rows of their
-    highest entry degree, with coefficients bounded by B (_bound_squared).
-    The matrix is evaluated at T = 0..D modulo word-size primes, and each
-    value is one sparse elimination over Z/p.  Interpolation gives P mod
-    p, and Chinese remaindering over the primes gives P once their
-    product exceeds 2B, lifted to (-M/2, M/2].  The result is exact; no
-    step is probabilistic.
-    """
-    if not all(rows):
-        return ZERO
-    degree, primes = _det_size(rows)
-    shifts, cells, index = [], [], {}  # index: distinct shifted entry -> position in polys
-    for row in rows:
-        s = min(e.min_deg for _, e in row)
-        shifts.append(s)
-        cells.append([(c, index.setdefault(e.shift(-s), len(index))) for c, e in row])
-    polys = list(index)
-    order = _by_weight(cells)
-    coeffs, m = [0] * (degree + 1), 1  # P's coefficients mod m
-    for p in primes:
-        ring = IntMod(p)
-        values = []
-        for x in range(degree + 1):
-            image = [ring.eval_laurent(e, x) for e in polys]
-            values.append(_det_mod(ring, [[(c, image[j]) for c, j in row if image[j]] for row in cells], order))
-        inv = pow(m, -1, p)
-        coeffs = [r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(values, p))]
-        m *= p
-    return LaurentPoly.make([c - m if 2 * c > m else c for c in coeffs], sum(shifts))
+# polynomial whose coefficients _bound_squared bounds, and kronecker_det
+# reads it off one integer image: its value at a power of 2 wide enough
+# to hold every coefficient as a digit (von zur Gathen & Gerhard, Modern
+# Computer Algebra, 8.4), by one fraction-free elimination over Z, which
+# suits the few dense rows that unit pivots leave.
 
 
 def kronecker_det(rows) -> LaurentPoly:
-    """The determinant sparse_det computes, of the same sparse LaurentPoly
-    rows, from one integer: its value at T = X = 2^s.
+    """Exact determinant of a square matrix given as sparse LaurentPoly
+    rows ((column, entry), ...) of its nonzeros, in columns
+    0..len(rows)-1, from one integer: its value at T = X = 2^s.
 
     Every row is divided by its lowest power of T, which leaves a
     polynomial P(T) with coefficients bounded by B (_bound_squared), and s
@@ -151,16 +99,6 @@ def kronecker_det(rows) -> LaurentPoly:
     return LaurentPoly.make(coeffs, shift)
 
 
-def det_cost(rows) -> int:
-    """What sparse_det costs on the same rows, in cells visited: each of
-    its (D + 1) x (number of primes) eliminations visits every nonzero at
-    least once.  Zero when a row is empty, as the determinant is then."""
-    if not all(rows):
-        return 0
-    degree, primes = _det_size(rows)
-    return (degree + 1) * len(primes) * sum(map(len, rows))
-
-
 def _bound_squared(rows) -> int:
     """B^2, where B bounds the coefficients of the determinant of sparse
     LaurentPoly rows.
@@ -176,69 +114,6 @@ def _bound_squared(rows) -> int:
     norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
     """
     return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
-
-
-def _det_size(rows) -> tuple[int, list[int]]:
-    """sparse_det's degree bound D and the word-size primes whose product
-    exceeds 2B, for sparse LaurentPoly rows none of which is empty."""
-    degree = sum(max(e.max_deg for _, e in row) - min(e.min_deg for _, e in row) for row in rows)
-    bound2 = _bound_squared(rows)
-    primes, m = [], 1
-    while m * m <= 4 * bound2:  # until m > 2B
-        primes.append(_word_prime(len(primes)))
-        m *= primes[-1]
-    return degree, primes
-
-
-@cache
-def _word_prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2^62, found by is_prime once."""
-    p = _word_prime(i - 1) if i else 1 << 62
-    p -= 1
-    while not is_prime(p):
-        p -= 1
-    return p
-
-
-def _det_mod(ring, rows, order) -> int:
-    """Determinant over Z/p of square sparse rows: the product of the
-    unscaled pivots times the sign of the permutation that takes each row
-    to its pivot column; zero when a row reduces to empty."""
-    leads = []
-    cols = list(_reduce(ring, rows, order, back=False, leads=leads)[0])  # in row order
-    if len(cols) < len(rows):
-        return 0
-    det = 1
-    for v in leads:
-        det = det * v % ring.m
-    seen = set()
-    for start in range(len(cols)):  # an even-length cycle flips the sign
-        c, length = start, 0
-        while c not in seen:
-            seen.add(c)
-            c, length = cols[c], length + 1
-        if length and length % 2 == 0:
-            det = -det
-    return det % ring.m
-
-
-def _interpolate(values, p: int) -> list[int]:
-    """Ascending coefficients mod p of the polynomial of degree below
-    len(values) that takes values[x] at x = 0, 1, ...: Newton divided
-    differences (the points are consecutive, so level j divides by j),
-    then Horner's rule back to the monomial basis."""
-    c = list(values)
-    n = len(c)
-    for j in range(1, n):
-        inv = pow(j, -1, p)
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv % p
-    out = [0] * n
-    for k in range(n - 1, -1, -1):  # out <- out * (T - k) + c[k]
-        for i in range(n - 1, 0, -1):
-            out[i] = (out[i - 1] - k * out[i]) % p
-        out[0] = (c[k] - k * out[0]) % p
-    return out
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -363,7 +238,7 @@ def _axpy(ring, row: dict, f, prow: dict) -> None:
             del row[c]
 
 
-def _reduce(ring, rows, order, back: bool = True, leads: list | None = None) -> tuple[dict, list[dict]]:
+def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
     """Eliminate the sparse rows in the given column order.
 
     Returns ({pivot column: pivot row}, residual rows), pivots in the order
@@ -371,8 +246,7 @@ def _reduce(ring, rows, order, back: bool = True, leads: list | None = None) -> 
     pivot columns found before it; over a field its pivot is its first
     column in the order, and with back=True (fields only) it is also zero
     at every other pivot column.  Residual rows have no unit entry and are
-    zero at every pivot column.  leads, when given, receives each pivot's
-    value before the row is scaled to 1 there.
+    zero at every pivot column.
     """
     pos = {c: i for i, c in enumerate(order)}
     inv_of, mul = ring.inv, ring.mul
@@ -406,8 +280,6 @@ def _reduce(ring, rows, order, back: bool = True, leads: list | None = None) -> 
                     residual.append(row)
                     continue
                 inv = inv_of(row[lead])
-            if leads is not None:
-                leads.append(row[lead])
             pivots[lead] = {c: mul(inv, v) for c, v in row.items()}
             age[lead] = len(found)
             found.append(lead)

@@ -48,12 +48,6 @@ class LaurentPoly:
             return 0
         return self.min_deg + len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> int:
-        i = k - self.min_deg
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __bool__(self) -> bool:
         return not self.is_zero
 

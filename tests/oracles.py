@@ -1,13 +1,16 @@
 """Independent brute-force oracles the fast paths are checked against.
 
 Everything here enumerates or expands definitions directly; none of it
-shares code with the SNF / modular determinant / kernel routes it
-certifies.  The dense Gauss-Jordan elimination over F_q is the reference
-for the sparse one, fraction-free (Bareiss) elimination over Z[T] the
-reference for the determinants by evaluation and Chinese remaindering
-and by Kronecker substitution, and determinantal divisors (gcds of all
-k x k minors) the reference for the Smith form.  All n^2 first minors of the Fox matrix, by the
-determinants by evaluation (themselves checked against Bareiss), are the
+shares code with the SNF / determinant / kernel routes it certifies.
+The dense Gauss-Jordan elimination over F_q is the reference for the
+sparse one, and determinantal divisors (gcds of all k x k minors) the
+reference for the Smith form.  Two determinants over Z[T, T^-1] are the
+references for the library's one, kronecker_det by Kronecker
+substitution: fraction-free (Bareiss) elimination over Z[T], and
+sparse_det, which evaluates at more points than the degree mod
+word-size primes, each value by its own sparse elimination mod p, then
+interpolates and Chinese-remainders.  All n^2 first minors of the Fox
+matrix, by sparse_det (itself checked against Bareiss), are the
 reference for the two identities coloring.first_minors_agree checks
 instead; minor_dets takes them one sparse_det at a time.  The Z[T] gcd
 helpers at the end serve tests that compare ideals generated by minors.
@@ -17,12 +20,13 @@ other oracle machinery, are in moves.py.
 """
 
 import math
+from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial, dehn_matrix, fox_matrix
-from knotcode.exactlin import sparse_det
-from knotcode.fields import FqField, IntMod, PolyMod
+from knotcode.fields import FqField, IntMod, PolyMod, is_prime
 from knotcode.laurent import ONE, ZERO, LaurentPoly
 
 
@@ -77,6 +81,126 @@ def bareiss_det(rows) -> LaurentPoly:
         prev = pivot
     det = mat[n - 1][n - 1].shift(shift)
     return -det if sign < 0 else det
+
+
+def sparse_det(rows) -> LaurentPoly:
+    """Exact determinant of a square matrix given as sparse LaurentPoly
+    rows ((column, entry), ...) of its nonzeros, in columns 0..len(rows)-1,
+    by evaluation, interpolation and Chinese remaindering (von zur Gathen
+    & Gerhard, Modern Computer Algebra, ch. 5).
+
+    Every row is divided by its lowest power of T, which leaves a
+    polynomial P(T) of degree at most D, the sum over the rows of their
+    degree spans, with coefficients bounded by B (Hadamard's bound on the
+    unit circle, as in exactlin._bound_squared, recomputed here).  The
+    matrix is evaluated at T = 0..D modulo word-size primes, each value
+    one sparse elimination mod p (_det_mod).  Interpolation gives P mod p,
+    and Chinese remaindering over the primes gives P once their product
+    exceeds 2B, lifted to (-M/2, M/2].
+    """
+    if not all(rows):
+        return ZERO
+    n = len(rows)
+    degree = sum(max(e.max_deg for _, e in row) - min(e.min_deg for _, e in row) for row in rows)
+    bound2 = math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
+    shifts, cells, index = [], [], {}  # index: distinct entry divided by its row's T power -> position
+    for row in rows:
+        s = min(e.min_deg for _, e in row)
+        shifts.append(s)
+        cells.append([(c, index.setdefault(e.shift(-s), len(index))) for c, e in row])
+    weight = Counter(c for row in rows for c, _ in row)
+    order = sorted(range(n), key=lambda c: (weight[c], c))
+    coeffs, m, i = [0] * (degree + 1), 1, 0  # P's coefficients mod m
+    while m * m <= 4 * bound2:  # until m > 2B
+        p = _word_prime(i)
+        i += 1
+        values = []
+        for x in range(degree + 1):
+            at = [_horner(e, x, p) for e in index]
+            values.append(_det_mod([{c: at[j] for c, j in row if at[j]} for row in cells], order, p))
+        inv = pow(m, -1, p)
+        coeffs = [r + m * ((v - r) * inv % p) for r, v in zip(coeffs, _interpolate(values, p))]
+        m *= p
+    return LaurentPoly.make([c - m if 2 * c > m else c for c in coeffs], sum(shifts))
+
+
+def _horner(e: LaurentPoly, x: int, p: int) -> int:
+    """A polynomial (min_deg >= 0) at x, mod p, by Horner's rule."""
+    v = 0
+    for a in reversed(e.coeffs):
+        v = (v * x + a) % p
+    return v * pow(x, e.min_deg, p) % p
+
+
+@cache
+def _word_prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^62."""
+    p = _word_prime(i - 1) if i else 1 << 62
+    p -= 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def _det_mod(rows, order, p: int) -> int:
+    """Determinant mod p of square sparse rows {column: value}, reduced in
+    place: for each column in order, the shortest row left with a nonzero
+    there is its pivot and clears the column from the rest.  The
+    determinant is the product of the pivots times the sign of the
+    permutation that takes each pivot row to its column."""
+    holders = {}  # column -> rows that had a nonzero there
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    det, column_of = 1, {}
+    for c in order:
+        live = [r for r in holders.get(c, ()) if r not in column_of and rows[r].get(c)]
+        if not live:
+            return 0
+        r = min(live, key=lambda r: (len(rows[r]), r))
+        column_of[r] = c
+        prow = rows[r]
+        det = det * prow[c] % p
+        inv = pow(prow[c], -1, p)
+        for o in live:
+            if o == r:
+                continue
+            row, f = rows[o], rows[o][c] * inv % p
+            for cc, v in prow.items():
+                x = (row.get(cc, 0) - f * v) % p
+                if x:
+                    row[cc] = x
+                    holders.setdefault(cc, set()).add(o)
+                else:
+                    row.pop(cc, None)
+    seen = set()
+    for start in column_of:  # an even-length cycle flips the sign
+        r, length = start, 0
+        while r not in seen:
+            seen.add(r)
+            r, length = column_of[r], length + 1
+        if length and length % 2 == 0:
+            det = -det
+    return det % p
+
+
+def _interpolate(values, p: int) -> list[int]:
+    """Ascending coefficients mod p of the polynomial of degree below
+    len(values) that takes values[x] at x = 0, 1, ...: Newton divided
+    differences (the points are consecutive, so level j divides by j),
+    then Horner's rule back to the monomial basis."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        inv = pow(j, -1, p)
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    out = [0] * n
+    for k in range(n - 1, -1, -1):  # out <- out * (T - k) + c[k]
+        for i in range(n - 1, 0, -1):
+            out[i] = (out[i - 1] - k * out[i]) % p
+        out[0] = (c[k] - k * out[0]) % p
+    return out
 
 
 def bareiss_minors(rows, order: int) -> list:

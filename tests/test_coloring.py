@@ -24,7 +24,7 @@ from knotcode.coloring import (
 )
 from knotcode.codes import code_from_diagram
 from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
-from knotcode.exactlin import dense, kernel_basis, snf, sparse_det, unit_residual
+from knotcode.exactlin import dense, kernel_basis, snf, unit_residual
 
 from conftest import small_diagrams
 from moves import reidemeister_r1
@@ -37,6 +37,7 @@ from oracles import (
     int_poly_content_gcd,
     minor_family,
     poly_mulmod,
+    sparse_det,
     sparse_rows,
     unit_ratio,
 )
@@ -158,20 +159,21 @@ def test_alexander_ladder():
         assert alexander_polynomial(torus_diagram(a, b)) == torus_alexander(a, b)
 
 
-def test_alexander_determinant_of_the_cheaper_matrix(monkeypatch, trefoil):
+def test_alexander_determinant_per_summand(monkeypatch, trefoil):
     """kronecker_det gets the one row that unit pivots leave of T(2,81), and
-    sparse_det the whole 29-row minor of ten trefoils each spliced in at
-    arc 0, whose residual rows fill in; both results are the closed forms."""
-    sizes = {"kronecker_det": [], "sparse_det": []}
-    for name, seen in sizes.items():
-        real = getattr(coloring, name)
-        monkeypatch.setattr(coloring, name, lambda rows, real=real, seen=seen: seen.append(len(rows)) or real(rows))
+    one row per summand of ten trefoils each spliced in at arc 0, whose
+    whole minor's residual rows would fill in; both results are the closed
+    forms."""
+    sizes = []
+    real = coloring.kronecker_det
+    monkeypatch.setattr(coloring, "kronecker_det", lambda rows: sizes.append(len(rows)) or real(rows))
     assert alexander_polynomial(torus_diagram(2, 81)) == LaurentPoly.make([(-1) ** i for i in range(81)])
+    assert sizes == [1]
     nested = trefoil
     for _ in range(9):
         nested = connected_sum(nested, 0, trefoil, 0)
     assert alexander_polynomial(nested) == math.prod([DELTA_TREFOIL] * 10, start=ONE)
-    assert sizes == {"kronecker_det": [1], "sparse_det": [29]}
+    assert sizes == [1] * 11
 
 
 def _minor_and_residual(d):
@@ -323,7 +325,6 @@ def test_field_colorability_needs_no_determinant(monkeypatch, F3):
     def spy(rows):
         raise AssertionError("is_colorable over F_q computed a determinant")
 
-    monkeypatch.setattr(coloring, "sparse_det", spy)
     monkeypatch.setattr(coloring, "kronecker_det", spy)
     assert is_colorable(torus_diagram(2, 81), F3, -1)
     assert not is_colorable(builtin("figure_eight"), F3, -1)

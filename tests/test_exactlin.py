@@ -1,15 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcode.exactlin import (
-    _bound_squared,
-    kernel_basis,
-    kronecker_det,
-    laurent_det,
-    rank,
-    snf,
-    sparse_det,
-)
+from knotcode.exactlin import _bound_squared, kernel_basis, kronecker_det, rank, snf
 from knotcode.fields import FqField, RingFpT, RingZ
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from oracles import (
@@ -19,6 +11,7 @@ from oracles import (
     minor_dets,
     rank_dense,
     snf_by_minors,
+    sparse_det,
     sparse_rows,
     unit_ratio,
 )
@@ -32,10 +25,10 @@ TREFOIL_M = [
 
 def test_trefoil_minors_and_det():
     minor11 = [row[1:] for row in TREFOIL_M[1:]]
-    assert laurent_det(minor11) == ONE - T + T * T
+    assert kronecker_det(sparse_rows(minor11)) == ONE - T + T * T
     minor12 = [[row[0], row[2]] for row in TREFOIL_M[1:]]
-    assert laurent_det(minor12) == -(ONE - T + T * T)
-    assert laurent_det(TREFOIL_M) == ZERO
+    assert kronecker_det(sparse_rows(minor12)) == -(ONE - T + T * T)
+    assert kronecker_det(sparse_rows(TREFOIL_M)) == ZERO
 
 
 def _entries(bound):
@@ -49,10 +42,9 @@ def _entries(bound):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_laurent_det_matches_cofactor_oracle(data):
-    """Evaluation, interpolation and CRT agree with Bareiss and cofactor
-    expansion, with zero rows, singular matrices and negative exponents;
-    at 10^6 the coefficient bound needs two word-size primes or more."""
+def test_kronecker_det_matches_cofactor_oracle(data):
+    """One integer elimination at T = 2^s agrees with Bareiss and cofactor
+    expansion, with zero rows, singular matrices and negative exponents."""
     n = data.draw(st.integers(min_value=1, max_value=8), label="order")
     entry = _entries(data.draw(st.sampled_from([4, 10**6]), label="coefficient bound"))
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
@@ -63,18 +55,19 @@ def test_laurent_det_matches_cofactor_oracle(data):
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         k, s, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-2, 2)), data.draw(entry)
         rows[i] = [a.shift(s) + (c * b if k != i else ZERO) for a, b in zip(rows[j], rows[k])]
-    det = laurent_det(rows)
+    det = kronecker_det(sparse_rows(rows))
     assert det == bareiss_det(rows) == cofactor_det(rows)
     if kind != "random" and n >= 2:
         assert det == ZERO
 
 
-def test_laurent_det_past_64_bits():
+def test_kronecker_det_past_64_bits():
     two40 = LaurentPoly.const(2**40)
-    big = LaurentPoly.make((3**200, -(5**150)), -3)  # a bound of about 2^350: six primes
-    # a coefficient at the bound B itself: the first prime lies between B
-    # and 2B, and lifting mod that prime alone would flip its sign; digits
-    # of one bit fewer than kronecker_det's would hold only up to 2^61
+    big = LaurentPoly.make((3**200, -(5**150)), -3)  # a bound of about 2^350: six primes for sparse_det
+    # a coefficient at the bound B itself: digits of one bit fewer than
+    # kronecker_det's would hold only up to 2^61, and the oracle's first
+    # prime lies between B and 2B, where lifting mod it alone would flip
+    # the sign
     at_bound = LaurentPoly.const(-(2**61 + 1))
     cases = [
         ([[two40, ZERO, ZERO], [ZERO, two40, ZERO], [ZERO, ZERO, ONE]], LaurentPoly.const(2**80)),
@@ -83,7 +76,8 @@ def test_laurent_det_past_64_bits():
         ([[at_bound]], at_bound),
     ]
     for rows, det in cases:
-        assert laurent_det(rows) == kronecker_det(sparse_rows(rows)) == det
+        sparse = sparse_rows(rows)
+        assert kronecker_det(sparse) == bareiss_det(rows) == cofactor_det(rows) == sparse_det(sparse) == det
 
 
 @settings(max_examples=120, deadline=None)

@@ -14,7 +14,7 @@ from knotcode.fields import FqField, IntMod, PolyMod
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
 from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
-from knotcode.exactlin import dense, sparse_det
+from knotcode.exactlin import dense
 from knotcode.codes import (
     code_from_diagram,
     min_distance,
@@ -32,6 +32,7 @@ from oracles import (
     count_colorings_poly_brute,
     first_minors_agree_brute,
     poly_mulmod,
+    sparse_det,
 )
 
 F3 = FqField(3)
@@ -121,13 +122,34 @@ def sums(draw):
     return d
 
 
+@st.composite
+def moved_sums(draw):
+    """Connected sums after 1-4 random Reidemeister moves, which can poke
+    one summand's strand across another's and hide their splice."""
+    d = draw(sums())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.integers(1, 4))):
+        d = random_move(d, rng, max_crossings=d.n + 2)
+    return d
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(braid_diagrams(max_strands=5, max_len=12), summands, pretzels(), sums()))
+@given(
+    st.one_of(
+        braid_diagrams(max_strands=5, max_len=12),
+        summands,
+        pretzels(),
+        sums(),
+        moved_sums(),
+    )
+)
 def test_alexander_polynomial_vs_whole_minor(d):
-    """Delta by unit pivots over Z[T, T^-1] against the modular determinant
-    of the whole (1,1) Fox minor and against Bareiss elimination over Z[T],
-    on braid closures, Reidemeister-moved diagrams, mixed-sign pretzels and
-    connected sums."""
+    """Delta as the product of the visible summands' determinants against
+    the modular determinant of the whole (1,1) Fox minor and against
+    Bareiss elimination over Z[T], on braid closures, Reidemeister-moved
+    diagrams, mixed-sign pretzels, connected sums, and connected sums after
+    Reidemeister moves, where a visible summand can hold several prime
+    summands."""
     minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
     delta = alexander_polynomial(d)
     assert delta == sparse_det(minor).alexander_normalized()
