@@ -26,7 +26,7 @@ from .fields import FqField
 from .diagram import Diagram
 from .coloring import dehn_matrix, fox_matrix
 from .generators import split_sum
-from .exactlin import dot, kernel_basis
+from .exactlin import _reduce, dense, dot, kernel_basis
 
 INF = math.inf
 DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
@@ -261,18 +261,13 @@ def _joint_weights(c: LinearCode, positions, budget: int | None) -> dict:
 
 def _pivots_last(c: LinearCode, positions):
     """(basis, s): a basis of C whose last s rows are each 1 at one of
-    positions, and whose other rows are 0 at every position."""
-    field, rows, pivots = c.field, [list(g) for g in c.generator], []
-    for pos in positions:
-        pivot = next((g for g in rows if g[pos]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        inv = field.inv(pivot[pos])
-        pivot = [field.mul(inv, x) for x in pivot]
-        rows = [[field.sub(x, field.mul(g[pos], y)) for x, y in zip(g, pivot)] for g in rows]
-        pivots.append(pivot)
-    return rows + pivots, len(pivots)
+    positions, and whose other rows are 0 at every position: the reduced
+    basis with the positions eliminated first, its pivot rows at positions
+    moved last."""
+    order = [*positions, *(j for j in range(c.n) if j not in positions)]
+    pivots = _reduce(c.field, map(enumerate, c.generator), order)[0]
+    last = [pivots.pop(pos) for pos in positions if pos in pivots]
+    return dense([row.items() for row in [*pivots.values(), *last]], c.n, 0), len(last)
 
 
 def dual(c: LinearCode) -> LinearCode:

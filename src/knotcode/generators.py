@@ -228,79 +228,57 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
 
 def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]]]:
     """The visible summands of d and the ties that join them: connected_sum
-    undone, as often as it applies.
+    undone, as often as it applies, in one walk of d's edge cycle.
 
     Two distinct edges bordering the same two distinct faces mark a splice:
     a closed curve through those faces that crosses only these two edges
-    cuts d into two 1-1 tangles, each with a crossing.  Each tangle's strand
-    is closed up by joining its cut ends, which undoes connected_sum's
-    cross-join.  Cuts repeat until no piece has such a pair, so every
-    summand is visibly prime (a kink is a 1-crossing summand).
+    cuts d into two 1-1 tangles, each with a crossing.  The walk keeps the
+    edges not yet cut off, in order; when an edge's face pair is already
+    kept, the kept edges after that one, and this edge, are a visibly prime
+    summand (a kink is a 1-crossing summand) and leave the walk.  So each
+    summand, the rest included, is a subsequence of d's edge cycle, and one
+    rule builds it: its crossings are those its edges leave, in d's order;
+    its edges are renumbered in increasing order; each in-slot takes the
+    summand's edge just before the one leaving there, which undoes
+    connected_sum's cross-join; it keeps d's outer marker if it holds that
+    edge, and otherwise gets the right side of its last edge.
 
-    Summands keep d's crossings in d's order, and an arc of d corresponds to
-    the summand arc that starts at the same crossing.  A tie (i, arc_i, j,
-    arc_j) joins the two arcs through a cut: a 1-1 tangle's two ends carry
-    one color, so the colorings of d are the summands' colorings that agree
-    at every tie, and d's Fox code is the summands' codes tied as sum_code
-    ties two.  The m - 1 ties join the m summands in a tree.  A diagram
-    without a splice is its own one summand, with no ties.
+    A tie (i, arc_i, j, arc_j) joins the arcs through the cut's two edges,
+    each in the summand it ends up in: a 1-1 tangle's two ends carry one
+    color, so the colorings of d are the summands' colorings that agree at
+    every tie, and d's Fox code is the summands' codes tied as sum_code ties
+    two.  The m - 1 ties join the m summands in a tree.  A diagram without a
+    splice is its own one summand, with no ties, and nothing is built.
     """
-    pieces, ties = [], []
-    rest, origin = d, tuple(range(d.n))  # origin[ci]: the crossing of d that crossing ci of rest is
-    while (cut := _splice(rest)) is not None:
-        (piece, inner, a), (rest, outer, b) = _cut(rest, *cut)
-        ties.append((origin[a], origin[b]))
-        pieces.append((piece, [origin[ci] for ci in inner]))
-        origin = tuple(origin[ci] for ci in outer)
-    pieces.append((rest, origin))
-    # a tie end is the summand arc that starts at its crossing
-    place = {}
-    for i, (piece, crossings) in enumerate(pieces):
-        for ci, c in zip(crossings, piece.crossings):
-            place[ci] = i, piece.arcs[c.under_out]
-    return [piece for piece, _ in pieces], [(*place[a], *place[b]) for a, b in ties]
-
-
-def _splice(d: Diagram):
-    """(f, e): the first two edges along the traversal that border the same
-    two faces; None when no two edges do.  The strand from f to e holds no
-    other such pair, so the tangle it bounds is visibly prime."""
-    faces, seen = d.edge_faces(), {}
+    pair = [frozenset(faces) for faces in d.edge_faces()]
+    # at: face pair -> the index in kept of the edge that borders it.  An
+    # edge cut off borders a face inside the cut, which no later edge
+    # borders, so its pair is never looked up again.
+    kept, at, strands, cuts = [], {}, [], []
     for e in d.traversal:
-        pair = frozenset(faces[e])
-        if pair in seen:
-            return seen[pair], e
-        seen[pair] = e
-    return None
-
-
-def _cut(d: Diagram, f: int, e: int):
-    """The two pieces of d cut at edges f and e, f first along the
-    traversal: the strand after f up to e closed by e, then the strand
-    after e up to f closed by f (see _close)."""
-    seq = d.traversal
-    i, j = seq.index(f), seq.index(e)
-    return _close(d, seq[i + 1 : j + 1], f), _close(d, seq[j + 1 :] + seq[: i + 1], e)
-
-
-def _close(d: Diagram, strand, cut: int):
-    """(piece, its crossings' indices in d, the crossing of d that starts the
-    arc through the joined edge): the piece of d whose edges are strand,
-    closed by letting its last edge also arrive where cut arrived.  Edges
-    are renumbered in increasing order, and d's outer marker is kept if its
-    edge is on the strand."""
-    tail = {}
-    for ci, c in enumerate(d.crossings):
-        tail[c.under_out] = tail[c.over_out] = ci
-    crossings = sorted({tail[x] for x in strand})
-    new = {x: k for k, x in enumerate(sorted(strand))}
+        i = at.get(pair[e])
+        if i is None:
+            at[pair[e]] = len(kept)
+            kept.append(e)
+            continue
+        strands.append(kept[i + 1 :] + [e])
+        del kept[i + 1 :]
+        cuts.append((e, kept[i]))
+    if not strands:
+        return [d], []
+    strands.append(kept)
+    # the crossing each under_out edge leaves; a crossing's out-edges lie in one summand
+    leaves = {c.under_out: ci for ci, c in enumerate(d.crossings)}
+    summands, place = [], {}  # place: edge of d -> (summand, its arc there)
     edge, side = d.outer
-    outer = (new[edge], side) if edge in new else (new[strand[-1]], RIGHT)
-    new[cut] = new[strand[-1]]
-    piece = tuple(
-        Crossing(new[c.under_in], new[c.under_out], new[c.over_in], new[c.over_out], c.sign)
-        for c in (d.crossings[ci] for ci in crossings)
-    )
-    # the joined arc runs back from the strand's end to the last under-passage
-    start = next(tail[x] for x in reversed(strand) if d.crossings[tail[x]].under_out == x)
-    return Diagram(piece, outer), crossings, start
+    for strand in strands:
+        new = {x: k for k, x in enumerate(sorted(strand))}
+        prev = {x: new[y] for x, y in zip(strand, strand[-1:] + strand[:-1])}
+        crossings = tuple(
+            Crossing(prev[c.under_out], new[c.under_out], prev[c.over_out], new[c.over_out], c.sign)
+            for c in (d.crossings[ci] for ci in sorted(leaves[x] for x in strand if x in leaves))
+        )
+        s = Diagram(crossings, (new[edge], side) if edge in new else (new[strand[-1]], RIGHT))
+        place.update((x, (len(summands), s.arcs[k])) for x, k in new.items())
+        summands.append(s)
+    return summands, [(*place[e], *place[f]) for e, f in cuts]

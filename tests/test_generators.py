@@ -1,9 +1,11 @@
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from knotcode import generators
 from knotcode.diagram import DiagramError
 from knotcode.generators import (
     builtin,
@@ -16,7 +18,7 @@ from knotcode.generators import (
 )
 from knotcode.coloring import alexander_polynomial, fox_matrix, knot_determinant
 from knotcode.cable import torus_alexander
-from knotcode.codes import code_from_diagram
+from knotcode.codes import code_from_diagram, tied_weight_enumerator, weight_enumerator
 from knotcode.exactlin import dense
 from knotcode.laurent import ONE, T
 
@@ -223,6 +225,47 @@ def test_split_sum_cuts_off_kinks(trefoil):
     summands, ties = split_sum(from_braid(3, [1, 1, 1, 2]))
     assert [p.n for p in summands] == [1, 3] and same_up_to_relabeling(summands[1], trefoil)
     assert ties == [(0, 0, 1, 0)]
+
+
+def test_split_sum_builds_each_summand_once(trefoil, monkeypatch):
+    """One walk of the edge cycle builds each summand, the rest included,
+    exactly once: ten Diagrams for the 10-fold arc-0 trefoil sum, and none
+    for T(2,401), which is its own one summand."""
+    d = trefoil
+    for _ in range(9):
+        d = connected_sum(d, 0, trefoil, 0)
+    prime = torus_diagram(2, 401)
+    built = []
+
+    class Counted(generators.Diagram):
+        def __post_init__(self):
+            built.append(self.n)
+            super().__post_init__()
+
+    monkeypatch.setattr(generators, "Diagram", Counted)
+    summands, ties = split_sum(d)
+    assert (len(summands), len(ties), built) == (10, 9, [3] * 10)
+    built.clear()
+    assert split_sum(prime) == ([prime], []) and built == []
+
+
+def test_split_sum_cuts_three_splices_through_the_same_two_faces(trefoil, figure_eight, F3, F5):
+    """A figure-eight and then T(2,5) summed in at one arc of the trefoil
+    leave three edges between the same two faces, cut in turn: the summands
+    are T(2,5), the figure-eight and the trefoil, with two ties, and the tie
+    DP over their codes gives the walk's weights of the whole Fox code."""
+    t25 = torus_diagram(2, 5)
+    want = [alexander_polynomial(k) for k in (t25, figure_eight, trefoil)]
+    for a in range(3):
+        for b in range(5):
+            d = connected_sum(connected_sum(trefoil, a, figure_eight, 0), a, t25, b)
+            assert max(Counter(frozenset(faces) for faces in d.edge_faces()).values()) == 3
+            summands, ties = split_sum(d)
+            assert [s.n for s in summands] == [5, 4, 3] and len(ties) == 2
+            assert [alexander_polynomial(s) for s in summands] == want
+            for field in (F3, F5):
+                codes = [code_from_diagram(s, field, -1) for s in summands]
+                assert tied_weight_enumerator(codes, ties) == weight_enumerator(code_from_diagram(d, field, -1))
 
 
 def test_from_braid_unknot_cases():
