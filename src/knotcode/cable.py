@@ -54,16 +54,15 @@ class EvaluatedIdealSeq:
     field: FqField
     t: tuple[int, ...]  # ascending coefficients, as FqField.decode gives them
     dimension: int
-    length: int | None = None  # columns of the matrix, when it came from one
 
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
     value = field.at(t)
     mat = fox_matrix(d)
-    dim = mat.ncols - rank(field, mat.evaluate(value, 0))
+    dim = mat.ncols - rank(field, mat.evaluate(value))
     if dim < 1:
         raise AssertionError("coloring matrix of a knot diagram must be singular")
-    return EvaluatedIdealSeq(field, field.decode(field.element(t)), dim, mat.ncols)
+    return EvaluatedIdealSeq(field, field.decode(field.element(t)), dim)
 
 
 def torus_delta(field: FqField, a: int, b: int, t) -> int:
@@ -86,13 +85,13 @@ def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdea
     if field.pow(te, b) != field.element(base.t):
         raise ValueError("base sequence must be evaluated at t^b")
     bump = 1 if torus_delta(field, a, b, t) == 0 else 0
-    return EvaluatedIdealSeq(field, field.decode(te), base.dimension + bump, None)
+    return EvaluatedIdealSeq(field, field.decode(te), base.dimension + bump)
 
 
 def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:
     """Companion seed: the unknot has only the trivial colorings."""
     field.at(t)  # t must be a unit
-    return EvaluatedIdealSeq(field, field.decode(field.element(t)), 1, 1)
+    return EvaluatedIdealSeq(field, field.decode(field.element(t)), 1)
 
 
 def iterated_cable_length(p: int, m: int) -> int:

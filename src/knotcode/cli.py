@@ -465,7 +465,7 @@ def cmd_check(args) -> int:
 
         run("validates", lambda: True)  # load_diagram raised otherwise
         if d.n >= 1:
-            run("row_sums_zero", lambda: all(col.row_sum(row).is_zero for row in col.fox_matrix(d).rows))
+            run("row_sums_zero", lambda: all(col.row_sum(row).is_zero for row in d.fox_rows))
             run("alexander_value_at_1_is_unit", lambda: abs(col.alexander_polynomial(d).eval_int(1)) == 1)
             run("arc_count", lambda: len(set(d.arcs.values())) == d.n)
             run("region_count", lambda: len(set(d.regions.values())) == d.n + 2)

@@ -191,7 +191,7 @@ def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> Linea
         mat = dehn_matrix(d)
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    return LinearCode(field, mat.ncols, mat.evaluate(value, 0))
+    return LinearCode(field, mat.ncols, mat.evaluate(value))
 
 
 def min_distance(c: LinearCode, budget: int | None = None):

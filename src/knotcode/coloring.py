@@ -2,13 +2,12 @@
 polynomial, the knot determinant, colorability over quotient rings, exact
 coloring counts, and the passage between strand and region colorings.
 
-The Fox coloring matrix has one row per crossing and one column per arc:
-the overstrand gets 1-T, the understrand leaving on the over direction's
-left gets -1, the one on its right gets T (coincident roles are summed,
-so a twisted crossing can have a lighter row).  The Dehn matrix has a
-column per region with coefficients 1, -T, -1, T on the four quadrants.
-Strand colorings are kernel vectors of the Fox matrix; region colorings
-are kernel vectors of the Dehn matrix.
+The Fox coloring matrix has one row per crossing and one column per arc;
+the Dehn matrix has a column per region.  Their rows are cached structure
+of the diagram, Diagram.fox_rows and Diagram.dehn_rows (their docstrings
+give the coefficients), derived once however many functions here read
+them.  Strand colorings are kernel vectors of the Fox matrix; region
+colorings are kernel vectors of the Dehn matrix.
 
 Both are one type, ColoringMatrix, over Z[T, T^-1].  Everything else is
 that matrix pushed by ColoringMatrix.evaluate through a ring map
@@ -23,15 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import ONE, ZERO, LaurentPoly, T
+from .laurent import ONE, ZERO, LaurentPoly
 from .fields import FqField, RingLaurent
-from .diagram import RIGHT, Diagram, dehn_role_tokens
+from .diagram import RIGHT, Diagram
 from .generators import split_sum
 from .exactlin import dense, dot, kronecker_det, snf, unit_residual
-
-_ONE_MINUS_T = ONE - T
-_MINUS_ONE = -ONE
-_DEHN_COEFFS = (ONE, -T, _MINUS_ONE, T)
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,11 @@ class ColoringMatrix:
         """The dense matrix over Z[T, T^-1]."""
         return dense(self.rows, self.ncols, ZERO)
 
-    def evaluate(self, value, zero) -> tuple:
+    def evaluate(self, value) -> tuple:
         """The rows with every stored coefficient mapped through the ring
         map value (for example ring.at(t)), as ((column, image), ...)
-        pairs; cells whose image is zero are dropped.  A matrix has only a
-        handful of distinct coefficients, and each is mapped once per call."""
+        pairs; cells whose image is zero (falsy) are dropped.  A matrix has
+        only a handful of distinct coefficients, each mapped once per call."""
         images = {}
         out = []
         for row in self.rows:
@@ -65,7 +60,7 @@ class ColoringMatrix:
                 v = images.get(e)
                 if v is None:
                     v = images[e] = value(e)
-                if v != zero:
+                if v:
                     cells.append((col, v))
             out.append(tuple(cells))
         return tuple(out)
@@ -79,36 +74,15 @@ class ColoringMatrix:
         }
 
 
-def _summed(roles) -> tuple:
-    acc = {}
-    for col, coeff in roles:
-        acc[col] = acc.get(col, ZERO) + coeff
-    return tuple((col, e) for col, e in sorted(acc.items()) if not e.is_zero)
-
-
 def fox_matrix(d: Diagram) -> ColoringMatrix:
-    """Alexander / Fox coloring matrix over Z[T, T^-1]; the 0-crossing
-    unknot's is 0 x 1, its one arc and no relation."""
-    arcs = d.arcs
-    rows = []
-    for c in d.crossings:
-        if c.sign == 1:
-            left, right = c.under_out, c.under_in
-        else:
-            left, right = c.under_in, c.under_out
-        roles = ((arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T))
-        rows.append(_summed(roles))
-    return ColoringMatrix("fox", tuple(rows), d.arc_count)
+    """Alexander / Fox coloring matrix over Z[T, T^-1] on the cached rows
+    d.fox_rows; the 0-crossing unknot's is 0 x 1, one arc and no relation."""
+    return ColoringMatrix("fox", d.fox_rows, d.arc_count)
 
 
 def dehn_matrix(d: Diagram) -> ColoringMatrix:
-    """Dehn coloring matrix over Z[T, T^-1], one column per region."""
-    regions = d.regions
-    rows = tuple(
-        _summed((regions[tok], coeff) for tok, coeff in zip(dehn_role_tokens(c), _DEHN_COEFFS))
-        for c in d.crossings
-    )
-    return ColoringMatrix("dehn", rows, d.n + 2)
+    """Dehn coloring matrix on the cached rows d.dehn_rows, one column per region."""
+    return ColoringMatrix("dehn", d.dehn_rows, d.region_count)
 
 
 # -- Alexander polynomial ---------------------------------------------------------
@@ -132,7 +106,7 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
     """
     delta = ONE
     for s in split_sum(d)[0]:
-        minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(s).rows[1:]]
+        minor = [tuple((c - 1, e) for c, e in row if c) for row in s.fox_rows[1:]]
         free, rest = unit_residual(RingLaurent(), minor, s.arc_count - 1)
         if len(rest) < free:
             delta = ZERO
@@ -180,14 +154,14 @@ def first_minors_agree(d: Diagram) -> bool:
     positive, -1 with ind R_c = r_m when negative), so the column is 0.
     Coincident roles are summed in A, and their terms add alike.
     """
-    mat = fox_matrix(d)
+    rows = d.fox_rows
     index, regions = d.region_index, d.regions
-    column = [ZERO] * mat.ncols  # w^T A
-    for c, row in zip(d.crossings, mat.rows):
+    column = [ZERO] * d.arc_count  # w^T A
+    for c, row in zip(d.crossings, rows):
         w = LaurentPoly((c.sign,), -index[regions[(c.over_in if c.sign == 1 else c.under_in, RIGHT)]])
         for j, e in row:
             column[j] += w * e
-    return all(row_sum(row).is_zero for row in mat.rows) and not any(column)
+    return all(row_sum(row).is_zero for row in rows) and not any(column)
 
 
 def row_sum(row) -> LaurentPoly:
@@ -206,7 +180,7 @@ def count_colorings(d: Diagram, ring, t) -> int:
     F_p[T]) for the Smith form (never enumeration)."""
     value = ring.at(t)
     mat = fox_matrix(d)
-    free, rest = unit_residual(ring, mat.evaluate(value, ring.zero), mat.ncols)
+    free, rest = unit_residual(ring, mat.evaluate(value), mat.ncols)
     rest = [[ring.lift(x) for x in row] for row in rest]
     factors = [di for di in snf(rest, ring.cover).invariant_factors if di]
     return ring.size ** (free - len(factors)) * math.prod(ring.annihilated_by(di) for di in factors)
@@ -235,7 +209,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
         # bare loop: outer on the strand's left; x = U_outer - t U_inner
         inner = field.mul(field.inv(tv), field.sub(av, vec[0]))
         return [inner, av]
-    rows = fox_matrix(d).evaluate(value, 0)
+    rows = fox_matrix(d).evaluate(value)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Fox coloring: vector is not in the kernel")
     tinv = field.inv(tv)
@@ -248,7 +222,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
         else:
             colors[s] = field.mul(tinv, field.sub(colors[r], x))
     out = [colors[r] for r in range(d.region_count)]
-    rows = dehn_matrix(d).evaluate(value, 0)
+    rows = dehn_matrix(d).evaluate(value)
     if any(dot(field, row, out) for row in rows):
         raise AssertionError("lifted vector is not a Dehn coloring")
     return out
@@ -264,7 +238,7 @@ def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
         raise ValueError("expected one color per region")
     if d.n == 0:
         return [field.sub(vec[1], field.mul(tv, vec[0]))]
-    rows = dehn_matrix(d).evaluate(value, 0)
+    rows = dehn_matrix(d).evaluate(value)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Dehn coloring: vector is not in the kernel")
     out = []

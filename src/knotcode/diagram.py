@@ -29,8 +29,9 @@ an edge side.  Every other function may take validity for granted.
 
 Each piece of structure is derived once per diagram and cached: the edge
 cycle and the face of each dart (which the constructor's check computes), the
-arcs (runs of the edge cycle), and one spanning walk of the region adjacency
-from the unbounded region.
+arcs (runs of the edge cycle), one spanning walk of the region adjacency
+from the unbounded region, and the Fox and Dehn coloring relations
+(fox_rows, dehn_rows), so only this module assigns roles at a crossing.
 The region index adds +-1 at each step of that walk, and the
 checkerboard is the parity of the index, even being white.  It is the
 unique proper 2-coloring with the unbounded region white: the two regions
@@ -43,6 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+
+from .laurent import ONE, ZERO, T
 
 LEFT = "left"
 RIGHT = "right"
@@ -228,7 +231,7 @@ class Diagram:
             return {}
         sides = (LEFT, RIGHT)
         face_of = {(d >> 1, sides[d & 1]): fi for d, fi in enumerate(self._dart_faces)}
-        order = dict.fromkeys(face_of[tok] for c in self.crossings for tok in dehn_role_tokens(c))
+        order = dict.fromkeys(face_of[tok] for c in self.crossings for tok in _dehn_role_tokens(c))
         outer_face = face_of[self.outer]
         del order[outer_face]
         renum = {fi: i for i, fi in enumerate([*order, outer_face])}
@@ -298,6 +301,35 @@ class Diagram:
         proper 2-coloring with the unbounded region white."""
         return {r: "black" if i % 2 else "white" for r, i in self.region_index.items()}
 
+    # -- coloring relations ----------------------------------------------------------
+
+    @cached_property
+    def fox_rows(self) -> tuple:
+        """The Fox coloring matrix over Z[T, T^-1], one sparse row
+        ((arc, coefficient), ...) per crossing, arcs ascending: the
+        overstrand gets 1-T, the understrand leaving on the over direction's
+        left gets -1, the one on its right gets T; coincident roles are
+        summed and zero sums dropped, so a twisted crossing can have a
+        lighter row.  The 0-crossing unknot has no rows and one arc."""
+        arcs = self.arcs
+        rows = []
+        for c in self.crossings:
+            left, right = (c.under_out, c.under_in) if c.sign == 1 else (c.under_in, c.under_out)
+            roles = ((arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T))
+            rows.append(_summed(roles))
+        return tuple(rows)
+
+    @cached_property
+    def dehn_rows(self) -> tuple:
+        """The Dehn coloring matrix over Z[T, T^-1], one sparse row
+        ((region, coefficient), ...) per crossing: 1, -T, -1, T on the four
+        quadrant regions in role order (i, j, k, l), summed like fox_rows."""
+        regions = self.regions
+        return tuple(
+            _summed((regions[tok], coeff) for tok, coeff in zip(_dehn_role_tokens(c), _DEHN_COEFFS))
+            for c in self.crossings
+        )
+
     # -- io ------------------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -332,7 +364,19 @@ class Diagram:
         return Diagram.from_json(json.loads(text))
 
 
-def dehn_role_tokens(c: Crossing) -> tuple:
+_ONE_MINUS_T = ONE - T
+_MINUS_ONE = -ONE
+_DEHN_COEFFS = (ONE, -T, _MINUS_ONE, T)
+
+
+def _summed(roles) -> tuple:
+    acc = {}
+    for col, coeff in roles:
+        acc[col] = acc.get(col, ZERO) + coeff
+    return tuple((col, e) for col, e in sorted(acc.items()) if not e.is_zero)
+
+
+def _dehn_role_tokens(c: Crossing) -> tuple:
     """The (edge, side) tokens of the four quadrant regions at a crossing in
     Dehn coloring role order (i, j, k, l): the relation at the crossing is
     U_i - t U_j - U_k + t U_l = 0, the consistency of the overstrand color

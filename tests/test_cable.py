@@ -148,7 +148,7 @@ def test_cable_dimension_respects_valuation_bound(F3, F5):
 def test_monotone_flags(F3, trefoil):
     # the ideal chain is held as its threshold, which lies inside the matrix
     seq = ideal_seq_from_diagram(trefoil, F3, -1)
-    assert 1 <= seq.dimension <= seq.length == 3
+    assert 1 <= seq.dimension <= trefoil.arc_count == 3
 
 
 def test_sequence_t_passes_back_as_t(trefoil):

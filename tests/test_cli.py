@@ -195,14 +195,14 @@ def _count_spans(monkeypatch):
     return calls
 
 
-def _count_structure(monkeypatch):
-    """Record each computation of a diagram's edge cycle, arcs and face
-    walk, the cached structure of Diagram."""
+def _count_structure(monkeypatch, names=("traversal", "_arc_members", "_dart_faces")):
+    """Record each computation of the named cached structure of Diagram: by
+    default its edge cycle, arcs and face walk."""
     from functools import cached_property
     from knotcode.diagram import Diagram
 
     calls = []
-    for name in ("traversal", "_arc_members", "_dart_faces"):
+    for name in names:
 
         def counted(self, func=Diagram.__dict__[name].func, name=name):
             calls.append(name)
@@ -225,6 +225,36 @@ def test_code_derives_diagram_structure_once(tmp_path, capsys, monkeypatch):
         calls.clear()
         code, out, err = run_cli(["code", path, "--q", "3", "--t", "-1", "--kind", kind], capsys)
         assert code == 0 and sorted(calls) == derived, (kind, calls)
+
+
+def test_each_report_derives_each_coloring_matrix_once(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys, "torus", "--a", "2", "--b", "7")
+    calls = _count_structure(monkeypatch, ("fox_rows", "dehn_rows"))
+    for argv, derived in (
+        (["check", path], ["dehn_rows", "fox_rows"]),
+        (["invariants", path], ["fox_rows"]),
+        (["code", path, "--q", "3", "--t", "-1"], ["fox_rows"]),
+        (["cable", "--base", path, "--pairs", "2,3", "--q", "3", "--t", "-1"], ["fox_rows"]),
+        (["matrix", path, "--kind", "dehn"], ["dehn_rows"]),
+        (["colorings", path, "--mod", "7", "--t", "-1"], ["fox_rows"]),
+    ):
+        calls.clear()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and sorted(calls) == derived, (argv, calls)
+    # nothing is kept across reports: the same file checked again derives again
+    calls.clear()
+    for _ in range(2):
+        assert run_cli(["check", path], capsys)[0] == 0
+    assert sorted(calls) == ["dehn_rows"] * 2 + ["fox_rows"] * 2
+
+    # Delta of a visible sum reads the rows of each summand, a diagram of its own
+    total = gen_file(tmp_path, capsys, "builtin", "trefoil", name="sum.json")
+    fig8 = gen_file(tmp_path, capsys, "builtin", "figure_eight", name="fig8.json")
+    for _ in range(3):
+        gen_file(tmp_path, capsys, "sum", total, fig8, "--arc1", "0", "--arc2", "0", name="sum.json")
+    calls.clear()
+    assert run_cli(["check", total], capsys)[0] == 0
+    assert sorted(calls) == ["dehn_rows"] + ["fox_rows"] * 5
 
 
 def test_code_enumerates_once(tmp_path, capsys, monkeypatch):

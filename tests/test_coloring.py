@@ -446,7 +446,7 @@ def test_poly_count_matches_field_kernel(trefoil, figure_eight, F4):
 def test_colorings_at_t_one_are_trivial():
     for d in small_diagrams():
         for field in (FqField(2), FqField(3), FqField(5)):
-            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.element(1)), 0)
+            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.element(1)))
             assert len(kernel_basis(field, rows, ncols=d.arc_count)) == 1
 
 
@@ -463,7 +463,7 @@ def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
             for value, zero in maps:
                 expect = [[value(e) if e else zero for e in row] for row in sym]
                 seen = []
-                rows = mat.evaluate(lambda e: seen.append(e) or value(e), zero)
+                rows = mat.evaluate(lambda e: seen.append(e) or value(e))
                 assert dense(rows, mat.ncols, zero) == expect
                 assert all(v != zero for row in rows for _, v in row)
                 assert sorted(map(str, seen)) == sorted(map(str, distinct))  # each once
@@ -473,7 +473,7 @@ def test_determinants_match_modular_oracle():
     from oracles import int_det_crt
 
     for d in small_diagrams():
-        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0), d.n, 0)
+        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1)), d.n, 0)
         minor = [row[1:] for row in rows[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
 
@@ -543,7 +543,7 @@ def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     colors = d.checkerboard
     dehn = [0 if colors[r] == "white" else 3 for r in range(d.region_count)]
     assert sum(1 for u in dehn if u) == 2
-    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.element(-1)), 0)
+    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.element(-1)))
     assert not any(_dot_mod(row, dehn, F5) for row in dense(rows, d.region_count, 0))
     fox = dehn_to_fox(d, F5, -1, dehn)
     assert sum(1 for x in fox if x) == 5

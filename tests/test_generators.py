@@ -141,7 +141,7 @@ def test_pretzel_determinant_matches_brute_force():
             continue
         d = pretzel_diagram(spec)
         assert d.n == sum(abs(p) for p in spec)
-        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1), 0), d.n, 0)
+        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1)), d.n, 0)
         minor = [row[1:] for row in rows[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
         if all(p % 2 for p in spec):  # all-odd pretzels have a closed form
