@@ -15,7 +15,7 @@ field int.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import ONE, LaurentPoly, T
 from .fields import FqField
@@ -45,15 +45,13 @@ def cable_alexander(base: LaurentPoly, a: int, b: int) -> LaurentPoly:
     return (torus_alexander(a, b) * base.subst_power(b)).alexander_normalized()
 
 
-@dataclass(frozen=True)
-class EvaluatedIdealSeq:
+class EvaluatedIdealSeq(namedtuple("EvaluatedIdealSeq", "field t dimension")):
     """Evaluated elementary ideals of a coloring matrix over a field: the
     k-th ideal is the whole field exactly when k >= dimension (the code
-    dimension), so the sequence is held as that threshold."""
+    dimension), so the sequence is held as that threshold; t holds the
+    ascending coefficients FqField.decode gives."""
 
-    field: FqField
-    t: tuple[int, ...]  # ascending coefficients, as FqField.decode gives them
-    dimension: int
+    __slots__ = ()
 
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:

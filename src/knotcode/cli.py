@@ -4,10 +4,12 @@ Every command prints one JSON report per input (one line each, keys
 sorted, numbers as decimal strings) so runs are byte-reproducible; a
 directory argument to a diagram command means every .json file in it.
 Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
-exceeded.  Each input has one parser: _ints (integers in option and file
-text), _fp_poly (F_p[T] elements of a matrix file), field_and_t
-(--q/--modulus/--t) and resolve_budget (--budget, else KNOTCODE_BUDGET,
-else 10^7; never negative).
+exceeded.  Each input has one parser: Diagram.from_json (diagram files),
+_ints (integers in option and file text), _fp_poly (F_p[T] elements of a
+matrix file), field_and_t (--q/--modulus/--t) and resolve_budget
+(--budget, else KNOTCODE_BUDGET, else 10^7; never negative).  Each of them
+reads an integer through laurent.as_int, which refuses a bool or a float
+with a fraction where int() would coerce or truncate it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 import warnings
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, as_int
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
@@ -106,9 +108,7 @@ def _ints(text, where: str, sep: str = ",") -> list[int]:
     out = []
     for c in text.split(sep) if isinstance(text, str) else text:
         try:
-            if isinstance(c, bool) or isinstance(c, float) and not c.is_integer():
-                raise TypeError  # int() would coerce or truncate it
-            out.append(int(c))
+            out.append(as_int(c))
         except (TypeError, ValueError):
             raise UsageError(f"{where}: {c!r} is not an integer") from None
     return out

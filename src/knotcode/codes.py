@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, islice
 
@@ -40,23 +40,32 @@ class BudgetExceeded(RuntimeError):
         self.q, self.k, self.budget = q, k, budget
 
 
-@dataclass(frozen=True)
 class LinearCode:
-    field: FqField
-    n: int
-    parity: tuple  # sparse rows of ((column, encoded field int), ...), kept as constructed
-
-    def __post_init__(self):
-        cells = list(chain.from_iterable(self.parity))
+    def __init__(self, field: FqField, n: int, parity: tuple):
+        self.field = field
+        self.n = n
+        self.parity = parity  # sparse rows of ((column, encoded field int), ...), kept as constructed
+        cells = list(chain.from_iterable(parity))
         if not cells:
             return
         cols, vals = zip(*cells)
-        if min(cols) < 0 or max(cols) >= self.n:
-            raise ValueError(f"a parity column lies outside range({self.n})")
-        if min(vals) < 1 or max(vals) >= self.field.q:
-            raise ValueError(f"a parity value is not a nonzero element of {self.field}")
-        if len(cells) != sum(map(len, map(dict, self.parity))):
+        if min(cols) < 0 or max(cols) >= n:
+            raise ValueError(f"a parity column lies outside range({n})")
+        if min(vals) < 1 or max(vals) >= field.q:
+            raise ValueError(f"a parity value is not a nonzero element of {field}")
+        if len(cells) != sum(map(len, map(dict, parity))):
             raise ValueError("a parity row repeats a column")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.n, self.parity) == (other.field, other.n, other.parity)
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.parity))
+
+    def __repr__(self):
+        return f"LinearCode(field={self.field!r}, n={self.n!r}, parity={self.parity!r})"
 
     @cached_property
     def generator(self) -> tuple:
@@ -203,9 +212,10 @@ def min_distance(c: LinearCode, budget: int | None = None):
         return None
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
-    counts: tuple[int, ...]  # a_0 .. a_n
+class WeightEnumerator(namedtuple("WeightEnumerator", "counts")):
+    """counts: a_0 .. a_n, the number of codewords of each weight."""
+
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts)
@@ -383,12 +393,8 @@ def _convolve(a, b):
     return out
 
 
-@dataclass(frozen=True)
-class LdpcProfile:
-    row_weights: tuple[int, ...]
-    col_weights: tuple[int, ...]
-    right_regular: int | None
-    left_regular: int | None
+class LdpcProfile(namedtuple("LdpcProfile", "row_weights col_weights right_regular left_regular")):
+    __slots__ = ()
 
     @property
     def doubly_regular(self):
@@ -410,16 +416,11 @@ def ldpc_profile(c: LinearCode) -> LdpcProfile:
     return LdpcProfile(tuple(rows), tuple(cols), right, left)
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    rule: str
-    ok: bool
-    detail: str
+FeasibilityCheck = namedtuple("FeasibilityCheck", "rule ok detail")
 
 
-@dataclass(frozen=True)
-class DualFeasibility:
-    checks: tuple[FeasibilityCheck, ...]
+class DualFeasibility(namedtuple("DualFeasibility", "checks")):
+    __slots__ = ()
 
     @property
     def ruled_out(self) -> bool:
@@ -428,7 +429,7 @@ class DualFeasibility:
     def to_json(self) -> dict:
         return {
             "ruled_out": self.ruled_out,
-            "checks": [{"rule": c.rule, "ok": c.ok, "detail": c.detail} for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

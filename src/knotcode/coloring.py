@@ -20,7 +20,7 @@ form of the few rows left, lifted into the ring's cover (Z or F_p[T]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .fields import FqField, RingLaurent
@@ -29,18 +29,15 @@ from .generators import split_sum
 from .exactlin import dense, dot, kronecker_det, snf, unit_residual
 
 
-@dataclass(frozen=True)
-class ColoringMatrix:
-    """A Fox or Dehn coloring matrix over Z[T, T^-1].
+class ColoringMatrix(namedtuple("ColoringMatrix", "kind rows ncols")):
+    """A Fox or Dehn coloring matrix over Z[T, T^-1], kind "fox" or "dehn".
 
-    Each row is one crossing's (column, coefficient) pairs with coincident
-    roles summed and zero sums dropped; columns are arcs (Fox) or regions
-    (Dehn, unbounded region last).
+    Each row is one crossing's ((column, LaurentPoly), ...) pairs with
+    coincident roles summed and zero sums dropped; columns are arcs (Fox)
+    or regions (Dehn, unbounded region last).
     """
 
-    kind: str  # "fox" or "dehn"
-    rows: tuple  # per crossing: ((column, LaurentPoly), ...)
-    ncols: int
+    __slots__ = ()
 
     @property
     def entries(self) -> list[list[LaurentPoly]]:

@@ -42,10 +42,10 @@ connected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .laurent import ONE, ZERO, T
+from .laurent import ONE, ZERO, T, as_int
 
 LEFT = "left"
 RIGHT = "right"
@@ -55,33 +55,31 @@ class DiagramError(ValueError):
     """An invalid diagram, or a diagram operation that does not apply."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    under_in: int
-    under_out: int
-    over_in: int
-    over_out: int
-    sign: int
+class Crossing(namedtuple("Crossing", "under_in under_out over_in over_out sign")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "under_in": self.under_in,
-            "under_out": self.under_out,
-            "over_in": self.over_in,
-            "over_out": self.over_out,
-            "sign": self.sign,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class Diagram:
-    crossings: tuple[Crossing, ...]
-    outer: tuple[int, str] | None = None
-
-    def __post_init__(self):
+    def __init__(self, crossings: tuple[Crossing, ...], outer: tuple[int, str] | None = None):
+        self.crossings = crossings
+        self.outer = outer
         problems = self._violations()
         if problems:
             raise DiagramError("invalid diagram: " + "; ".join(problems))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.crossings == other.crossings and self.outer == other.outer
+
+    def __hash__(self):
+        return hash((self.crossings, self.outer))
+
+    def __repr__(self):
+        return f"Diagram(crossings={self.crossings!r}, outer={self.outer!r})"
 
     def _violations(self) -> list[str]:
         """Why the crossings and the outer marker are not a knot diagram, in
@@ -345,18 +343,11 @@ class Diagram:
         if not isinstance(obj, dict):
             raise TypeError(f"top level must be an object, not {type(obj).__name__}")
         crossings = tuple(
-            Crossing(
-                int(c["under_in"]),
-                int(c["under_out"]),
-                int(c["over_in"]),
-                int(c["over_out"]),
-                int(c["sign"]),
-            )
-            for c in obj.get("crossings", ())
+            Crossing(*(as_int(c[k]) for k in Crossing._fields)) for c in obj.get("crossings", ())
         )
         outer = obj.get("outer")
         if outer is not None:
-            outer = (int(outer["edge"]), str(outer["side"]))
+            outer = (as_int(outer["edge"]), str(outer["side"]))
         return Diagram(crossings, outer)
 
     @staticmethod

@@ -27,8 +27,7 @@ full grid.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from heapq import heapify, heappop, heappush
 
 from .laurent import ZERO, LaurentPoly
@@ -118,14 +117,12 @@ def _bound_squared(rows) -> int:
 
 # -- Smith normal form ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "invariant_factors rank")):
     """Invariant factors in ideal-increasing order: (d_1) in (d_2) in ...,
     so zeros come first and d_{i+1} divides d_i; rank counts the nonzero
     ones."""
 
-    invariant_factors: tuple
-    rank: int
+    __slots__ = ()
 
 
 def snf(rows: list[list], ring) -> SnfResult:

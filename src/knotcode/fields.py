@@ -20,7 +20,6 @@ and the codeword enumeration on plain ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 
@@ -223,17 +222,27 @@ class RingLaurent:
 # many x in R have d * x = 0 for d in the cover.
 
 
-@dataclass(frozen=True)
 class IntMod:
     """Z/(m), m >= 2, on ints in range(m); m is never factored."""
 
-    m: int
     zero = 0
     cover = RingZ()
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int):
+        if m < 2:
             raise ValueError("modulus must be >= 2")
+        self.m = m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash(self.m)
+
+    def __repr__(self):
+        return f"IntMod(m={self.m!r})"
 
     @property
     def size(self) -> int:

@@ -10,7 +10,6 @@ the canonical arc/crossing ordering; the tests pin those matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .diagram import Crossing, Diagram, DiagramError, RIGHT
 
@@ -217,12 +216,12 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     h1, role1 = d1.in_slots[e1]
     h2, role2 = d2.in_slots[e2]
     first = list(d1.crossings)
-    first[h1] = replace(first[h1], **{role1 + "_in": e2 + off})
+    first[h1] = first[h1]._replace(**{role1 + "_in": e2 + off})
     second = [
         Crossing(c.under_in + off, c.under_out + off, c.over_in + off, c.over_out + off, c.sign)
         for c in d2.crossings
     ]
-    second[h2] = replace(second[h2], **{role2 + "_in": e1})
+    second[h2] = second[h2]._replace(**{role2 + "_in": e1})
     return Diagram((*first, *second), d1.outer)
 
 

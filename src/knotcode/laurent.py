@@ -11,13 +11,33 @@ needs one unless t = +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+def as_int(x) -> int:
+    """int(x) for an integer read from option or file text; a bool or a
+    float with a fraction raises TypeError, since int() would coerce or
+    truncate it."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise TypeError(f"{x!r} is not an integer")
+    return int(x)
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
-    coeffs: tuple[int, ...]
-    min_deg: int = 0
+    __slots__ = ("coeffs", "min_deg")
+
+    def __init__(self, coeffs: tuple[int, ...], min_deg: int = 0):
+        self.coeffs = coeffs
+        self.min_deg = min_deg
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.min_deg == other.min_deg
+
+    def __hash__(self):
+        return hash((self.coeffs, self.min_deg))
+
+    def __repr__(self):
+        return f"LaurentPoly(coeffs={self.coeffs!r}, min_deg={self.min_deg!r})"
 
     @staticmethod
     def make(coeffs, min_deg: int = 0) -> "LaurentPoly":
@@ -161,7 +181,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj) -> "LaurentPoly":
-        return LaurentPoly.make([int(c) for c in obj["coeffs"]], int(obj["min_deg"]))
+        return LaurentPoly.make([as_int(c) for c in obj["coeffs"]], as_int(obj["min_deg"]))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -12,7 +12,6 @@ reference for generators.connected_sum.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 
 from knotcode.diagram import LEFT, Crossing, Diagram, DiagramError
 
@@ -33,7 +32,7 @@ class _Surgery:
         self.crossings = []
         off = 0
         for d in diagrams:
-            self.crossings += [{k: v if k == "sign" else v + off for k, v in asdict(c).items()} for c in d.crossings]
+            self.crossings += [{k: v if k == "sign" else v + off for k, v in c._asdict().items()} for c in d.crossings]
             off += 2 * d.n
         self.next_id = off
         self.outer = diagrams[0].outer

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,34 @@ def test_invalid_diagram_exits_3(tmp_path, capsys):
         code, out, err = run_cli(["invariants", str(bad)], capsys)
         assert (code, out) == (3, "")
         assert "cannot parse diagram" in err and err.count("\n") == 1
+
+
+def test_diagram_file_with_non_integer_values_exits_3(tmp_path, capsys):
+    """A sign of 1.5, an edge of 4.9 or a sign of true is refused, not read
+    as the trefoil that int() would make of it; a sign of Infinity, which
+    int() cannot convert, is one line too, not a traceback."""
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    good = json.loads(Path(path).read_text())
+    cases = ({0: {"sign": 1.5}}, {1: {"under_in": 4.9}, 2: {"sign": True}}, {2: {"sign": True}}, {2: {"sign": math.inf}})
+    for changes in cases:
+        obj = json.loads(json.dumps(good))
+        for ci, change in changes.items():
+            obj["crossings"][ci].update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_cli(["alex", str(bad)], capsys)
+        assert (code, out) == (3, "") and err.count("\n") == 1, changes
+        assert err.startswith(f"error: {bad}: cannot parse diagram: ") and "is not an integer" in err
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Every command pays for importing the package: dataclasses pulls in
+    inspect, ast, dis and tokenize, which a one-shot command never needs.
+    -S keeps site-packages from preloading them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import knotcode.cli; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_code_report_and_extension_field(tmp_path, capsys):
@@ -480,6 +509,12 @@ def test_snf_command(tmp_path, capsys):
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and err.count("\n") == 1, argv
+    # a {"min_deg", "coeffs"} entry is refused, not truncated to 1 + T
+    for entry in ({"min_deg": 0.5, "coeffs": [1.7, True]}, {"min_deg": 0, "coeffs": [1, True]}, {"min_deg": math.inf, "coeffs": [1]}):
+        fractional.write_text(json.dumps({"entries": [[entry]]}))
+        code, out, err = run_cli(["snf", str(fractional), "--ring", "FpT", "--p", "5"], capsys)
+        assert (code, out) == (2, "") and err.count("\n") == 1 and str(fractional) in err, entry
+        assert "is not an integer" in err
 
 
 def test_colorings_command(tmp_path, capsys):

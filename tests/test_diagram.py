@@ -209,6 +209,19 @@ def test_json_roundtrip(trefoil, unknot):
         assert back == d
 
 
+def test_diagram_is_a_value_of_its_crossings_and_outer_marker(trefoil):
+    """Equality and hash read the crossings and the outer marker only, not
+    the structure cached on first use; a crossing is an immutable record."""
+    d, fresh = (Diagram(trefoil.crossings, trefoil.outer) for _ in range(2))
+    assert d.fox_rows and "fox_rows" in vars(d) and "fox_rows" not in vars(fresh)
+    assert d == fresh and hash(d) == hash(fresh) and d != trefoil.crossings
+    assert d != Diagram(trefoil.crossings, (trefoil.outer[0], "left"))
+    c = trefoil.crossings[0]
+    assert c._replace(sign=-c.sign) == Crossing(*c[:4], -c.sign) != c
+    with pytest.raises(AttributeError):
+        c.sign = -c.sign
+
+
 def test_json_format_shape(trefoil):
     obj = json.loads(trefoil.dumps())
     assert set(obj) == {"crossings", "outer"}

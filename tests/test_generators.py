@@ -238,9 +238,9 @@ def test_split_sum_builds_each_summand_once(trefoil, monkeypatch):
     built = []
 
     class Counted(generators.Diagram):
-        def __post_init__(self):
-            built.append(self.n)
-            super().__post_init__()
+        def __init__(self, crossings, outer=None):
+            built.append(len(crossings))
+            super().__init__(crossings, outer)
 
     monkeypatch.setattr(generators, "Diagram", Counted)
     summands, ties = split_sum(d)

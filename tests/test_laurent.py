@@ -15,6 +15,23 @@ def test_normalization_strips_zeros():
     assert LaurentPoly.make([0, 0]) == ZERO
 
 
+def test_laurent_poly_is_a_value_not_a_sequence():
+    p = LaurentPoly.make((1, -1, 1))
+    assert p == LaurentPoly((1, -1, 1), 0) and hash(p) == hash(LaurentPoly((1, -1, 1)))
+    assert p != (1, -1, 1) and p != LaurentPoly((1, -1, 1), 1)
+    assert repr(p) == "LaurentPoly(coeffs=(1, -1, 1), min_deg=0)"
+    for op in (lambda: 3 * p, lambda: len(p), lambda: p < p, lambda: list(p)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_from_json_refuses_what_int_would_truncate_or_coerce():
+    assert LaurentPoly.from_json({"min_deg": 1.0, "coeffs": ["2", 3]}) == LaurentPoly((2, 3), 1)
+    for obj in ({"min_deg": 0.5, "coeffs": [1]}, {"min_deg": 0, "coeffs": [1.7]}, {"min_deg": 0, "coeffs": [True]}):
+        with pytest.raises(TypeError, match="is not an integer"):
+            LaurentPoly.from_json(obj)
+
+
 def test_basic_identities():
     p = ONE - T
     assert str(p) == "1 - T"

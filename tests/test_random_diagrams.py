@@ -4,7 +4,6 @@ diagrams rather than the curated families."""
 
 import math
 import random
-from dataclasses import replace
 from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
@@ -194,7 +193,7 @@ def corrupted(draw):
         else:
             slot = draw(st.sampled_from(("under_in", "under_out", "over_in", "over_out")))
             change = {slot: draw(st.integers(-1, 2 * d.n))}
-        crossings[ci] = replace(crossings[ci], **change)
+        crossings[ci] = crossings[ci]._replace(**change)
     return tuple(crossings), outer
 
 
