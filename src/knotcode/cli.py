@@ -5,11 +5,13 @@ sorted, numbers as decimal strings) so runs are byte-reproducible; a
 directory argument to a diagram command means every .json file in it.
 Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
 exceeded.  Each input has one parser: Diagram.from_json (diagram files),
-_ints (integers in option and file text), _fp_poly (F_p[T] elements of a
-matrix file), field_and_t (--q/--modulus/--t) and resolve_budget
-(--budget, else KNOTCODE_BUDGET, else 10^7; never negative).  Each of them
-reads an integer through laurent.as_int, which refuses a bool or a float
-with a fraction where int() would coerce or truncate it.
+_ints (integers in option and file text), _int_text (argparse's integer
+options), _fp_poly (F_p[T] elements of a matrix file), field_and_t
+(--q/--modulus/--t) and resolve_budget (--budget, else KNOTCODE_BUDGET,
+else 10^7; never negative).  Each of them reads an integer through
+laurent.as_int, which refuses a bool, a float with a fraction, and text
+other than an optional sign and ASCII digits, where int() would coerce or
+truncate it or skip blanks and underscores.
 """
 
 from __future__ import annotations
@@ -126,6 +128,15 @@ def _fp_poly(x, ring: RingFpT, where: str) -> tuple[int, ...]:
     if poly.min_deg < 0:
         raise UsageError(f"{where}: bad polynomial {x!r}: needs a plain polynomial (min_deg >= 0)")
     return ring.trim([0] * poly.min_deg + list(poly.coeffs))
+
+
+def _int_text(text: str) -> int:
+    """argparse's type for the integer options: as_int, so an optional sign
+    and ASCII digits, with argparse's own message for anything else."""
+    try:
+        return as_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 @functools.cache
@@ -513,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     gb = gsub.add_parser("builtin")
     gb.add_argument("name", choices=gen.builtin_names())
     gt = gsub.add_parser("torus")
-    gt.add_argument("--a", type=int, required=True)
-    gt.add_argument("--b", type=int, required=True)
+    gt.add_argument("--a", type=_int_text, required=True)
+    gt.add_argument("--b", type=_int_text, required=True)
     gp = gsub.add_parser("pretzel")
-    gp.add_argument("twists", type=int, nargs="+")
+    gp.add_argument("twists", type=_int_text, nargs="+")
     gs = gsub.add_parser("sum")
     gs.add_argument("files", nargs=2)
-    gs.add_argument("--arc1", type=int)
-    gs.add_argument("--arc2", type=int)
+    gs.add_argument("--arc1", type=_int_text)
+    gs.add_argument("--arc2", type=_int_text)
     for sp in (gb, gt, gp, gs):
         sp.add_argument("-o", "--out")
 
@@ -540,12 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     sn = sub.add_parser("snf", help="Smith normal form of a matrix file")
     sn.add_argument("matrix")
     sn.add_argument("--ring", choices=("Z", "FpT"), default="Z")
-    sn.add_argument("--p", type=int)
+    sn.add_argument("--p", type=_int_text)
 
     co = sub.add_parser("colorings", help="count Fox colorings over a quotient ring")
     co.add_argument("diagram")
     group = co.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mod", type=int)
+    group.add_argument("--mod", type=_int_text)
     group.add_argument("--poly-mod", help="p:c0,c1,...  modulus over F_p[T]")
     co.add_argument("--t", required=True)
 
@@ -564,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     code.add_argument("--kind", choices=("fox", "dehn"), default="fox")
     code.add_argument("--min-dist", action="store_true")
     code.add_argument("--weights", action="store_true")
-    sm.add_argument("--pos1", type=int)
-    sm.add_argument("--pos2", type=int)
+    sm.add_argument("--pos1", type=_int_text)
+    sm.add_argument("--pos2", type=_int_text)
     sm.add_argument("--weights", action="store_true")
     for sp in (code, sm):
         sp.add_argument("--budget")  # read by resolve_budget

@@ -1,8 +1,10 @@
 """Linear codes over F_q built from coloring matrices.
 
 A code is held as its parity-check matrix exactly as evaluated from the
-diagram (no rank reduction), in sparse ((column, value), ...) rows; the
-generator is a cached kernel basis of dense codewords.
+diagram (no rank reduction), in sparse ((column, value), ...) rows.  Its
+dimension k is n minus the rank that one cached forward elimination of
+those rows gives; the generator, a kernel basis of dense codewords, is
+built from that same elimination only when a codeword walk needs it.
 Weight enumerators come from exhaustive enumeration under a budget (exact
 below it, unknown above); minimum distances are read off them.  The one
 codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
@@ -26,7 +28,7 @@ from .fields import FqField
 from .diagram import Diagram
 from .coloring import dehn_matrix, fox_matrix
 from .generators import split_sum
-from .exactlin import _reduce, dense, dot, kernel_basis
+from .exactlin import _reduce, dense, dot, echelon, echelon_kernel
 
 INF = math.inf
 DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
@@ -68,13 +70,22 @@ class LinearCode:
         return f"LinearCode(field={self.field!r}, n={self.n!r}, parity={self.parity!r})"
 
     @cached_property
+    def _echelon(self) -> dict:
+        """The one forward elimination of the parity rows (exactlin.echelon);
+        generator back-reduces its rows in place, which keeps its pivots."""
+        return echelon(self.field, self.parity)
+
+    @cached_property
     def generator(self) -> tuple:
-        """Kernel basis of the parity matrix (dense rows that span the code)."""
-        return tuple(tuple(r) for r in kernel_basis(self.field, self.parity, self.n))
+        """Canonical kernel basis of the parity matrix (dense rows that span
+        the code), built from the forward elimination k reads."""
+        return tuple(tuple(r) for r in echelon_kernel(self.field, self._echelon, self.n))
 
     @property
     def k(self) -> int:
-        return len(self.generator)
+        """n minus the rank of the parity rows: one forward elimination, no
+        kernel basis."""
+        return self.n - len(self._echelon)
 
     @property
     def q(self) -> int:

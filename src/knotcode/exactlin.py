@@ -193,14 +193,17 @@ def _swap_cols(mat, j, r):
 # -- sparse elimination over quotient rings ---------------------------------------
 #
 # One sparse elimination serves rank and kernel_basis over F_q and the
-# coloring counts over Z/m and F_p[T]/(f).  Each row is copied into a
-# {column: value} dict of its nonzeros and reduced against the pivot rows
-# found so far.  What is left becomes a new pivot row at its first unit
-# entry in the elimination order, scaled to 1 there; a row with no unit
-# entry is set aside as residual and reduced again once new pivots appear.
-# Over a field every nonzero is a unit, so nothing is ever residual.  With
-# back=True back-reduction then clears every other pivot column from each
-# pivot row.
+# coloring counts over Z/m and F_p[T]/(f).  Over F_q the forward pass
+# (echelon) alone gives the rank, so a code's dimension; the kernel basis
+# back-reduces that same pass (echelon_kernel) only when a codeword walk
+# needs it.  Each row is copied into a {column: value} dict of its
+# nonzeros and reduced against the pivot rows found so far.  What is left
+# becomes a new pivot row at its first unit entry in the elimination
+# order, scaled to 1 there; a row with no unit entry is set aside as
+# residual and reduced again once new pivots appear.  Over a field every
+# nonzero is a unit, so nothing is ever residual.  With back=True
+# back-reduction (_back_reduce) then clears every other pivot column from
+# each pivot row.
 #
 # A ring here is one of the coloring rings of fields (FqField, IntMod,
 # PolyMod) or RingLaurent, whose inv returns None on a non-unit.
@@ -283,12 +286,20 @@ def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
         if not residual or len(found) == grown:
             break
         pending, residual = residual, []
-    if back:  # later pivot rows are already reduced when an earlier one is
-        for c in sorted(pivots, key=pos.__getitem__, reverse=True):
-            prow = pivots[c]
-            for cc in [cc for cc in prow if cc != c and cc in pivots]:
-                _axpy(ring, prow, prow[cc], pivots[cc])
+    if back:
+        _back_reduce(ring, pivots)
     return pivots, residual
+
+
+def _back_reduce(ring, pivots: dict) -> None:
+    """Clear every other pivot column from each pivot row of a field's
+    _reduce, in place.  A pivot row is zero at the pivot columns found
+    before it, so rows are cleared newest first: each row subtracts only
+    rows that are already reduced, which leave no other pivot column."""
+    for c in reversed(pivots):
+        prow = pivots[c]
+        for cc in [cc for cc in prow if cc != c and cc in pivots]:
+            _axpy(ring, prow, prow[cc], pivots[cc])
 
 
 def unit_residual(ring, rows, ncols: int) -> tuple[int, list[list]]:
@@ -305,23 +316,37 @@ def unit_residual(ring, rows, ncols: int) -> tuple[int, list[list]]:
     return len(free), dense([[(free[c], v) for c, v in row.items()] for row in residual], len(free), ring.zero)
 
 
+def echelon(field: FqField, rows) -> dict:
+    """The forward pass over F_q: {pivot column: pivot row} of sparse rows
+    eliminated in column-weight order, without back-reduction.  Its length
+    is the rank; echelon_kernel turns it into the kernel basis."""
+    return _reduce(field, rows, _by_weight(rows), back=False)[0]
+
+
 def rank(field: FqField, rows) -> int:
-    return len(_reduce(field, rows, _by_weight(rows), back=False)[0])
+    return len(echelon(field, rows))
 
 
 def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
     """Dense row basis of {x : rows . x^T = 0} over F_q, for sparse rows
-    of width ncols.
+    of width ncols: echelon_kernel of the forward pass."""
+    return echelon_kernel(field, echelon(field, rows), ncols)
+
+
+def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
+    """The canonical kernel basis from a forward pass (echelon), whose
+    pivot rows it back-reduces in place.
 
     The basis is canonical: one vector per free column f (a column that
     depends on the columns before it), 1 at f and 0 at the other free
-    columns, in ascending order of f.  Elimination runs in column-weight
-    order; the canonical basis is then the reduced echelon form of the
-    kernel with its columns reversed.
+    columns, in ascending order of f.  The reduced pivot rows give a
+    kernel basis, identity on the non-pivot columns; the canonical basis
+    is then the reduced echelon form of the kernel with its columns
+    reversed.
     """
-    red = _reduce(field, rows, _by_weight(rows))[0]
-    basis = {f: {f: 1} for f in range(ncols) if f not in red}
-    for c, prow in red.items():
+    _back_reduce(field, pivots)
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, prow in pivots.items():
         for f, v in prow.items():
             if f != c:
                 basis[f][c] = field.neg(v)

@@ -15,9 +15,14 @@ from __future__ import annotations
 def as_int(x) -> int:
     """int(x) for an integer read from option or file text; a bool or a
     float with a fraction raises TypeError, since int() would coerce or
-    truncate it."""
+    truncate it.  Text must be an optional sign and ASCII digits: the
+    blanks, underscores and other digits int() accepts raise ValueError."""
     if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
         raise TypeError(f"{x!r} is not an integer")
+    if isinstance(x, str):
+        digits = x[1:] if x[:1] in ("+", "-") else x
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {x!r}")
     return int(x)
 
 
@@ -181,7 +186,10 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj) -> "LaurentPoly":
-        return LaurentPoly.make([as_int(c) for c in obj["coeffs"]], as_int(obj["min_deg"]))
+        coeffs = obj["coeffs"]
+        if not isinstance(coeffs, list):  # text would be read digit by digit
+            raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+        return LaurentPoly.make([as_int(c) for c in coeffs], as_int(obj["min_deg"]))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -355,6 +355,77 @@ def test_malformed_option_text_names_its_source(tmp_path, capsys, argv, where):
     assert where.format(**names) in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["gen", "torus", "--a", "2", "--b"], "--b", "1_5"),
+        (["gen", "torus", "--b", "15", "--a"], "--a", " 2"),
+        (["gen", "pretzel", "3", "3"], "twists", "3_3"),
+        (["gen", "sum", "{d}", "{d}", "--arc1"], "--arc1", "0 "),
+        (["gen", "sum", "{d}", "{d}", "--arc2"], "--arc2", "\u0661"),
+        (["snf", "{m}", "--ring", "FpT", "--p"], "--p", "5_"),
+        (["colorings", "{d}", "--t", "-1", "--mod"], "--mod", "1_1"),
+        (["sum", "{d}", "{d}", "--q", "3", "--t", "-1", "--pos1"], "--pos1", "0_0"),
+        (["sum", "{d}", "{d}", "--q", "3", "--t", "-1", "--pos2"], "--pos2", "+ 1"),
+    ],
+)
+def test_integer_options_take_a_sign_and_ascii_digits_only(tmp_path, capsys, argv, option, text):
+    """int() would read 1_5 as 15 and skip blanks; argparse's own message
+    form is kept."""
+    names = {"d": gen_file(tmp_path, capsys, "builtin", "trefoil"), "m": str(tmp_path / "m.json")}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**names) for a in argv] + [text])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err == f"error: argument {option}: invalid int value: {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["code", "{d}", "--q", "3", "--t", " 2_0 "], "--t"),
+        (["code", "{d}", "--q", "3 ", "--t", "-1"], "--q"),
+        (["code", "{d}", "--q", "9", "--modulus", "1,0,1_0", "--t", "-1"], "--modulus"),
+        (["code", "{d}", "--q", "3", "--t", "-1", "--budget", "1_000"], "--budget"),
+        (["colorings", "{d}", "--mod", "9", "--t", "1_0"], "--t"),
+        (["cable", "--base-unknot", "--pairs", "2, 3", "--q", "3", "--t", "-1"], "--pairs"),
+    ],
+)
+def test_integer_text_takes_a_sign_and_ascii_digits_only(tmp_path, capsys, argv, where):
+    names = {"d": gen_file(tmp_path, capsys, "builtin", "trefoil")}
+    code, out, err = run_cli([a.format(**names) for a in argv], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and where in err and "is not an integer" in err, err
+
+
+def test_signed_integer_options_still_parse(tmp_path, capsys):
+    plain = gen_file(tmp_path, capsys, "torus", "--a", "2", "--b", "5", name="plain.json")
+    signed = gen_file(tmp_path, capsys, "torus", "--a", "+2", "--b", "+5", name="signed.json")
+    assert Path(plain).read_text() == Path(signed).read_text()
+    gen_file(tmp_path, capsys, "pretzel", "-3", "+2", "5", name="p.json")
+
+
+def test_code_and_check_build_no_kernel_basis(tmp_path, capsys, monkeypatch):
+    """k is n minus the rank of one forward elimination: code without
+    --min-dist/--weights and check never build a generator."""
+    from knotcode import codes
+
+    def no_basis(*args):
+        raise RuntimeError("kernel basis built")
+
+    monkeypatch.setattr(codes, "echelon_kernel", no_basis)
+    path = gen_file(tmp_path, capsys, "pretzel", "3", "3", "3")
+    for flags, k in (
+        (["--q", "3", "--t", "-1"], "3"),
+        (["--q", "16", "--modulus", "1,1,0,0,1", "--t", "alpha", "--kind", "dehn"], "2"),
+    ):
+        code, out, err = run_cli(["code", path, *flags], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["outputs"]["k"] == k, err
+    code, out, err = run_cli(["check", path], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["outputs"]["ok"] is True
+    with pytest.raises(RuntimeError, match="kernel basis built"):
+        main(["code", path, "--q", "3", "--t", "-1", "--min-dist"])
+
+
 def test_usage_error_on_bad_field(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     code, out, err = run_cli(["code", path, "--q", "6", "--t", "-1"], capsys)
@@ -515,6 +586,10 @@ def test_snf_command(tmp_path, capsys):
         code, out, err = run_cli(["snf", str(fractional), "--ring", "FpT", "--p", "5"], capsys)
         assert (code, out) == (2, "") and err.count("\n") == 1 and str(fractional) in err, entry
         assert "is not an integer" in err
+    # text coeffs are refused, not read digit by digit as 1 + 2T (3 + T once made monic)
+    fractional.write_text(json.dumps({"entries": [[{"min_deg": 0, "coeffs": "12"}]]}))
+    code, out, err = run_cli(["snf", str(fractional), "--ring", "FpT", "--p", "5"], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "coeffs must be a list" in err
 
 
 def test_colorings_command(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcode.laurent import ONE, T, ZERO, LaurentPoly
+from knotcode.laurent import ONE, T, ZERO, LaurentPoly, as_int
 from oracles import int_poly_content_gcd, int_poly_divmod, unit_ratio
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6)
@@ -30,6 +30,23 @@ def test_from_json_refuses_what_int_would_truncate_or_coerce():
     for obj in ({"min_deg": 0.5, "coeffs": [1]}, {"min_deg": 0, "coeffs": [1.7]}, {"min_deg": 0, "coeffs": [True]}):
         with pytest.raises(TypeError, match="is not an integer"):
             LaurentPoly.from_json(obj)
+
+
+def test_from_json_needs_a_coefficient_list():
+    """Text coeffs are refused, not read digit by digit as 1 + 2T."""
+    for coeffs in ("12", 12, {"0": 1}):
+        with pytest.raises(TypeError, match="coeffs must be a list"):
+            LaurentPoly.from_json({"min_deg": 0, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize("text", ["1_1", " 12", "12 ", "+-1", "", "-", "\u0661\u0662", "1.0", "0x1f", "\u00b2"])
+def test_as_int_reads_only_a_sign_and_ascii_digits(text):
+    with pytest.raises(ValueError):
+        as_int(text)
+
+
+def test_as_int_on_signed_digit_text():
+    assert [as_int(t) for t in ("12", "+12", "-12", "007", "-0")] == [12, 12, -12, 7, 0]
 
 
 def test_basic_identities():

@@ -6,14 +6,15 @@ import math
 import random
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knotcode.generators import builtin, connected_sum, from_braid, is_pretzel_knot, pretzel_diagram, split_sum
-from knotcode.fields import FqField, IntMod, PolyMod
+from knotcode.fields import FqField, IntMod, PolyMod, RingLaurent
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
 from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
-from knotcode.exactlin import dense
+from knotcode.exactlin import dense, rank, unit_residual
 from knotcode.codes import (
     code_from_diagram,
     min_distance,
@@ -31,6 +32,7 @@ from oracles import (
     count_colorings_poly_brute,
     first_minors_agree_brute,
     poly_mulmod,
+    rank_dense,
     sparse_det,
 )
 
@@ -264,6 +266,39 @@ def test_code_bounds(d, field):
     assert c.k <= c.n - dist + 1
     if c.k >= 2:
         assert dist >= 2
+
+
+# F_2, F_3, F_5, F_7, F_9 = F_3[x]/(x^2 + 1) and F_16 = F_2[x]/(x^4 + x + 1)
+CODE_FIELDS = [FqField(2), F3, F5, FqField(7), FqField(3, [1, 0, 1]), FqField(2, [1, 1, 0, 0, 1])]
+knots = st.one_of(braid_diagrams(max_strands=6, max_len=16), summands, pretzels())
+
+
+@pytest.mark.filterwarnings("ignore:t = 1")
+@settings(max_examples=150, deadline=None)
+@given(knots, st.sampled_from(CODE_FIELDS), st.sampled_from(["fox", "dehn"]), st.data())
+def test_dimension_is_length_less_rank(d, field, kind, data):
+    """k, read first on a fresh code, is n less the rank of its parity rows,
+    sparse and by dense Gauss-Jordan, and the size of the kernel basis
+    built after it."""
+    t = data.draw(st.integers(1, field.q - 1), label="t")
+    c = code_from_diagram(d, field, field.decode(t), kind)
+    k = c.k
+    dense_rank = rank_dense(field, dense(c.parity, c.n, 0)) if c.parity else 0
+    assert k == c.n - rank(field, c.parity) == c.n - dense_rank == len(c.generator)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knots)
+def test_fox_dimension_at_most_residual_plus_one(d):
+    """The unit pivots +-T^j of the Fox minor (row and column 0 left out)
+    stay units in F_p at every t != 0, so the Fox code has k <= r + 1, r
+    the free columns that unit-pivot elimination over Z[T, T^-1] leaves."""
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    r = unit_residual(RingLaurent(), minor, d.arc_count - 1)[0]
+    for p in (3, 5, 7, 11, 13):
+        field = FqField(p)
+        for t in range(2, p):
+            assert code_from_diagram(d, field, t).k <= r + 1, (p, t)
 
 
 @settings(max_examples=25, deadline=None)
