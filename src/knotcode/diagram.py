@@ -32,6 +32,11 @@ cycle and the face of each dart (which the constructor's check computes), the
 arcs (runs of the edge cycle), one spanning walk of the region adjacency
 from the unbounded region, and the Fox and Dehn coloring relations
 (fox_rows, dehn_rows), so only this module assigns roles at a crossing.
+Dart 2e runs along edge e with the face on its left, dart 2e + 1 against
+it with the face on its right.  Regions are numbered on darts, in one list
+that side_regions and dehn_rows read; regions, keyed by (edge, side)
+token, is a view of that list built only for callers that ask for it.  A
+row adds coefficients only where two roles share a column, as at a kink.
 The region index adds +-1 at each step of that walk, and the
 checkerboard is the parity of the index, even being white.  It is the
 unique proper 2-coloring with the unbounded region white: the two regions
@@ -45,7 +50,7 @@ import json
 from collections import namedtuple
 from functools import cached_property
 
-from .laurent import ONE, ZERO, T, as_int
+from .laurent import ONE, T, as_int
 
 LEFT = "left"
 RIGHT = "right"
@@ -221,19 +226,28 @@ class Diagram:
         return face
 
     @cached_property
-    def regions(self) -> dict:
-        """(edge, side) -> RegionId, canonical: regions are numbered by first
-        appearance in Dehn role order (i, j, k, l) per crossing in input
-        order, then the unbounded region is moved to the last id."""
+    def _dart_regions(self) -> list[int]:
+        """The RegionId of each dart (2e is (e, LEFT), 2e + 1 is (e, RIGHT)),
+        canonical: regions are numbered by first appearance in Dehn role
+        order (i, j, k, l) per crossing in input order, then the unbounded
+        region is moved to the last id."""
         if self.n == 0:
-            return {}
-        sides = (LEFT, RIGHT)
-        face_of = {(d >> 1, sides[d & 1]): fi for d, fi in enumerate(self._dart_faces)}
-        order = dict.fromkeys(face_of[tok] for c in self.crossings for tok in _dehn_role_tokens(c))
-        outer_face = face_of[self.outer]
+            return []
+        faces = self._dart_faces
+        order = dict.fromkeys([faces[d] for c in self.crossings for d in _dehn_role_darts(c)])
+        oe, os_ = self.outer
+        outer_face = faces[2 * oe + (os_ == RIGHT)]
         del order[outer_face]
-        renum = {fi: i for i, fi in enumerate([*order, outer_face])}
-        return {tok: renum[fi] for tok, fi in face_of.items()}
+        renum = [0] * (self.n + 2)
+        for i, fi in enumerate([*order, outer_face]):
+            renum[fi] = i
+        return [renum[fi] for fi in faces]
+
+    @cached_property
+    def regions(self) -> dict:
+        """(edge, side) -> RegionId: the dart regions keyed by token."""
+        sides = (LEFT, RIGHT)
+        return {(d >> 1, sides[d & 1]): r for d, r in enumerate(self._dart_regions)}
 
     @property
     def region_count(self) -> int:
@@ -241,13 +255,15 @@ class Diagram:
 
     @property
     def outer_region(self) -> int:
-        if self.n == 0:
-            return 1
-        return self.regions[self.outer]
+        return self.n + 1  # the last id; the unknot's second synthesized region
 
     def side_regions(self, edge: int) -> tuple[int, int]:
-        """(left region, right region) of an edge."""
-        return self.regions[(edge, LEFT)], self.regions[(edge, RIGHT)]
+        """(left region, right region) of an edge; KeyError for an edge
+        outside 0..2n-1."""
+        if not 0 <= edge < 2 * self.n:
+            raise KeyError(edge)
+        regions = self._dart_regions
+        return regions[2 * edge], regions[2 * edge + 1]
 
     def edge_faces(self) -> list[tuple[int, int]]:
         """(left face, right face) of each edge, in one numbering of the
@@ -263,8 +279,8 @@ class Diagram:
         order regions are reached; the step is +1 when the new region is on
         the edge's left."""
         adjacent = {}
-        for e in range(2 * self.n):
-            l, r = self.side_regions(e)
+        regions = self._dart_regions
+        for e, (l, r) in enumerate(zip(regions[0::2], regions[1::2])):
             adjacent.setdefault(l, []).append((e, r, -1))
             adjacent.setdefault(r, []).append((e, l, +1))
         queue = [self.outer_region]
@@ -287,8 +303,8 @@ class Diagram:
         index = {self.outer_region: 0}
         for _, r, s, step in self._region_walk:
             index[s] = index[r] + step
-        for e in range(2 * self.n):
-            l, r = self.side_regions(e)
+        regions = self._dart_regions
+        for l, r in zip(regions[0::2], regions[1::2]):
             if index[l] - index[r] != 1:
                 raise DiagramError("inconsistent region indices: orientation corrupted")
         return index
@@ -313,7 +329,7 @@ class Diagram:
         rows = []
         for c in self.crossings:
             left, right = (c.under_out, c.under_in) if c.sign == 1 else (c.under_in, c.under_out)
-            roles = ((arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T))
+            roles = [(arcs[c.over_in], _ONE_MINUS_T), (arcs[left], _MINUS_ONE), (arcs[right], T)]
             rows.append(_summed(roles))
         return tuple(rows)
 
@@ -322,9 +338,9 @@ class Diagram:
         """The Dehn coloring matrix over Z[T, T^-1], one sparse row
         ((region, coefficient), ...) per crossing: 1, -T, -1, T on the four
         quadrant regions in role order (i, j, k, l), summed like fox_rows."""
-        regions = self.regions
+        regions = self._dart_regions
         return tuple(
-            _summed((regions[tok], coeff) for tok, coeff in zip(_dehn_role_tokens(c), _DEHN_COEFFS))
+            _summed([(regions[d], coeff) for d, coeff in zip(_dehn_role_darts(c), _DEHN_COEFFS)])
             for c in self.crossings
         )
 
@@ -342,9 +358,8 @@ class Diagram:
     def from_json(obj) -> "Diagram":
         if not isinstance(obj, dict):
             raise TypeError(f"top level must be an object, not {type(obj).__name__}")
-        crossings = tuple(
-            Crossing(*(as_int(c[k]) for k in Crossing._fields)) for c in obj.get("crossings", ())
-        )
+        fields = Crossing._fields
+        crossings = tuple([Crossing._make([as_int(c[k]) for k in fields]) for c in obj.get("crossings", ())])
         outer = obj.get("outer")
         if outer is not None:
             outer = (as_int(outer["edge"]), str(outer["side"]))
@@ -360,24 +375,26 @@ _MINUS_ONE = -ONE
 _DEHN_COEFFS = (ONE, -T, _MINUS_ONE, T)
 
 
-def _summed(roles) -> tuple:
-    acc = {}
-    for col, coeff in roles:
-        acc[col] = acc.get(col, ZERO) + coeff
-    return tuple((col, e) for col, e in sorted(acc.items()) if not e.is_zero)
+def _summed(roles: list) -> tuple:
+    """The sparse row of a crossing's (column, coefficient) roles, columns
+    ascending.  Only roles that share a column are added, and zero sums
+    dropped; every other role keeps its coefficient object."""
+    cells = dict(roles)
+    if len(cells) < len(roles):
+        cells = {}
+        for col, coeff in roles:
+            cells[col] = cells[col] + coeff if col in cells else coeff
+        cells = {col: e for col, e in cells.items() if e.coeffs}
+    return tuple(sorted(cells.items()))  # distinct columns: no coefficient is compared
 
 
-def _dehn_role_tokens(c: Crossing) -> tuple:
-    """The (edge, side) tokens of the four quadrant regions at a crossing in
-    Dehn coloring role order (i, j, k, l): the relation at the crossing is
-    U_i - t U_j - U_k + t U_l = 0, the consistency of the overstrand color
-    U_left - t U_right across the crossing."""
-    j = (c.over_in, RIGHT)
-    k = (c.over_out, LEFT)
+def _dehn_role_darts(c: Crossing) -> tuple:
+    """The darts of the four quadrant regions at a crossing in Dehn
+    coloring role order (i, j, k, l), dart 2e being (e, LEFT) and 2e + 1
+    (e, RIGHT): the relation at the crossing is U_i - t U_j - U_k + t U_l = 0,
+    the consistency of the overstrand color U_left - t U_right across the
+    crossing."""
+    j, k = 2 * c.over_in + 1, 2 * c.over_out  # (over_in, RIGHT), (over_out, LEFT)
     if c.sign == 1:
-        i = (c.under_out, LEFT)
-        l = (c.under_in, RIGHT)
-    else:
-        i = (c.under_in, RIGHT)
-        l = (c.under_out, LEFT)
-    return (i, j, k, l)
+        return (2 * c.under_out, j, k, 2 * c.under_in + 1)
+    return (2 * c.under_in + 1, j, k, 2 * c.under_out)

@@ -20,7 +20,7 @@ and the codeword enumeration on plain ints.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 from itertools import zip_longest
 
 from .laurent import ZERO, LaurentPoly
@@ -400,9 +400,22 @@ class PolyMod:
             self._mul_table = [v for row in rows for v in row]
         return self._mul_table
 
+    @cached_property
+    def _inv_table(self):
+        """The inverse of each element, None for a non-unit, read off
+        mul_table (None past _TABLE_LIMIT): x's inverse is where its row has 1."""
+        table, q = self.mul_table, self.q
+        if table is None:
+            return None
+        rows = (table[x * q : x * q + q] for x in range(q))
+        return [row.index(1) if 1 in row else None for row in rows]
+
     def inv(self, x: int) -> int | None:
         if self.a == 1:
             return pow(x, self.p - 2, self.p) if x else None
+        table = self._inv_table
+        if table is not None:
+            return table[x]
         g, s = self.cover.gcdext(self.decode(x), self.f)
         return self.encode(s) if g == (1,) else None
 

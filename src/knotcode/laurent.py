@@ -16,7 +16,10 @@ def as_int(x) -> int:
     """int(x) for an integer read from option or file text; a bool or a
     float with a fraction raises TypeError, since int() would coerce or
     truncate it.  Text must be an optional sign and ASCII digits: the
-    blanks, underscores and other digits int() accepts raise ValueError."""
+    blanks, underscores and other digits int() accepts raise ValueError.
+    An exact int (not a bool, whose type is bool) is returned as it is."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
         raise TypeError(f"{x!r} is not an integer")
     if isinstance(x, str):

@@ -15,8 +15,12 @@ reference for the two identities coloring.first_minors_agree checks
 instead; minor_dets takes them one sparse_det at a time.  The Z[T] gcd
 helpers at the end serve tests that compare ideals generated by minors.
 arcs_by_union_find is the reference for Diagram.arcs, which cuts the
-edge cycle into runs.  The Reidemeister moves and the canonical form, the
-other oracle machinery, are in moves.py.
+edge cycle into runs, and regions_by_union_find, which merges edge sides
+quadrant by quadrant, for Diagram.regions, which walks the rotation
+system's darts; fox_rows_by_sums and dehn_rows_by_sums sum every role
+from ZERO on those arcs and regions, the reference for the rows Diagram
+builds by adding only roles that share a column.  The Reidemeister moves
+and the canonical form, the other oracle machinery, are in moves.py.
 """
 
 import math
@@ -27,7 +31,8 @@ from itertools import combinations, product
 from knotcode.codes import LinearCode
 from knotcode.coloring import alexander_polynomial, dehn_matrix, fox_matrix
 from knotcode.fields import FqField, IntMod, PolyMod, is_prime
-from knotcode.laurent import ONE, ZERO, LaurentPoly
+from knotcode.diagram import LEFT, RIGHT
+from knotcode.laurent import ONE, ZERO, LaurentPoly, T
 
 
 def cofactor_det(rows) -> LaurentPoly:
@@ -269,6 +274,78 @@ def arcs_by_union_find(d) -> dict:
         parent[max(a, b)] = min(a, b)
     index = {}
     return {e: index.setdefault(find(e), len(index)) for e in range(2 * d.n)}
+
+
+def dehn_role_tokens(c) -> tuple:
+    """The (edge, side) tokens of the four quadrant regions at a crossing in
+    Dehn coloring role order (i, j, k, l): the relation at the crossing is
+    U_i - t U_j - U_k + t U_l = 0."""
+    j = (c.over_in, RIGHT)
+    k = (c.over_out, LEFT)
+    if c.sign == 1:
+        return ((c.under_out, LEFT), j, k, (c.under_in, RIGHT))
+    return ((c.under_in, RIGHT), j, k, (c.under_out, LEFT))
+
+
+def regions_by_union_find(d) -> dict:
+    """(edge, side) -> region by merging, at every crossing, the two edge
+    sides that bound each quadrant.  Around a crossing the ends come
+    counterclockwise in the order of the module docstring of
+    knotcode.diagram; the quadrant after an end holds the left side of an
+    outgoing edge and the right side of an incoming one, the quadrant
+    before it the other side.  Regions are numbered by first appearance in
+    Dehn role order per crossing, the unbounded one moved to the last id."""
+    if d.n == 0:
+        return {}
+    tokens = [(e, side) for e in range(2 * d.n) for side in (LEFT, RIGHT)]
+    parent = {tok: tok for tok in tokens}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in d.crossings:
+        ends = [(c.under_in, False), (c.over_out, True), (c.under_out, True), (c.over_in, False)]
+        if c.sign == -1:
+            ends[1], ends[3] = ends[3], ends[1]  # under_in, over_in, under_out, over_out
+        for (a, a_out), (b, b_out) in zip(ends, ends[1:] + ends[:1]):
+            x, y = find((a, LEFT if a_out else RIGHT)), find((b, RIGHT if b_out else LEFT))
+            parent[max(x, y)] = min(x, y)
+    order = dict.fromkeys(find(tok) for c in d.crossings for tok in dehn_role_tokens(c))
+    outer = find(d.outer)
+    del order[outer]
+    index = {root: i for i, root in enumerate([*order, outer])}
+    return {tok: index[find(tok)] for tok in tokens}
+
+
+def _zero_seeded_row(roles) -> tuple:
+    """A sparse row: every role's coefficient added to its column's running
+    sum from ZERO, columns ascending, zero sums dropped."""
+    acc = {}
+    for col, coeff in roles:
+        acc[col] = acc.get(col, ZERO) + coeff
+    return tuple((col, e) for col, e in sorted(acc.items()) if not e.is_zero)
+
+
+def fox_rows_by_sums(d) -> tuple:
+    """The Fox rows on the union-find arcs: 1 - T on the overstrand, -1 on
+    the understrand on the over direction's left, T on the one on its right."""
+    arcs = arcs_by_union_find(d)
+    rows = []
+    for c in d.crossings:
+        left, right = (c.under_out, c.under_in) if c.sign == 1 else (c.under_in, c.under_out)
+        rows.append(_zero_seeded_row([(arcs[c.over_in], ONE - T), (arcs[left], -ONE), (arcs[right], T)]))
+    return tuple(rows)
+
+
+def dehn_rows_by_sums(d) -> tuple:
+    """The Dehn rows on the union-find regions: 1, -T, -1, T in role order."""
+    regions = regions_by_union_find(d)
+    coeffs = (ONE, -T, -ONE, T)
+    return tuple(
+        _zero_seeded_row([(regions[tok], e) for tok, e in zip(dehn_role_tokens(c), coeffs)]) for c in d.crossings
+    )
 
 
 def colorable_by_alexander(d, ring, t) -> bool:

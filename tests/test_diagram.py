@@ -33,6 +33,27 @@ def test_unknot_validates():
     d = Diagram((), None)
     assert d.arc_count == 1
     assert d.region_count == 2
+
+
+def test_side_regions_refuses_an_edge_outside_the_diagram(trefoil, unknot):
+    """An edge outside 0..2n-1 is a KeyError, as a lookup in regions is; a
+    negative edge does not count back from the end of the darts."""
+    assert trefoil.side_regions(5) == (trefoil.regions[(5, "left")], trefoil.regions[(5, "right")])
+    for d, edges in ((trefoil, (-1, -6, 6)), (unknot, (0, -1))):
+        for e in edges:
+            with pytest.raises(KeyError):
+                d.side_regions(e)
+    assert unknot.regions == {} and unknot.dehn_rows == () and unknot.outer_region == 1
+
+
+def test_kinks_add_roles_that_share_a_column(trefoil, unknot):
+    """At a Reidemeister I kink the overstrand is one of the understrands
+    and one region fills two quadrants: those roles are added into one
+    cell, and the unknot's single kink has an empty Fox row."""
+    kinked = reidemeister_r1(trefoil, 1)
+    assert [len(row) for row in kinked.fox_rows] == [3, 3, 3, 2]
+    assert [len(row) for row in kinked.dehn_rows] == [4, 4, 4, 3]
+    assert reidemeister_r1(unknot, 0).fox_rows == ((),)
     with pytest.raises(DiagramError, match="must have outer = None"):
         Diagram((), (0, "left"))
 

@@ -198,3 +198,35 @@ def test_modulus_keeps_its_degree():
         with pytest.raises(ValueError, match="leading coefficient"):
             build(3, [2, 1, 0])
     assert PolyMod(3, (4, 1)).f == (1, 1)  # lower coefficients are reduced mod p
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        FqField(2, (1, 1, 1)),  # F_4
+        FqField(2, (1, 1, 0, 1)),  # F_8
+        FqField(3, (1, 0, 1)),  # F_9
+        FqField(2, (1, 1, 0, 0, 1)),  # F_16
+        FqField(5, (2, 0, 1)),  # F_25
+        FqField(3, (1, 2, 0, 1)),  # F_27
+        FqField(2, (1, 0, 1, 0, 0, 1)),  # F_32
+        FqField(7, (1, 0, 1)),  # F_49
+        FqField(2, (1, 1, 0, 0, 0, 0, 1)),  # F_64
+        PolyMod(3, (0, 0, 1)),  # F_3[x]/(x^2)
+        PolyMod(2, (1, 0, 1)),  # F_2[x]/(x^2 + 1) = F_2[x]/((x + 1)^2)
+    ],
+)
+def test_inverses_read_off_the_table_are_the_gcdext_ones(ring):
+    """Below the table limit inv reads the multiplication table; each
+    element's answer is the one the extended gcd with the modulus gives,
+    None on every non-unit."""
+    assert ring.mul_table is not None
+
+    def by_gcdext(x):
+        g, s = ring.cover.gcdext(ring.decode(x), ring.f)
+        return ring.encode(s) if g == (1,) else None
+
+    units = range(1, ring.q) if isinstance(ring, FqField) else range(ring.q)
+    assert [ring.inv(x) for x in units] == [by_gcdext(x) for x in units]
+    if not isinstance(ring, FqField):
+        assert ring.inv(0) is None and None in map(ring.inv, units[1:])

@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,19 @@ def test_as_int_reads_only_a_sign_and_ascii_digits(text):
 
 def test_as_int_on_signed_digit_text():
     assert [as_int(t) for t in ("12", "+12", "-12", "007", "-0")] == [12, 12, -12, 7, 0]
+
+
+def test_as_int_returns_an_exact_int_itself():
+    """An int comes back as the same object; a bool is still refused, an
+    integral float and an IntEnum member read as their integer value."""
+    big = 10**30 + 7
+    assert as_int(big) is big and as_int(-3) == -3
+    with pytest.raises(TypeError, match="is not an integer"):
+        as_int(True)
+    value = as_int(3.0)
+    assert value == 3 and type(value) is int
+    value = as_int(IntEnum("Sign", {"NEGATIVE": -1}).NEGATIVE)
+    assert value == -1 and type(value) is int
 
 
 def test_basic_identities():

@@ -9,7 +9,15 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from knotcode.generators import builtin, connected_sum, from_braid, is_pretzel_knot, pretzel_diagram, split_sum
+from knotcode.generators import (
+    builtin,
+    connected_sum,
+    from_braid,
+    is_pretzel_knot,
+    pretzel_diagram,
+    split_sum,
+    torus_diagram,
+)
 from knotcode.fields import FqField, IntMod, PolyMod, RingLaurent
 from knotcode.laurent import ZERO
 from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
@@ -24,15 +32,18 @@ from knotcode.codes import (
 )
 
 from conftest import small_diagrams
-from moves import canonical_key, random_move, surgery_sum
+from moves import ADD_LEFT_TWIST, ADD_RIGHT_TWIST, canonical_key, random_move, reidemeister_r1, surgery_sum
 from oracles import (
     arcs_by_union_find,
     bareiss_det,
     count_colorings_brute,
     count_colorings_poly_brute,
+    dehn_rows_by_sums,
     first_minors_agree_brute,
+    fox_rows_by_sums,
     poly_mulmod,
     rank_dense,
+    regions_by_union_find,
     sparse_det,
 )
 
@@ -176,6 +187,53 @@ def test_arcs_vs_union_find(d):
         edges = d.arc_edges(arc)
         assert edges == sorted(edges) == sorted(e for e, a in d.arcs.items() if a == arc)
     assert d.arc_edges(d.arc_count) == [] and d.arc_edges(-1) == []
+
+
+@st.composite
+def twisted(draw):
+    """Braid closures, pretzels or the unknot with 1-3 Reidemeister I kinks
+    at random arcs: a kink's crossing has its overstrand on one of its
+    understrands and one region in two quadrants, so roles share a column."""
+    d = draw(st.one_of(st.just(builtin("unknot")), braid_diagrams(), pretzels()))
+    for _ in range(draw(st.integers(1, 3))):
+        arc = draw(st.integers(0, d.arc_count - 1))
+        d = reidemeister_r1(d, arc, draw(st.sampled_from((ADD_LEFT_TWIST, ADD_RIGHT_TWIST))))
+    return d
+
+
+torus_knots = st.builds(
+    torus_diagram,
+    st.integers(2, 4),
+    st.integers(-13, 13).filter(lambda b: b and b % 2 and b % 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([builtin("unknot"), from_braid(2, [1]), from_braid(2, [-1])]),
+        braid_diagrams(max_strands=6, max_len=20),
+        pretzels(),
+        torus_knots,
+        sums(),
+        summands,
+        moved_sums(),
+        twisted(),
+    )
+)
+def test_regions_and_rows_vs_oracles(d):
+    """The dart-indexed regions and the rows that add only roles sharing a
+    column against a union-find over the quadrants at each crossing and
+    sums of every role from ZERO, on 0- and 1-crossing diagrams, braid
+    closures, pretzels, torus knots, connected sums, Reidemeister-moved
+    diagrams and kinked ones."""
+    regions = regions_by_union_find(d)
+    assert d.regions == regions
+    assert d.fox_rows == fox_rows_by_sums(d)
+    assert d.dehn_rows == dehn_rows_by_sums(d)
+    for e in range(2 * d.n):
+        assert d.side_regions(e) == (regions[(e, LEFT)], regions[(e, RIGHT)])
+    assert d.outer_region == (regions[d.outer] if d.n else 1)
 
 
 @st.composite
