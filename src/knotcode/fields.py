@@ -6,15 +6,19 @@ PolyMod whose modulus is monic and irreducible).
 
 Polynomials over F_p are ascending coefficient tuples of ints in
 {0, ..., p-1}; the zero polynomial is the empty tuple.  RingFpT(p) is the
-one implementation of their arithmetic, and PolyMod computes through it.
-F_p[x]/(f) has one implementation, PolyMod, on encoded ints in
-range(p^a), a = deg f: the element with coefficient vector
-(c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These ints are the only
-element type of F_p[x]/(f) and of F_q (one is 1); a word (codeword,
-coloring) is a sequence of them.  A t is read by element: an int n is
-n * 1 (so -1 is p - 1), a sequence the ascending coefficients.  A lazy
-multiplication table for q up to _TABLE_LIMIT keeps the linear algebra
-and the codeword enumeration on plain ints.
+one implementation of their arithmetic, and PolyMod reduces, takes gcds
+and extended gcds through it.  F_p[x]/(f) has one implementation,
+PolyMod, on encoded ints in range(p^a), a = deg f: the element with
+coefficient vector (c_0, ..., c_{a-1}) is c_0 + c_1 p + ... .  These ints
+are the only element type of F_p[x]/(f) and of F_q (one is 1); a word
+(codeword, coloring) is a sequence of them.  A t is read by element: an
+int n is n * 1 (so -1 is p - 1), a sequence the ascending coefficients.
+A product is a lookup in a lazy multiplication table up to q = 64
+(_TABLE_LIMIT), which keeps the linear algebra and the codeword
+enumeration on plain ints; past it, one int product by Kronecker
+substitution, the coefficients in slots of one int.  Inverses are
+memoized per ring: each element's is read off its table row, or past
+the table taken by one extended gcd, on its first call.
 """
 
 from __future__ import annotations
@@ -278,6 +282,12 @@ class IntMod:
         return pow(x, -1, self.m) if math.gcd(x, self.m) == 1 else None
 
 
+def _slots(coeffs, s: int) -> int:
+    """The coefficients c_0, c_1, ... in the s-bit slots of one int:
+    c_0 + c_1 2^s + ...."""
+    return sum(c << i * s for i, c in enumerate(coeffs))
+
+
 class PolyMod:
     """F_p[x]/(f), p prime and f of degree a >= 1 by ascending coefficients
     (kept reduced mod p); f is never factored.  Elements are the encoded
@@ -295,6 +305,7 @@ class PolyMod:
         self.a = len(self.f) - 1
         self.q = p**self.a
         self._mul_table = None
+        self._inverses = {}  # element -> inverse or None, filled by inv
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.p, self.f) == (other.p, other.f)
@@ -378,13 +389,54 @@ class PolyMod:
     def mul(self, x: int, y: int) -> int:
         if self.a == 1:
             return x * y % self.p
-        table = self.mul_table
-        if table is not None:
-            return table[x * self.q + y]
+        if self.q <= _TABLE_LIMIT:
+            return self.mul_table[x * self.q + y]
         return self._mul_slow(x, y)
 
     def _mul_slow(self, x: int, y: int) -> int:
-        return self.encode(self.cover.mul(self.decode(x), self.decode(y)))
+        """x * y by Kronecker substitution (von zur Gathen & Gerhard, Modern
+        Computer Algebra, 8.4): each factor's coefficients sit in s-bit slots
+        of one int, one int product gives the 2a - 1 slots of the product
+        polynomial, and the a - 1 high slots are folded back in one pass,
+        slot k times X^k mod f (k = a..2a-2, coefficients in 0..p-1) added
+        to the a low slots, which are then read mod p back into base p.
+
+        No slot ever carries into the next: each slot of the product is a
+        sum of at most a terms x_i y_j <= (p-1)^2, so at most a (p-1)^2, and
+        the fold adds a - 1 such slots, each times a coefficient <= p - 1.
+        Every term is nonnegative, so a slot never exceeds
+        a (p-1)^2 (1 + (a-1)(p-1)), and s is the least width with 2^s
+        above that."""
+        s, mask, top, low_mask, shifts, folds, packed = self._kronecker
+        px = packed.get(x)
+        if px is None:
+            px = packed[x] = _slots(self.decode(x), s)
+        py = packed.get(y)
+        if py is None:
+            py = packed[y] = _slots(self.decode(y), s)
+        prod = px * py
+        low, high = prod & low_mask, prod >> top
+        for r in folds:
+            low += (high & mask) * r
+            high >>= s
+        p, out = self.p, 0
+        for shift in shifts:
+            out = out * p + (low >> shift & mask) % p
+        return out
+
+    @cached_property
+    def _kronecker(self):
+        """The constants of _mul_slow, built on its first call: the slot width
+        s, the least with a (p-1)^2 (1 + (a-1)(p-1)) < 2^s; a slot's mask; the
+        a low slots' width a s and mask; their shifts, highest first; X^k mod
+        f for k = a..2a-2, packed; and the memo of packed elements, which
+        grows only with the elements multiplied."""
+        p, a = self.p, self.a
+        s = (a * (p - 1) ** 2 * (1 + (a - 1) * (p - 1))).bit_length()
+        monomials = ((0,) * k + (1,) for k in range(a, 2 * a - 1))
+        folds = tuple(_slots(self.cover.divmod(m, self.f)[1], s) for m in monomials)
+        shifts = tuple(range((a - 1) * s, -1, -s))
+        return s, (1 << s) - 1, a * s, (1 << a * s) - 1, shifts, folds, {}
 
     @property
     def mul_table(self):
@@ -400,24 +452,26 @@ class PolyMod:
             self._mul_table = [v for row in rows for v in row]
         return self._mul_table
 
-    @cached_property
-    def _inv_table(self):
-        """The inverse of each element, None for a non-unit, read off
-        mul_table (None past _TABLE_LIMIT): x's inverse is where its row has 1."""
-        table, q = self.mul_table, self.q
-        if table is None:
-            return None
-        rows = (table[x * q : x * q + q] for x in range(q))
-        return [row.index(1) if 1 in row else None for row in rows]
-
     def inv(self, x: int) -> int | None:
+        """x's inverse, None on a non-unit.  Each element's answer is found
+        once, on its first call, and memoized per ring: read off its
+        mul_table row (where the row has 1) up to _TABLE_LIMIT, else from
+        the extended gcd with f."""
         if self.a == 1:
             return pow(x, self.p - 2, self.p) if x else None
-        table = self._inv_table
+        try:
+            return self._inverses[x]
+        except KeyError:
+            pass
+        q, table = self.q, self.mul_table
         if table is not None:
-            return table[x]
-        g, s = self.cover.gcdext(self.decode(x), self.f)
-        return self.encode(s) if g == (1,) else None
+            row = table[x * q : x * q + q]
+            y = row.index(1) if 1 in row else None
+        else:
+            g, s = self.cover.gcdext(self.decode(x), self.f)
+            y = self.encode(s) if g == (1,) else None
+        self._inverses[x] = y
+        return y
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:

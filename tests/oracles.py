@@ -411,6 +411,49 @@ def poly_mulmod(a, b, p: int, f) -> tuple:
     return tuple(x % p for x in prod[:deg])
 
 
+def torus_alexander_coeffs(a: int, b: int) -> list[int]:
+    """The ascending integer coefficients of the Alexander polynomial of
+    the torus knot T(a, b), a and b coprime: the closed form
+    (T^ab - 1)(T - 1) / ((T^a - 1)(T^b - 1)), by exact long division over Z
+    by the monic denominator.  A mirror has the same polynomial."""
+    a, b = abs(a), abs(b)
+    num = [0] * (a * b + 2)
+    num[0], num[1], num[a * b], num[a * b + 1] = 1, -1, -1, 1
+    den = [0] * (a + b + 1)
+    den[0] += 1
+    den[a] -= 1
+    den[b] -= 1
+    den[a + b] += 1
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = num[k + len(den) - 1]
+        for j, x in enumerate(den):
+            num[k + j] -= c * x
+    assert not any(num), "the closed form divides exactly"
+    return quot
+
+
+def fp_gcd_degree(x, y, p: int) -> int:
+    """The degree of gcd(x, y) over F_p, x and y ascending integer
+    coefficient lists not both zero mod p, by the Euclidean algorithm on
+    plain lists."""
+
+    def trimmed(c):
+        c = [v % p for v in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    x, y = trimmed(x), trimmed(y)
+    while y:
+        inv = pow(y[-1], p - 2, p)
+        while len(x) >= len(y):
+            c, shift = x[-1] * inv, len(x) - len(y)
+            x = trimmed([v - c * y[j - shift] if j >= shift else v for j, v in enumerate(x)])
+        x, y = y, x
+    return len(x) - 1
+
+
 def count_colorings_poly_brute(d, p: int, f, t) -> int:
     """Enumerate all (p^deg f)^arcs strand colorings over F_p[T]/(f), f and
     t given by ascending coefficients, checking c = t*a + (1-t)*b at every

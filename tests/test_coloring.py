@@ -35,10 +35,12 @@ from oracles import (
     first_minors_agree_brute,
     fp_compose,
     int_poly_content_gcd,
+    fp_gcd_degree,
     minor_family,
     poly_mulmod,
     sparse_det,
     sparse_rows,
+    torus_alexander_coeffs,
     unit_ratio,
 )
 
@@ -387,6 +389,22 @@ def test_count_colorings_poly_mod_stays_fast_on_torus_knots(a, b):
     assert count == 9 ** code_from_diagram(d, FqField(3, [1, 0, 1]), [0, 1]).k
     # T^2 + 1 is irreducible over F_3: the quotient ring is the field F_9
     assert count == count_colorings(d, FqField(3, [1, 0, 1]), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(2, 3), (2, 7), (2, -51), (2, 401), (3, 4), (4, 3), (3, -8), (4, 9), (3, 5), (3, 13), (4, 7), (5, 6), (6, 5)],
+)
+def test_counts_over_a_reducible_cubic_quotient_match_the_torus_closed_form(a, b):
+    """Over F_5[x]/(x^3 + 2), where x^3 + 2 = (x - 2)(x^2 + 2x + 4) and
+    q = 125 is past the product table, at t = x: a torus knot's Alexander
+    module is cyclic, so the count is p^(deg f + deg gcd(f, Delta mod p)),
+    Delta from the closed form.  The quadratic factor's roots have order
+    12, so it divides Delta of T(3, 4), T(3, 8) and T(4, 9) and no other
+    here."""
+    p, f = 5, (2, 0, 0, 1)
+    expect = p ** (len(f) - 1 + fp_gcd_degree(f, torus_alexander_coeffs(a, b), p))
+    assert count_colorings(torus_diagram(a, b), PolyMod(p, f), (0, 1)) == expect
 
 
 def test_counts_hand_the_smith_form_only_a_residual(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcode.fields import FqField, PolyMod, RingFpT, RingLaurent, is_prime
 from knotcode.laurent import ONE, ZERO, LaurentPoly, T
+from oracles import poly_mulmod
 
 
 def test_primality():
@@ -230,3 +232,109 @@ def test_inverses_read_off_the_table_are_the_gcdext_ones(ring):
     assert [ring.inv(x) for x in units] == [by_gcdext(x) for x in units]
     if not isinstance(ring, FqField):
         assert ring.inv(0) is None and None in map(ring.inv, units[1:])
+
+
+def _oracle_product(ring, x, y):
+    return ring.encode(poly_mulmod(ring.decode(x), ring.decode(y), ring.p, ring.f))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        FqField(3, (2, 1, 0, 0, 1)),  # F_81, x^4 + x + 2
+        FqField(2, (1, 1, 0, 0, 0, 0, 0, 1)),  # F_128, x^7 + x + 1
+        FqField(3, (1, 2, 0, 0, 0, 1)),  # F_243, x^5 + 2x + 1
+        PolyMod(5, (2, 0, 0, 1)),  # x^3 + 2 = (x - 2)(x^2 + 2x + 4) over F_5
+        PolyMod(5, (1, 2, 3, 4)),  # not monic
+    ],
+)
+def test_products_past_the_table_match_the_oracle_on_every_pair(ring):
+    """Past the table limit mul is Kronecker substitution; every product
+    is the schoolbook one reduced mod f."""
+    assert ring.mul_table is None
+    q = ring.q
+    assert all(ring.mul(x, y) == _oracle_product(ring, x, y) for x in range(q) for y in range(q))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        FqField(2, (1, 0, 1) + (0,) * 8 + (1,)),  # F_{2^11}, x^11 + x^2 + 1
+        FqField(5, (2, 1, 0, 0, 0, 0, 1)),  # F_{5^6}, x^6 + x + 2
+        FqField(97, (92, 0, 1)),  # F_{97^2}, x^2 - 5 (5 is not a square mod 97)
+    ],
+)
+def test_products_in_large_fields_match_the_oracle(ring):
+    """20 000 random products each, in fields far past the table."""
+    rng = random.Random(ring.q)
+    pairs = [(rng.randrange(ring.q), rng.randrange(ring.q)) for _ in range(20_000)]
+    assert all(ring.mul(x, y) == _oracle_product(ring, x, y) for x, y in pairs)
+
+
+def _fullest_slot(ring):
+    """The largest coefficient, before reduction mod p, of the square of
+    the element whose digits are all p - 1 once its high coefficients are
+    folded back times X^k mod f: the fullest slot the Kronecker product
+    ever holds for this ring."""
+    p, a = ring.p, ring.a
+    coeffs = [(p - 1) ** 2 * min(k + 1, 2 * a - 1 - k) for k in range(2 * a - 1)]
+    low = coeffs[:a]
+    for k in range(a, 2 * a - 1):
+        for i, r in enumerate(poly_mulmod((0,) * k + (1,), (1,), p, ring.f)):
+            low[i] += coeffs[k] * r
+    return max(low)
+
+
+@pytest.mark.parametrize(
+    "ring, every_bit",
+    [
+        (FqField(3, (2, 1, 1)), True),  # F_9, x^2 + x + 2, through _mul_slow below the table limit
+        (PolyMod(3, (1, 1, 2, 1, 1)), True),
+        (PolyMod(2, (1,) + (0,) * 9 + (1, 1)), True),  # x^11 + x^10 + 1
+        (PolyMod(5, (1, 0, 4, 1, 1, 3, 1)), True),
+        (PolyMod(5, (2, 0, 0, 1)), False),
+        (FqField(97, (92, 0, 1)), False),
+    ],
+)
+def test_products_with_the_fullest_slots(ring, every_bit):
+    """Squaring the element with every digit p - 1 fills the slots most.
+    On the rings marked every_bit one slot then needs every bit of the
+    slot width s, the bit length of a (p-1)^2 (1 + (a-1)(p-1)), so that
+    slot would overflow a width one bit narrower."""
+    p, a, top = ring.p, ring.a, ring.q - 1
+    width = (a * (p - 1) ** 2 * (1 + (a - 1) * (p - 1))).bit_length()
+    assert (_fullest_slot(ring).bit_length() == width) is every_bit
+    assert ring._mul_slow(top, top) == ring.mul(top, top) == _oracle_product(ring, top, top)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        PolyMod(5, (2, 0, 0, 1)),  # F_5 x F_25: the non-units are the multiples of x - 2 or x^2 + 2x + 4
+        FqField(3, (1, 2, 0, 0, 0, 1)),  # F_243
+        PolyMod(3, (0, 0, 0, 0, 0, 1)),  # F_3[x]/(x^5), local: the units are x's non-multiples
+    ],
+)
+def test_inverses_past_the_table_are_the_gcdext_ones_first_and_again(ring):
+    """Past the table limit inv runs the extended gcd on an element's
+    first call and reads its memo after; both answers are the gcdext one,
+    None on every non-unit."""
+    assert ring.mul_table is None
+
+    def by_gcdext(x):
+        g, s = ring.cover.gcdext(ring.decode(x), ring.f)
+        return ring.encode(s) if g == (1,) else None
+
+    elements = range(1, ring.q) if isinstance(ring, FqField) else range(ring.q)
+    expect = [by_gcdext(x) for x in elements]
+    assert [ring.inv(x) for x in elements] == expect
+    assert [ring.inv(x) for x in elements] == expect
+    assert all(ring.mul(x, y) == 1 for x, y in zip(elements, expect) if y is not None)
+    if isinstance(ring, FqField):
+        assert None not in expect
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(0)  # zero is refused on every call, never memoized
+    else:
+        assert ring.inv(0) is None and None in expect
