@@ -18,13 +18,10 @@ from .generators import (
     torus_diagram,
 )
 from .coloring import (
-    ColoringMatrix,
     alexander_polynomial,
     count_colorings,
-    dehn_matrix,
     dehn_to_fox,
     first_minors_agree,
-    fox_matrix,
     fox_to_dehn,
     is_colorable,
     knot_determinant,

@@ -21,7 +21,7 @@ from .laurent import ONE, LaurentPoly, T
 from .fields import FqField
 from .diagram import Diagram
 from .exactlin import rank
-from .coloring import fox_matrix
+from .coloring import evaluate
 
 
 def torus_alexander(a: int, b: int) -> LaurentPoly:
@@ -55,9 +55,7 @@ class EvaluatedIdealSeq(namedtuple("EvaluatedIdealSeq", "field t dimension")):
 
 
 def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
-    value = field.at(t)
-    mat = fox_matrix(d)
-    dim = mat.ncols - rank(field, mat.evaluate(value))
+    dim = d.arc_count - rank(field, evaluate(d.fox_rows, field.at(t)))
     if dim < 1:
         raise AssertionError("coloring matrix of a knot diagram must be singular")
     return EvaluatedIdealSeq(field, field.decode(field.element(t)), dim)

@@ -25,14 +25,14 @@ import os
 import sys
 import warnings
 
-from .laurent import LaurentPoly, as_int
+from .laurent import ZERO, LaurentPoly, as_int
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
 from .diagram import Diagram, DiagramError
 from . import generators as gen
 from . import coloring as col
 from . import codes as cd
 from . import cable as cab
-from .exactlin import snf
+from .exactlin import dense, snf
 
 SCHEMA = "knotcode/1"
 
@@ -61,8 +61,8 @@ def _stringify(x):
     return x
 
 
-def emit(report: dict, out=None):
-    (out or sys.stdout).write(json.dumps(_stringify(report), sort_keys=True, separators=(",", ":")) + "\n")
+def emit(report: dict):
+    sys.stdout.write(json.dumps(_stringify(report), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def report_for(command: str, inputs: dict, outputs: dict, warn=()):
@@ -283,8 +283,16 @@ def cmd_invariants(args, command="invariants") -> int:
 
 def cmd_matrix(args) -> int:
     for src, d in diagram_inputs(args.diagram):
-        mat = col.fox_matrix(d) if args.kind == "fox" else col.dehn_matrix(d)
-        emit(report_for("matrix", {**src, "kind": args.kind}, mat.to_json()))
+        if args.kind == "fox":
+            rows, n, order = d.fox_rows, d.arc_count, "arc_order"
+        else:
+            rows, n, order = d.dehn_rows, d.region_count, "region_order"
+        outputs = {
+            "entries": [[e.to_json() for e in row] for row in dense(rows, n, ZERO)],
+            order: list(range(n)),
+            "crossing_order": list(range(len(rows))),
+        }
+        emit(report_for("matrix", {**src, "kind": args.kind}, outputs))
     return 0
 
 

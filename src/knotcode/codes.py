@@ -26,9 +26,9 @@ from itertools import chain, islice
 
 from .fields import FqField
 from .diagram import Diagram
-from .coloring import dehn_matrix, fox_matrix
+from .coloring import evaluate
 from .generators import split_sum
-from .exactlin import _reduce, dense, dot, echelon, echelon_kernel
+from .exactlin import _back_reduce, _reduce, dense, dot, echelon, echelon_kernel
 
 INF = math.inf
 DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
@@ -206,12 +206,12 @@ def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> Linea
     if field.element(t) == 1:
         warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
     if kind == "fox":
-        mat = fox_matrix(d)
+        rows, n = d.fox_rows, d.arc_count
     elif kind == "dehn":
-        mat = dehn_matrix(d)
+        rows, n = d.dehn_rows, d.region_count
     else:
         raise ValueError("kind must be 'fox' or 'dehn'")
-    return LinearCode(field, mat.ncols, mat.evaluate(value))
+    return LinearCode(field, n, evaluate(rows, value))
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -287,6 +287,7 @@ def _pivots_last(c: LinearCode, positions):
     moved last."""
     order = [*positions, *(j for j in range(c.n) if j not in positions)]
     pivots = _reduce(c.field, map(enumerate, c.generator), order)[0]
+    _back_reduce(c.field, pivots)
     last = [pivots.pop(pos) for pos in positions if pos in pivots]
     return dense([row.items() for row in [*pivots.values(), *last]], c.n, 0), len(last)
 

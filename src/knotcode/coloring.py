@@ -2,15 +2,15 @@
 polynomial, the knot determinant, colorability over quotient rings, exact
 coloring counts, and the passage between strand and region colorings.
 
-The Fox coloring matrix has one row per crossing and one column per arc;
-the Dehn matrix has a column per region.  Their rows are cached structure
-of the diagram, Diagram.fox_rows and Diagram.dehn_rows (their docstrings
-give the coefficients), derived once however many functions here read
-them.  Strand colorings are kernel vectors of the Fox matrix; region
-colorings are kernel vectors of the Dehn matrix.
+The Fox coloring matrix has one row per crossing and one column per arc
+(d.arc_count); the Dehn matrix has a column per region (d.region_count).
+A coloring matrix is its diagram's rows over Z[T, T^-1], cached as
+Diagram.fox_rows and Diagram.dehn_rows (their docstrings give the
+coefficients) and derived once however many functions here read them.
+Strand colorings are kernel vectors of the Fox matrix; region colorings
+are kernel vectors of the Dehn matrix.
 
-Both are one type, ColoringMatrix, over Z[T, T^-1].  Everything else is
-that matrix pushed by ColoringMatrix.evaluate through a ring map
+Everything else is those rows pushed by evaluate through a ring map
 ring.at(t), which checks that t is a unit: into F_q for codes and the
 Fox/Dehn conversions, and into F_q, Z/m or F_p[T]/(f) for the one
 coloring count, which eliminates there on unit pivots and takes a Smith
@@ -20,66 +20,32 @@ form of the few rows left, lifted into the ring's cover (Z or F_p[T]).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .fields import FqField, RingLaurent
 from .diagram import RIGHT, Diagram
 from .generators import split_sum
-from .exactlin import dense, dot, kronecker_det, snf, unit_residual
+from .exactlin import dot, kronecker_det, snf, unit_residual
 
 
-class ColoringMatrix(namedtuple("ColoringMatrix", "kind rows ncols")):
-    """A Fox or Dehn coloring matrix over Z[T, T^-1], kind "fox" or "dehn".
-
-    Each row is one crossing's ((column, LaurentPoly), ...) pairs with
-    coincident roles summed and zero sums dropped; columns are arcs (Fox)
-    or regions (Dehn, unbounded region last).
-    """
-
-    __slots__ = ()
-
-    @property
-    def entries(self) -> list[list[LaurentPoly]]:
-        """The dense matrix over Z[T, T^-1]."""
-        return dense(self.rows, self.ncols, ZERO)
-
-    def evaluate(self, value) -> tuple:
-        """The rows with every stored coefficient mapped through the ring
-        map value (for example ring.at(t)), as ((column, image), ...)
-        pairs; cells whose image is zero (falsy) are dropped.  A matrix has
-        only a handful of distinct coefficients, each mapped once per call."""
-        images = {}
-        out = []
-        for row in self.rows:
-            cells = []
-            for col, e in row:
-                v = images.get(e)
-                if v is None:
-                    v = images[e] = value(e)
-                if v:
-                    cells.append((col, v))
-            out.append(tuple(cells))
-        return tuple(out)
-
-    def to_json(self) -> dict:
-        order = "arc_order" if self.kind == "fox" else "region_order"
-        return {
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-            order: list(range(self.ncols)),
-            "crossing_order": list(range(len(self.rows))),
-        }
-
-
-def fox_matrix(d: Diagram) -> ColoringMatrix:
-    """Alexander / Fox coloring matrix over Z[T, T^-1] on the cached rows
-    d.fox_rows; the 0-crossing unknot's is 0 x 1, one arc and no relation."""
-    return ColoringMatrix("fox", d.fox_rows, d.arc_count)
-
-
-def dehn_matrix(d: Diagram) -> ColoringMatrix:
-    """Dehn coloring matrix on the cached rows d.dehn_rows, one column per region."""
-    return ColoringMatrix("dehn", d.dehn_rows, d.region_count)
+def evaluate(rows, value) -> tuple:
+    """The sparse rows with every stored coefficient mapped through the
+    ring map value (for example ring.at(t)), as ((column, image), ...)
+    pairs; cells whose image is zero (falsy) are dropped.  A coloring
+    matrix has only a handful of distinct coefficients, each mapped once
+    per call."""
+    images = {}
+    out = []
+    for row in rows:
+        cells = []
+        for col, e in row:
+            v = images.get(e)
+            if v is None:
+                v = images[e] = value(e)
+            if v:
+                cells.append((col, v))
+        out.append(tuple(cells))
+    return tuple(out)
 
 
 # -- Alexander polynomial ---------------------------------------------------------
@@ -175,9 +141,7 @@ def count_colorings(d: Diagram, ring, t) -> int:
     invariant factors d_i of what unit-pivot elimination over the ring
     leaves, each entry lifted by ring.lift into the ring's cover (Z or
     F_p[T]) for the Smith form (never enumeration)."""
-    value = ring.at(t)
-    mat = fox_matrix(d)
-    free, rest = unit_residual(ring, mat.evaluate(value), mat.ncols)
+    free, rest = unit_residual(ring, evaluate(d.fox_rows, ring.at(t)), d.arc_count)
     rest = [[ring.lift(x) for x in row] for row in rest]
     factors = [di for di in snf(rest, ring.cover).invariant_factors if di]
     return ring.size ** (free - len(factors)) * math.prod(ring.annihilated_by(di) for di in factors)
@@ -206,7 +170,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
         # bare loop: outer on the strand's left; x = U_outer - t U_inner
         inner = field.mul(field.inv(tv), field.sub(av, vec[0]))
         return [inner, av]
-    rows = fox_matrix(d).evaluate(value)
+    rows = evaluate(d.fox_rows, value)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Fox coloring: vector is not in the kernel")
     tinv = field.inv(tv)
@@ -219,7 +183,7 @@ def fox_to_dehn(d: Diagram, field: FqField, t, fox, anchor) -> list[int]:
         else:
             colors[s] = field.mul(tinv, field.sub(colors[r], x))
     out = [colors[r] for r in range(d.region_count)]
-    rows = dehn_matrix(d).evaluate(value)
+    rows = evaluate(d.dehn_rows, value)
     if any(dot(field, row, out) for row in rows):
         raise AssertionError("lifted vector is not a Dehn coloring")
     return out
@@ -235,7 +199,7 @@ def dehn_to_fox(d: Diagram, field: FqField, t, dehn) -> list[int]:
         raise ValueError("expected one color per region")
     if d.n == 0:
         return [field.sub(vec[1], field.mul(tv, vec[0]))]
-    rows = dehn_matrix(d).evaluate(value)
+    rows = evaluate(d.dehn_rows, value)
     if any(dot(field, row, vec) for row in rows):
         raise ValueError("not a Dehn coloring: vector is not in the kernel")
     out = []

@@ -201,9 +201,9 @@ def _swap_cols(mat, j, r):
 # becomes a new pivot row at its first unit entry in the elimination
 # order, scaled to 1 there; a row with no unit entry is set aside as
 # residual and reduced again once new pivots appear.  Over a field every
-# nonzero is a unit, so nothing is ever residual.  With back=True
-# back-reduction (_back_reduce) then clears every other pivot column from
-# each pivot row.
+# nonzero is a unit, so nothing is ever residual.  Back-reduction
+# (_back_reduce), a separate pass over a field's pivots, then clears every
+# other pivot column from each pivot row.
 #
 # A ring here is one of the coloring rings of fields (FqField, IntMod,
 # PolyMod) or RingLaurent, whose inv returns None on a non-unit.
@@ -238,14 +238,14 @@ def _axpy(ring, row: dict, f, prow: dict) -> None:
             del row[c]
 
 
-def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
-    """Eliminate the sparse rows in the given column order.
+def _reduce(ring, rows, order) -> tuple[dict, list[dict]]:
+    """The forward pass: eliminate the sparse rows in the given column order.
 
     Returns ({pivot column: pivot row}, residual rows), pivots in the order
     they were found.  Every pivot row is 1 at its pivot and zero at the
     pivot columns found before it; over a field its pivot is its first
-    column in the order, and with back=True (fields only) it is also zero
-    at every other pivot column.  Residual rows have no unit entry and are
+    column in the order, and _back_reduce then makes it zero at every
+    other pivot column.  Residual rows have no unit entry and are
     zero at every pivot column.
     """
     pos = {c: i for i, c in enumerate(order)}
@@ -286,8 +286,6 @@ def _reduce(ring, rows, order, back: bool = True) -> tuple[dict, list[dict]]:
         if not residual or len(found) == grown:
             break
         pending, residual = residual, []
-    if back:
-        _back_reduce(ring, pivots)
     return pivots, residual
 
 
@@ -311,7 +309,7 @@ def unit_residual(ring, rows, ncols: int) -> tuple[int, list[list]]:
     unknowns are fixed by the free ones: the solutions of rows . x = 0
     correspond one to one with those of the residual rows.
     """
-    pivots, residual = _reduce(ring, rows, _by_weight(rows), back=False)
+    pivots, residual = _reduce(ring, rows, _by_weight(rows))
     free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
     return len(free), dense([[(free[c], v) for c, v in row.items()] for row in residual], len(free), ring.zero)
 
@@ -320,7 +318,7 @@ def echelon(field: FqField, rows) -> dict:
     """The forward pass over F_q: {pivot column: pivot row} of sparse rows
     eliminated in column-weight order, without back-reduction.  Its length
     is the rank; echelon_kernel turns it into the kernel basis."""
-    return _reduce(field, rows, _by_weight(rows), back=False)[0]
+    return _reduce(field, rows, _by_weight(rows))[0]
 
 
 def rank(field: FqField, rows) -> int:
@@ -351,6 +349,7 @@ def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
             if f != c:
                 basis[f][c] = field.neg(v)
     canon = _reduce(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))[0]
+    _back_reduce(field, canon)
     return dense([canon[f].items() for f in sorted(canon)], ncols, 0)
 
 

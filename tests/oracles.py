@@ -29,7 +29,7 @@ from functools import cache
 from itertools import combinations, product
 
 from knotcode.codes import LinearCode
-from knotcode.coloring import alexander_polynomial, dehn_matrix, fox_matrix
+from knotcode.coloring import alexander_polynomial
 from knotcode.fields import FqField, IntMod, PolyMod, is_prime
 from knotcode.diagram import LEFT, RIGHT
 from knotcode.laurent import ONE, ZERO, LaurentPoly, T
@@ -235,10 +235,15 @@ def minor_dets(rows, ncols: int, order: int) -> list[LaurentPoly]:
 def minor_family(d, kind: str, k: int) -> list[LaurentPoly]:
     """All minors of the Fox or Dehn matrix of order (columns - k),
     unnormalized."""
-    mat = {"fox": fox_matrix, "dehn": dehn_matrix}[kind](d)
-    if k < 0 or k > mat.ncols:
+    if kind == "fox":
+        rows, ncols = d.fox_rows, d.arc_count
+    elif kind == "dehn":
+        rows, ncols = d.dehn_rows, d.region_count
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if k < 0 or k > ncols:
         raise ValueError(f"minor order {k} outside matrix bounds")
-    return minor_dets(mat.rows, mat.ncols, mat.ncols - k)
+    return minor_dets(rows, ncols, ncols - k)
 
 
 def unit_ratio(a: LaurentPoly, b: LaurentPoly):

@@ -16,8 +16,6 @@ from knotcode.generators import builtin, connected_sum, pretzel_diagram, torus_d
 from knotcode.coloring import (
     alexander_polynomial,
     count_colorings,
-    dehn_matrix,
-    fox_matrix,
     is_colorable,
     knot_determinant,
 )
@@ -30,6 +28,7 @@ from knotcode.codes import (
     weight_enumerator,
 )
 from knotcode.cable import cable_ideal_seq, iterated_cable_length, unknot_ideal_seq
+from knotcode.exactlin import dense
 
 from moves import random_move
 from oracles import count_colorings_brute, minor_family, sparse_rows, unit_ratio
@@ -58,18 +57,19 @@ class _clock:
 def test_criterion_1_golden_matrices():
     with _clock(1, 1.0):
         trefoil = builtin("trefoil")
-        assert [list(r) for r in fox_matrix(trefoil).entries] == [
+        assert dense(trefoil.fox_rows, trefoil.arc_count, ZERO) == [
             [ONE - T, T, -ONE],
             [-ONE, ONE - T, T],
             [T, -ONE, ONE - T],
         ]
-        assert [list(r) for r in dehn_matrix(trefoil).entries] == [
+        assert dense(trefoil.dehn_rows, trefoil.region_count, ZERO) == [
             [ONE, -T, -ONE, T, ZERO],
             [ONE, -ONE, ZERO, T, -T],
             [ONE, ZERO, -T, T, -ONE],
         ]
         # the published figure-eight matrix carries the rows scaled by -1
-        fig8_rows = fox_matrix(builtin("figure_eight")).entries
+        fig8 = builtin("figure_eight")
+        fig8_rows = dense(fig8.fox_rows, fig8.arc_count, ZERO)
         assert [[-e.eval_int(-1) for e in row] for row in fig8_rows] == [
             [1, 1, -2, 0],
             [0, 1, 1, -2],
@@ -222,7 +222,7 @@ def test_criterion_7_invariant_suites():
         ]
         for d in samples:
             delta = alexander_polynomial(d)
-            for row in fox_matrix(d).entries:
+            for row in dense(d.fox_rows, d.arc_count, ZERO):
                 total = ZERO
                 for e in row:
                     total = total + e

@@ -8,7 +8,11 @@ from pathlib import Path
 import pytest
 
 from knotcode.cli import UsageError, _prime_power, main
-from knotcode.generators import from_braid
+from knotcode.exactlin import dense
+from knotcode.generators import builtin, from_braid
+from knotcode.laurent import ZERO
+
+from moves import reidemeister_r1
 
 RUN = [sys.executable, "-m", "knotcode.cli"]
 
@@ -543,6 +547,24 @@ def test_matrix_command(tmp_path, capsys):
     code, out, err = run_cli(["matrix", unknot], capsys)
     rep = json.loads(out)
     assert code == 0 and rep["outputs"]["entries"] == [] and rep["outputs"]["arc_order"] == ["0"]
+    code, out, err = run_cli(["matrix", unknot, "--kind", "dehn"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["outputs"] == {"entries": [], "region_order": ["0", "1"], "crossing_order": []}
+    # a Reidemeister-I kink puts two roles of one crossing on one arc, summed in its Fox row
+    kinked = reidemeister_r1(builtin("trefoil"), 0)
+    kink = tmp_path / "kink.json"
+    kink.write_text(kinked.dumps())
+    cell = lambda e: {"min_deg": str(e.min_deg), "coeffs": [str(c) for c in e.coeffs]}
+    for kind, rows, ncols, order in (
+        ("fox", kinked.fox_rows, kinked.arc_count, "arc_order"),
+        ("dehn", kinked.dehn_rows, kinked.region_count, "region_order"),
+    ):
+        code, out, err = run_cli(["matrix", str(kink), "--kind", kind], capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["outputs"]["entries"] == [list(map(cell, row)) for row in dense(rows, ncols, ZERO)]
+        assert rep["outputs"][order] == [str(j) for j in range(ncols)]
+        assert rep["outputs"]["crossing_order"] == [str(i) for i in range(kinked.n)]
+    assert min(len(row) for row in kinked.fox_rows) == 2
 
 
 def test_snf_command(tmp_path, capsys):

@@ -14,10 +14,9 @@ from knotcode.generators import builtin, connected_sum, from_braid, pretzel_diag
 from knotcode.coloring import (
     alexander_polynomial,
     count_colorings,
-    dehn_matrix,
     dehn_to_fox,
+    evaluate,
     first_minors_agree,
-    fox_matrix,
     fox_to_dehn,
     is_colorable,
     knot_determinant,
@@ -53,19 +52,19 @@ def test_trefoil_dehn_matrix_is_the_published_one(trefoil):
         [ONE, -ONE, ZERO, T, -T],
         [ONE, ZERO, -T, T, -ONE],
     ]
-    assert [list(r) for r in dehn_matrix(trefoil).entries] == expect
+    assert dense(trefoil.dehn_rows, trefoil.region_count, ZERO) == expect
 
 
 def test_dehn_matrix_row_weights():
     k = reidemeister_r1(builtin("unknot"), 0)
-    dm = dehn_matrix(k)
-    assert len(dm.entries) == 1
-    assert sum(1 for e in dm.entries[0] if not e.is_zero) <= 4
+    dm = dense(k.dehn_rows, k.region_count, ZERO)
+    assert len(dm) == 1
+    assert sum(1 for e in dm[0] if not e.is_zero) <= 4
 
 
 def test_fox_row_sums_vanish():
     for d in small_diagrams():
-        for row in fox_matrix(d).entries:
+        for row in dense(d.fox_rows, d.arc_count, ZERO):
             total = ZERO
             for e in row:
                 total = total + e
@@ -74,7 +73,7 @@ def test_fox_row_sums_vanish():
 
 def test_dehn_row_sums_vanish():
     for d in small_diagrams():
-        for row in dehn_matrix(d).entries:
+        for row in dense(d.dehn_rows, d.region_count, ZERO):
             total = ZERO
             for e in row:
                 total = total + e
@@ -111,9 +110,8 @@ def test_minors_agree_up_to_unit():
 def _left_product(d, sign, token) -> list:
     """w^T A for the Fox matrix A and w_c = sign(c) T^(-ind R_c), R_c the
     region of the token token(c)."""
-    mat = fox_matrix(d)
-    out = [ZERO] * mat.ncols
-    for c, row in zip(d.crossings, mat.rows):
+    out = [ZERO] * d.arc_count
+    for c, row in zip(d.crossings, d.fox_rows):
         w = LaurentPoly((sign(c),), -d.region_index[d.regions[token(c)]])
         for j, e in row:
             out[j] += w * e
@@ -181,7 +179,7 @@ def test_alexander_determinant_per_summand(monkeypatch, trefoil):
 def _minor_and_residual(d):
     """The (1,1) Fox minor as sparse rows, and the dense rows that unit
     pivots leave of it."""
-    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in d.fox_rows[1:]]
     return minor, unit_residual(RingLaurent(), minor, d.arc_count - 1)[1]
 
 
@@ -220,7 +218,7 @@ def test_alexander_of_many_strand_braids():
 def test_first_minors_match_bareiss_oracle():
     d = torus_diagram(3, 5)
     assert d.n >= 8
-    assert minor_family(d, "fox", 1) == bareiss_minors(fox_matrix(d).entries, d.n - 1)
+    assert minor_family(d, "fox", 1) == bareiss_minors(dense(d.fox_rows, d.arc_count, ZERO), d.n - 1)
 
 
 def test_trefoil_minor_families(trefoil):
@@ -464,7 +462,7 @@ def test_poly_count_matches_field_kernel(trefoil, figure_eight, F4):
 def test_colorings_at_t_one_are_trivial():
     for d in small_diagrams():
         for field in (FqField(2), FqField(3), FqField(5)):
-            rows = fox_matrix(d).evaluate(partial(field.eval_laurent, t=field.element(1)))
+            rows = evaluate(d.fox_rows, partial(field.eval_laurent, t=field.element(1)))
             assert len(kernel_basis(field, rows, ncols=d.arc_count)) == 1
 
 
@@ -474,15 +472,15 @@ def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):
     maps += [(partial(f.eval_laurent, t=tv), 0) for f in (F3, F4, F5, F7) for tv in range(1, f.q)]
     maps += [(partial(fp_compose, t=tp, ring=RingFpT(p)), ()) for p, tp in ((3, (0, 1)), (5, (2, 1)), (2, (1, 1, 1)))]
     for d in small_diagrams():
-        for mat in (fox_matrix(d), dehn_matrix(d)):
-            sym = mat.entries
-            assert len(sym) == d.n and all(len(row) == mat.ncols for row in sym)
-            distinct = {e for row in mat.rows for _, e in row}
+        for sparse, ncols in ((d.fox_rows, d.arc_count), (d.dehn_rows, d.region_count)):
+            sym = dense(sparse, ncols, ZERO)
+            assert len(sym) == d.n and all(len(row) == ncols for row in sym)
+            distinct = {e for row in sparse for _, e in row}
             for value, zero in maps:
                 expect = [[value(e) if e else zero for e in row] for row in sym]
                 seen = []
-                rows = mat.evaluate(lambda e: seen.append(e) or value(e))
-                assert dense(rows, mat.ncols, zero) == expect
+                rows = evaluate(sparse, lambda e: seen.append(e) or value(e))
+                assert dense(rows, ncols, zero) == expect
                 assert all(v != zero for row in rows for _, v in row)
                 assert sorted(map(str, seen)) == sorted(map(str, distinct))  # each once
 
@@ -491,7 +489,7 @@ def test_determinants_match_modular_oracle():
     from oracles import int_det_crt
 
     for d in small_diagrams():
-        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1)), d.n, 0)
+        rows = dense(evaluate(d.fox_rows, lambda e: e.eval_int(-1)), d.n, 0)
         minor = [row[1:] for row in rows[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
 
@@ -503,8 +501,7 @@ def test_unknot_counts(unknot):
 
 def test_unknot_fox_matrix_is_0_by_1(unknot):
     """The bare loop has one arc and no crossing: no relations on one color."""
-    mat = fox_matrix(unknot)
-    assert (mat.rows, mat.ncols) == ((), 1)
+    assert (unknot.fox_rows, unknot.arc_count) == ((), 1)
     assert minor_family(unknot, "fox", 1) == []
 
 
@@ -561,7 +558,7 @@ def test_checkerboard_dehn_weight_two_maps_to_weight_p(F5):
     colors = d.checkerboard
     dehn = [0 if colors[r] == "white" else 3 for r in range(d.region_count)]
     assert sum(1 for u in dehn if u) == 2
-    rows = dehn_matrix(d).evaluate(partial(F5.eval_laurent, t=F5.element(-1)))
+    rows = evaluate(d.dehn_rows, partial(F5.eval_laurent, t=F5.element(-1)))
     assert not any(_dot_mod(row, dehn, F5) for row in dense(rows, d.region_count, 0))
     fox = dehn_to_fox(d, F5, -1, dehn)
     assert sum(1 for x in fox if x) == 5

@@ -16,11 +16,11 @@ from knotcode.generators import (
     split_sum,
     torus_diagram,
 )
-from knotcode.coloring import alexander_polynomial, fox_matrix, knot_determinant
+from knotcode.coloring import alexander_polynomial, evaluate, knot_determinant
 from knotcode.cable import torus_alexander
 from knotcode.codes import code_from_diagram, tied_weight_enumerator, weight_enumerator
 from knotcode.exactlin import dense
-from knotcode.laurent import ONE, T
+from knotcode.laurent import ONE, T, ZERO
 
 from moves import same_up_to_relabeling
 
@@ -31,7 +31,7 @@ def test_builtin_trefoil_fox_matrix_is_the_published_one(trefoil):
         [-ONE, ONE - T, T],
         [T, -ONE, ONE - T],
     ]
-    assert [list(r) for r in fox_matrix(trefoil).entries] == expect
+    assert dense(trefoil.fox_rows, trefoil.arc_count, ZERO) == expect
 
 
 def test_builtin_figure_eight_matches_published_matrix_at_minus_one(figure_eight):
@@ -42,7 +42,7 @@ def test_builtin_figure_eight_matches_published_matrix_at_minus_one(figure_eight
         [-2, 0, 1, 1],
         [1, -2, 0, 1],
     ]
-    rows = fox_matrix(figure_eight).entries
+    rows = dense(figure_eight.fox_rows, figure_eight.arc_count, ZERO)
     assert [[-e.eval_int(-1) for e in row] for row in rows] == expect
 
 
@@ -141,7 +141,7 @@ def test_pretzel_determinant_matches_brute_force():
             continue
         d = pretzel_diagram(spec)
         assert d.n == sum(abs(p) for p in spec)
-        rows = dense(fox_matrix(d).evaluate(lambda e: e.eval_int(-1)), d.n, 0)
+        rows = dense(evaluate(d.fox_rows, lambda e: e.eval_int(-1)), d.n, 0)
         minor = [row[1:] for row in rows[1:]]
         assert knot_determinant(d) == abs(int_det_crt(minor))
         if all(p % 2 for p in spec):  # all-odd pretzels have a closed form

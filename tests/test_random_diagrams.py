@@ -20,7 +20,7 @@ from knotcode.generators import (
 )
 from knotcode.fields import FqField, IntMod, PolyMod, RingLaurent
 from knotcode.laurent import ZERO
-from knotcode.coloring import alexander_polynomial, count_colorings, dehn_matrix, first_minors_agree, fox_matrix
+from knotcode.coloring import alexander_polynomial, count_colorings, first_minors_agree
 from knotcode.diagram import LEFT, RIGHT, Diagram, DiagramError
 from knotcode.exactlin import dense, rank, unit_residual
 from knotcode.codes import (
@@ -162,7 +162,7 @@ def test_alexander_polynomial_vs_whole_minor(d):
     diagrams, mixed-sign pretzels, connected sums, and connected sums after
     Reidemeister moves, where a visible summand can hold several prime
     summands."""
-    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in d.fox_rows[1:]]
     delta = alexander_polynomial(d)
     assert delta == sparse_det(minor).alexander_normalized()
     assert delta == bareiss_det(dense(minor, d.arc_count - 1, ZERO)).alexander_normalized()
@@ -269,8 +269,8 @@ def test_constructor_admits_only_whole_diagrams(case):
         return
     assert len(set(d.arcs.values())) == d.n
     assert len(set(d.regions.values())) == d.n + 2
-    fox_matrix(d)
-    dehn_matrix(d)
+    d.fox_rows
+    d.dehn_rows
     d.region_index  # raises unless every edge steps the index by one
 
 
@@ -281,7 +281,7 @@ def test_fox_matrix_structure(d):
         return
     delta = alexander_polynomial(d)
     assert abs(delta.eval_int(1)) == 1
-    for row in fox_matrix(d).entries:
+    for row in dense(d.fox_rows, d.arc_count, ZERO):
         total = ZERO
         weight = 0
         for e in row:
@@ -351,7 +351,7 @@ def test_fox_dimension_at_most_residual_plus_one(d):
     """The unit pivots +-T^j of the Fox minor (row and column 0 left out)
     stay units in F_p at every t != 0, so the Fox code has k <= r + 1, r
     the free columns that unit-pivot elimination over Z[T, T^-1] leaves."""
-    minor = [tuple((c - 1, e) for c, e in row if c) for row in fox_matrix(d).rows[1:]]
+    minor = [tuple((c - 1, e) for c, e in row if c) for row in d.fox_rows[1:]]
     r = unit_residual(RingLaurent(), minor, d.arc_count - 1)[0]
     for p in (3, 5, 7, 11, 13):
         field = FqField(p)
