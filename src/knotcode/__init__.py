@@ -36,7 +36,6 @@ from .codes import (
     ldpc_profile,
     min_distance,
     sum_code,
-    sum_weight_enumerator,
     weight_enumerator,
 )
 from .cable import (

@@ -318,10 +318,7 @@ def cmd_code(args) -> int:
         status = 0
         if args.min_dist or args.weights:
             try:
-                if args.kind == "fox":
-                    we = cd.knot_weight_enumerator(d, code, field.decode(t), budget)
-                else:
-                    we = cd.weight_enumerator(code, budget)
+                we = cd.weight_enumerator(code, budget)
             except cd.BudgetExceeded as exc:
                 we = None
                 status = EXIT_BUDGET
@@ -447,7 +444,7 @@ def cmd_sum(args) -> int:
     outputs = {"n": total.n, "k": total.k, "q": field.q}
     status = 0
     try:
-        we = cd.sum_weight_enumerator(c1, pos1, c2, pos2, budget)
+        we = cd.weight_enumerator(total, budget)
         outputs["d"] = we.min_weight()
         if args.weights:
             outputs["weights"] = we.to_json()

@@ -9,11 +9,11 @@ Weight enumerators come from exhaustive enumeration under a budget (exact
 below it, unknown above); minimum distances are read off them.  The one
 codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
 not lexicographic order: each step adds one packed basis row to a word
-held in a single Python int.  Codes tied at coordinates along a tree (a
-connected sum's code is its summands' codes tied at the cut arcs) are
-counted from one walk per code, never of the tied code, and the budget
-then applies to each walk.  A word is a sequence of encoded field ints
-(see fields); a t is read by FqField.element, so an int t is n * 1.
+held in a single Python int.  A code tied from codes along a tree (a
+connected sum's Fox code, a sum_code) remembers them; past one block of
+the walk or the budget, its weights come from one walk per code, each
+within the budget.  A word is a sequence of encoded field ints (see
+fields); a t is read by FqField.element, so an int t is n * 1.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 
 from .fields import FqField
 from .diagram import Diagram
 from .coloring import evaluate
 from .generators import split_sum
-from .exactlin import _back_reduce, _reduce, dense, dot, echelon, echelon_kernel
+from .exactlin import dense, dot, echelon, echelon_kernel, reduced_pivots
 
 INF = math.inf
 DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
@@ -43,6 +43,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class LinearCode:
+    _parts = None  # () -> (codes, ties) it is tied from; set by code_from_diagram (Fox), sum_code
+
     def __init__(self, field: FqField, n: int, parity: tuple):
         self.field = field
         self.n = n
@@ -205,13 +207,20 @@ def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> Linea
     value = field.at(t)
     if field.element(t) == 1:
         warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
-    if kind == "fox":
-        rows, n = d.fox_rows, d.arc_count
-    elif kind == "dehn":
-        rows, n = d.dehn_rows, d.region_count
-    else:
+    if kind == "dehn":
+        return LinearCode(field, d.region_count, evaluate(d.dehn_rows, value))
+    if kind != "fox":
         raise ValueError("kind must be 'fox' or 'dehn'")
-    return LinearCode(field, n, evaluate(rows, value))
+    c = LinearCode(field, d.arc_count, evaluate(d.fox_rows, value))
+    c._parts = partial(_summand_codes, d, field, value)
+    return c
+
+
+def _summand_codes(d: Diagram, field: FqField, value):
+    """The Fox codes of split_sum(d)'s summands at the evaluation value, and
+    its ties; built without code_from_diagram, so t = 1 is not flagged again."""
+    summands, ties = split_sum(d)
+    return [LinearCode(field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands], ties
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -243,7 +252,15 @@ class WeightEnumerator(namedtuple("WeightEnumerator", "counts")):
 
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
     """Weight distribution a_0..a_n from one pass over all q^k codewords;
-    raises BudgetExceeded above the budget."""
+    raises BudgetExceeded above the budget.  Past one block of the walk or
+    the budget (q^k > min(_BLOCK, budget)), a code tied from two or more
+    codes is instead folded from one walk per code by
+    tied_weight_enumerator, which checks the budget against each."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if c._parts is not None and c.codeword_count() > min(_BLOCK, limit):
+        codes, ties = c._parts()
+        if len(codes) > 1:
+            return tied_weight_enumerator(codes, ties, budget)
     counts = [0] * (c.n + 1)
     _tally(_Packing(c.field, c.n), c._walk(budget), counts)
     return WeightEnumerator(tuple(counts))
@@ -286,8 +303,7 @@ def _pivots_last(c: LinearCode, positions):
     basis with the positions eliminated first, its pivot rows at positions
     moved last."""
     order = [*positions, *(j for j in range(c.n) if j not in positions)]
-    pivots = _reduce(c.field, map(enumerate, c.generator), order)[0]
-    _back_reduce(c.field, pivots)
+    pivots = reduced_pivots(c.field, map(enumerate, c.generator), order)
     last = [pivots.pop(pos) for pos in positions if pos in pivots]
     return dense([row.items() for row in [*pivots.values(), *last]], c.n, 0), len(last)
 
@@ -312,23 +328,20 @@ def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode
     field, shift = c1.field, c1.n
     shifted = tuple(tuple((shift + j, x) for j, x in row) for row in c2.parity)
     link = ((pos1, 1), (shift + pos2, field.neg(1)))
-    return LinearCode(field, shift + c2.n, c1.parity + shifted + (link,))
+    total = LinearCode(field, shift + c2.n, c1.parity + shifted + (link,))
+    total._parts = partial(_tied_pair, c1, pos1, c2, pos2)
+    return total
 
 
-def sum_weight_enumerator(c1, pos1, c2, pos2, budget: int | None = None) -> WeightEnumerator:
-    """Weight enumerator of sum_code(c1, pos1, c2, pos2) without walking it:
-    W_C' W_D' + (W_C - W_C')(W_D - W_D') / (q - 1), where C' (D') holds the
-    words of C (D) that are zero at pos1 (pos2); tied_weight_enumerator's
-    case of two codes.  One walk per summand counts W and W'; each walk
-    checks the budget against q^k of its code."""
-    return tied_weight_enumerator([c1, c2], [(0, pos1, 1, pos2)], budget)
+def _tied_pair(c1, pos1, c2, pos2):
+    return [c1, c2], [(0, pos1, 1, pos2)]
 
 
 def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnumerator:
     """Weight enumerator of codes tied along a tree, without walking the
     tied code: the words of their direct sum that agree at every tie (i,
     pos_i, j, pos_j), as sum_code ties two codes and split_sum the summands
-    of a diagram.
+    of a diagram; weight_enumerator calls it on the parts a code remembers.
 
     Every code's q^k is checked against the budget first; then each code is
     walked once and its words counted by weight and by where among its tie
@@ -375,25 +388,6 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
             raise AssertionError("words nonzero at a tie not divisible by q - 1")
         tied[i] = zero, [x // (q - 1) for x in nonzero]
     return WeightEnumerator(tuple(tied[0][0]))
-
-
-def knot_weight_enumerator(d: Diagram, c: LinearCode, t, budget: int | None = None) -> WeightEnumerator:
-    """weight_enumerator(c) where c is code_from_diagram(d, c.field, t), d's
-    Fox code.  When walking c would pass the walk's one precomputed block
-    or the budget (q^k > min(_BLOCK, budget)), a visibly composite d is cut
-    by split_sum and its summands' codes are tied by tied_weight_enumerator,
-    which walks q^k_i words per summand and checks the budget against each;
-    otherwise c is walked.  Under the block the walk costs less than the
-    split, and the budget counts the words walked either way."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if c.codeword_count() > min(_BLOCK, limit):
-        summands, ties = split_sum(d)
-        if len(summands) > 1:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # t = 1 is flagged once, when c was built
-                codes = [code_from_diagram(s, c.field, t) for s in summands]
-            return tied_weight_enumerator(codes, ties, budget)
-    return weight_enumerator(c, budget)
 
 
 def _convolve(a, b):

@@ -23,7 +23,7 @@ import math
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .fields import FqField, RingLaurent
-from .diagram import RIGHT, Diagram
+from .diagram import Diagram
 from .generators import split_sum
 from .exactlin import dot, kronecker_det, snf, unit_residual
 
@@ -118,10 +118,10 @@ def first_minors_agree(d: Diagram) -> bool:
     Coincident roles are summed in A, and their terms add alike.
     """
     rows = d.fox_rows
-    index, regions = d.region_index, d.regions
+    index = d.region_index
     column = [ZERO] * d.arc_count  # w^T A
     for c, row in zip(d.crossings, rows):
-        w = LaurentPoly((c.sign,), -index[regions[(c.over_in if c.sign == 1 else c.under_in, RIGHT)]])
+        w = LaurentPoly((c.sign,), -index[d.side_regions(c.over_in if c.sign == 1 else c.under_in)[1]])
         for j, e in row:
             column[j] += w * e
     return all(row_sum(row).is_zero for row in rows) and not any(column)

@@ -28,7 +28,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, product
 
-from knotcode.codes import LinearCode
+from knotcode.codes import LinearCode, weight_enumerator
 from knotcode.coloring import alexander_polynomial
 from knotcode.fields import FqField, IntMod, PolyMod, is_prime
 from knotcode.diagram import LEFT, RIGHT
@@ -623,6 +623,12 @@ def weight_counts_brute(code):
         if code.contains(vec):
             counts[sum(1 for x in vec if x)] += 1
     return tuple(counts)
+
+
+def walked_weights(code):
+    """The weight enumerator of one walk of the whole code: a copy built by
+    hand remembers no parts, so weight_enumerator cannot fold it."""
+    return weight_enumerator(LinearCode(code.field, code.n, code.parity), budget=10**30)
 
 
 def subcode_last_zero(code, pos=None) -> LinearCode:

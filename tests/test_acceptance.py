@@ -24,14 +24,13 @@ from knotcode.codes import (
     dual_knot_feasibility,
     min_distance,
     sum_code,
-    sum_weight_enumerator,
-    weight_enumerator,
+    tied_weight_enumerator,
 )
 from knotcode.cable import cable_ideal_seq, iterated_cable_length, unknot_ideal_seq
 from knotcode.exactlin import dense
 
 from moves import random_move
-from oracles import count_colorings_brute, minor_family, sparse_rows, unit_ratio
+from oracles import count_colorings_brute, minor_family, sparse_rows, unit_ratio, walked_weights
 
 F3 = FqField(3)
 F4 = FqField(2, [1, 1, 1])
@@ -202,9 +201,9 @@ def test_criterion_6_connected_sum_calculus():
             if field.q**s.k > 10**5:
                 continue
             assert s.k == c1.k + c2.k - 1  # dimension identity
-            formula_w = sum_weight_enumerator(c1, pos1, c2, pos2)
+            formula_w = tied_weight_enumerator([c1, c2], [(0, pos1, 1, pos2)])
             assert formula_w.min_weight() == min_distance(s)  # minimum-distance theorem
-            assert formula_w.counts == weight_enumerator(s).counts
+            assert formula_w.counts == walked_weights(s).counts
             checked += 1
 
 

@@ -303,7 +303,15 @@ def test_sum_enumerates_each_summand_code_once(tmp_path, capsys, monkeypatch):
     t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
     calls = _count_spans(monkeypatch)
     code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "-1", "--weights"], capsys)
-    assert code == 0 and len(calls) == 2  # C and D; each walk also counts C' and D'
+    assert code == 0 and len(calls) == 1  # [6,3]_3: 27 words, under one block, walked whole
+    # two 5-fold trefoil sums, [15,6]_3 each, tie to [30,11]_3, past the block
+    s5 = _trefoil_sum(tmp_path, capsys, 5)
+    calls.clear()
+    code, out, err = run_cli(["sum", s5, s5, "--q", "3", "--t", "-1", "--weights"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["outputs"]["k"] == "11" and rep["outputs"]["d"] == "2"
+    assert sum(map(int, rep["outputs"]["weights"])) == 3**11
+    assert len(calls) == 2  # C and D; each walk also counts C' and D'
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -17,7 +18,6 @@ from knotcode.codes import (
     ldpc_profile,
     min_distance,
     sum_code,
-    sum_weight_enumerator,
     tied_weight_enumerator,
     weight_enumerator,
     LinearCode,
@@ -33,6 +33,7 @@ from oracles import (
     span_lex,
     sparse_rows,
     subcode_last_zero,
+    walked_weights,
     weight_counts_brute,
 )
 
@@ -264,7 +265,7 @@ def test_sum_code_field_mismatch(F3, F5, trefoil):
 
 def test_sum_min_distance_and_weights(F3, trefoil):
     c = code_from_diagram(trefoil, F3, -1)
-    formula = sum_weight_enumerator(c, 2, c, 2)
+    formula = tied_weight_enumerator([c, c], [(0, 2, 1, 2)])
     assert formula.min_weight() == 2
     brute = weight_enumerator(sum_code(c, 2, c, 2))
     assert formula.counts == brute.counts
@@ -273,7 +274,7 @@ def test_sum_min_distance_and_weights(F3, trefoil):
 def test_sum_of_trivial_codes_distance(F5, unknot):
     # both subcodes zero: distance is the full length n + m
     c = code_from_diagram(unknot, F5, -1)
-    assert sum_weight_enumerator(c, 0, c, 0).min_weight() == 2
+    assert tied_weight_enumerator([c, c], [(0, 0, 1, 0)]).min_weight() == 2
     s = sum_code(c, 0, c, 0)
     assert min_distance(s) == 2 == c.n + c.n
 
@@ -312,7 +313,7 @@ def test_split_walk_counts_the_code_and_its_zero_subcode(c):
         assert tuple(a + b for a, b in zip(sub, rest)) == whole
     s = sum_code(c, c.n - 1, c, 0)
     if s.codeword_count() <= 10**5:
-        assert sum_weight_enumerator(c, c.n - 1, c, 0).counts == weight_enumerator(s).counts
+        assert tied_weight_enumerator([c, c], [(0, c.n - 1, 1, 0)]) == walked_weights(s)
 
 
 @pytest.mark.parametrize("c", _split_walk_codes(), ids=str)
@@ -339,11 +340,40 @@ def test_tied_weight_enumerator_needs_a_tree(F3, trefoil):
             tied_weight_enumerator([c, c], [tie])
 
 
-def test_sum_weight_enumerator_checks_the_tie(F3, F5, trefoil):
+def _trefoil_sum(m: int):
+    d = builtin("trefoil")
+    for _ in range(m - 1):
+        d = connected_sum(d, 0, builtin("trefoil"), 0)
+    return d
+
+
+def test_a_composite_code_is_folded_from_its_parts(F3):
+    """weight_enumerator and min_distance fold the summands' codes of a
+    visibly composite Fox code past the budget: the [48,17]_3 code of the
+    16-fold trefoil sum is exact at the default budget, where a walk needs
+    3^17 > 10^7 words.  Its Dehn code remembers no parts and stays unknown."""
+    d = _trefoil_sum(16)
+    c = code_from_diagram(d, F3, -1)
+    assert (c.n, c.k) == (48, 17)
+    assert min_distance(c) == 2 == min_distance(pickle.loads(pickle.dumps(c)))
+    assert weight_enumerator(c).total() == 3**17
+    assert min_distance(code_from_diagram(d, F3, -1, kind="dehn")) is None
+    # the 6-fold sum's [18,7]_3 code: a budget of 9 folds its 9-word summands,
+    # an unlimited one walks its 3^7 words, under one block, whole
+    six = code_from_diagram(_trefoil_sum(6), F3, -1)
+    assert six.k == 7 and six.codeword_count() < 4096
+    assert weight_enumerator(six, budget=9) == weight_enumerator(six, budget=10**30) == walked_weights(six)
+    with pytest.raises(BudgetExceeded):
+        weight_enumerator(six, budget=8)
+    s = sum_code(six, 0, six, 0)  # [36,13]_3: one walk of each six-fold code
+    assert weight_enumerator(s, budget=3**7) == tied_weight_enumerator([six, six], [(0, 0, 1, 0)])
+
+
+def test_tied_weight_enumerator_checks_the_tie(F3, F5, trefoil):
     c3, c5 = code_from_diagram(trefoil, F3, -1), code_from_diagram(trefoil, F5, -1)
-    for args in ((c3, 2, c5, 2), (c3, 3, c3, 0), (c3, 0, c3, -1)):
+    for c1, pos1, c2, pos2 in ((c3, 2, c5, 2), (c3, 3, c3, 0), (c3, 0, c3, -1)):
         with pytest.raises(ValueError):
-            sum_weight_enumerator(*args)
+            tied_weight_enumerator([c1, c2], [(0, pos1, 1, pos2)])
 
 
 def test_ldpc_profiles(F3, trefoil, unknot):

@@ -26,7 +26,6 @@ from knotcode.exactlin import dense, rank, unit_residual
 from knotcode.codes import (
     code_from_diagram,
     min_distance,
-    sum_weight_enumerator,
     tied_weight_enumerator,
     weight_enumerator,
 )
@@ -45,6 +44,7 @@ from oracles import (
     rank_dense,
     regions_by_union_find,
     sparse_det,
+    walked_weights,
 )
 
 F3 = FqField(3)
@@ -447,13 +447,13 @@ def test_split_gives_back_the_summands(d1, d2, data):
 def test_sum_formula_on_the_diagram_sum(d1, d2, field_t, data):
     """The paper's sum code, pinned on the knot it describes: the walk of
     the Fox code of connected_sum(d1, a1, d2, a2) counts the weights that
-    sum_weight_enumerator gives for the summands' codes tied at a1 and a2."""
+    tied_weight_enumerator gives for the summands' codes tied at a1 and a2."""
     field, t = field_t
     arc1 = data.draw(st.integers(0, d1.arc_count - 1), label="arc1")
     arc2 = data.draw(st.integers(0, d2.arc_count - 1), label="arc2")
     c1, c2 = code_from_diagram(d1, field, t), code_from_diagram(d2, field, t)
     whole = code_from_diagram(connected_sum(d1, arc1, d2, arc2), field, t)
-    assert weight_enumerator(whole) == sum_weight_enumerator(c1, arc1, c2, arc2)
+    assert walked_weights(whole) == tied_weight_enumerator([c1, c2], [(0, arc1, 1, arc2)])
 
 
 @st.composite
@@ -492,4 +492,4 @@ def test_summand_weights_tie_to_the_walk(case):
     whole = code_from_diagram(d, field, t)
     assert len(ties) == len(summands) - 1
     assert whole.k == sum(c.k for c in codes) - len(ties)
-    assert tied_weight_enumerator(codes, ties) == weight_enumerator(whole)
+    assert tied_weight_enumerator(codes, ties) == weight_enumerator(whole) == walked_weights(whole)
