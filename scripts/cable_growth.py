@@ -9,7 +9,8 @@ Usage: python scripts/cable_growth.py [--primes 3,5,7] [--iterations 6]
 import argparse
 
 from knotcode.fields import FqField
-from knotcode.cable import cable_ideal_seq, iterated_cable_length, torus_delta, unknot_ideal_seq
+from knotcode.generators import builtin
+from knotcode.cable import cable_dimensions, iterated_cable_length
 
 
 def main():
@@ -19,15 +20,12 @@ def main():
     args = ap.parse_args()
     for p in (int(x) for x in args.primes.split(",")):
         field = FqField(p)
-        t = -1
-        seq = unknot_ideal_seq(field, t)
+        stages = cable_dimensions(builtin("unknot"), field, -1, [(2, p)] * args.iterations)
         print(f"== iterated (2,{p}) cables over F_{p} at t = -1 ==")
         print(f"{'m':>3} {'delta':>6} {'dim':>4} {'length':>8} {'rate':>8}")
-        for m in range(1, args.iterations + 1):
-            delta = torus_delta(field, 2, p, t)
-            seq = cable_ideal_seq(seq, 2, p, t)
+        for m, (_, delta, dim) in enumerate(stages[1:], start=1):
             n = iterated_cable_length(p, m)
-            print(f"{m:>3} {str(list(field.decode(delta))):>6} {seq.dimension:>4} {n:>8} {seq.dimension / n:>8.4f}")
+            print(f"{m:>3} {str(list(field.decode(delta))):>6} {dim:>4} {n:>8} {dim / n:>8.4f}")
         print()
 
 

@@ -1,13 +1,13 @@
 """Exact-arithmetic library for linear codes built from knot diagram
 colorings: oriented diagrams and their regions, Fox/Dehn coloring matrices,
 Alexander polynomials, Smith normal forms, coloring counts, code
-parameters for torus/pretzel/connected-sum families, and the cable
-dimension calculus.
+parameters for torus/pretzel/connected-sum families, and the code
+dimensions of iterated torus knots around a companion (cable_dimensions).
 """
 
 from .laurent import LaurentPoly
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
-from .exactlin import SnfResult, kernel_basis, rank, snf
+from .exactlin import SnfResult, snf
 from .diagram import Crossing, Diagram, DiagramError
 from .generators import (
     builtin,
@@ -39,14 +39,11 @@ from .codes import (
     weight_enumerator,
 )
 from .cable import (
-    EvaluatedIdealSeq,
     cable_alexander,
-    cable_ideal_seq,
-    ideal_seq_from_diagram,
+    cable_dimensions,
     iterated_cable_length,
     torus_alexander,
     torus_delta,
-    unknot_ideal_seq,
 )
 
 __version__ = "0.1.0"

@@ -1,27 +1,26 @@
-"""Torus-knot Alexander polynomials in closed form and the dimension
-calculus for (iterated) torus knots around companions.
+"""Torus-knot Alexander polynomials in closed form and the code
+dimensions of (iterated) torus knots around companions.
 
 No cable diagrams are built: over a field every evaluated elementary
-ideal is 0 or everything, so an ideal sequence is just the first index
-where it becomes everything (the code dimension), and cabling transforms
-that index by one closed-form rule.
+ideal is 0 or everything, so a knot's ideals are fixed by the first
+index where they become everything, its code dimension, and cabling
+moves that index by one closed-form rule (cable_dimensions).
 
-A t is read by FqField.element, so an int t is n * 1; the t of a
-sequence holds the ascending coefficients FqField.decode gives, so it
-can be passed back as a t, and the value of torus_delta is an encoded
-field int.
+A t is read by FqField.element, so an int t is n * 1; the t of a stage
+holds the ascending coefficients FqField.decode gives, so it can be
+passed back as a t, and the value of torus_delta is an encoded field
+int.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .laurent import ONE, LaurentPoly, T
 from .fields import FqField
 from .diagram import Diagram
-from .exactlin import rank
 from .coloring import evaluate
+from .codes import LinearCode
 
 
 def torus_alexander(a: int, b: int) -> LaurentPoly:
@@ -45,49 +44,38 @@ def cable_alexander(base: LaurentPoly, a: int, b: int) -> LaurentPoly:
     return (torus_alexander(a, b) * base.subst_power(b)).alexander_normalized()
 
 
-class EvaluatedIdealSeq(namedtuple("EvaluatedIdealSeq", "field t dimension")):
-    """Evaluated elementary ideals of a coloring matrix over a field: the
-    k-th ideal is the whole field exactly when k >= dimension (the code
-    dimension), so the sequence is held as that threshold; t holds the
-    ascending coefficients FqField.decode gives."""
-
-    __slots__ = ()
-
-
-def ideal_seq_from_diagram(d: Diagram, field: FqField, t) -> EvaluatedIdealSeq:
-    dim = d.arc_count - rank(field, evaluate(d.fox_rows, field.at(t)))
-    if dim < 1:
-        raise AssertionError("coloring matrix of a knot diagram must be singular")
-    return EvaluatedIdealSeq(field, field.decode(field.element(t)), dim)
-
-
 def torus_delta(field: FqField, a: int, b: int, t) -> int:
     """The torus Alexander value at t, the quantity that decides whether
     cabling bumps the dimension."""
     return field.eval_laurent(torus_alexander(a, b), field.element(t))
 
 
-def cable_ideal_seq(base: EvaluatedIdealSeq, a: int, b: int, t) -> EvaluatedIdealSeq:
-    """Ideal sequence of the (a,b)-torus knot around the companion whose
-    sequence is base, evaluated at t.
+def cable_dimensions(base: Diagram, field: FqField, t, pairs) -> list[tuple]:
+    """Code dimensions of the iterated torus knots around the companion
+    base: cable the (a_1,b_1)-torus knot around base, then (a_2,b_2)
+    around that, and so on, evaluated at t.
 
-    The k-th flag becomes (delta != 0 and e_k) or e_{k-1} with
-    delta = torus Alexander at t, so the dimension moves up by one
-    exactly when delta vanishes.  base must be evaluated at t^b.
+    Returns one (t_i, delta_i, k_i) per stage, the base first: stage i
+    is evaluated at t_i = t^(|b_{i+1}| ... |b_m|), k_0 is the dimension
+    of base's Fox code at t_0 (the unknot's is 1), and delta_i is
+    torus_delta of (a_i, b_i) at t_i (None for the base).  Over a field
+    every evaluated elementary ideal is 0 or everything; with e_k the
+    flag "the k-th is everything", cabling turns e_k into
+    (delta != 0 and e_k) or e_{k-1}, so k_i is k_{i-1} plus 1 exactly
+    when delta_i is 0.  t must be a unit.
     """
-    a, b = abs(a), abs(b)
-    field = base.field
-    te = field.element(t)
-    if field.pow(te, b) != field.element(base.t):
-        raise ValueError("base sequence must be evaluated at t^b")
-    bump = 1 if torus_delta(field, a, b, t) == 0 else 0
-    return EvaluatedIdealSeq(field, field.decode(te), base.dimension + bump)
-
-
-def unknot_ideal_seq(field: FqField, t) -> EvaluatedIdealSeq:
-    """Companion seed: the unknot has only the trivial colorings."""
-    field.at(t)  # t must be a unit
-    return EvaluatedIdealSeq(field, field.decode(field.element(t)), 1)
+    ts = [field.element(t)]
+    for _, b in reversed(pairs):
+        ts.insert(0, field.pow(ts[0], abs(b)))
+    ts = [field.decode(x) for x in ts]
+    k = LinearCode(field, base.arc_count, evaluate(base.fox_rows, field.at(ts[0]))).k
+    stages = [(ts[0], None, k)]
+    for (a, b), ti in zip(pairs, ts[1:]):
+        delta = torus_delta(field, a, b, ti)
+        if delta == 0:
+            k += 1
+        stages.append((ti, delta, k))
+    return stages
 
 
 def iterated_cable_length(p: int, m: int) -> int:

@@ -398,34 +398,20 @@ def cmd_cable(args) -> int:
     if len(nums) % 2 or not nums:
         raise UsageError("--pairs needs a1,b1[,a2,b2,...]")
     pairs = [(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
-
-    t_step = [t]  # t_step[i] = t^(b_{i+1} ... b_m), the t of stage i
-    for _, b in reversed(pairs):
-        t_step.insert(0, field.pow(t_step[0], abs(b)))
-    t_step = [field.decode(x) for x in t_step]
-
-    inputs = {"pairs": [list(p) for p in pairs], "q": field.q, "t": list(t_step[-1])}
-    if args.base:
-        base_d, inputs["base_sha256"] = load_diagram(args.base)
-        seq = cab.ideal_seq_from_diagram(base_d, field, t_step[0])
+    t = field.decode(t)
+    inputs = {"pairs": [list(p) for p in pairs], "q": field.q, "t": list(t)}
+    if args.base:  # loaded before t is checked: a missing file is a bad diagram
+        base, inputs["base_sha256"] = load_diagram(args.base)
         inputs["base"] = args.base
     else:
-        seq = cab.unknot_ideal_seq(field, t_step[0])
+        base = gen.builtin("unknot")
         inputs["base"] = "unknot"
-    rows = [{"dim": seq.dimension, "stage": "base", "t": list(seq.t)}]
-    for i, (a, b) in enumerate(pairs, start=1):
-        delta = cab.torus_delta(field, a, b, t_step[i])
-        seq = cab.cable_ideal_seq(seq, a, b, t_step[i])
-        row = {
-            "stage": i,
-            "a": a,
-            "b": b,
-            "t": list(seq.t),
-            "delta": list(field.decode(delta)),
-            "dim": seq.dimension,
-        }
-        rows.append(row)
-    outputs = {"steps": rows, "dim": seq.dimension}
+    stages = cab.cable_dimensions(base, field, t, pairs)
+    t0, _, k0 = stages[0]
+    rows = [{"dim": k0, "stage": "base", "t": list(t0)}]
+    for i, ((a, b), (ti, delta, k)) in enumerate(zip(pairs, stages[1:]), start=1):
+        rows.append({"stage": i, "a": a, "b": b, "t": list(ti), "delta": list(field.decode(delta)), "dim": k})
+    outputs = {"steps": rows, "dim": stages[-1][2]}
     p0 = pairs[0]
     if not args.base and all(pr == p0 for pr in pairs) and p0[0] == 2 and p0[1] % 2 and is_prime(p0[1]):
         outputs["lengths"] = [cab.iterated_cable_length(p0[1], m) for m in range(1, len(pairs) + 1)]

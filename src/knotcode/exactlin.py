@@ -192,11 +192,10 @@ def _swap_cols(mat, j, r):
 
 # -- sparse elimination over quotient rings ---------------------------------------
 #
-# One sparse elimination serves rank and kernel_basis over F_q and the
-# coloring counts over Z/m and F_p[T]/(f).  Over F_q the forward pass
-# (echelon) alone gives the rank, so a code's dimension; the kernel basis
-# back-reduces that same pass (echelon_kernel) only when a codeword walk
-# needs it.  Each row is copied into a {column: value} dict of its
+# One sparse elimination serves the codes over F_q and the coloring counts
+# over Z/m and F_p[T]/(f).  Over F_q the forward pass (echelon) alone
+# gives the rank, so a code's dimension; the kernel basis back-reduces
+# that same pass (echelon_kernel) only when a codeword walk needs it.  Each row is copied into a {column: value} dict of its
 # nonzeros and reduced against the pivot rows found so far.  What is left
 # becomes a new pivot row at its first unit entry in the elimination
 # order, scaled to 1 there; a row with no unit entry is set aside as
@@ -328,16 +327,6 @@ def reduced_pivots(field: FqField, rows, order) -> dict:
     pivots = _reduce(field, rows, order)[0]
     _back_reduce(field, pivots)
     return pivots
-
-
-def rank(field: FqField, rows) -> int:
-    return len(echelon(field, rows))
-
-
-def kernel_basis(field: FqField, rows, ncols: int) -> list[list[int]]:
-    """Dense row basis of {x : rows . x^T = 0} over F_q, for sparse rows
-    of width ncols: echelon_kernel of the forward pass."""
-    return echelon_kernel(field, echelon(field, rows), ncols)
 
 
 def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:

@@ -26,7 +26,7 @@ from knotcode.codes import (
     sum_code,
     tied_weight_enumerator,
 )
-from knotcode.cable import cable_ideal_seq, iterated_cable_length, unknot_ideal_seq
+from knotcode.cable import cable_dimensions, iterated_cable_length
 from knotcode.exactlin import dense
 
 from moves import random_move
@@ -267,13 +267,9 @@ def test_criterion_7_invariant_suites():
 def test_criterion_8_cable_calculus():
     with _clock(8, 1.0):
         for p, field in ((3, F3), (5, F5)):
-            t = field.element(-1)
-            seq = unknot_ideal_seq(field, t)
-            lengths = []
-            for m in range(1, 5):
-                seq = cable_ideal_seq(seq, 2, p, t)
-                assert seq.dimension == m + 1
-                lengths.append(iterated_cable_length(p, m))
+            stages = cable_dimensions(builtin("unknot"), field, -1, [(2, p)] * 4)
+            assert [k for _, _, k in stages] == [1, 2, 3, 4, 5]
+            lengths = [iterated_cable_length(p, m) for m in range(1, 5)]
             expect = [3]
             while len(expect) < 4:
                 expect.append(4 * expect[-1] + p)

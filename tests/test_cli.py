@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -671,6 +672,23 @@ def test_cable_with_base_diagram(tmp_path, capsys):
         ["cable", "--base", path, "--pairs", "2,3", "--q", "3", "--t", "0"], capsys
     )
     assert (code, out) == (2, "") and "invertible" in err
+
+
+def test_cable_base_is_quiet_at_t_one_and_loaded_first(tmp_path, capsys):
+    """A base's Fox code at t_0 = 1 is the repetition code, but cable reports
+    no warning for it: (-1)^2 = 1 here.  A missing base file is a bad
+    diagram (exit 3) before t = 0 is a usage error (exit 2)."""
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    for base in (["--base-unknot"], ["--base", path]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["cable", *base, "--pairs", "3,2", "--q", "3", "--t", "-1"], capsys)
+        rep = json.loads(out)
+        assert (code, err, caught, rep["warnings"]) == (0, "", [], [])
+        assert rep["outputs"]["steps"][0]["t"] == ["1"]
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(["cable", "--base", missing, "--pairs", "2,3", "--q", "3", "--t", "0"], capsys)
+    assert (code, out) == (3, "") and "missing.json" in err
 
 
 def test_sum_command(tmp_path, capsys):

@@ -22,8 +22,8 @@ from knotcode.coloring import (
     knot_determinant,
 )
 from knotcode.codes import code_from_diagram
-from knotcode.cable import ideal_seq_from_diagram, torus_alexander, unknot_ideal_seq
-from knotcode.exactlin import dense, kernel_basis, snf, unit_residual
+from knotcode.cable import cable_dimensions, torus_alexander
+from knotcode.exactlin import dense, echelon, echelon_kernel, snf, unit_residual
 
 from conftest import small_diagrams
 from moves import reidemeister_r1
@@ -273,13 +273,13 @@ def test_colorability_requires_invertible_t(trefoil):
             is_colorable(trefoil, PolyMod(p, (1, 1)), (0, 1))
         with pytest.raises(ValueError, match="not a prime"):
             count_colorings(trefoil, PolyMod(p, (1, 1)), (0, 1))
-    # the cable ideal sequences and the Fox/Dehn conversions need an
-    # invertible t too
+    # the cable dimensions, for the unknot as for a diagram base, and the
+    # Fox/Dehn conversions need an invertible t too
     F3 = FqField(3)
     for call in (
         lambda: is_colorable(trefoil, F3, 0),
-        lambda: unknot_ideal_seq(F3, 0),
-        lambda: ideal_seq_from_diagram(trefoil, F3, 0),
+        lambda: cable_dimensions(builtin("unknot"), F3, 0, [(2, 3)]),
+        lambda: cable_dimensions(trefoil, F3, 0, [(2, 3)]),
         lambda: fox_to_dehn(trefoil, F3, 0, [0, 0, 0], 0),
         lambda: dehn_to_fox(trefoil, F3, 0, [0] * 5),
     ):
@@ -463,7 +463,7 @@ def test_colorings_at_t_one_are_trivial():
     for d in small_diagrams():
         for field in (FqField(2), FqField(3), FqField(5)):
             rows = evaluate(d.fox_rows, partial(field.eval_laurent, t=field.element(1)))
-            assert len(kernel_basis(field, rows, ncols=d.arc_count)) == 1
+            assert len(echelon_kernel(field, echelon(field, rows), d.arc_count)) == 1
 
 
 def test_evaluated_rows_match_symbolic_matrix(F3, F4, F5, F7):

@@ -1,7 +1,6 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcode.exactlin import _bound_squared, kernel_basis, kronecker_det, rank, snf
+from knotcode.exactlin import _bound_squared, echelon, echelon_kernel, kronecker_det, snf
 from knotcode.fields import FqField, RingFpT, RingZ
 from knotcode.laurent import ONE, T, ZERO, LaurentPoly
 from oracles import (
@@ -214,10 +213,16 @@ def test_snf_fpt_trefoil_variable_t():
 # -- kernels over F_q ---------------------------------------------------------------
 
 
+def kernel(field, rows, ncols):
+    """The canonical kernel basis of sparse rows: echelon_kernel of their
+    forward pass."""
+    return echelon_kernel(field, echelon(field, rows), ncols)
+
+
 def test_kernel_trefoil_fields():
     F3, F4, F5 = FqField(3), FqField(2, [1, 1, 1]), FqField(5)
     m3 = [[2, 2, 2]] * 3
-    assert len(kernel_basis(F3, sparse_rows(m3), 3)) == 2
+    assert len(kernel(F3, sparse_rows(m3), 3)) == 2
     alpha = F4.encode((0, 1))
     one_minus_alpha = F4.sub(1, alpha)
     m4 = [
@@ -225,9 +230,9 @@ def test_kernel_trefoil_fields():
         [1, one_minus_alpha, alpha],
         [alpha, 1, one_minus_alpha],
     ]
-    assert len(kernel_basis(F4, sparse_rows(m4), 3)) == 2
+    assert len(kernel(F4, sparse_rows(m4), 3)) == 2
     m5 = [[2, 4, 4], [4, 2, 4], [4, 4, 2]]
-    assert len(kernel_basis(F5, sparse_rows(m5), 3)) == 1
+    assert len(kernel(F5, sparse_rows(m5), 3)) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -237,8 +242,8 @@ def test_kernel_random(data):
     rows = data.draw(st.integers(1, 4))
     cols = data.draw(st.integers(1, 4))
     m = [[data.draw(st.integers(0, field.q - 1)) for _ in range(cols)] for _ in range(rows)]
-    basis = kernel_basis(field, sparse_rows(m), cols)
-    r = rank(field, sparse_rows(m))
+    basis = kernel(field, sparse_rows(m), cols)
+    r = len(echelon(field, sparse_rows(m)))
     assert len(basis) == cols - r
     for vec in basis:
         for row in m:
@@ -277,12 +282,11 @@ def test_sparse_elimination_matches_dense_oracle(data):
     if full is not None:
         for row in rows:
             row[full] = data.draw(st.integers(1, field.q - 1))
-    assert kernel_basis(field, sparse_rows(rows), n) == kernel_basis_dense(field, rows, n)
-    assert rank(field, sparse_rows(rows)) == rank_dense(field, rows)
+    assert kernel(field, sparse_rows(rows), n) == kernel_basis_dense(field, rows, n)
+    assert len(echelon(field, sparse_rows(rows))) == rank_dense(field, rows)
 
 
 def test_kernel_needs_ncols_for_empty():
     F3 = FqField(3)
-    assert len(kernel_basis(F3, [], ncols=4)) == 4
-    with pytest.raises(TypeError):  # sparse rows do not tell the width
-        kernel_basis(F3, [])
+    assert echelon(F3, []) == {}
+    assert kernel(F3, [], 4) == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
