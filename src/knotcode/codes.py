@@ -7,13 +7,16 @@ those rows gives; the generator, a kernel basis of dense codewords, is
 built from that same elimination only when a codeword walk needs it.
 Weight enumerators come from exhaustive enumeration under a budget (exact
 below it, unknown above); minimum distances are read off them.  The one
-codeword walk (_span) visits the q^k codewords in p-ary Gray-code order,
+codeword walk (_span) visits a coset of a span in p-ary Gray-code order,
 not lexicographic order: each step adds one packed basis row to a word
-held in a single Python int.  A code tied from codes along a tree (a
-connected sum's Fox code, a sum_code) remembers them; past one block of
-the walk or the budget, its weights come from one walk per code, each
-within the budget.  A word is a sequence of encoded field ints (see
-fields); a t is read by FqField.element, so an int t is n * 1.
+held in a single Python int.  Weight is unchanged by a unit scalar, so
+weights walk one word per projective point (_points), (q^k - 1)/(q - 1)
+words, and count each q - 1 times; the budget is still compared with
+q^k.  A code tied from codes along a tree (a connected sum's Fox code, a
+sum_code) remembers them; past one block of the walk or the budget, its
+weights come from one walk per distinct code, each within the budget.  A
+word is a sequence of encoded field ints (see fields); a t is read by
+FqField.element, so an int t is n * 1.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, islice
 
 from .fields import FqField
@@ -100,18 +103,14 @@ class LinearCode:
         """All codewords as tuples of encoded field ints, each once, in the
         walk's p-ary Gray-code order (not lexicographic); raises
         BudgetExceeded above the budget."""
-        return map(_Packing(self.field, self.n).unpack, self._walk(budget))
+        self._afford(budget)
+        return map(_Packing(self.field, self.n).unpack, _span(self.field, self.generator, self.n))
 
     def _afford(self, budget: int | None) -> None:
         """The one budget check: raise BudgetExceeded if q^k exceeds it."""
         limit = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > limit:
             raise BudgetExceeded(self.q, self.k, limit)
-
-    def _walk(self, budget: int | None, basis=None):
-        """The budget check, then the walk over a basis of this code."""
-        self._afford(budget)
-        return _span(self.field, self.generator if basis is None else basis, self.n)
 
     def contains(self, vec) -> bool:
         """Whether vec, a word of encoded field ints, is a codeword."""
@@ -163,14 +162,15 @@ class _Packing:
         return tuple(sum(d * w for d, w in zip(digits[j::n], powers)) for j in range(n))
 
 
-def _span(field: FqField, basis, n: int):
-    """Every word of the F_q-span of basis, packed (see _Packing), once each.
+def _span(field: FqField, basis, n: int, start: int = 0):
+    """Every word of start + the F_q-span of basis, packed (see _Packing),
+    once each; start is a packed word.
 
     The k*a rows x^l * g_i (l < a) form an F_p-basis of the code; the walk
     runs the modular p-ary Gray code over their coefficients, so each step
     adds one packed row (step m adds the row indexed by the p-adic
     valuation of m) and then reduces every slot from [0, 2p - 2] back into
-    [0, p) in a few whole-int operations.  The zero word comes first.
+    [0, p) in a few whole-int operations.  start comes first.
     """
     pk = _Packing(field, n)
     p, fix, top, flag = pk.p, pk.fix, pk.top, pk.flag
@@ -181,7 +181,7 @@ def _span(field: FqField, basis, n: int):
     block = []
     for r in rows[:low]:
         block = (block + [r]) * (p - 1) + block
-    v = 0
+    v = start
     yield v
     head = []
     for m in range(1, p ** (len(rows) - low) + 1):
@@ -194,6 +194,14 @@ def _span(field: FqField, basis, n: int):
             j //= p
             i += 1
         head = rows[i : i + 1]  # empty after the last block
+
+
+def _points(field: FqField, basis, n: int) -> list:
+    """One packed word per projective point of the span of basis: for each
+    row i the walk g_i + span(g_{i+1}, ...), the words whose first nonzero
+    coefficient is 1.  Each nonzero word is a unit times one of them."""
+    pack = _Packing(field, n).pack
+    return [_span(field, basis[i + 1 :], n, pack(g)) for i, g in enumerate(basis)]
 
 
 def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> LinearCode:
@@ -251,19 +259,22 @@ class WeightEnumerator(namedtuple("WeightEnumerator", "counts")):
 
 
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
-    """Weight distribution a_0..a_n from one pass over all q^k codewords;
-    raises BudgetExceeded above the budget.  Past one block of the walk or
-    the budget (q^k > min(_BLOCK, budget)), a code tied from two or more
-    codes is instead folded from one walk per code by
+    """Weight distribution a_0..a_n from one walk of the projective points
+    (_points): a_0 = 1 and a_w = (q - 1) * (points of weight w); raises
+    BudgetExceeded when q^k is above the budget.  Past one block of the
+    walk or the budget (q^k > min(_BLOCK, budget)), a code tied from two
+    or more codes is instead folded from one walk per distinct code by
     tied_weight_enumerator, which checks the budget against each."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if c._parts is not None and c.codeword_count() > min(_BLOCK, limit):
         codes, ties = c._parts()
         if len(codes) > 1:
             return tied_weight_enumerator(codes, ties, budget)
-    counts = [0] * (c.n + 1)
-    _tally(_Packing(c.field, c.n), c._walk(budget), counts)
-    return WeightEnumerator(tuple(counts))
+    c._afford(budget)
+    pk, counts = _Packing(c.field, c.n), [0] * (c.n + 1)
+    for walk in _points(c.field, c.generator, c.n):
+        _tally(pk, walk, counts)
+    return WeightEnumerator((1, *((c.q - 1) * x for x in counts[1:])))
 
 
 def _tally(pk: _Packing, words, counts: list) -> None:
@@ -282,19 +293,23 @@ def _joint_weights(c: LinearCode, positions, budget: int | None) -> dict:
     pattern no word has is left out.  With one position pos this is
     {(False,): W_C', (True,): W_C - W_C'}, where C' = {x in C : x_pos = 0}.
 
-    With the s rows that _pivots_last puts last, the walk runs in blocks
-    of q^(k-s) words, each a coset of the words zero at every position, so
-    the first word of a block gives the whole block's values there."""
+    It walks the projective points (_points) of the basis whose last s
+    rows _pivots_last puts last; the walk from lead row i runs in blocks
+    of q^max(k-s-1-i, 0) words, each a coset of words zero at every
+    position, so the first word of a block gives the whole block's
+    values there.  A unit scalar keeps the pattern."""
+    c._afford(budget)
     basis, s = _pivots_last(c, positions)
     pk = _Packing(c.field, c.n)
     digit = (1 << pk.b) - 1
     masks = [sum(digit << pk.b * (l * c.n + j) for l in range(pk.a)) for j in positions]
-    size, out = c.q ** (c.k - s), {}
-    walk = c._walk(budget, basis)
-    for first in walk:
-        pattern = tuple(bool(first & m) for m in masks)
-        _tally(pk, chain((first,), islice(walk, size - 1)), out.setdefault(pattern, [0] * (c.n + 1)))
-    return out
+    out = {(False,) * len(positions): [1] + [0] * c.n}  # the zero word
+    for i, walk in enumerate(_points(c.field, basis, c.n)):
+        size = c.q ** max(c.k - s - 1 - i, 0)
+        for first in walk:
+            pattern = tuple(bool(first & m) for m in masks)
+            _tally(pk, chain((first,), islice(walk, size - 1)), out.setdefault(pattern, [0] * (c.n + 1)))
+    return {pattern: [counts[0], *((c.q - 1) * x for x in counts[1:])] for pattern, counts in out.items()}
 
 
 def _pivots_last(c: LinearCode, positions):
@@ -343,14 +358,16 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
     pos_i, j, pos_j), as sum_code ties two codes and split_sum the summands
     of a diagram; weight_enumerator calls it on the parts a code remembers.
 
-    Every code's q^k is checked against the budget first; then each code is
-    walked once and its words counted by weight and by where among its tie
-    positions they are nonzero (_joint_weights).  The tree is folded from
-    the leaves into code 0.  Scaling by a unit keeps weight, so a subtree
+    Every code's q^k is checked against the budget first; then equal codes
+    share one object (and so one elimination), and each distinct code and
+    tie positions are walked once, its words counted by weight and by where
+    among those positions they are nonzero (_joint_weights).  The tree is
+    folded from the leaves into code 0.  Scaling by a unit keeps weight, so a subtree
     has as many words of each weight at every nonzero value of its tie to
     its parent: the words nonzero there, divided by q - 1.
     """
-    q = codes[0].q
+    q, same = codes[0].q, {}
+    codes = [same.setdefault(c, c) for c in codes]
     nbrs = [[] for _ in codes]
     for i, a, j, b in ties:
         if not (0 <= i < len(codes) and 0 <= j < len(codes)):
@@ -370,10 +387,11 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
     for c in codes:
         c._afford(budget)
     tied = {}  # code -> (its subtree's counts at parent tie value 0, at any one nonzero value)
+    joint = cache(_joint_weights)  # one walk per distinct code and tie positions
     for i in reversed(order):
         c, parent = codes[i], up[i]
-        positions = sorted({a for a, _ in kids[i]} | ({parent} - {None}))
-        buckets = _joint_weights(c, positions, budget)
+        positions = tuple(sorted({a for a, _ in kids[i]} | ({parent} - {None})))
+        buckets = joint(c, positions, budget)
         at = {pos: x for x, pos in enumerate(positions)}
         length = c.n + sum(len(tied[j][0]) - 1 for _, j in kids[i])
         out = [[0] * (length + 1), [0] * (length + 1)]

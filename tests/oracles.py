@@ -28,7 +28,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, product
 
-from knotcode.codes import LinearCode, weight_enumerator
+from knotcode.codes import LinearCode, WeightEnumerator
 from knotcode.coloring import alexander_polynomial
 from knotcode.fields import FqField, IntMod, PolyMod, is_prime
 from knotcode.diagram import LEFT, RIGHT
@@ -626,9 +626,36 @@ def weight_counts_brute(code):
 
 
 def walked_weights(code):
-    """The weight enumerator of one walk of the whole code: a copy built by
-    hand remembers no parts, so weight_enumerator cannot fold it."""
-    return weight_enumerator(LinearCode(code.field, code.n, code.parity), budget=10**30)
+    """The weight enumerator tallied by hand, one count per word of the full
+    Gray walk of codewords(): neither weight_enumerator's projective walk
+    nor its fold of the summand codes."""
+    counts = [0] * (code.n + 1)
+    for word in code.codewords(budget=10**30):
+        counts[code.n - word.count(0)] += 1
+    return WeightEnumerator(tuple(counts))
+
+
+def message_weights(field, basis, n: int) -> WeightEnumerator:
+    """The weight enumerator of the span of basis over every message, by
+    field calls and without unpacking words: for each choice u of all but
+    the last row's coefficient, in lexicographic order, the word u + m*g is
+    zero at a coordinate where g is nonzero for the one m = -u_j / g_j, and
+    for every m where g_j = u_j = 0, so one pass over the coordinates counts
+    all q of them."""
+    counts = [0] * (n + 1)
+    if not basis:
+        counts[0] = 1
+        return WeightEnumerator(tuple(counts))
+    *head, g = basis
+    for msg in product(range(field.q), repeat=len(head)):
+        u = [0] * n
+        for m, row in zip(msg, head):
+            u = [field.add(a, field.mul(m, x)) for a, x in zip(u, row)]
+        zeros = sum(1 for a, x in zip(u, g) if not a and not x)
+        hits = Counter(field.mul(field.neg(a), field.inv(x)) for a, x in zip(u, g) if x)
+        for m in range(field.q):
+            counts[n - zeros - hits[m]] += 1
+    return WeightEnumerator(tuple(counts))
 
 
 def subcode_last_zero(code, pos=None) -> LinearCode:

@@ -216,16 +216,18 @@ def test_code_budget_exit(tmp_path, capsys):
 
 
 def _count_spans(monkeypatch):
+    """Record each projective walk of a code (codes._points), one per code
+    whose weights are walked."""
     import knotcode.codes as cd
 
     calls = []
-    span = cd._span
+    points = cd._points
 
     def counted(*args):
         calls.append(args)
-        return span(*args)
+        return points(*args)
 
-    monkeypatch.setattr(cd, "_span", counted)
+    monkeypatch.setattr(cd, "_points", counted)
     return calls
 
 
@@ -312,7 +314,9 @@ def test_sum_enumerates_each_summand_code_once(tmp_path, capsys, monkeypatch):
     rep = json.loads(out)
     assert code == 0 and rep["outputs"]["k"] == "11" and rep["outputs"]["d"] == "2"
     assert sum(map(int, rep["outputs"]["weights"])) == 3**11
-    assert len(calls) == 2  # C and D; each walk also counts C' and D'
+    # C and D are the same code tied at the same position, so one walk
+    # counts both, and C' and D' with them
+    assert len(calls) == 1
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
@@ -713,14 +717,17 @@ def _trefoil_sum(tmp_path, capsys, m: int) -> str:
 def test_code_splits_only_past_one_walk_block(tmp_path, capsys, monkeypatch):
     """A code with q^k <= codes._BLOCK is walked and its diagram never split:
     there the split costs more than the walk.  Past the block a visibly
-    composite diagram's Fox code is split and each summand walked once;
-    a Dehn code is always walked."""
+    composite diagram's Fox code is split and each distinct summand code
+    walked once at each distinct set of tie positions: the 7-fold sum's
+    seven equal trefoil codes form a chain whose two ends are tied at arc
+    2 and whose five inner codes at arcs 1 and 2, so two walks.  A Dehn
+    code is always walked."""
     import knotcode.codes as cd
 
     splits, real = [], cd.split_sum
     monkeypatch.setattr(cd, "split_sum", lambda d: splits.append(d.n) or real(d))
     walks = _count_spans(monkeypatch)
-    for m, kind, split, walked in ((6, "fox", False, 1), (7, "fox", True, 7), (7, "dehn", False, 1)):
+    for m, kind, split, walked in ((6, "fox", False, 1), (7, "fox", True, 2), (7, "dehn", False, 1)):
         path = _trefoil_sum(tmp_path, capsys, m)
         splits.clear()
         walks.clear()

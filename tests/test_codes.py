@@ -21,7 +21,10 @@ from knotcode.codes import (
     tied_weight_enumerator,
     weight_enumerator,
     LinearCode,
+    _BLOCK,
     _joint_weights,
+    _Packing,
+    _span,
 )
 from knotcode.exactlin import dense
 
@@ -29,6 +32,7 @@ from conftest import small_diagrams
 from moves import reidemeister_r1
 from oracles import (
     kernel_basis_dense,
+    message_weights,
     min_distance_brute,
     rank_dense,
     span_lex,
@@ -217,6 +221,24 @@ def test_gray_walk_at_dimensions_zero_and_n(field):
     assert list(zero.codewords()) == [(0,) * n]
 
 
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=str)
+def test_span_from_a_start_word_walks_its_coset(field):
+    """_span from a nonzero packed word yields start + each word of the
+    lexicographic span, one per message; k is the least with q^k past one
+    block of the walk, so steps between blocks run from the start word too."""
+    rng = random.Random(field.q)
+    k = 1
+    while field.q**k <= _BLOCK:
+        k += 1
+    n = k + 1
+    basis = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+    start = [rng.randrange(1, field.q) for _ in range(n)]
+    pk = _Packing(field, n)
+    walked = sorted(map(pk.unpack, _span(field, basis, n, pk.pack(start))))
+    expect = sorted(tuple(map(field.add, start, w)) for w in span_lex(field, basis, n))
+    assert walked == expect
+
+
 def test_dual_of_trefoil_code(F3, trefoil):
     c = code_from_diagram(trefoil, F3, -1)
     cd = dual(c)
@@ -368,6 +390,36 @@ def test_a_composite_code_is_folded_from_its_parts(F3):
         weight_enumerator(six, budget=8)
     s = sum_code(six, 0, six, 0)  # [36,13]_3: one walk of each six-fold code
     assert weight_enumerator(s, budget=3**7) == tied_weight_enumerator([six, six], [(0, 0, 1, 0)])
+
+
+def test_the_fold_eliminates_equal_summand_codes_once(F3, monkeypatch):
+    """The nine summands of the 9-fold trefoil sum are the same [3,2]_3
+    code, so its fold runs one elimination for all nine, and still counts
+    the 3^10 words of the [27,10]_3 code a full walk counts."""
+    import knotcode.codes as cd
+
+    c = code_from_diagram(_trefoil_sum(9), F3, -1)
+    walked = walked_weights(c)
+    codes, ties = c._parts()
+    calls, real = [], cd.echelon
+    monkeypatch.setattr(cd, "echelon", lambda *args: calls.append(args) or real(*args))
+    assert tied_weight_enumerator(codes, ties) == walked and walked.total() == 3**10
+    assert len(calls) == 1
+    assert len(codes) == 9 and len(set(codes)) == 1 and str(codes[0]) == "[3,2]_3 code"
+
+
+def test_pretzel_555_code_over_f125():
+    """P(5,5,5) at t = -1 over F_125 = F_5[x]/(x^3 + x + 1) is a [15,3]
+    code with d = 8, its 125^3 words counted by weight against a tally of
+    every message; over F_5 the same oracle agrees with the hand tally of
+    codewords()."""
+    d = pretzel_diagram([5, 5, 5])
+    c = code_from_diagram(d, FqField(5, [1, 1, 0, 1]), -1)
+    w = weight_enumerator(c)
+    assert (c.n, c.k, w.min_weight(), w.total()) == (15, 3, 8, 125**3)
+    assert w == message_weights(c.field, c.generator, c.n)
+    c5 = code_from_diagram(d, FqField(5), -1)
+    assert weight_enumerator(c5) == message_weights(c5.field, c5.generator, c5.n) == walked_weights(c5)
 
 
 def test_tied_weight_enumerator_checks_the_tie(F3, F5, trefoil):
