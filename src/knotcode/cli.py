@@ -11,19 +11,29 @@ options), _fp_poly (F_p[T] elements of a matrix file), field_and_t
 else 10^7; never negative).  Each of them reads an integer through
 laurent.as_int, which refuses a bool, a float with a fraction, and text
 other than an optional sign and ASCII digits, where int() would coerce or
-truncate it or skip blanks and underscores.
+truncate it or skip blanks and underscores.  Each report carries the
+sha256 of every input file's bytes, from CPython's built-in SHA-256
+module (_sha2 from 3.12, _sha256 on 3.10-3.11), so no OpenSSL is loaded;
+hashlib is the fallback where neither module exists.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
 import sys
 import warnings
+
+try:  # hashlib loads OpenSSL's libcrypto, a few ms at every start
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .laurent import ZERO, LaurentPoly, as_int
 from .fields import FqField, IntMod, PolyMod, RingFpT, RingZ, is_prime
@@ -85,7 +95,7 @@ def load_diagram(path: str) -> tuple[Diagram, str]:
         raise DiagramError(f"{path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DiagramError(f"{path}: cannot parse diagram: {exc}") from exc
-    return d, hashlib.sha256(data).hexdigest()
+    return d, sha256(data).hexdigest()
 
 
 def diagram_inputs(path: str):
@@ -369,7 +379,7 @@ def _read_matrix(path: str) -> tuple[list[list], str]:
         raise UsageError(f"{path}: matrix must be a list of rows")
     if len({len(row) for row in entries}) > 1:
         raise UsageError(f"{path}: matrix rows have different lengths")
-    return entries, hashlib.sha256(data).hexdigest()
+    return entries, sha256(data).hexdigest()
 
 
 def cmd_colorings(args) -> int:

@@ -155,11 +155,32 @@ class _Packing:
                 v |= d << self.b * (l * self.n + j)
         return v
 
+    @cached_property
+    def runs(self) -> list:
+        """(plane shifts, top first; p^len) of each run of digit planes that
+        unpack adds in place, top run first: up to span planes, the most
+        that keep a slot's partial value below p^span <= 2^b."""
+        p, a, span = self.p, self.a, 1
+        while span < a and p ** (span + 1) <= 1 << self.b:
+            span += 1
+        return [
+            ([l * self.plane for l in reversed(range(max(hi - span, 0), hi))], p ** min(span, hi))
+            for hi in range(a, 0, -span)
+        ]
+
     def unpack(self, v: int) -> tuple:
-        mask, n = (1 << self.b) - 1, self.n
-        digits = [(v >> self.b * s) & mask for s in range(self.a * n)]
-        powers = [self.p**l for l in range(self.a)]
-        return tuple(sum(d * w for d, w in zip(digits[j::n], powers)) for j in range(n))
+        """The word of v, Horner-style over its digit planes: each run of
+        planes is added in place, read with one list comprehension over the
+        slots, and combined with the word of the runs above it."""
+        p, slots, mask, low = self.p, range(0, self.plane, self.b), (1 << self.b) - 1, (1 << self.plane) - 1
+        word = None
+        for shifts, scale in self.runs:
+            h = 0
+            for shift in shifts:
+                h = h * p + ((v >> shift) & low)
+            digits = [(h >> s) & mask for s in slots]
+            word = digits if word is None else [x * scale + d for x, d in zip(word, digits)]
+        return tuple(word)
 
 
 def _span(field: FqField, basis, n: int, start: int = 0):

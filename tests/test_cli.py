@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -162,6 +164,18 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     code = f"import sys; sys.path.insert(0, {src!r}); import knotcode.cli; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_loads_no_openssl():
+    """Reports hash their inputs with CPython's built-in SHA-256 (_sha2 from
+    3.12, _sha256 before): hashlib would load OpenSSL's _hashlib, which
+    costs every process a few ms and MB of RSS."""
+    if importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None:
+        pytest.skip("this Python has no built-in SHA-256 module")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = "import sys; import knotcode.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_code_report_and_extension_field(tmp_path, capsys):
@@ -479,7 +493,12 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
     f8 = gen_file(tmp_path, capsys, "builtin", "figure_eight", name="f8.json")
     m = tmp_path / "m.json"
     m.write_text("[[2,-1],[-1,2]]")
-    sha = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (t, f8, str(m))}
+    padded = []  # the same matrix padded with JSON whitespace around SHA-256's 64-byte blocks
+    for size in (55, 56, 63, 64, 65, 119, 120, 1000):
+        path = tmp_path / f"m{size}.json"
+        path.write_bytes((b"[[2,-1],[-1,2]]" + b" \t\r\n" * size)[:size])
+        padded.append(str(path))
+    sha = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (t, f8, str(m), *padded)}
     opened = []
 
     def spy(path, *args):
@@ -492,6 +511,7 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
         (["sum", t, f8, "--q", "3", "--t", "-1"], [t, f8], "sha256"),
         (["cable", "--base", f8, "--pairs", "2,3", "--q", "5", "--t", "2"], [f8], "base_sha256"),
         (["snf", str(m)], [str(m)], "sha256"),
+        *((["snf", p], [p], "sha256") for p in padded),
         (["gen", "sum", t, f8], [t, f8], None),
     ):
         opened.clear()

@@ -144,7 +144,9 @@ WALK_FIELDS = [
     FqField(5),
     FqField(2, [1, 1, 0, 1]),
     FqField(3, [1, 0, 1]),
+    FqField(3, [1, 2, 0, 1]),  # unpack adds digit planes 2 and 1 in place, then plane 0
     FqField(13),
+    FqField(13, [2, 1, 1]),  # no two digit planes of F_169 fit one slot
     FqField(31),
 ]
 WALK_LIMIT = 3**8  # codewords per drawn code
