@@ -14,7 +14,10 @@ other than an optional sign and ASCII digits, where int() would coerce or
 truncate it or skip blanks and underscores.  Each report carries the
 sha256 of every input file's bytes, from CPython's built-in SHA-256
 module (_sha2 from 3.12, _sha256 on 3.10-3.11), so no OpenSSL is loaded;
-hashlib is the fallback where neither module exists.
+hashlib is the fallback where neither module exists.  Each command is
+parsed by its own parser, filled from its COMMANDS entry; the full tree
+of all ten is built, from the same table, only for top-level help or a
+missing or bad command name.
 """
 
 from __future__ import annotations
@@ -514,14 +517,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The whole parser, built on first use and then shared for the process."""
-    ap = _Parser(prog="knotcode", description="codes from knot diagram colorings")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("gen", help="generate a diagram file")
-    gsub = g.add_subparsers(dest="family", required=True)
+def _gen_args(ap):
+    gsub = ap.add_subparsers(dest="family", required=True)
     gb = gsub.add_parser("builtin")
     gb.add_argument("name", choices=gen.builtin_names())
     gt = gsub.add_parser("torus")
@@ -536,77 +533,104 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (gb, gt, gp, gs):
         sp.add_argument("-o", "--out")
 
-    inv = sub.add_parser("invariants", help="Alexander polynomial, determinant, crossings, arcs, regions")
-    inv.add_argument("diagram")
 
-    alex = sub.add_parser("alex", help="Alexander polynomial and determinant only")
-    alex.add_argument("diagram")
+def _diagram_args(ap):
+    ap.add_argument("diagram")
 
-    mat = sub.add_parser("matrix", help="coloring matrix over Z[T,T^-1]")
-    mat.add_argument("diagram")
-    mat.add_argument("--kind", choices=("fox", "dehn"), default="fox")
 
-    code = sub.add_parser("code", help="knot code parameters over F_q")
-    code.add_argument("diagram")  # its other flags are added after "sum"
+def _field_args(ap):  # read by field_and_t
+    ap.add_argument("--q", required=True)
+    ap.add_argument("--modulus")
+    ap.add_argument("--t", required=True)
 
-    sn = sub.add_parser("snf", help="Smith normal form of a matrix file")
-    sn.add_argument("matrix")
-    sn.add_argument("--ring", choices=("Z", "FpT"), default="Z")
-    sn.add_argument("--p", type=_int_text)
 
-    co = sub.add_parser("colorings", help="count Fox colorings over a quotient ring")
-    co.add_argument("diagram")
-    group = co.add_mutually_exclusive_group(required=True)
+def _matrix_args(ap):
+    ap.add_argument("diagram")
+    ap.add_argument("--kind", choices=("fox", "dehn"), default="fox")
+
+
+def _code_args(ap):
+    ap.add_argument("diagram")
+    _field_args(ap)
+    ap.add_argument("--kind", choices=("fox", "dehn"), default="fox")
+    ap.add_argument("--min-dist", action="store_true")
+    ap.add_argument("--weights", action="store_true")
+    ap.add_argument("--budget")  # read by resolve_budget
+
+
+def _snf_args(ap):
+    ap.add_argument("matrix")
+    ap.add_argument("--ring", choices=("Z", "FpT"), default="Z")
+    ap.add_argument("--p", type=_int_text)
+
+
+def _colorings_args(ap):
+    ap.add_argument("diagram")
+    group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--mod", type=_int_text)
     group.add_argument("--poly-mod", help="p:c0,c1,...  modulus over F_p[T]")
-    co.add_argument("--t", required=True)
+    ap.add_argument("--t", required=True)
 
-    ca = sub.add_parser("cable", help="dimensions of iterated torus knots around a companion")
-    base = ca.add_mutually_exclusive_group(required=True)
+
+def _cable_args(ap):
+    base = ap.add_mutually_exclusive_group(required=True)
     base.add_argument("--base")
     base.add_argument("--base-unknot", action="store_true")
-    ca.add_argument("--pairs", required=True)
-
-    sm = sub.add_parser("sum", help="connected-sum code of two diagram files")
-    sm.add_argument("files", nargs=2)
-    for sp in (code, ca, sm):  # read by field_and_t
-        sp.add_argument("--q", required=True)
-        sp.add_argument("--modulus")
-        sp.add_argument("--t", required=True)
-    code.add_argument("--kind", choices=("fox", "dehn"), default="fox")
-    code.add_argument("--min-dist", action="store_true")
-    code.add_argument("--weights", action="store_true")
-    sm.add_argument("--pos1", type=_int_text)
-    sm.add_argument("--pos2", type=_int_text)
-    sm.add_argument("--weights", action="store_true")
-    for sp in (code, sm):
-        sp.add_argument("--budget")  # read by resolve_budget
-
-    ck = sub.add_parser("check", help="run the invariant suite on a diagram")
-    ck.add_argument("diagram")
-
-    return ap
+    ap.add_argument("--pairs", required=True)
+    _field_args(ap)
 
 
-_HANDLERS = {
-    "gen": cmd_gen,
-    "invariants": cmd_invariants,
-    "alex": lambda args: cmd_invariants(args, command="alex"),
-    "matrix": cmd_matrix,
-    "code": cmd_code,
-    "snf": cmd_snf,
-    "colorings": cmd_colorings,
-    "cable": cmd_cable,
-    "sum": cmd_sum,
-    "check": cmd_check,
+def _sum_args(ap):
+    ap.add_argument("files", nargs=2)
+    _field_args(ap)
+    ap.add_argument("--pos1", type=_int_text)
+    ap.add_argument("--pos2", type=_int_text)
+    ap.add_argument("--weights", action="store_true")
+    ap.add_argument("--budget")  # read by resolve_budget
+
+
+# name: (help in the command list, adds the command's arguments, handler)
+COMMANDS = {
+    "gen": ("generate a diagram file", _gen_args, cmd_gen),
+    "invariants": ("Alexander polynomial, determinant, crossings, arcs, regions", _diagram_args, cmd_invariants),
+    "alex": ("Alexander polynomial and determinant only", _diagram_args, lambda args: cmd_invariants(args, "alex")),
+    "matrix": ("coloring matrix over Z[T,T^-1]", _matrix_args, cmd_matrix),
+    "code": ("knot code parameters over F_q", _code_args, cmd_code),
+    "snf": ("Smith normal form of a matrix file", _snf_args, cmd_snf),
+    "colorings": ("count Fox colorings over a quotient ring", _colorings_args, cmd_colorings),
+    "cable": ("dimensions of iterated torus knots around a companion", _cable_args, cmd_cable),
+    "sum": ("connected-sum code of two diagram files", _sum_args, cmd_sum),
+    "check": ("run the invariant suite on a diagram", _diagram_args, cmd_check),
 }
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, the same as its subparser in build_parser."""
+    ap = _Parser(prog=f"knotcode {name}")
+    COMMANDS[name][1](ap)
+    return ap
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree, for top-level help and a bad or missing command name."""
+    ap = _Parser(prog="knotcode", description="codes from knot diagram colorings")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_args, _) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
+    return ap
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+        args.cmd = argv[0]
+    else:
+        args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
+        return COMMANDS[args.cmd][2](args)
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from knotcode.cli import UsageError, _prime_power, main
+from knotcode.cli import COMMANDS, UsageError, _prime_power, build_parser, command_parser, main
 from knotcode.exactlin import dense
 from knotcode.generators import builtin, from_braid
 from knotcode.laurent import ZERO
@@ -87,17 +87,17 @@ def test_minor_check_past_seven_crossings(tmp_path, capsys):
     assert code == 0 and checks["fox_minors_agree_up_to_units"] is True
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["frobnicate"],
-        ["code", "x.json"],
-        ["code", "x.json", "--q", "3", "--t", "-1", "--kind", "braid"],
-        ["gen", "torus", "--a", "two", "--b", "3"],
-        ["invariants", "x.json", "--minor-limit", "3"],
-    ],
-)
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["code", "x.json"],
+    ["code", "x.json", "--q", "3", "--t", "-1", "--kind", "braid"],
+    ["gen", "torus", "--a", "two", "--b", "3"],
+    ["invariants", "x.json", "--minor-limit", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_argparse_usage_errors_are_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -112,6 +112,77 @@ def test_help_is_not_an_error(capsys):
     out = capsys.readouterr()
     assert exc.value.code == 0 and out.err == ""
     assert out.out.startswith("usage: knotcode code [-h]") and "--min-dist" in out.out
+
+
+def _parsed(parse, argv, capsys):
+    """What one parse of argv gives: its namespace less cmd, or its exit
+    code; and what it printed."""
+    try:
+        ns = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    else:
+        result = ("ok", {k: v for k, v in vars(ns).items() if k != "cmd"})
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_command_parser_agrees_with_the_full_tree(capsys):
+    """main parses argv[1:] with argv[0]'s own parser; the full tree, built
+    from the same table, must give the same namespace, or the same exit and
+    the same bytes on stdout and stderr, for every argv."""
+    corpus = Path(__file__).parent / "data" / "cli_golden.jsonl"
+    argvs = [json.loads(line)["argv"] for line in corpus.read_text().splitlines()]
+    argvs += USAGE_ERRORS
+    argvs += [
+        ["matrix", "x.json", "--kind", "braid"],
+        ["code", "x.json", "--q", "3"],
+        ["alex", "x.json", "extra"],
+        ["code", "x.json", "--min", "--w", "--q", "3", "--t", "-1"],
+        ["matrix", "x.json", "--kind=dehn"],
+        ["colorings", "x.json", "--mod", "3", "--poly-mod", "3:1,1", "--t", "-1"],
+        ["cable", "--base", "x.json", "--base-unknot", "--pairs", "2,3", "--q", "3", "--t", "-1"],
+        ["gen", "sum", "x.json"],
+        ["gen", "torus", "--a", "two"],
+        ["gen", "frobnicate"],
+    ]
+    argvs += [[name, "--help"] for name in COMMANDS]
+    argvs += [["gen", family, "--help"] for family in ("builtin", "torus", "pretzel", "sum")]
+    checked = 0
+    for argv in argvs:
+        if not argv or argv[0] not in COMMANDS:
+            continue
+        own = _parsed(command_parser(argv[0]).parse_args, argv[1:], capsys)
+        full = _parsed(build_parser().parse_args, argv, capsys)
+        assert own == full, argv
+        if argv[-1] == "--help":
+            assert own[0] == ("exit", 0) and own[1].startswith(f"usage: knotcode {' '.join(argv[:-1])} ")
+        checked += 1
+    assert checked == len(argvs) - 2  # [] and ["frobnicate"] name no command
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys):
+    """A command's report builds that command's parser and no other; the
+    full tree answers only top-level help and a missing or bad command."""
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    build_parser.cache_clear()
+    command_parser.cache_clear()
+    code, out, err = run_cli(["alex", path], capsys)
+    assert code == 0 and json.loads(out)["outputs"]["determinant"] == "3"
+    assert build_parser.cache_info().currsize == 0
+    assert command_parser.cache_info().currsize == 1
+    for argv, status in (([], 2), (["-h"], 0), (["frobnicate"], 2), (["--foo", "code", "x.json"], 2)):
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert build_parser.cache_info().currsize == 1 and command_parser.cache_info().currsize == 1, argv
+        assert exc.value.code == status, argv
+        if status:
+            assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: "), out.err
+        else:
+            assert out.err == "" and out.out.startswith("usage: knotcode [-h]")
+    assert "invalid choice: 'frobnicate'" in _parsed(main, ["frobnicate"], capsys)[2]
 
 
 def test_alex_alias(tmp_path, capsys):
