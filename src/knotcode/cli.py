@@ -96,7 +96,7 @@ def load_diagram(path: str) -> tuple[Diagram, str]:
         d = Diagram.from_json(json.loads(data))
     except DiagramError as exc:
         raise DiagramError(f"{path}: {exc}") from None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DiagramError(f"{path}: cannot parse diagram: {exc}") from exc
     return d, sha256(data).hexdigest()
 
@@ -265,8 +265,11 @@ def cmd_gen(args) -> int:
         raise UsageError(str(exc)) from exc
     text = d.dumps()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"{args.out}: cannot write diagram: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -376,8 +379,11 @@ def _read_matrix(path: str) -> tuple[list[list], str]:
             data = fh.read()
     except OSError as exc:
         raise UsageError(f"{path}: cannot read matrix: {exc.strerror}") from exc
-    obj = json.loads(data)
-    entries = obj["entries"] if isinstance(obj, dict) else obj
+    try:
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{path}: cannot parse matrix: {exc}") from exc
+    entries = obj.get("entries") if isinstance(obj, dict) else obj
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise UsageError(f"{path}: matrix must be a list of rows")
     if len({len(row) for row in entries}) > 1:

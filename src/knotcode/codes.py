@@ -12,7 +12,9 @@ not lexicographic order: each step adds one packed basis row to a word
 held in a single Python int.  Weight is unchanged by a unit scalar, so
 weights walk one word per projective point (_points), (q^k - 1)/(q - 1)
 words, and count each q - 1 times; the budget is still compared with
-q^k.  A code tied from codes along a tree (a connected sum's Fox code, a
+q^k.  One function tallies that walk (_joint_weights): a word's nonzero
+flags give both its weight and, at given tie positions, its tie pattern.
+A code tied from codes along a tree (a connected sum's Fox code, a
 sum_code) remembers them; past one block of the walk or the budget, its
 weights come from one walk per distinct code, each within the budget.  A
 word is a sequence of encoded field ints (see fields); a t is read by
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import cache, cached_property, partial
-from itertools import chain, islice
+from itertools import chain
 
 from .fields import FqField
 from .diagram import Diagram
 from .coloring import evaluate
 from .generators import split_sum
-from .exactlin import dense, dot, echelon, echelon_kernel, reduced_pivots
+from .exactlin import dot, echelon, echelon_kernel
 
 INF = math.inf
 DEFAULT_BUDGET = 10_000_000  # codewords enumerated when no budget is given
@@ -46,7 +48,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class LinearCode:
-    _parts = None  # () -> (codes, ties) it is tied from; set by code_from_diagram (Fox), sum_code
+    _parts = None  # (the code) -> (codes, ties) it is tied from; set by code_from_diagram (Fox), sum_code
 
     def __init__(self, field: FqField, n: int, parity: tuple):
         self.field = field
@@ -241,15 +243,16 @@ def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> Linea
     if kind != "fox":
         raise ValueError("kind must be 'fox' or 'dehn'")
     c = LinearCode(field, d.arc_count, evaluate(d.fox_rows, value))
-    c._parts = partial(_summand_codes, d, field, value)
+    c._parts = partial(_summand_codes, d, value)  # given c when called: holding c would make a reference cycle
     return c
 
 
-def _summand_codes(d: Diagram, field: FqField, value):
+def _summand_codes(d: Diagram, value, c: LinearCode):
     """The Fox codes of split_sum(d)'s summands at the evaluation value, and
-    its ties; built without code_from_diagram, so t = 1 is not flagged again."""
+    its ties: c, d's code, itself when d has no splice, else built without
+    code_from_diagram, so t = 1 is not flagged again."""
     summands, ties = split_sum(d)
-    return [LinearCode(field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands], ties
+    return [c if s is d else LinearCode(c.field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands], ties
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -281,67 +284,44 @@ class WeightEnumerator(namedtuple("WeightEnumerator", "counts")):
 
 def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumerator:
     """Weight distribution a_0..a_n from one walk of the projective points
-    (_points): a_0 = 1 and a_w = (q - 1) * (points of weight w); raises
-    BudgetExceeded when q^k is above the budget.  Past one block of the
-    walk or the budget (q^k > min(_BLOCK, budget)), a code tied from two
-    or more codes is instead folded from one walk per distinct code by
+    (_joint_weights with no positions); raises BudgetExceeded when q^k is
+    above the budget.  Past one block of the walk or the budget (q^k >
+    min(_BLOCK, budget)), a code that remembers the codes it is tied from
+    is instead folded from one walk per distinct code by
     tied_weight_enumerator, which checks the budget against each."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if c._parts is not None and c.codeword_count() > min(_BLOCK, limit):
-        codes, ties = c._parts()
-        if len(codes) > 1:
-            return tied_weight_enumerator(codes, ties, budget)
+        return tied_weight_enumerator(*c._parts(c), budget)
     c._afford(budget)
-    pk, counts = _Packing(c.field, c.n), [0] * (c.n + 1)
-    for walk in _points(c.field, c.generator, c.n):
-        _tally(pk, walk, counts)
-    return WeightEnumerator((1, *((c.q - 1) * x for x in counts[1:])))
+    return WeightEnumerator(tuple(_joint_weights(c)[()]))
 
 
-def _tally(pk: _Packing, words, counts: list) -> None:
-    """Add one to counts[weight] for each packed word."""
-    nz, top, top0, plane, folds = pk.nz, pk.top, pk.top0, pk.plane, range(pk.a - 1)
-    for v in words:
-        f = (v + nz) & top  # one flag per nonzero digit
-        for _ in folds:  # OR the a digit planes into plane 0
-            f |= f >> plane
-        counts[(f & top0).bit_count()] += 1
-
-
-def _joint_weights(c: LinearCode, positions, budget: int | None) -> dict:
+def _joint_weights(c: LinearCode, positions=()) -> dict:
     """The weight distributions of C's words by where among positions they
-    are nonzero (a tuple of bools, one per position), from one walk; a
-    pattern no word has is left out.  With one position pos this is
+    are nonzero (a tuple of bools, one per position), from one walk of the
+    projective points (_points); a pattern no word has is left out.  With
+    no positions this is {(): W_C}; with one position pos it is
     {(False,): W_C', (True,): W_C - W_C'}, where C' = {x in C : x_pos = 0}.
 
-    It walks the projective points (_points) of the basis whose last s
-    rows _pivots_last puts last; the walk from lead row i runs in blocks
-    of q^max(k-s-1-i, 0) words, each a coset of words zero at every
-    position, so the first word of a block gives the whole block's
-    values there.  A unit scalar keeps the pattern."""
-    c._afford(budget)
-    basis, s = _pivots_last(c, positions)
+    A word's nonzero flags, its digit planes OR-ed into plane 0, give both
+    its weight (their count) and its pattern (those at positions); a unit
+    scalar keeps both, so each point counts q - 1 words."""
     pk = _Packing(c.field, c.n)
-    digit = (1 << pk.b) - 1
-    masks = [sum(digit << pk.b * (l * c.n + j) for l in range(pk.a)) for j in positions]
-    out = {(False,) * len(positions): [1] + [0] * c.n}  # the zero word
-    for i, walk in enumerate(_points(c.field, basis, c.n)):
-        size = c.q ** max(c.k - s - 1 - i, 0)
-        for first in walk:
-            pattern = tuple(bool(first & m) for m in masks)
-            _tally(pk, chain((first,), islice(walk, size - 1)), out.setdefault(pattern, [0] * (c.n + 1)))
-    return {pattern: [counts[0], *((c.q - 1) * x for x in counts[1:])] for pattern, counts in out.items()}
-
-
-def _pivots_last(c: LinearCode, positions):
-    """(basis, s): a basis of C whose last s rows are each 1 at one of
-    positions, and whose other rows are 0 at every position: the reduced
-    basis with the positions eliminated first, its pivot rows at positions
-    moved last."""
-    order = [*positions, *(j for j in range(c.n) if j not in positions)]
-    pivots = reduced_pivots(c.field, map(enumerate, c.generator), order)
-    last = [pivots.pop(pos) for pos in positions if pos in pivots]
-    return dense([row.items() for row in [*pivots.values(), *last]], c.n, 0), len(last)
+    nz, top, top0, plane, folds = pk.nz, pk.top, pk.top0, pk.plane, range(pk.a - 1)
+    bits = [1 << pk.b * j + pk.flag for j in positions]
+    mask = sum(set(bits))
+    out = defaultdict(lambda: [0] * (c.n + 1))
+    out[0][0] = 1  # the zero word
+    for walk in _points(c.field, c.generator, c.n):
+        for v in walk:
+            f = (v + nz) & top  # one flag per nonzero digit
+            for _ in folds:  # OR the a digit planes into plane 0
+                f |= f >> plane
+            out[f & mask][(f & top0).bit_count()] += 1
+    return {
+        tuple(bool(key & bit) for bit in bits): [counts[0], *((c.q - 1) * x for x in counts[1:])]
+        for key, counts in out.items()
+    }
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -369,7 +349,7 @@ def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode
     return total
 
 
-def _tied_pair(c1, pos1, c2, pos2):
+def _tied_pair(c1, pos1, c2, pos2, _):
     return [c1, c2], [(0, pos1, 1, pos2)]
 
 
@@ -387,7 +367,7 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
     has as many words of each weight at every nonzero value of its tie to
     its parent: the words nonzero there, divided by q - 1.
     """
-    q, same = codes[0].q, {}
+    same = {}
     codes = [same.setdefault(c, c) for c in codes]
     nbrs = [[] for _ in codes]
     for i, a, j, b in ties:
@@ -396,7 +376,7 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
         _check_tie(codes[i], a, codes[j], b)
         nbrs[i].append((a, j, b))
         nbrs[j].append((b, i, a))
-    up, kids, order = {0: None}, [[] for _ in codes], [0]
+    up, kids, order = {0: None}, [[] for _ in codes], [0][: len(codes)]  # no root without codes
     for i in order:  # the order grows while it is walked
         for a, j, b in nbrs[i]:
             if j not in up:
@@ -407,12 +387,12 @@ def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnum
         raise ValueError("the ties must join the codes in a tree")
     for c in codes:
         c._afford(budget)
-    tied = {}  # code -> (its subtree's counts at parent tie value 0, at any one nonzero value)
+    q, tied = codes[0].q, {}  # tied: code -> (its subtree's counts at parent tie value 0, at any one nonzero value)
     joint = cache(_joint_weights)  # one walk per distinct code and tie positions
     for i in reversed(order):
         c, parent = codes[i], up[i]
         positions = tuple(sorted({a for a, _ in kids[i]} | ({parent} - {None})))
-        buckets = joint(c, positions, budget)
+        buckets = joint(c, positions)
         at = {pos: x for x, pos in enumerate(positions)}
         length = c.n + sum(len(tied[j][0]) - 1 for _, j in kids[i])
         out = [[0] * (length + 1), [0] * (length + 1)]

@@ -35,23 +35,16 @@ _TABLE_LIMIT = 64  # build the q x q multiplication table only up to this q
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^6, Miller-Rabin to the bases 2, ..., 37
-    above.  Those bases decide primality below _MR_BOUND (Sorenson &
-    Webster 2015); at or above it, a base can still prove n composite, but
-    an n that passes every base is a ValueError, since no base set is
+    """Miller-Rabin to the bases 2, ..., 37, after checking whether one of
+    them divides n.  Those bases decide primality below _MR_BOUND (Sorenson
+    & Webster 2015); at or above it, a base can still prove n composite,
+    but an n that passes every base is a ValueError, since no base set is
     proven to certify it prime."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 10**6:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

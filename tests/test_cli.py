@@ -718,6 +718,32 @@ def test_snf_command(tmp_path, capsys):
     assert (code, out) == (2, "") and err.count("\n") == 1 and "coeffs must be a list" in err
 
 
+def test_file_errors_are_one_line_naming_the_file(tmp_path, capsys):
+    """A matrix file that is not JSON, nests too deep or holds no rows, and
+    a diagram that cannot be written, exit 2 with one stderr line that
+    names the path; a diagram file that nests too deep exits 3 so."""
+    text, binary, deep, keyed = (str(tmp_path / f"{name}.json") for name in ("text", "binary", "deep", "keyed"))
+    Path(text).write_text("not json")
+    Path(binary).write_bytes(b"\xff\xfe\x00")
+    Path(deep).write_text("[" * 10**5 + "]" * 10**5)
+    Path(keyed).write_text(json.dumps({"x": 1}))
+    missing = str(tmp_path / "missing" / "dir" / "t.json")
+    cases = [
+        (["snf", text], 2, f"{text}: cannot parse matrix: "),
+        (["snf", binary, "--ring", "FpT", "--p", "5"], 2, f"{binary}: cannot parse matrix: "),
+        (["snf", deep], 2, f"{deep}: cannot parse matrix: "),
+        (["snf", keyed], 2, f"{keyed}: matrix must be a list of rows"),
+        (["check", deep], 3, f"{deep}: cannot parse diagram: "),
+        (["gen", "builtin", "trefoil", "-o", missing], 2, f"{missing}: cannot write diagram: "),
+        (["gen", "builtin", "trefoil", "-o", str(tmp_path)], 2, f"{tmp_path}: cannot write diagram: "),
+    ]
+    for argv, exit_code, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (exit_code, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_colorings_command(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     code, out, err = run_cli(["colorings", path, "--mod", "9", "--t", "-1"], capsys)

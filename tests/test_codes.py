@@ -152,6 +152,16 @@ WALK_FIELDS = [
 WALK_LIMIT = 3**8  # codewords per drawn code
 
 
+def _assert_joint_weights_match_words(c, positions):
+    """_joint_weights against the words themselves, sorted by which of the
+    positions they are nonzero at."""
+    expect = {}
+    for w in c.codewords():
+        counts = expect.setdefault(tuple(bool(w[j]) for j in positions), [0] * (c.n + 1))
+        counts[sum(1 for x in w if x)] += 1
+    assert _joint_weights(c, positions) == expect
+
+
 def _assert_walk_matches_lex(c):
     lex = sorted(span_lex(c.field, c.generator, c.n))
     counts = [0] * (c.n + 1)
@@ -165,7 +175,9 @@ def _assert_walk_matches_lex(c):
 @given(data=st.data())
 def test_gray_walk_matches_lexicographic_oracle(data):
     """The packed Gray-code walk yields the lexicographic span's codewords
-    and weight counts, over prime and extension fields, odd and even p."""
+    and weight counts, over prime and extension fields, odd and even p;
+    its nonzero flags, folded over every digit plane, give each word's
+    pattern at up to three positions."""
     field = data.draw(st.sampled_from(WALK_FIELDS), label="field")
     n = data.draw(st.integers(1, 9), label="n")
     kmax = 0
@@ -187,6 +199,8 @@ def test_gray_walk_matches_lexicographic_oracle(data):
     c = LinearCode(field, n, sparse_rows(rows))
     assert c.k <= kmax
     _assert_walk_matches_lex(c)
+    positions = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3), label="positions")
+    _assert_joint_weights_match_words(c, positions)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +346,7 @@ def _split_walk_codes():
 def test_split_walk_counts_the_code_and_its_zero_subcode(c):
     whole = weight_enumerator(c).counts
     for pos in range(c.n):
-        split = _joint_weights(c, [pos], None)
+        split = _joint_weights(c, [pos])
         sub, rest = split[(False,)], split.get((True,), [0] * (c.n + 1))
         assert tuple(sub) == weight_enumerator(subcode_last_zero(c, pos)).counts
         assert tuple(a + b for a, b in zip(sub, rest)) == whole
@@ -343,15 +357,9 @@ def test_split_walk_counts_the_code_and_its_zero_subcode(c):
 
 @pytest.mark.parametrize("c", _split_walk_codes(), ids=str)
 def test_joint_walk_counts_by_where_the_tie_positions_are_nonzero(c):
-    """_joint_weights against the words themselves, sorted by which of two
-    or three positions they are nonzero at."""
     rng = random.Random(c.n)
     for positions in ([0, c.n - 1], sorted(rng.sample(range(c.n), min(3, c.n)))):
-        expect = {}
-        for w in c.codewords():
-            counts = expect.setdefault(tuple(bool(w[j]) for j in positions), [0] * (c.n + 1))
-            counts[sum(1 for x in w if x)] += 1
-        assert _joint_weights(c, positions, None) == expect
+        _assert_joint_weights_match_words(c, positions)
 
 
 def test_tied_weight_enumerator_needs_a_tree(F3, trefoil):
@@ -360,6 +368,8 @@ def test_tied_weight_enumerator_needs_a_tree(F3, trefoil):
     for ties in ([], [(0, 0, 1, 0), (1, 1, 0, 1)], [(0, 0, 1, 0), (0, 1, 0, 2)], [(0, 0, 0, 1), (1, 0, 2, 0)]):
         with pytest.raises(ValueError, match="tree"):
             tied_weight_enumerator([c, c, c], ties)
+    with pytest.raises(ValueError, match="tree"):
+        tied_weight_enumerator([], [])
     for tie in ((0, 0, 2, 0), (-1, 0, 0, 0)):
         with pytest.raises(ValueError, match="range"):
             tied_weight_enumerator([c, c], [tie])
@@ -394,30 +404,56 @@ def test_a_composite_code_is_folded_from_its_parts(F3):
     assert weight_enumerator(s, budget=3**7) == tied_weight_enumerator([six, six], [(0, 0, 1, 0)])
 
 
+def _count_eliminations(monkeypatch):
+    """Call counts of every elimination (exactlin._reduce), of the forward
+    passes k reads (echelon) and of the kernel bases (echelon_kernel)."""
+    import knotcode.codes as cd
+    import knotcode.exactlin as el
+
+    calls = {"eliminations": 0, "echelon": 0, "echelon_kernel": 0}
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(el, "_reduce", "eliminations")
+    counted(cd, "echelon", "echelon")
+    counted(cd, "echelon_kernel", "echelon_kernel")
+    return calls
+
+
 def test_the_fold_eliminates_equal_summand_codes_once(F3, monkeypatch):
     """The nine summands of the 9-fold trefoil sum are the same [3,2]_3
     code, so its fold runs one elimination for all nine, and still counts
-    the 3^10 words of the [27,10]_3 code a full walk counts."""
-    import knotcode.codes as cd
-
+    the 3^10 words of the [27,10]_3 code a full walk counts.  Tie patterns
+    are read off the walk, so past that forward pass the only elimination
+    is the one echelon_kernel runs (reduced_pivots) for the kernel basis."""
     c = code_from_diagram(_trefoil_sum(9), F3, -1)
     walked = walked_weights(c)
-    codes, ties = c._parts()
-    calls, real = [], cd.echelon
-    monkeypatch.setattr(cd, "echelon", lambda *args: calls.append(args) or real(*args))
+    codes, ties = c._parts(c)
+    calls = _count_eliminations(monkeypatch)
     assert tied_weight_enumerator(codes, ties) == walked and walked.total() == 3**10
-    assert len(calls) == 1
+    assert calls == {"eliminations": 2, "echelon": 1, "echelon_kernel": 1}
     assert len(codes) == 9 and len(set(codes)) == 1 and str(codes[0]) == "[3,2]_3 code"
 
 
-def test_pretzel_555_code_over_f125():
+def test_pretzel_555_code_over_f125(monkeypatch):
     """P(5,5,5) at t = -1 over F_125 = F_5[x]/(x^3 + x + 1) is a [15,3]
     code with d = 8, its 125^3 words counted by weight against a tally of
     every message; over F_5 the same oracle agrees with the hand tally of
-    codewords()."""
+    codewords().  Past one block, its weights split the diagram, find no
+    splice and walk the code itself, not a rebuilt copy that eliminates
+    again: one forward pass gives k, and echelon_kernel the generator."""
     d = pretzel_diagram([5, 5, 5])
     c = code_from_diagram(d, FqField(5, [1, 1, 0, 1]), -1)
+    calls = _count_eliminations(monkeypatch)
     w = weight_enumerator(c)
+    assert calls == {"eliminations": 2, "echelon": 1, "echelon_kernel": 1}
     assert (c.n, c.k, w.min_weight(), w.total()) == (15, 3, 8, 125**3)
     assert w == message_weights(c.field, c.generator, c.n)
     c5 = code_from_diagram(d, FqField(5), -1)

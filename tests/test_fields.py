@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -20,6 +21,17 @@ def test_primality():
     assert bound == 1287836182261 * 2575672364521
     with pytest.raises(ValueError, match="cannot certify"):
         is_prime(bound)
+
+
+def test_primality_agrees_with_a_sieve():
+    """The witness loop and Miller-Rabin decide every n below 2 * 10^4 as
+    a sieve of Eratosthenes does."""
+    limit = 2 * 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_irreducibility():
