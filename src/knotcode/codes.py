@@ -14,10 +14,14 @@ weights walk one word per projective point (_points), (q^k - 1)/(q - 1)
 words, and count each q - 1 times; the budget is still compared with
 q^k.  One function tallies that walk (_joint_weights): a word's nonzero
 flags give both its weight and, at given tie positions, its tie pattern.
-A code tied from codes along a tree (a connected sum's Fox code, a
-sum_code) remembers them; past one block of the walk or the budget, its
-weights come from one walk per distinct code, each within the budget.  A
-word is a sequence of encoded field ints (see fields); a t is read by
+Every code has one tie tree (LinearCode._parts): leaf codes, the ties
+between them and the leaf position of each coordinate.  An untied code is
+its own one leaf, a connected sum's Fox code has its summands' codes as
+leaves, and a sum_code joins its two codes' trees by one tie, so a sum of
+sums reaches the summands of every composite code in it, at any depth.
+Past one block of the walk or the budget, a code's weights are folded from
+one walk per distinct leaf code, each within the budget.  A word is a
+sequence of encoded field ints (see fields); a t is read by
 FqField.element, so an int t is n * 1.
 """
 
@@ -48,7 +52,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class LinearCode:
-    _parts = None  # (the code) -> (codes, ties) it is tied from; set by code_from_diagram (Fox), sum_code
+    # (the code) -> its tie tree: leaf codes, ties (i, pos_i, j, pos_j) between leaves, and the
+    # (leaf, position) of each coordinate.  An untied code is its own one leaf; code_from_diagram
+    # (Fox) and sum_code set the trees of theirs.
+    _parts = staticmethod(lambda c: ([c], [], [(0, j) for j in range(c.n)]))
 
     def __init__(self, field: FqField, n: int, parity: tuple):
         self.field = field
@@ -248,11 +255,13 @@ def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> Linea
 
 
 def _summand_codes(d: Diagram, value, c: LinearCode):
-    """The Fox codes of split_sum(d)'s summands at the evaluation value, and
-    its ties: c, d's code, itself when d has no splice, else built without
+    """c's tie tree from split_sum(d): the Fox codes of the summands at the
+    evaluation value, the ties and the place of each arc.  c, d's code, is
+    itself when d has no splice, else the codes are built without
     code_from_diagram, so t = 1 is not flagged again."""
-    summands, ties = split_sum(d)
-    return [c if s is d else LinearCode(c.field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands], ties
+    summands, ties, place = split_sum(d)
+    codes = [c if s is d else LinearCode(c.field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands]
+    return codes, ties, place
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -286,12 +295,13 @@ def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumera
     """Weight distribution a_0..a_n from one walk of the projective points
     (_joint_weights with no positions); raises BudgetExceeded when q^k is
     above the budget.  Past one block of the walk or the budget (q^k >
-    min(_BLOCK, budget)), a code that remembers the codes it is tied from
-    is instead folded from one walk per distinct code by
-    tied_weight_enumerator, which checks the budget against each."""
+    min(_BLOCK, budget)), the code is instead folded from the leaves of its
+    tie tree (LinearCode._parts, itself alone when untied), one walk per
+    distinct leaf code, by tied_weight_enumerator, which checks the budget
+    against each leaf."""
     limit = DEFAULT_BUDGET if budget is None else budget
-    if c._parts is not None and c.codeword_count() > min(_BLOCK, limit):
-        return tied_weight_enumerator(*c._parts(c), budget)
+    if c.codeword_count() > min(_BLOCK, limit):
+        return tied_weight_enumerator(*c._parts(c)[:2], budget)
     c._afford(budget)
     return WeightEnumerator(tuple(_joint_weights(c)[()]))
 
@@ -339,25 +349,35 @@ def _check_tie(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> None:
 
 def sum_code(c1: LinearCode, pos1: int, c2: LinearCode, pos2: int) -> LinearCode:
     """Connected-sum code: block parity plus one row tying coordinate pos1
-    of the first code to coordinate pos2 of the second."""
+    of the first code to coordinate pos2 of the second.  Its tie tree joins
+    the two codes' trees by one tie at the leaf positions of pos1 and pos2."""
     _check_tie(c1, pos1, c2, pos2)
     field, shift = c1.field, c1.n
     shifted = tuple(tuple((shift + j, x) for j, x in row) for row in c2.parity)
     link = ((pos1, 1), (shift + pos2, field.neg(1)))
     total = LinearCode(field, shift + c2.n, c1.parity + shifted + (link,))
-    total._parts = partial(_tied_pair, c1, pos1, c2, pos2)
+    total._parts = partial(_joined_trees, c1, pos1, c2, pos2)
     return total
 
 
-def _tied_pair(c1, pos1, c2, pos2, _):
-    return [c1, c2], [(0, pos1, 1, pos2)]
+def _joined_trees(c1, pos1, c2, pos2, _):
+    """sum_code's tie tree: c2's leaves follow c1's, and one more tie joins
+    the leaf positions of pos1 and pos2."""
+    codes1, ties1, place1 = c1._parts(c1)
+    codes2, ties2, place2 = c2._parts(c2)
+    m = len(codes1)
+    place2 = [(i + m, a) for i, a in place2]
+    ties2 = [(i + m, a, j + m, b) for i, a, j, b in ties2]
+    return codes1 + codes2, [*ties1, *ties2, (*place1[pos1], *place2[pos2])], place1 + place2
 
 
 def tied_weight_enumerator(codes, ties, budget: int | None = None) -> WeightEnumerator:
     """Weight enumerator of codes tied along a tree, without walking the
     tied code: the words of their direct sum that agree at every tie (i,
     pos_i, j, pos_j), as sum_code ties two codes and split_sum the summands
-    of a diagram; weight_enumerator calls it on the parts a code remembers.
+    of a diagram; weight_enumerator calls it on the leaves and ties of a
+    code's tie tree, which reach through sums of composite codes and sums
+    of sums at any depth.
 
     Every code's q^k is checked against the budget first; then equal codes
     share one object (and so one elimination), and each distinct code and

@@ -320,15 +320,6 @@ def echelon(field: FqField, rows) -> dict:
     return _reduce(field, rows, _by_weight(rows))[0]
 
 
-def reduced_pivots(field: FqField, rows, order) -> dict:
-    """{pivot column: pivot row} of sparse rows over F_q eliminated in the
-    given column order and back-reduced: each pivot row is 1 at its pivot,
-    its first column in the order, and 0 at every other pivot column."""
-    pivots = _reduce(field, rows, order)[0]
-    _back_reduce(field, pivots)
-    return pivots
-
-
 def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
     """The canonical kernel basis from a forward pass (echelon), whose
     pivot rows it back-reduces in place.
@@ -346,7 +337,8 @@ def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
         for f, v in prow.items():
             if f != c:
                 basis[f][c] = field.neg(v)
-    canon = reduced_pivots(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))
+    canon = _reduce(field, [b.items() for b in basis.values()], range(ncols - 1, -1, -1))[0]
+    _back_reduce(field, canon)
     return dense([canon[f].items() for f in sorted(canon)], ncols, 0)
 
 

@@ -225,9 +225,10 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     return Diagram((*first, *second), d1.outer)
 
 
-def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]]]:
-    """The visible summands of d and the ties that join them: connected_sum
-    undone, as often as it applies, in one walk of d's edge cycle.
+def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]], list[tuple[int, int]]]:
+    """The visible summands of d, the ties that join them and the place
+    (summand, arc) of each arc of d: connected_sum undone, as often as it
+    applies, in one walk of d's edge cycle.
 
     Two distinct edges bordering the same two distinct faces mark a splice:
     a closed curve through those faces that crosses only these two edges
@@ -246,8 +247,13 @@ def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]
     each in the summand it ends up in: a 1-1 tangle's two ends carry one
     color, so the colorings of d are the summands' colorings that agree at
     every tie, and d's Fox code is the summands' codes tied as sum_code ties
-    two.  The m - 1 ties join the m summands in a tree.  A diagram without a
-    splice is its own one summand, with no ties, and nothing is built.
+    two.  The m - 1 ties join the m summands in a tree, however deeply the
+    sums that built d were nested; each summand is a leaf.  An arc of d is
+    colored as the summand arc of any of its edges, and its place is that
+    of one of them: an arc through a splice has edges in two summands, at
+    the two tied arcs, so two arcs of d may share a place.  A diagram
+    without a splice is its own one summand, with no ties and each arc in
+    its own place, and nothing is built.
     """
     pair = [frozenset(faces) for faces in d.edge_faces()]
     # at: face pair -> the index in kept of the edge that borders it.  An
@@ -264,7 +270,7 @@ def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]
         del kept[i + 1 :]
         cuts.append((e, kept[i]))
     if not strands:
-        return [d], []
+        return [d], [], [(0, a) for a in range(d.arc_count)]
     strands.append(kept)
     # the crossing each under_out edge leaves; a crossing's out-edges lie in one summand
     leaves = {c.under_out: ci for ci, c in enumerate(d.crossings)}
@@ -280,4 +286,4 @@ def split_sum(d: Diagram) -> tuple[list[Diagram], list[tuple[int, int, int, int]
         s = Diagram(crossings, (new[edge], side) if edge in new else (new[strand[-1]], RIGHT))
         place.update((x, (len(summands), s.arcs[k])) for x, k in new.items())
         summands.append(s)
-    return summands, [(*place[e], *place[f]) for e, f in cuts]
+    return summands, [(*place[e], *place[f]) for e, f in cuts], [place[d.arc_edges(a)[0]] for a in range(d.n)]

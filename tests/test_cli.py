@@ -399,9 +399,11 @@ def test_sum_enumerates_each_summand_code_once(tmp_path, capsys, monkeypatch):
     rep = json.loads(out)
     assert code == 0 and rep["outputs"]["k"] == "11" and rep["outputs"]["d"] == "2"
     assert sum(map(int, rep["outputs"]["weights"])) == 3**11
-    # C and D are the same code tied at the same position, so one walk
-    # counts both, and C' and D' with them
-    assert len(calls) == 1
+    # the sum folds the ten trefoil codes of both halves, one code walked
+    # once per distinct set of tie positions: {0} for the eight codes tied
+    # only within their half (each half splits into a star at arc 0), {0, 2}
+    # for the two that the sum's own tie, at arc 14 of each half, lands in
+    assert len(calls) == 2
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):

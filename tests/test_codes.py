@@ -386,7 +386,7 @@ def test_a_composite_code_is_folded_from_its_parts(F3):
     """weight_enumerator and min_distance fold the summands' codes of a
     visibly composite Fox code past the budget: the [48,17]_3 code of the
     16-fold trefoil sum is exact at the default budget, where a walk needs
-    3^17 > 10^7 words.  Its Dehn code remembers no parts and stays unknown."""
+    3^17 > 10^7 words.  Its Dehn code is its own one leaf and stays unknown."""
     d = _trefoil_sum(16)
     c = code_from_diagram(d, F3, -1)
     assert (c.n, c.k) == (48, 17)
@@ -402,6 +402,47 @@ def test_a_composite_code_is_folded_from_its_parts(F3):
         weight_enumerator(six, budget=8)
     s = sum_code(six, 0, six, 0)  # [36,13]_3: one walk of each six-fold code
     assert weight_enumerator(s, budget=3**7) == tied_weight_enumerator([six, six], [(0, 0, 1, 0)])
+
+
+def test_a_sum_of_composite_codes_folds_all_their_summands(F3):
+    """A sum_code's tie tree is its two codes' trees joined by one tie, so
+    the fold reaches the summands of composite codes at any depth: the
+    [96,33]_3 sum of two 16-fold trefoil sums, and the [192,65]_3 sum of two
+    of those, are exact at the default budget, where a walk needs 3^33 and
+    3^65 words and each of their 32 and 64 trefoil leaves 3^2."""
+    c = code_from_diagram(_trefoil_sum(16), F3, -1)
+    s = sum_code(c, 0, c, 0)
+    w = weight_enumerator(s)
+    assert (s.n, s.k, min_distance(s), w.min_weight(), w.total()) == (96, 33, 2, 2, 3**33)
+    ss = sum_code(s, s.n - 1, s, 47)
+    codes, ties, place = ss._parts(ss)
+    assert (len(codes), len(ties), len(place), len(set(codes))) == (64, 63, 192, 1)
+    w = weight_enumerator(ss)
+    assert (ss.n, ss.k, w.min_weight(), w.total()) == (192, 65, 2, 3**65)
+
+
+def test_nested_sums_fold_to_the_walk_at_every_tie_position(F3):
+    """Sums of two composite Fox codes, and sums of such a sum with a third
+    code on either side, tied at every pair of positions and folded under a
+    budget of 9, below their q^k and above every leaf's (a trefoil code has
+    3^2 words, a figure-eight code over F_3 has 3), count what a walk of the
+    sum code counts.  Both composite codes place two arcs, the two through
+    their splice, at one summand arc, so some ties go through that place."""
+    trefoil, eight = builtin("trefoil"), builtin("figure_eight")
+    c1 = code_from_diagram(connected_sum(trefoil, 1, eight, 2), F3, -1)  # [7,2]_3
+    c2 = code_from_diagram(connected_sum(trefoil, 2, trefoil, 1), F3, -1)  # [6,3]_3
+    for c in (c1, c2):
+        place = c._parts(c)[2]
+        assert len(set(place)) < len(place) == c.n
+    for a in range(c1.n):
+        for b in range(c2.n):
+            s = sum_code(c1, a, c2, b)
+            assert s.codeword_count() > 9 and weight_enumerator(s, budget=9) == walked_weights(s)
+    s = sum_code(c1, 2, c2, 3)  # [13,4]_3, tied at arcs through both splices
+    for a in range(s.n):
+        for b in range(c2.n):
+            for nested in (sum_code(s, a, c2, b), sum_code(c2, b, s, a)):
+                assert weight_enumerator(nested, budget=9) == walked_weights(nested)
 
 
 def _count_eliminations(monkeypatch):
@@ -432,10 +473,11 @@ def test_the_fold_eliminates_equal_summand_codes_once(F3, monkeypatch):
     code, so its fold runs one elimination for all nine, and still counts
     the 3^10 words of the [27,10]_3 code a full walk counts.  Tie patterns
     are read off the walk, so past that forward pass the only elimination
-    is the one echelon_kernel runs (reduced_pivots) for the kernel basis."""
+    is the one echelon_kernel runs to bring the kernel basis to its
+    canonical form."""
     c = code_from_diagram(_trefoil_sum(9), F3, -1)
     walked = walked_weights(c)
-    codes, ties = c._parts(c)
+    codes, ties, _ = c._parts(c)
     calls = _count_eliminations(monkeypatch)
     assert tied_weight_enumerator(codes, ties) == walked and walked.total() == 3**10
     assert calls == {"eliminations": 2, "echelon": 1, "echelon_kernel": 1}

@@ -204,25 +204,31 @@ def test_split_sum_undoes_connected_sum(trefoil, figure_eight):
     """Each summand keeps its crossings in order and its edge numbering, and
     the tie names the two arcs the sum was spliced at.  The strand cut off
     first is the figure-eight's; the trefoil keeps its outer marker, which
-    the sum kept."""
+    the sum kept.  Each summand arc but the two tied ones is the place of
+    exactly one arc of the sum, and the sum's two arcs through the splice
+    are placed at the tied arcs, which carry one color (maybe both at one:
+    the place map need not be one to one)."""
+    every = {(0, a) for a in range(4)} | {(1, a) for a in range(3)}
     for arc1 in range(3):
         for arc2 in range(4):
-            summands, ties = split_sum(connected_sum(trefoil, arc1, figure_eight, arc2))
+            summands, ties, place = split_sum(connected_sum(trefoil, arc1, figure_eight, arc2))
             assert summands[0].crossings == figure_eight.crossings and summands[1] == trefoil
             assert ties == [(0, arc2, 1, arc1)]
+            tied = {(0, arc2), (1, arc1)}
+            assert len(place) == 7 and sorted(p for p in place if p not in tied) == sorted(every - tied)
 
 
 def test_split_sum_of_a_visibly_prime_diagram_is_itself():
     """T(2,401) and P(13,13,13) have no two edges between the same two
     faces; neither has the unknot, which has no edges."""
     for d in (torus_diagram(2, 401), pretzel_diagram([13, 13, 13]), builtin("unknot")):
-        assert split_sum(d) == ([d], [])
+        assert split_sum(d) == ([d], [], [(0, a) for a in range(d.arc_count)])
 
 
 def test_split_sum_cuts_off_kinks(trefoil):
     """A kink is a 1-crossing summand, tied at its one arc: the closure of
     s1^3 s2, a stabilized trefoil, is a kink and the trefoil."""
-    summands, ties = split_sum(from_braid(3, [1, 1, 1, 2]))
+    summands, ties, _ = split_sum(from_braid(3, [1, 1, 1, 2]))
     assert [p.n for p in summands] == [1, 3] and same_up_to_relabeling(summands[1], trefoil)
     assert ties == [(0, 0, 1, 0)]
 
@@ -243,10 +249,10 @@ def test_split_sum_builds_each_summand_once(trefoil, monkeypatch):
             super().__init__(crossings, outer)
 
     monkeypatch.setattr(generators, "Diagram", Counted)
-    summands, ties = split_sum(d)
+    summands, ties, _ = split_sum(d)
     assert (len(summands), len(ties), built) == (10, 9, [3] * 10)
     built.clear()
-    assert split_sum(prime) == ([prime], []) and built == []
+    assert split_sum(prime)[:2] == ([prime], []) and built == []
 
 
 def test_split_sum_cuts_three_splices_through_the_same_two_faces(trefoil, figure_eight, F3, F5):
@@ -260,7 +266,7 @@ def test_split_sum_cuts_three_splices_through_the_same_two_faces(trefoil, figure
         for b in range(5):
             d = connected_sum(connected_sum(trefoil, a, figure_eight, 0), a, t25, b)
             assert max(Counter(frozenset(faces) for faces in d.edge_faces()).values()) == 3
-            summands, ties = split_sum(d)
+            summands, ties, _ = split_sum(d)
             assert [s.n for s in summands] == [5, 4, 3] and len(ties) == 2
             assert [alexander_polynomial(s) for s in summands] == want
             for field in (F3, F5):

@@ -26,6 +26,7 @@ from knotcode.exactlin import dense, echelon, unit_residual
 from knotcode.codes import (
     code_from_diagram,
     min_distance,
+    sum_code,
     tied_weight_enumerator,
     weight_enumerator,
 )
@@ -487,9 +488,50 @@ def test_summand_weights_tie_to_the_walk(case):
     enumerator of the whole Fox code, whose k is the summands' k less one
     per tie."""
     d, field, t = case
-    summands, ties = split_sum(d)
+    summands, ties, _ = split_sum(d)
     codes = [code_from_diagram(p, field, t) for p in summands]
     whole = code_from_diagram(d, field, t)
     assert len(ties) == len(summands) - 1
     assert whole.k == sum(c.k for c in codes) - len(ties)
     assert tied_weight_enumerator(codes, ties) == weight_enumerator(whole) == walked_weights(whole)
+
+
+@st.composite
+def nested_sums(draw):
+    """A sum_code tree over a drawn field: two to five Fox codes of drawn
+    diagrams, each a connected sum of two at drawn arcs or not, joined two
+    at a time, in drawn pairs and at drawn positions, so that sums of sums
+    come up.  A drawn code that would take the codes' direct sum, which
+    holds the tied one, past 3^9 words is left out."""
+    field, t = draw(st.sampled_from(FIELDS_T))
+    part = st.sampled_from(small_diagrams()) | braid_diagrams(max_strands=3, max_len=5)
+    codes, words = [], 1
+    for _ in range(draw(st.integers(2, 5))):
+        d = draw(part)
+        if draw(st.booleans()):
+            e = draw(part)
+            d = connected_sum(d, draw(st.integers(0, d.arc_count - 1)), e, draw(st.integers(0, e.arc_count - 1)))
+        c = code_from_diagram(d, field, t)
+        if words * c.codeword_count() <= 3**9:
+            codes.append(c)
+            words *= c.codeword_count()
+    assume(len(codes) > 1)
+    while len(codes) > 1:
+        i, j = draw(st.lists(st.integers(0, len(codes) - 1), min_size=2, max_size=2, unique=True))
+        s = sum_code(codes[i], draw(st.integers(0, codes[i].n - 1)), codes[j], draw(st.integers(0, codes[j].n - 1)))
+        codes = [c for x, c in enumerate(codes) if x not in (i, j)] + [s]
+    return codes[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_sums())
+def test_nested_sum_codes_fold_to_the_walk(whole):
+    """The fold of a sum_code tree's leaves, the summand codes of every
+    composite code in it at any depth, gives the walk's weights: through
+    weight_enumerator under the largest leaf's q^k as budget (below the
+    sum's q^k unless a leaf has as many words as the sum), and through
+    tied_weight_enumerator on the tree itself."""
+    leaves, ties, place = whole._parts(whole)
+    assert len(place) == whole.n and len(ties) == len(leaves) - 1
+    budget = max(c.codeword_count() for c in leaves)
+    assert weight_enumerator(whole, budget) == tied_weight_enumerator(leaves, ties, budget) == walked_weights(whole)
