@@ -19,8 +19,7 @@ import math
 from .laurent import ONE, LaurentPoly, T
 from .fields import FqField
 from .diagram import Diagram
-from .coloring import evaluate
-from .codes import LinearCode
+from .codes import code_from_diagram
 
 
 def torus_alexander(a: int, b: int) -> LaurentPoly:
@@ -68,7 +67,7 @@ def cable_dimensions(base: Diagram, field: FqField, t, pairs) -> list[tuple]:
     for _, b in reversed(pairs):
         ts.insert(0, field.pow(ts[0], abs(b)))
     ts = [field.decode(x) for x in ts]
-    k = LinearCode(field, base.arc_count, evaluate(base.fox_rows, field.at(ts[0]))).k
+    k = code_from_diagram(base, field, ts[0]).k
     stages = [(ts[0], None, k)]
     for (a, b), ti in zip(pairs, ts[1:]):
         delta = torus_delta(field, a, b, ti)

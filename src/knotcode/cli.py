@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
 exceeded.  Each input has one parser: Diagram.from_json (diagram files),
 _ints (integers in option and file text), _int_text (argparse's integer
 options), _fp_poly (F_p[T] elements of a matrix file), field_and_t
-(--q/--modulus/--t) and resolve_budget (--budget, else KNOTCODE_BUDGET,
-else 10^7; never negative).  Each of them reads an integer through
+(--q/--modulus/--t, t as the coefficient tuple the library reads and the
+reports print) and resolve_budget (--budget, else KNOTCODE_BUDGET, else
+10^7; never negative).  Each of them reads an integer through
 laurent.as_int, which refuses a bool, a float with a fraction, and text
 other than an optional sign and ASCII digits, where int() would coerce or
 truncate it or skip blanks and underscores.  Each report carries the
@@ -17,7 +18,9 @@ module (_sha2 from 3.12, _sha256 on 3.10-3.11), so no OpenSSL is loaded;
 hashlib is the fallback where neither module exists.  Each command is
 parsed by its own parser, filled from its COMMANDS entry; the full tree
 of all ten is built, from the same table, only for top-level help or a
-missing or bad command name.
+missing or bad command name.  At t = 1 every Fox coloring is constant,
+and the code and sum reports note, under "warnings", that the code is
+the repetition code; the library itself warns of nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 try:  # hashlib loads OpenSSL's libcrypto, a few ms at every start
     from _sha2 import sha256  # Python 3.12+
@@ -52,6 +54,9 @@ SCHEMA = "knotcode/1"
 EXIT_USAGE = 2
 EXIT_BAD_DIAGRAM = 3
 EXIT_BUDGET = 4
+
+# the note that code and sum reports carry at t = 1
+_T_ONE = "t = 1: every coloring is constant, the code is the repetition code"
 
 
 class UsageError(ValueError):
@@ -198,26 +203,23 @@ def _iroot(q: int, a: int) -> int:
 
 
 def field_and_t(args):
-    """The field of --q/--modulus and its element --t as an encoded int: -1
-    is sugar for p-1, 'alpha' for the residue of x, comma lists ascending
-    coefficient vectors.  The library reads an int as n * 1, so t goes to
-    it as its coefficients, field.decode(t)."""
+    """The field of --q/--modulus and its element --t as the ascending
+    coefficient tuple (FqField.decode) that the library reads as a t and
+    the reports print: -1 is sugar for p-1, 'alpha' for the residue of x,
+    comma lists ascending coefficient vectors."""
     field = parse_field(args.q, args.modulus)
-    text = args.t
-    if text == "alpha":
+    if args.t == "alpha":
         if field.a == 1:
             raise UsageError("'alpha' needs an extension field")
-        return field, field.element([0, 1])
-    coeffs = _ints(text, "--t")
-    if len(coeffs) > 1:
-        return field, field.element(coeffs)
-    value = coeffs[0]
-    if field.a > 1 and not -1 <= value < field.p:
+        coeffs = [0, 1]
+    else:
+        coeffs = _ints(args.t, "--t")
+    if len(coeffs) == 1 and field.a > 1 and not -1 <= coeffs[0] < field.p:
         raise UsageError(
-            f"--t {text} is not in the prime field F_{field.p}; "
+            f"--t {args.t} is not in the prime field F_{field.p}; "
             f"give other elements of F_{field.q} as coefficients c0,c1,..."
         )
-    return field, field.element(value)
+    return field, field.decode(field.element(coeffs))
 
 
 def resolve_budget(args) -> int:
@@ -230,15 +232,6 @@ def resolve_budget(args) -> int:
                 raise UsageError(f"{source} must be >= 0, got {value}")
             return value
     return cd.DEFAULT_BUDGET
-
-
-def build_codes(diagrams, field, t: int, kind="fox"):
-    """The knot codes of the diagrams over field at the encoded t, and the
-    distinct warnings raised building them (for the report, not stderr)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        codes = [cd.code_from_diagram(d, field, field.decode(t), kind=kind) for d in diagrams]
-    return codes, list(dict.fromkeys(str(w.message) for w in caught))
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -317,7 +310,8 @@ def cmd_code(args) -> int:
     budget = resolve_budget(args)
     worst = 0
     for src, d in diagram_inputs(args.diagram):
-        (code,), warn = build_codes([d], field, t, args.kind)
+        code = cd.code_from_diagram(d, field, t, args.kind)
+        warn = [_T_ONE] if field.element(t) == 1 else []
         profile = cd.ldpc_profile(code)
         outputs = {
             "n": code.n,
@@ -346,7 +340,7 @@ def cmd_code(args) -> int:
                 outputs["d"] = None if we is None else we.min_weight()
             if args.weights and we is not None:
                 outputs["weights"] = we.to_json()
-        inputs = {**src, "q": field.q, "t": list(field.decode(t)), "kind": args.kind}
+        inputs = {**src, "q": field.q, "t": list(t), "kind": args.kind}
         emit(report_for("code", inputs, outputs, warn))
         worst = max(worst, status)
     return worst
@@ -417,7 +411,6 @@ def cmd_cable(args) -> int:
     if len(nums) % 2 or not nums:
         raise UsageError("--pairs needs a1,b1[,a2,b2,...]")
     pairs = [(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
-    t = field.decode(t)
     inputs = {"pairs": [list(p) for p in pairs], "q": field.q, "t": list(t)}
     if args.base:  # loaded before t is checked: a missing file is a bad diagram
         base, inputs["base_sha256"] = load_diagram(args.base)
@@ -442,7 +435,8 @@ def cmd_sum(args) -> int:
     field, t = field_and_t(args)
     budget = resolve_budget(args)
     loaded = [load_diagram(f) for f in args.files]
-    (c1, c2), warn = build_codes([d for d, _ in loaded], field, t)
+    c1, c2 = (cd.code_from_diagram(d, field, t) for d, _ in loaded)
+    warn = [_T_ONE] if field.element(t) == 1 else []
     pos1 = args.pos1 if args.pos1 is not None else c1.n - 1
     pos2 = args.pos2 if args.pos2 is not None else c2.n - 1
     total = cd.sum_code(c1, pos1, c2, pos2)
@@ -461,7 +455,7 @@ def cmd_sum(args) -> int:
         "files": list(args.files),
         "sha256": [digest for _, digest in loaded],
         "q": field.q,
-        "t": list(field.decode(t)),
+        "t": list(t),
         "positions": [pos1, pos2],
     }
     emit(report_for("sum", inputs, outputs, warn))

@@ -28,7 +28,6 @@ FqField.element, so an int t is n * 1.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import defaultdict, namedtuple
 from functools import cache, cached_property, partial
 from itertools import chain
@@ -85,8 +84,9 @@ class LinearCode:
 
     @cached_property
     def _echelon(self) -> dict:
-        """The one forward elimination of the parity rows (exactlin.echelon);
-        generator back-reduces its rows in place, which keeps its pivots."""
+        """The one forward elimination of the parity rows (exactlin.echelon),
+        never changed once built: generator back-reduces a copy of its rows,
+        so a code can be shared across threads."""
         return echelon(self.field, self.parity)
 
     @cached_property
@@ -235,33 +235,31 @@ def _points(field: FqField, basis, n: int) -> list:
 
 
 def code_from_diagram(d: Diagram, field: FqField, t, kind: str = "fox") -> LinearCode:
-    """The knot code: kernel of the evaluated coloring matrix.
+    """The knot code: kernel of the evaluated coloring matrix, and the one
+    place where a diagram's rows are evaluated into a LinearCode.
 
     Fox codes live on arcs (length n), Dehn codes on regions (length
-    n + 2).  t must be invertible; t = 1 is allowed but gives the
-    repetition code, which is flagged with a warning.  The Dehn kernel is
-    the unrestricted region-coloring module.
+    n + 2).  t must be invertible; t = 1 is allowed, and there every Fox
+    coloring is constant, so the Fox code is the repetition code (the CLI
+    notes it in its reports; nothing is raised or warned here).  The Dehn
+    kernel is the unrestricted region-coloring module.
     """
     value = field.at(t)
-    if field.element(t) == 1:
-        warnings.warn("t = 1: every coloring is constant, the code is the repetition code")
     if kind == "dehn":
         return LinearCode(field, d.region_count, evaluate(d.dehn_rows, value))
     if kind != "fox":
         raise ValueError("kind must be 'fox' or 'dehn'")
     c = LinearCode(field, d.arc_count, evaluate(d.fox_rows, value))
-    c._parts = partial(_summand_codes, d, value)  # given c when called: holding c would make a reference cycle
+    c._parts = partial(_summand_codes, d, t)  # given c when called: holding c would make a reference cycle
     return c
 
 
-def _summand_codes(d: Diagram, value, c: LinearCode):
-    """c's tie tree from split_sum(d): the Fox codes of the summands at the
-    evaluation value, the ties and the place of each arc.  c, d's code, is
-    itself when d has no splice, else the codes are built without
-    code_from_diagram, so t = 1 is not flagged again."""
+def _summand_codes(d: Diagram, t, c: LinearCode):
+    """c's tie tree from split_sum(d): the Fox codes of the summands at t
+    (code_from_diagram), the ties and the place of each arc.  c, d's code,
+    is itself when d has no splice."""
     summands, ties, place = split_sum(d)
-    codes = [c if s is d else LinearCode(c.field, s.arc_count, evaluate(s.fox_rows, value)) for s in summands]
-    return codes, ties, place
+    return [c if s is d else code_from_diagram(s, c.field, t) for s in summands], ties, place
 
 
 def min_distance(c: LinearCode, budget: int | None = None):
@@ -298,11 +296,15 @@ def weight_enumerator(c: LinearCode, budget: int | None = None) -> WeightEnumera
     min(_BLOCK, budget)), the code is instead folded from the leaves of its
     tie tree (LinearCode._parts, itself alone when untied), one walk per
     distinct leaf code, by tied_weight_enumerator, which checks the budget
-    against each leaf."""
+    against each leaf; when a leaf is over the budget but the code's own
+    q^k is not, the code is walked."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if c.codeword_count() > min(_BLOCK, limit):
-        return tied_weight_enumerator(*c._parts(c)[:2], budget)
-    c._afford(budget)
+        try:
+            return tied_weight_enumerator(*c._parts(c)[:2], budget)
+        except BudgetExceeded:
+            if c.codeword_count() > limit:
+                raise
     return WeightEnumerator(tuple(_joint_weights(c)[()]))
 
 

@@ -74,7 +74,7 @@ def alexander_polynomial(d: Diagram) -> LaurentPoly:
         if len(rest) < free:
             delta = ZERO
             break
-        delta *= kronecker_det([tuple((j, e) for j, e in enumerate(row) if e) for row in rest])
+        delta *= kronecker_det(rest)
     delta = delta.alexander_normalized()
     if abs(delta.eval_int(1)) != 1:
         raise AssertionError("Alexander normalization failed: |value at 1| != 1")

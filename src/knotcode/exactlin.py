@@ -8,11 +8,11 @@ this module defines no ring.
 The Smith form takes a plain list of lists, with ints for Z and
 ascending coefficient tuples for F_p[T], and returns the invariant
 factors and the rank, not the transforms that produce them.
-kronecker_det takes a square matrix as sparse LaurentPoly rows.  The
-elimination takes sparse rows, ((column, value), ...) pairs of a row's
-nonzeros, which is how a coloring matrix is evaluated (at most 4
-nonzeros per row), so it costs little beyond its nonzeros where
-Gauss-Jordan took cubic time;
+kronecker_det takes a square matrix as dense LaurentPoly rows, as
+unit_residual returns them.  The elimination takes sparse rows,
+((column, value), ...) pairs of a row's nonzeros, which is how a
+coloring matrix is evaluated (at most 4 nonzeros per row), so it costs
+little beyond its nonzeros where Gauss-Jordan took cubic time;
 over F_q and F_p[T]/(f) every value, in rows and in the vectors
 returned, is an encoded int (see fields).  It pivots only on units: over
 F_q that is every nonzero, and it gives rank and a canonical kernel
@@ -31,7 +31,7 @@ from collections import Counter, namedtuple
 from heapq import heapify, heappop, heappush
 
 from .laurent import ZERO, LaurentPoly
-from .fields import FqField
+from .fields import FqField, _slots
 
 
 # -- determinants over Z[T, T^-1] ----------------------------------------------
@@ -45,13 +45,14 @@ from .fields import FqField
 
 
 def kronecker_det(rows) -> LaurentPoly:
-    """Exact determinant of a square matrix given as sparse LaurentPoly
-    rows ((column, entry), ...) of its nonzeros, in columns
-    0..len(rows)-1, from one integer: its value at T = X = 2^s.
+    """Exact determinant of a square matrix of LaurentPoly entries, given
+    as dense rows (unit_residual's, ZERO where a cell is empty), from one
+    integer: its value at T = X = 2^s.
 
     Every row is divided by its lowest power of T, which leaves a
     polynomial P(T) with coefficients bounded by B (_bound_squared), and s
-    is the least with 2^(s-1) > B.  Every entry is evaluated at X, and
+    is the least with 2^(s-1) > B.  Every entry is evaluated at X, its
+    coefficients packed into s-bit slots (fields._slots), and
     fraction-free elimination over Z (Bareiss, Math. Comp. 22, 1968; a row
     swap on a zero pivot) gives P(X), every division exact.  Each
     coefficient of P lies in (-X/2, X/2), so the coefficients are the
@@ -61,20 +62,14 @@ def kronecker_det(rows) -> LaurentPoly:
     entries of degree d, in every cell below and right of the pivot, so
     this suits a few dense rows and not a large sparse matrix.
     """
-    if not all(rows):
+    if not all(map(any, rows)):
         return ZERO
     s = (_bound_squared(rows).bit_length() + 1) // 2 + 1  # 4^(s-1) > B^2
     n, shift, a = len(rows), 0, []
     for row in rows:
-        low = min(e.min_deg for _, e in row)
+        low = min(e.min_deg for e in row if e)
         shift += low
-        full = [0] * n
-        for c, e in row:
-            v = 0
-            for coeff in reversed(e.coeffs):
-                v = (v << s) + coeff
-            full[c] = v << s * (e.min_deg - low)
-        a.append(full)
+        a.append([_slots(e.coeffs, s) << s * (e.min_deg - low) if e else 0 for e in row])
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -99,7 +94,7 @@ def kronecker_det(rows) -> LaurentPoly:
 
 
 def _bound_squared(rows) -> int:
-    """B^2, where B bounds the coefficients of the determinant of sparse
+    """B^2, where B bounds the coefficients of the determinant of dense
     LaurentPoly rows.
 
     Divide every row by its lowest power of T, which leaves polynomial
@@ -112,7 +107,7 @@ def _bound_squared(rows) -> int:
     Hadamard's inequality bounds |P(z)| by the product of the Euclidean
     norms of the rows of A(z), and |a_ij(z)| <= ||a_ij||_1 when |z| = 1.
     """
-    return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for _, e in row) for row in rows)
+    return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in rows)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -194,9 +189,10 @@ def _swap_cols(mat, j, r):
 #
 # One sparse elimination serves the codes over F_q and the coloring counts
 # over Z/m and F_p[T]/(f).  Over F_q the forward pass (echelon) alone
-# gives the rank, so a code's dimension; the kernel basis back-reduces
-# that same pass (echelon_kernel) only when a codeword walk needs it.  Each row is copied into a {column: value} dict of its
-# nonzeros and reduced against the pivot rows found so far.  What is left
+# gives the rank, so a code's dimension; the kernel basis back-reduces a
+# copy of that same pass (echelon_kernel) only when a codeword walk needs
+# it.  Each row is copied into a {column: value} dict of its nonzeros and
+# reduced against the pivot rows found so far.  What is left
 # becomes a new pivot row at its first unit entry in the elimination
 # order, scaled to 1 there; a row with no unit entry is set aside as
 # residual and reduced again once new pivots appear.  Over a field every
@@ -322,7 +318,8 @@ def echelon(field: FqField, rows) -> dict:
 
 def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
     """The canonical kernel basis from a forward pass (echelon), whose
-    pivot rows it back-reduces in place.
+    pivot rows it back-reduces in a copy: the pass itself is left as it
+    is, so it can be cached and read from several threads.
 
     The basis is canonical: one vector per free column f (a column that
     depends on the columns before it), 1 at f and 0 at the other free
@@ -331,6 +328,7 @@ def echelon_kernel(field: FqField, pivots: dict, ncols: int) -> list[list[int]]:
     is then the reduced echelon form of the kernel with its columns
     reversed.
     """
+    pivots = {c: dict(prow) for c, prow in pivots.items()}
     _back_reduce(field, pivots)
     basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, prow in pivots.items():

@@ -798,9 +798,10 @@ def test_cable_with_base_diagram(tmp_path, capsys):
 
 
 def test_cable_base_is_quiet_at_t_one_and_loaded_first(tmp_path, capsys):
-    """A base's Fox code at t_0 = 1 is the repetition code, but cable reports
-    no warning for it: (-1)^2 = 1 here.  A missing base file is a bad
-    diagram (exit 3) before t = 0 is a usage error (exit 2)."""
+    """A base's Fox code at t_0 = 1 is the repetition code, but cable, which
+    reports dimensions and not codes, notes nothing for it, and
+    code_from_diagram warns of nothing: (-1)^2 = 1 here.  A missing base
+    file is a bad diagram (exit 3) before t = 0 is a usage error (exit 2)."""
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     for base in (["--base-unknot"], ["--base", path]):
         with warnings.catch_warnings(record=True) as caught:
@@ -915,12 +916,23 @@ def test_sum_over_budget_reports_d_null(tmp_path, capsys):
 
 
 def test_sum_records_the_t_one_warning_in_its_report(tmp_path, capsys):
+    """code and sum at t = 1 (given as 1, 4 and 1,0 over F_3) each note the
+    repetition code once in their report, with empty stderr and no Python
+    warning; at t = -1 the note is absent."""
     t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
-    code, out, err = run_cli(["sum", t, t, "--q", "3", "--t", "1"], capsys)
-    assert (code, err) == (0, "")
-    rep = json.loads(out)
-    assert rep["warnings"] == ["t = 1: every coloring is constant, the code is the repetition code"]
-    assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == ("6", "1", "6")
+    note = ["t = 1: every coloring is constant, the code is the repetition code"]
+    for text in ("1", "4", "1,0"):
+        for args, nkd in ((["sum", t, t], ("6", "1", "6")), (["code", t, "--min-dist"], ("3", "1", "3"))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli([*args, "--q", "3", "--t", text], capsys)
+            assert (code, err, caught) == (0, "", [])
+            rep = json.loads(out)
+            assert (rep["warnings"], rep["inputs"]["t"]) == (note, ["1"])
+            assert (rep["outputs"]["n"], rep["outputs"]["k"], rep["outputs"]["d"]) == nkd
+    for args in (["sum", t, t], ["code", t]):
+        code, out, err = run_cli([*args, "--q", "3", "--t", "-1"], capsys)
+        assert (code, err, json.loads(out)["warnings"]) == (0, "", [])
 
 
 def test_batch_mode_streams_reports(tmp_path, capsys):

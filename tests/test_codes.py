@@ -1,7 +1,10 @@
 import math
 import pickle
 import random
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,12 +75,15 @@ def test_contains_takes_encoded_ints_only(F3, F4, trefoil):
             code_from_diagram(trefoil, field, (0, 1) if field is F4 else -1).contains(word)
 
 
-def test_t_zero_rejected_t_one_flagged(F3, trefoil):
+def test_t_zero_rejected_t_one_quiet(F3, trefoil):
+    """t = 0 is not a unit; t = 1 gives the repetition code and warns of
+    nothing (the CLI notes it in its reports)."""
     with pytest.raises(ValueError):
         code_from_diagram(trefoil, F3, 0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         c = code_from_diagram(trefoil, F3, 1)
-    assert c.k == 1
+        assert c.k == 1 and c.generator == ((1, 1, 1),)
 
 
 def test_unknot_code_is_length_one(F3, unknot):
@@ -404,6 +410,20 @@ def test_a_composite_code_is_folded_from_its_parts(F3):
     assert weight_enumerator(s, budget=3**7) == tied_weight_enumerator([six, six], [(0, 0, 1, 0)])
 
 
+def test_a_sum_with_a_leaf_over_the_budget_is_walked_when_it_fits(F3):
+    """A leaf over the budget does not leave a sum unknown when the sum's
+    own q^k fits: the [13,11]_3 tie of F_3^12 to the zero code of length 1
+    is walked (3^11 <= 200000 < 3^12), a_w = C(11, w) 2^w; under 3^11 the
+    leaf's BudgetExceeded is raised."""
+    s = sum_code(LinearCode(F3, 12, ()), 0, LinearCode(F3, 1, (((0, 1),),)), 0)
+    w = weight_enumerator(s, budget=200000)
+    assert (s.n, s.k, w.total(), w.min_weight()) == (13, 11, 3**11, 1)
+    assert w.counts == tuple(math.comb(11, i) * 2**i for i in range(12)) + (0, 0)
+    assert min_distance(s, budget=200000) == 1
+    with pytest.raises(BudgetExceeded, match=r"^3\^12 codewords exceed budget 177146$"):
+        weight_enumerator(s, budget=3**11 - 1)
+
+
 def test_a_sum_of_composite_codes_folds_all_their_summands(F3):
     """A sum_code's tie tree is its two codes' trees joined by one tie, so
     the fold reaches the summands of composite codes at any depth: the
@@ -535,8 +555,7 @@ def test_dimension_via_ideals(F3, F5, trefoil):
     assert code_from_diagram(trefoil, F3, -1).k == 2
     assert code_from_diagram(trefoil, F5, -1).k == 1
     for d in small_diagrams():
-        with pytest.warns(UserWarning):
-            assert code_from_diagram(d, F3, 1).k == 1
+        assert code_from_diagram(d, F3, 1).k == 1
         c = code_from_diagram(d, F3, -1)
         assert c.k == c.n - rank_dense(F3, dense(c.parity, c.n, 0))
 
@@ -557,7 +576,6 @@ def test_torus_even_a_dimension(F3, F5):
         assert code_from_diagram(torus_diagram(a, b), field, -1).k == 2
 
 
-@pytest.mark.filterwarnings("ignore:t = 1")
 def test_repetition_subcode_and_bounds():
     fields = [FqField(2), FqField(3), FqField(5)]
     for d in small_diagrams():
@@ -599,7 +617,6 @@ def test_dim_bounded_by_alexander_valuation(F3):
     assert val % 9 == 0 and val % 27 != 0  # e = 2 while dim = 2: bound strict
 
 
-@pytest.mark.filterwarnings("ignore:t = 1")
 def test_min_distance_matches_ambient_brute_force(F2, F3, F4):
     diagrams = [builtin("trefoil"), torus_diagram(2, 5), builtin("figure_eight")]
     for d in diagrams:
@@ -701,6 +718,32 @@ def test_generator_is_the_dense_oracle_basis(kind, field, t):
         c = code_from_diagram(d, field, t, kind)
         expected = kernel_basis_dense(field, dense(c.parity, c.n, 0), c.n)
         assert [list(r) for r in c.generator] == expected
+
+
+def test_generator_leaves_the_forward_pass_unchanged(F3):
+    """Building the generator back-reduces a copy of the cached forward pass
+    (LinearCode._echelon), so the pass k reads is never edited."""
+    for d in (torus_diagram(2, 9), pretzel_diagram([3, 3, 3]), _trefoil_sum(3)):
+        c = code_from_diagram(d, F3, -1)
+        before = {col: dict(row) for col, row in c._echelon.items()}
+        assert c.generator and c._echelon == before
+
+
+def test_one_code_shared_by_four_threads(F3):
+    """Four threads that build one fresh code's generator at once each get
+    the single-thread basis, with the interpreter switching threads as
+    often as it can."""
+    d = torus_diagram(2, 201)
+    want = code_from_diagram(d, F3, -1).generator
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            c = code_from_diagram(d, F3, -1)
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(lambda _: c.generator, range(4))) == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_long_torus_code_stays_sparse(F3):

@@ -24,10 +24,10 @@ TREFOIL_M = [
 
 def test_trefoil_minors_and_det():
     minor11 = [row[1:] for row in TREFOIL_M[1:]]
-    assert kronecker_det(sparse_rows(minor11)) == ONE - T + T * T
+    assert kronecker_det(minor11) == ONE - T + T * T
     minor12 = [[row[0], row[2]] for row in TREFOIL_M[1:]]
-    assert kronecker_det(sparse_rows(minor12)) == -(ONE - T + T * T)
-    assert kronecker_det(sparse_rows(TREFOIL_M)) == ZERO
+    assert kronecker_det(minor12) == -(ONE - T + T * T)
+    assert kronecker_det(TREFOIL_M) == ZERO
 
 
 def _entries(bound):
@@ -54,7 +54,7 @@ def test_kronecker_det_matches_cofactor_oracle(data):
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         k, s, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-2, 2)), data.draw(entry)
         rows[i] = [a.shift(s) + (c * b if k != i else ZERO) for a, b in zip(rows[j], rows[k])]
-    det = kronecker_det(sparse_rows(rows))
+    det = kronecker_det(rows)
     assert det == bareiss_det(rows) == cofactor_det(rows)
     if kind != "random" and n >= 2:
         assert det == ZERO
@@ -75,8 +75,7 @@ def test_kronecker_det_past_64_bits():
         ([[at_bound]], at_bound),
     ]
     for rows, det in cases:
-        sparse = sparse_rows(rows)
-        assert kronecker_det(sparse) == bareiss_det(rows) == cofactor_det(rows) == sparse_det(sparse) == det
+        assert kronecker_det(rows) == bareiss_det(rows) == cofactor_det(rows) == sparse_det(sparse_rows(rows)) == det
 
 
 @settings(max_examples=120, deadline=None)
@@ -96,7 +95,7 @@ def test_kronecker_det_matches_bareiss_and_sparse_det(data):
             rows[i][j] = LaurentPoly((c,), data.draw(st.integers(-2, 2)))
         if bareiss_det(rows).coeffs[0] > 0:
             rows[0] = [-e for e in rows[0]]
-        assert bareiss_det(rows).coeffs[0] ** 2 == _bound_squared(sparse_rows(rows))
+        assert bareiss_det(rows).coeffs[0] ** 2 == _bound_squared(rows)
     else:
         entry = _entries(data.draw(st.sampled_from([4, 10**6, 2**70]), label="coefficient bound"))
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
@@ -108,9 +107,8 @@ def test_kronecker_det_matches_bareiss_and_sparse_det(data):
         rows[i] = [a.shift(s) + (c * b if k != i else ZERO) for a, b in zip(rows[j], rows[k])]
     elif kind == "zero corner" and n:
         rows[0][0] = ZERO
-    sparse = sparse_rows(rows)
-    det = kronecker_det(sparse)
-    assert det == bareiss_det(rows) == sparse_det(sparse)
+    det = kronecker_det(rows)
+    assert det == bareiss_det(rows) == sparse_det(sparse_rows(rows))
     if kind in ("zero row", "dependent") and n >= 2:
         assert det == ZERO
 

@@ -6,7 +6,6 @@ import math
 import random
 from itertools import product
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knotcode.generators import (
@@ -332,7 +331,6 @@ CODE_FIELDS = [FqField(2), F3, F5, FqField(7), FqField(3, [1, 0, 1]), FqField(2,
 knots = st.one_of(braid_diagrams(max_strands=6, max_len=16), summands, pretzels())
 
 
-@pytest.mark.filterwarnings("ignore:t = 1")
 @settings(max_examples=150, deadline=None)
 @given(knots, st.sampled_from(CODE_FIELDS), st.sampled_from(["fox", "dehn"]), st.data())
 def test_dimension_is_length_less_rank(d, field, kind, data):
