@@ -4,7 +4,9 @@ dimensions of (iterated) torus knots around companions.
 No cable diagrams are built: over a field every evaluated elementary
 ideal is 0 or everything, so a knot's ideals are fixed by the first
 index where they become everything, its code dimension, and cabling
-moves that index by one closed-form rule (cable_dimensions).
+moves that index by one closed-form rule (cable_dimensions), and
+no torus polynomial is expanded either: its value at t, torus_delta, is a
+quotient of two geometric sums, each from a few powers of t.
 
 A t is read by FqField.element, so an int t is n * 1; the t of a stage
 holds the ascending coefficients FqField.decode gives, so it can be
@@ -22,15 +24,21 @@ from .diagram import Diagram
 from .codes import code_from_diagram
 
 
-def torus_alexander(a: int, b: int) -> LaurentPoly:
-    """Closed form (T^{ab} - 1)(T - 1) / ((T^a - 1)(T^b - 1)); the division
-    is exact for coprime parameters.  Signs are dropped: mirrors share the
-    polynomial up to units."""
+def _torus_params(a: int, b: int) -> tuple[int, int]:
+    """|a|, |b|, which must be nonzero and coprime: signs are dropped, since
+    mirrors share the polynomial up to units."""
     a, b = abs(a), abs(b)
     if a == 0 or b == 0:
         raise ValueError("torus parameters must be nonzero")
     if math.gcd(a, b) != 1:
         raise ValueError(f"({a},{b}) not coprime")
+    return a, b
+
+
+def torus_alexander(a: int, b: int) -> LaurentPoly:
+    """Closed form (T^{ab} - 1)(T - 1) / ((T^a - 1)(T^b - 1)); the division
+    is exact for coprime parameters."""
+    a, b = _torus_params(a, b)
     num = (T.subst_power(a * b) - ONE) * (T - ONE)
     den = (T.subst_power(a) - ONE) * (T.subst_power(b) - ONE)
     return num.exact_div(den).alexander_normalized()
@@ -45,8 +53,24 @@ def cable_alexander(base: LaurentPoly, a: int, b: int) -> LaurentPoly:
 
 def torus_delta(field: FqField, a: int, b: int, t) -> int:
     """The torus Alexander value at t, the quantity that decides whether
-    cabling bumps the dimension."""
-    return field.eval_laurent(torus_alexander(a, b), field.element(t))
+    cabling bumps the dimension, from O(log ab) field operations and no
+    polynomial: torus_alexander(a, b) is G(a, b) / G(1, b), where
+    G(e, k) = 1 + T^e + ... + T^(e(k-1)), which is (t^(ek) - 1)/(t^e - 1)
+    at t, or k * 1 where t^e = 1.  Where G(1, b) vanishes at t, a and b
+    swap roles; G(1, a) and G(1, b) never both vanish, since a and b are
+    coprime."""
+    a, b = _torus_params(a, b)
+    x = field.element(t)
+
+    def geometric(e: int, k: int) -> int:
+        y = field.pow(x, e)
+        if y == 1:
+            return field.element(k)
+        return field.mul(field.sub(field.pow(y, k), 1), field.inv(field.sub(y, 1)))
+
+    if geometric(1, b) == 0:
+        a, b = b, a
+    return field.mul(geometric(a, b), field.inv(geometric(1, b)))
 
 
 def cable_dimensions(base: Diagram, field: FqField, t, pairs) -> list[tuple]:

@@ -4,23 +4,28 @@ Every command prints one JSON report per input (one line each, keys
 sorted, numbers as decimal strings) so runs are byte-reproducible; a
 directory argument to a diagram command means every .json file in it.
 Exit codes: 0 success, 2 usage, 3 invalid diagram, 4 enumeration budget
-exceeded.  Each input has one parser: Diagram.from_json (diagram files),
-_ints (integers in option and file text), _int_text (argparse's integer
-options), _fp_poly (F_p[T] elements of a matrix file), field_and_t
-(--q/--modulus/--t, t as the coefficient tuple the library reads and the
-reports print) and resolve_budget (--budget, else KNOTCODE_BUDGET, else
-10^7; never negative).  Each of them reads an integer through
-laurent.as_int, which refuses a bool, a float with a fraction, and text
-other than an optional sign and ASCII digits, where int() would coerce or
-truncate it or skip blanks and underscores.  Each report carries the
-sha256 of every input file's bytes, from CPython's built-in SHA-256
-module (_sha2 from 3.12, _sha256 on 3.10-3.11), so no OpenSSL is loaded;
-hashlib is the fallback where neither module exists.  Each command is
-parsed by its own parser, filled from its COMMANDS entry; the full tree
-of all ten is built, from the same table, only for top-level help or a
-missing or bad command name.  At t = 1 every Fox coloring is constant,
-and the code and sum reports note, under "warnings", that the code is
-the repetition code; the library itself warns of nothing.
+exceeded.  A command's handler yields (inputs, outputs, warnings, status)
+per report and prints nothing; main alone wraps each in the report
+envelope, writes it as soon as it is yielded (so the reports before a bad
+file are printed) and exits with the worst status.  Each input has one
+parser: Diagram.from_json (diagram files), _ints (integers in option and
+file text), _int_text (argparse's integer options), _fp_poly (F_p[T]
+elements of a matrix file), field_and_t (--q/--modulus/--t, t as the
+coefficient tuple the library reads and the reports print) and
+resolve_budget (--budget, else KNOTCODE_BUDGET, else 10^7; never
+negative).  Each of them reads an integer through laurent.as_int, which
+refuses a bool, a float with a fraction, and text other than an optional
+sign and ASCII digits, where int() would coerce or truncate it or skip
+blanks and underscores.  Each report carries the sha256 of every input
+file's bytes, from CPython's built-in SHA-256 module (_sha2 from 3.12,
+_sha256 on 3.10-3.11), so no OpenSSL is loaded; hashlib is the fallback
+where neither module exists.  Each command is parsed by its own parser,
+filled from its COMMANDS entry; the full tree of all ten is built, from
+the same table, only for top-level help or a missing or bad command
+name.  At t = 1 every Fox coloring is constant, and the Fox code and sum
+reports note, under "warnings", that the code is the repetition code; a
+Dehn code at t = 1 need not be (the trefoil's over F_3 is [5,2]_3), so
+its reports note nothing, and the library itself warns of nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ EXIT_USAGE = 2
 EXIT_BAD_DIAGRAM = 3
 EXIT_BUDGET = 4
 
-# the note that code and sum reports carry at t = 1
+# the note that Fox code and sum reports carry at t = 1
 _T_ONE = "t = 1: every coloring is constant, the code is the repetition code"
 
 
@@ -79,31 +84,28 @@ def _stringify(x):
     return x
 
 
-def emit(report: dict):
+def emit(command: str, inputs: dict, outputs: dict, warnings: list):
+    """Write one report: its envelope as one line of sorted-key JSON."""
+    report = {"schema": SCHEMA, "command": command, "inputs": inputs, "outputs": outputs, "warnings": warnings}
     sys.stdout.write(json.dumps(_stringify(report), sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def report_for(command: str, inputs: dict, outputs: dict, warn=()):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "warnings": list(warn),
-    }
+def _read_json(path: str):
+    """The JSON value of a file and the sha256 of its bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return json.loads(data), sha256(data).hexdigest()
 
 
 def load_diagram(path: str) -> tuple[Diagram, str]:
     """The diagram of a file and the sha256 of the bytes it was parsed from."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        d = Diagram.from_json(json.loads(data))
+        obj, digest = _read_json(path)
+        return Diagram.from_json(obj), digest
     except DiagramError as exc:
         raise DiagramError(f"{path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DiagramError(f"{path}: cannot parse diagram: {exc}") from exc
-    return d, sha256(data).hexdigest()
 
 
 def diagram_inputs(path: str):
@@ -237,7 +239,7 @@ def resolve_budget(args) -> int:
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     inputs = None
     if args.family == "sum":
         # file problems exit 3; only bad parameters count as usage errors
@@ -265,10 +267,10 @@ def cmd_gen(args) -> int:
             raise UsageError(f"{args.out}: cannot write diagram: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-    return 0
+    yield from ()  # a diagram, not a report
 
 
-def cmd_invariants(args, command="invariants") -> int:
+def cmd_invariants(args):
     for src, d in diagram_inputs(args.diagram):
         delta = col.alexander_polynomial(d)
         outputs = {
@@ -276,21 +278,14 @@ def cmd_invariants(args, command="invariants") -> int:
             "determinant": abs(delta.eval_int(-1)),
             "value_at_1": delta.eval_int(1),
         }
-        if command == "invariants":
-            outputs.update(
-                {
-                    "crossings": d.n,
-                    "arcs": d.arc_count,
-                    "regions": d.region_count,
-                }
-            )
+        if args.cmd == "invariants":
+            outputs.update({"crossings": d.n, "arcs": d.arc_count, "regions": d.region_count})
             if d.n >= 1:
                 outputs["minors_agree_up_to_units"] = col.first_minors_agree(d)
-        emit(report_for(command, src, outputs))
-    return 0
+        yield src, outputs, [], 0
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args):
     for src, d in diagram_inputs(args.diagram):
         if args.kind == "fox":
             rows, n, order = d.fox_rows, d.arc_count, "arc_order"
@@ -301,17 +296,15 @@ def cmd_matrix(args) -> int:
             order: list(range(n)),
             "crossing_order": list(range(len(rows))),
         }
-        emit(report_for("matrix", {**src, "kind": args.kind}, outputs))
-    return 0
+        yield {**src, "kind": args.kind}, outputs, [], 0
 
 
-def cmd_code(args) -> int:
+def cmd_code(args):
     field, t = field_and_t(args)
     budget = resolve_budget(args)
-    worst = 0
     for src, d in diagram_inputs(args.diagram):
         code = cd.code_from_diagram(d, field, t, args.kind)
-        warn = [_T_ONE] if field.element(t) == 1 else []
+        warn = [_T_ONE] if args.kind == "fox" and field.element(t) == 1 else []
         profile = cd.ldpc_profile(code)
         outputs = {
             "n": code.n,
@@ -340,13 +333,10 @@ def cmd_code(args) -> int:
                 outputs["d"] = None if we is None else we.min_weight()
             if args.weights and we is not None:
                 outputs["weights"] = we.to_json()
-        inputs = {**src, "q": field.q, "t": list(t), "kind": args.kind}
-        emit(report_for("code", inputs, outputs, warn))
-        worst = max(worst, status)
-    return worst
+        yield {**src, "q": field.q, "t": list(t), "kind": args.kind}, outputs, warn, status
 
 
-def cmd_snf(args) -> int:
+def cmd_snf(args):
     path = args.matrix
     if args.ring == "Z":
         entries, digest = _read_matrix(path)
@@ -361,20 +351,16 @@ def cmd_snf(args) -> int:
         res = snf([[_fp_poly(x, ring, path) for x in row] for row in rows], ring)
         factors = [[str(c) for c in dd] for dd in res.invariant_factors]
     inputs = {"file": path, "sha256": digest, "ring": args.ring}
-    emit(report_for("snf", inputs, {"invariant_factors": factors, "rank": res.rank}))
-    return 0
+    yield inputs, {"invariant_factors": factors, "rank": res.rank}, [], 0
 
 
 def _read_matrix(path: str) -> tuple[list[list], str]:
     """Rows of a matrix file, a list of equal-length rows, bare or under
     "entries"; and the sha256 of the bytes they were parsed from."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        obj, digest = _read_json(path)
     except OSError as exc:
         raise UsageError(f"{path}: cannot read matrix: {exc.strerror}") from exc
-    try:
-        obj = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: cannot parse matrix: {exc}") from exc
     entries = obj.get("entries") if isinstance(obj, dict) else obj
@@ -382,10 +368,10 @@ def _read_matrix(path: str) -> tuple[list[list], str]:
         raise UsageError(f"{path}: matrix must be a list of rows")
     if len({len(row) for row in entries}) > 1:
         raise UsageError(f"{path}: matrix rows have different lengths")
-    return entries, sha256(data).hexdigest()
+    return entries, digest
 
 
-def cmd_colorings(args) -> int:
+def cmd_colorings(args):
     if args.mod is not None:
         t = _ints([args.t], "--t")[0]
     else:
@@ -401,11 +387,10 @@ def cmd_colorings(args) -> int:
             ring = PolyMod(p, RingFpT(p).trim(f))  # the modulus is read as an F_p[T] element, like t
             inputs = {**src, "p": p, "modulus_poly": list(ring.f), "t": list(ring.cover.trim(t))}
         count = col.count_colorings(d, ring, t)
-        emit(report_for("colorings", inputs, {"count": count, "nontrivially_colorable": count > ring.size}))
-    return 0
+        yield inputs, {"count": count, "nontrivially_colorable": count > ring.size}, [], 0
 
 
-def cmd_cable(args) -> int:
+def cmd_cable(args):
     field, t = field_and_t(args)
     nums = _ints(args.pairs, "--pairs")
     if len(nums) % 2 or not nums:
@@ -427,11 +412,10 @@ def cmd_cable(args) -> int:
     p0 = pairs[0]
     if not args.base and all(pr == p0 for pr in pairs) and p0[0] == 2 and p0[1] % 2 and is_prime(p0[1]):
         outputs["lengths"] = [cab.iterated_cable_length(p0[1], m) for m in range(1, len(pairs) + 1)]
-    emit(report_for("cable", inputs, outputs))
-    return 0
+    yield inputs, outputs, [], 0
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args):
     field, t = field_and_t(args)
     budget = resolve_budget(args)
     loaded = [load_diagram(f) for f in args.files]
@@ -458,12 +442,10 @@ def cmd_sum(args) -> int:
         "t": list(t),
         "positions": [pos1, pos2],
     }
-    emit(report_for("sum", inputs, outputs, warn))
-    return status
+    yield inputs, outputs, warn, status
 
 
-def cmd_check(args) -> int:
-    worst = 0
+def cmd_check(args):
     for src, d in diagram_inputs(args.diagram):
         failures = []
         checks = []
@@ -494,16 +476,8 @@ def cmd_check(args) -> int:
                     lambda field=field: cd.code_from_diagram(d, field, -1, kind="dehn").k
                     == cd.code_from_diagram(d, field, -1).k + 1,
                 )
-        emit(
-            report_for(
-                "check",
-                src,
-                {"ok": not failures, "checks": checks, "first_failure": failures[0] if failures else None},
-            )
-        )
-        if failures:
-            worst = EXIT_BAD_DIAGRAM
-    return worst
+        outputs = {"ok": not failures, "checks": checks, "first_failure": failures[0] if failures else None}
+        yield src, outputs, [], EXIT_BAD_DIAGRAM if failures else 0
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -589,11 +563,13 @@ def _sum_args(ap):
     ap.add_argument("--budget")  # read by resolve_budget
 
 
-# name: (help in the command list, adds the command's arguments, handler)
+# name: (help in the command list, adds the command's arguments, handler);
+# a handler reads the parsed arguments, prints nothing and yields
+# (inputs, outputs, warnings, exit status) for each report, which main writes
 COMMANDS = {
     "gen": ("generate a diagram file", _gen_args, cmd_gen),
     "invariants": ("Alexander polynomial, determinant, crossings, arcs, regions", _diagram_args, cmd_invariants),
-    "alex": ("Alexander polynomial and determinant only", _diagram_args, lambda args: cmd_invariants(args, "alex")),
+    "alex": ("Alexander polynomial and determinant only", _diagram_args, cmd_invariants),
     "matrix": ("coloring matrix over Z[T,T^-1]", _matrix_args, cmd_matrix),
     "code": ("knot code parameters over F_q", _code_args, cmd_code),
     "snf": ("Smith normal form of a matrix file", _snf_args, cmd_snf),
@@ -629,8 +605,11 @@ def main(argv=None) -> int:
         args.cmd = argv[0]
     else:
         args = build_parser().parse_args(argv)
+    worst = 0
     try:
-        return COMMANDS[args.cmd][2](args)
+        for inputs, outputs, warnings, status in COMMANDS[args.cmd][2](args):
+            emit(args.cmd, inputs, outputs, warnings)
+            worst = max(worst, status)
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM
@@ -640,6 +619,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return worst
 
 
 if __name__ == "__main__":

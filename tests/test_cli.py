@@ -783,6 +783,17 @@ def test_cable_command(capsys):
     assert (code, out) == (2, "") and "invertible" in err
 
 
+def test_cable_long_torus_pair_is_fast(capsys):
+    """(2, 10005) around the unknot over F_3 at t = -1: Delta(-1) = 10005 = 0,
+    so the dimension is bumped to 2, in well under a second (torus_delta
+    expands no polynomial)."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["cable", "--base-unknot", "--pairs", "2,10005", "--q", "3", "--t", "-1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    rep = json.loads(out)
+    assert (code, err, rep["outputs"]["dim"], rep["outputs"]["steps"][1]["delta"]) == (0, "", "2", ["0"])
+
+
 def test_cable_with_base_diagram(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "builtin", "trefoil")
     code, out, err = run_cli(
@@ -935,6 +946,19 @@ def test_sum_records_the_t_one_warning_in_its_report(tmp_path, capsys):
         assert (code, err, json.loads(out)["warnings"]) == (0, "", [])
 
 
+def test_only_the_fox_code_notes_t_one(tmp_path, capsys):
+    """At t = 1 the trefoil's Dehn code over F_3 is [5,2]_3, not the
+    repetition code, so its report notes nothing; the Fox report keeps its
+    note.  Stderr is empty in both."""
+    t = gen_file(tmp_path, capsys, "builtin", "trefoil", name="t.json")
+    note = ["t = 1: every coloring is constant, the code is the repetition code"]
+    for kind, nk, warns in (("dehn", ("5", "2"), []), ("fox", ("3", "1"), note)):
+        code, out, err = run_cli(["code", t, "--q", "3", "--t", "1", "--kind", kind], capsys)
+        rep = json.loads(out)
+        assert (code, err, rep["warnings"]) == (0, "", warns)
+        assert (rep["outputs"]["n"], rep["outputs"]["k"]) == nk
+
+
 def test_batch_mode_streams_reports(tmp_path, capsys):
     gen_file(tmp_path, capsys, "builtin", "trefoil", name="a.json")
     gen_file(tmp_path, capsys, "builtin", "figure_eight", name="b.json")
@@ -955,6 +979,62 @@ def test_batch_check_over_directory(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert all(json.loads(line)["outputs"]["ok"] for line in lines)
+
+
+def test_handlers_yield_reports_and_print_nothing(tmp_path, capsys):
+    """A COMMANDS handler writes nothing to stdout: it yields one
+    (inputs, outputs, warnings, status) per report, which main writes; gen
+    writes its diagram and yields nothing.  alex and invariants share one
+    handler, which reads the command name off the parsed arguments."""
+    path = gen_file(tmp_path, capsys, "builtin", "trefoil")
+    for argv, count in (
+        (["gen", "builtin", "unknot", "-o", str(tmp_path / "u.json")], 0),
+        (["alex", path], 1),
+        (["invariants", str(tmp_path)], 2),
+        (["code", path, "--q", "3", "--t", "-1", "--min-dist", "--budget", "8"], 1),
+        (["cable", "--base-unknot", "--pairs", "2,3", "--q", "3", "--t", "-1"], 1),
+    ):
+        args = command_parser(argv[0]).parse_args(argv[1:])
+        args.cmd = argv[0]
+        reports = list(COMMANDS[argv[0]][2](args))
+        assert capsys.readouterr().out == ""
+        assert len(reports) == count and all(isinstance(r, tuple) and len(r) == 4 for r in reports), argv
+        if argv[0] == "alex":
+            assert set(reports[0][1]) == {"alexander", "determinant", "value_at_1"}
+        if argv[0] == "code":
+            assert reports[0][1]["d"] is None and reports[0][3] == 4
+
+
+def test_code_over_a_directory_exits_with_the_worst_status(tmp_path, capsys):
+    """Over a budget of 8, the trefoil's 3^2 words are too many and the
+    unknot's 3 are not: both reports are printed, in name order, the first
+    with d null, and the run exits 4."""
+    gen_file(tmp_path, capsys, "builtin", "trefoil", name="a.json")
+    gen_file(tmp_path, capsys, "builtin", "unknot", name="b.json")
+    code, out, err = run_cli(["code", str(tmp_path), "--q", "3", "--t", "-1", "--min-dist", "--budget", "8"], capsys)
+    reps = [json.loads(line) for line in out.splitlines()]
+    assert (code, err, len(reps)) == (4, "", 2)
+    assert [Path(r["inputs"]["file"]).name for r in reps] == ["a.json", "b.json"]
+    assert reps[0]["outputs"]["d"] is None and reps[0]["warnings"] == ["minimum distance needs 3^2 codewords > budget 8"]
+    assert reps[1]["outputs"]["d"] is not None and reps[1]["warnings"] == []
+
+
+def test_reports_before_a_bad_file_are_printed(tmp_path, capsys):
+    """alex over a directory prints the report of a.json, then stops at
+    b.json, whose slots are broken, with exit 3 and one stderr line naming
+    it."""
+    gen_file(tmp_path, capsys, "builtin", "trefoil", name="a.json")
+    broken = {
+        "crossings": [{"under_in": 0, "under_out": 1, "over_in": 0, "over_out": 1, "sign": 1}],
+        "outer": {"edge": 0, "side": "left"},
+    }
+    (tmp_path / "b.json").write_text(json.dumps(broken))
+    code, out, err = run_cli(["alex", str(tmp_path)], capsys)
+    (line,) = out.splitlines()
+    rep = json.loads(line)
+    assert (code, rep["command"], Path(rep["inputs"]["file"]).name) == (3, "alex", "a.json")
+    assert rep["outputs"]["determinant"] == "3"
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "b.json: invalid diagram" in err
 
 
 def test_check_reports_failed_and_raising_checks(tmp_path, capsys, monkeypatch):
